@@ -230,7 +230,7 @@ func main() {
 	if prep != nil {
 		// the fault totals cover the whole pipelined run, not just the
 		// first inference the layer table above describes
-		nocRes, failedN = prep.NoC, int(prep.TransfersFailed)
+		nocRes, failedN = prep.NoC, len(prep.Failed)
 	}
 	if fcfg.Active() {
 		fmt.Printf("\nfault injection: %d flits corrupted, %d packets retransmitted, %d packets lost, %d transfers undelivered\n",

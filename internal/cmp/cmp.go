@@ -11,6 +11,12 @@
 // transition therefore injects a burst of messages into the NoC; the
 // burst's drain time is the computation-blocking communication cost,
 // and the layer's compute time is the slowest core's nna cycle count.
+//
+// One scheduler runs every schedule: RunPipeline streams batches
+// through a pipeline of stages on one NoC clock, and RunPlan /
+// RunPlanPlaced are its depth-1 single-batch case. A single-stage run's
+// bursts never overlap, so they are simulated concurrently on host
+// workers before the scheduler orders them.
 package cmp
 
 import (
@@ -24,7 +30,6 @@ import (
 	"learn2scale/internal/nna"
 	"learn2scale/internal/noc"
 	"learn2scale/internal/obs"
-	"learn2scale/internal/parallel"
 	"learn2scale/internal/partition"
 	"learn2scale/internal/timeline"
 	"learn2scale/internal/topology"
@@ -46,28 +51,30 @@ type Config struct {
 	// single-pass latency contains no weight refetch.
 	StreamWeights bool
 
-	// Workers bounds the host worker threads used to simulate the
-	// per-layer NoC bursts (see internal/parallel). <= 0 uses
+	// Workers bounds the host worker threads that simulate a
+	// single-stage run's NoC bursts (see internal/parallel). <= 0 uses
 	// parallel.Workers(). These are host threads, not simulated cores:
-	// the report is bit-identical at every value because each layer's
-	// burst runs on a fresh simulator and layer results fold in layer
-	// order.
+	// the report is bit-identical at every value because the bursts of
+	// a single-stage run never overlap, so each runs on its own pooled
+	// simulator and writes only its own layer result. Multi-stage runs
+	// share one NoC session and simulate serially.
 	Workers int
 
 	// Obs, when non-nil, receives per-layer cycle/traffic gauges and
-	// whole-run counters from RunPlan, and is propagated to the NoC
+	// whole-run counters from every run, and is propagated to the NoC
 	// simulators (packet-latency histogram, occupancy high-water). All
 	// of it is stable: simulated cycles, not wall time.
 	Obs *obs.Registry
 
-	// Timeline, when non-nil, receives one section per layer holding the
-	// cycle-accurate event trace of that layer's synchronization burst
-	// (packet lifecycles, link busy intervals) plus per-core compute
-	// spans. Sections are registered serially in layer order before the
-	// parallel layer loop and each is filled by the single worker owning
-	// its burst, so the timeline is byte-identical at every Workers
-	// value. The NoC config's own Timeline stays nil; pooled burst
-	// simulators receive their section explicitly per layer.
+	// Timeline, when non-nil, receives one section per (batch, layer)
+	// holding the cycle-accurate event trace of that layer's
+	// synchronization burst (packet lifecycles, link busy intervals)
+	// plus per-core compute spans. Sections are registered serially,
+	// batch-major in layer order, before any burst is simulated, and
+	// each is filled by the one simulator running its burst, so the
+	// timeline is byte-identical at every Workers value. The NoC
+	// config's own Timeline stays nil; burst simulators receive their
+	// section explicitly.
 	Timeline *timeline.Sink
 
 	// Fault, when non-nil and active, injects link/router faults into
@@ -98,19 +105,24 @@ func DefaultConfig(cores int) Config {
 // System is an instantiated chip.
 type System struct {
 	cfg  Config
-	sim  *noc.Simulator
 	core *nna.Core
 
 	// deadNode[n] marks mesh node n's compute tile dead (from
 	// cfg.Fault.DeadCores); nil when no cores are dead.
 	deadNode []bool
 
-	// simPool recycles per-layer burst simulators across RunPlan calls:
-	// RunBurst fully resets simulator state, so a pooled simulator is
-	// indistinguishable from a fresh one, and reuse keeps the mesh's
-	// router/buffer arrays off the allocator on every layer. MapReduce's
-	// bounded run-ahead caps how many live at once.
+	// simPool recycles the burst simulators of single-stage runs across
+	// calls: RunBurst fully resets simulator state, so a pooled
+	// simulator is indistinguishable from a fresh one, and reuse keeps
+	// the mesh's router/buffer arrays off the allocator on every burst.
+	// Each host worker holds one only for the duration of a burst, so at
+	// most Workers live at once.
 	simPool sync.Pool // holds *noc.Simulator
+
+	// sessionOnly routes single-stage runs through the NoC session like
+	// multi-stage ones instead of resolving their bursts up front —
+	// tests use it to hold the two paths equal.
+	sessionOnly bool
 }
 
 // New builds a system from cfg.
@@ -139,15 +151,17 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, sim: sim, core: core}
+	s := &System{cfg: cfg, core: core}
 	if cfg.Fault != nil && len(cfg.Fault.DeadCores) > 0 {
 		s.deadNode = make([]bool, cfg.Mesh.Nodes())
 		for _, d := range cfg.Fault.DeadCores {
 			s.deadNode[d] = true
 		}
 	}
-	// cfg.NoC validated above, so construction cannot fail here.
+	// cfg.NoC validated above, so construction cannot fail here; the
+	// validating simulator seeds the pool.
 	s.simPool.New = func() any { return noc.MustNew(s.cfg.NoC) }
+	s.simPool.Put(sim)
 	return s, nil
 }
 
@@ -256,204 +270,11 @@ func (s *System) RunPlan(p *partition.Plan) (Report, error) {
 // RunPlanPlaced is RunPlan under an explicit core placement: logical
 // core c occupies mesh node place[c]. A nil placement is identity.
 // Placement changes message routes (and therefore drain time, latency
-// and link energy) but not per-core compute.
+// and link energy) but not per-core compute. It is the depth-1
+// single-batch RunPipeline: the one scheduler runs every CMP schedule.
 func (s *System) RunPlanPlaced(p *partition.Plan, place partition.Placement) (Report, error) {
-	if p.Cores != s.cfg.Cores {
-		return Report{}, fmt.Errorf("cmp: plan for %d cores on a %d-core system", p.Cores, s.cfg.Cores)
-	}
-	if place != nil && !place.Valid() {
-		return Report{}, fmt.Errorf("cmp: invalid placement %v", place)
-	}
-	rtm := s.cfg.Obs.Span("sim/runplan").Start() // nil-safe: inert without Obs
-	defer rtm.Stop()
-	// Node → logical-core inverse of the placement, needed to report
-	// failed transfers in logical coordinates. Only materialized when
-	// faults can produce any.
-	faultOn := s.cfg.Fault.Active()
-	var inv []int
-	if faultOn {
-		inv = make([]int, p.Cores)
-		for c := 0; c < p.Cores; c++ {
-			n := c
-			if place != nil {
-				n = place[c]
-			}
-			inv[n] = c
-		}
-	}
-	// Timeline sections register serially here, in layer order, so
-	// section indices are deterministic; each is then filled by the one
-	// worker simulating its layer.
-	var tlSecs []*timeline.Section
-	if s.cfg.Timeline != nil {
-		tlSecs = make([]*timeline.Section, len(p.Layers))
-		for k := range p.Layers {
-			tlSecs[k] = s.cfg.Timeline.Section(
-				fmt.Sprintf("layer%02d.%s", k, p.Layers[k].Shape.Spec.Name))
-		}
-	}
-	// Layers simulate independently: RunBurst fully resets simulator
-	// state, so each layer checks a simulator out of the pool and the
-	// per-layer results fold in layer order — bit-identical to the
-	// serial loop at every worker count.
-	type layerOut struct {
-		lr     LayerResult
-		energy float64
-		err    error
-	}
-	type folded struct {
-		rep Report
-		err error
-	}
-	res := parallel.MapReduce(len(p.Layers), 1, folded{},
-		func(lo, hi int) layerOut {
-			k := lo
-			var out layerOut
-			lr := LayerResult{Name: p.Layers[k].Shape.Spec.Name}
-
-			traffic := p.LayerTraffic(k)
-			if place != nil {
-				traffic = place.Apply(traffic)
-			}
-			lr.TrafficBytes = traffic.Total()
-			if lr.TrafficBytes > 0 {
-				msgs := traffic.Messages()
-				if s.deadNode != nil {
-					// A dead core produces nothing: its outgoing transfers
-					// are never generated (the consumer zero-fills) and
-					// transfers addressed to it are pointless, so neither
-					// enters the network.
-					kept := msgs[:0]
-					var bytes int64
-					for _, m := range msgs {
-						if s.deadNode[m.Src] || s.deadNode[m.Dst] {
-							if s.deadNode[m.Src] && !s.deadNode[m.Dst] {
-								lr.Failed = append(lr.Failed, noc.LostTransfer{Src: inv[m.Src], Dst: inv[m.Dst]})
-								if tlSecs != nil {
-									tlSecs[k].Lost(0, -1, 0, m.Src, m.Src, m.Dst)
-								}
-							}
-							continue
-						}
-						kept = append(kept, m)
-						bytes += int64(m.Bytes)
-					}
-					msgs = kept
-					lr.TrafficBytes = bytes
-				}
-				if len(msgs) > 0 {
-					sim := s.simPool.Get().(*noc.Simulator)
-					sim.SetFaultSalt(int64(k)) // decorrelate layers sharing packet-id sequences
-					if tlSecs != nil {
-						sim.SetTimelineSection(tlSecs[k])
-					}
-					res, err := sim.RunBurst(msgs)
-					for _, lt := range sim.LostTransfers() {
-						lr.Failed = append(lr.Failed, noc.LostTransfer{Src: inv[lt.Src], Dst: inv[lt.Dst]})
-					}
-					s.simPool.Put(sim)
-					if err != nil {
-						out.err = fmt.Errorf("cmp: layer %s: %w", lr.Name, err)
-						return out
-					}
-					lr.NoC = res
-					lr.CommCycles = res.Cycles
-				}
-				sortLost(lr.Failed)
-			}
-
-			for c := 0; c < p.Cores; c++ {
-				n := c
-				if place != nil {
-					n = place[c]
-				}
-				if s.deadNode != nil && s.deadNode[n] {
-					continue // dead tile: no compute, no energy
-				}
-				w := p.CoreWork(k, c)
-				cy := s.core.ComputeCycles(w)
-				if cy > lr.ComputeCycles {
-					lr.ComputeCycles = cy
-				}
-				if tlSecs != nil && cy > 0 {
-					// Compute starts once the layer's synchronization burst
-					// has drained (the layer-synchronous model).
-					tlSecs[k].Compute(lr.CommCycles, lr.CommCycles+cy, n)
-				}
-				out.energy += s.core.ComputeEnergyPJ(w)
-			}
-			if r := s.cfg.Obs; r != nil {
-				pfx := fmt.Sprintf("sim.layer.%02d.%s.", k, lr.Name)
-				r.Gauge(pfx+"compute_cycles", obs.Stable).Set(float64(lr.ComputeCycles))
-				r.Gauge(pfx+"comm_cycles", obs.Stable).Set(float64(lr.CommCycles))
-				r.Gauge(pfx+"traffic_bytes", obs.Stable).Set(float64(lr.TrafficBytes))
-				if faultOn {
-					r.Gauge(pfx+"lost_transfers", obs.Stable).Set(float64(len(lr.Failed)))
-				}
-			}
-			out.lr = lr
-			return out
-		},
-		func(acc folded, v layerOut) folded {
-			if acc.err != nil {
-				return acc
-			}
-			if v.err != nil {
-				acc.err = v.err
-				return acc
-			}
-			k := len(acc.rep.Layers) // fold runs in layer order
-			for _, ft := range v.lr.Failed {
-				acc.rep.Failed = append(acc.rep.Failed, FailedTransfer{Layer: k, Src: ft.Src, Dst: ft.Dst})
-			}
-			acc.rep.Layers = append(acc.rep.Layers, v.lr)
-			acc.rep.ComputeCycles += v.lr.ComputeCycles
-			acc.rep.CommCycles += v.lr.CommCycles
-			acc.rep.TrafficBytes += v.lr.TrafficBytes
-			acc.rep.NoC.Add(v.lr.NoC)
-			acc.rep.ComputeEnergyPJ += v.energy
-			return acc
-		},
-		parallel.WithWorkers(s.cfg.Workers))
-	if res.err != nil {
-		return Report{}, res.err
-	}
-	rep := res.rep
-	if tlSecs != nil {
-		// Pin each layer's section at its global offset: layers execute
-		// back to back (burst drain, then compute) in the
-		// layer-synchronous model.
-		var cursor int64
-		for k := range rep.Layers {
-			tlSecs[k].SetStart(cursor)
-			cursor += rep.Layers[k].CommCycles + rep.Layers[k].ComputeCycles
-		}
-	}
-	rep.NoCEnergy = s.cfg.Energy.Energy(rep.NoC)
-	if r := s.cfg.Obs; r != nil {
-		r.Counter("sim.layers", obs.Stable).Add(int64(len(rep.Layers)))
-		r.Counter("sim.compute_cycles", obs.Stable).Add(rep.ComputeCycles)
-		r.Counter("sim.comm_cycles", obs.Stable).Add(rep.CommCycles)
-		r.Counter("sim.traffic_bytes", obs.Stable).Add(rep.TrafficBytes)
-		if faultOn {
-			r.Counter("sim.lost_transfers", obs.Stable).Add(int64(len(rep.Failed)))
-			r.Counter("sim.retransmits", obs.Stable).Add(rep.NoC.Retransmits)
-		}
-		// Whole-run NoC pressure: flit-hops per simulated communication
-		// cycle, the live monitor's link-utilization signal.
-		if rep.NoC.Cycles > 0 {
-			r.Gauge("sim.noc.avg_link_load", obs.Stable).
-				Set(float64(rep.NoC.LinkTraversals) / float64(rep.NoC.Cycles))
-		}
-		// One simulation run is one deterministic telemetry window,
-		// spanning its simulated cycle count.
-		span := float64(rep.TotalCycles())
-		if span <= 0 {
-			span = 1
-		}
-		r.Boundary("runplan", span)
-	}
-	return rep, nil
+	rep, err := s.RunPipeline(p, PipelineOptions{Depth: 1, Batches: 1, Place: place})
+	return rep.Inference, err
 }
 
 // sortLost orders lost transfers by (Src, Dst) so layer reports are

@@ -6,6 +6,7 @@ import (
 	"learn2scale/internal/energy"
 	"learn2scale/internal/noc"
 	"learn2scale/internal/obs"
+	"learn2scale/internal/parallel"
 	"learn2scale/internal/partition"
 	"learn2scale/internal/timeline"
 )
@@ -13,8 +14,8 @@ import (
 // PipelineOptions configures a pipelined run.
 type PipelineOptions struct {
 	// Depth is the number of pipeline stages (≥ 1). Depth 1 is the
-	// layer-synchronous barrier model on a single clock: one batch at a
-	// time, bit-identical to RunPlanPlaced.
+	// paper's layer-synchronous barrier model: one batch at a time, and
+	// with one batch exactly what RunPlan/RunPlanPlaced report.
 	Depth int
 	// Batches is the number of inferences streamed through the pipeline
 	// (≥ 1; 0 means 1).
@@ -51,9 +52,9 @@ type PipelineReport struct {
 	Depth   int
 	Batches int
 
-	// Inference is batch 0's per-layer report. At Depth 1 with one
-	// batch it equals the RunPlanPlaced report for the same plan
-	// exactly, including NoC results, failed transfers and energy. At
+	// Inference is batch 0's per-layer report — what RunPlanPlaced
+	// returns for a depth-1 single-batch run, including NoC results,
+	// failed transfers and energy. At
 	// deeper pipelines its Failed transfers use stage-major global core
 	// ids, which only coincide with the base plan's logical cores at
 	// depth 1 — so feed it to core.DegradedAccuracy only at depth 1.
@@ -88,7 +89,7 @@ type PipelineReport struct {
 	Failed []PipelineFailedTransfer
 
 	TransfersScheduled int64 // NoC burst groups injected
-	TransfersFailed    int64 // groups with at least one lost transfer
+	TransfersFailed    int64 // (batch, layer) transfers with at least one lost slice
 }
 
 // PipelineFailedTransfer is one zero-filled activation transfer of a
@@ -102,7 +103,6 @@ type PipelineFailedTransfer struct {
 type taskState struct {
 	li         int   // next stage-layer to compute
 	inputReady int64 // cycle the pending layer's input transfer landed; −1 = in flight
-	prevEnd    int64 // compute end of the previous layer in this task
 	done       bool
 	end        int64 // task completion cycle (valid once done)
 }
@@ -120,9 +120,14 @@ type pipelineRun struct {
 	inv     []int // node → global core (faulty runs only)
 	faultOn bool
 
-	ses   *noc.Session
-	tasks [][]taskState // [batch][stage]
-	owner []groupRef    // group id → consumer
+	// ses carries multi-stage runs' overlapping groups. Single-stage
+	// runs leave it nil: their groups never overlap, so resolveGroups
+	// simulates them all up front and injected[b·L+k] marks the
+	// (batch b, layer k) groups that entered the network.
+	ses      *noc.Session
+	injected []bool
+	tasks    [][]taskState // [batch][stage]
+	owner    []groupRef    // group id → consumer
 
 	secs    [][]*timeline.Section // [batch][layer k]
 	layers  [][]LayerResult       // [batch][layer k]
@@ -130,7 +135,7 @@ type pipelineRun struct {
 	pending int                   // unresolved groups in flight
 	left    int                   // unfinished tasks
 
-	scheduled, failedGroups int64
+	scheduled int64
 }
 
 // RunPipeline simulates Batches inferences streaming through a
@@ -142,9 +147,15 @@ type pipelineRun struct {
 // the shared network (noc.Session).
 //
 // The scheduler is event-driven and fully deterministic: tasks block
-// only on NoC group resolutions, every derived time is simulated
-// cycles, and no host parallelism is involved, so reports, obs metrics
-// and timelines are byte-identical at any Config.Workers value.
+// only on NoC group resolutions and every derived time is simulated
+// cycles. A single-stage run (depth 1: the paper's layer-synchronous
+// model, and RunPlan) injects each group only after the previous one
+// resolved, so no two groups overlap and each is bit-identical to an
+// independent burst with the same salt (the noc.Session contract);
+// those groups are simulated up front, concurrently on Config.Workers
+// host threads, and the scheduler delivers each at its inject cycle
+// plus its drain. Reports, obs metrics and timelines are byte-identical
+// at any Config.Workers value.
 func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineReport, error) {
 	if p.Cores != s.cfg.Cores {
 		return PipelineReport{}, fmt.Errorf("cmp: plan for %d cores on a %d-core system", p.Cores, s.cfg.Cores)
@@ -168,9 +179,9 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 	if err != nil {
 		return PipelineReport{}, err
 	}
-	// A depth-1 single-batch run IS a barrier run; it keeps the barrier
-	// span name so its stable flight record stays byte-identical to
-	// RunPlanPlaced's (span invocation counts are stable metrics).
+	// A depth-1 single-batch run is a RunPlan run; it keeps that span
+	// name so RunPlan's stable flight records do not change (span
+	// invocation counts are stable metrics).
 	spanName := "sim/runpipeline"
 	if len(pp.Stages) == 1 && opt.Batches == 1 {
 		spanName = "sim/runplan"
@@ -188,15 +199,8 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 
 	B, L, depth := opt.Batches, len(p.Layers), len(pp.Stages)
 
-	// One session simulator owns the whole run; its horizon scales with
-	// the number of inferences in flight.
-	scfg := s.cfg.NoC
-	scfg.MaxCycles *= int64(B + depth)
-	r.ses = noc.MustNew(scfg).Begin()
-
 	// Sections register serially up front, batch-major in layer order.
-	// With one batch the labels match RunPlanPlaced's, so a depth-1
-	// single-batch timeline is byte-identical to the barrier one (the
+	// With one batch the labels are the plain per-layer ones (the
 	// stage/batch tags are 0 and vanish from records).
 	if s.cfg.Timeline != nil {
 		r.secs = make([][]*timeline.Section, B)
@@ -231,6 +235,18 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 	}
 	r.left = B * depth
 
+	if depth == 1 && !s.sessionOnly {
+		if err := r.resolveGroups(); err != nil {
+			return PipelineReport{}, err
+		}
+	} else {
+		// One session simulator owns the whole run; its horizon scales
+		// with the number of inferences in flight.
+		scfg := s.cfg.NoC
+		scfg.MaxCycles *= int64(B + depth)
+		r.ses = noc.MustNew(scfg).Begin()
+	}
+
 	// Seed the pipeline and drain resolution events. Every scheduling
 	// decision happens synchronously inside tryAdvance; the loop below
 	// only pumps NoC completions back in.
@@ -247,20 +263,7 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 		}
 		r.pending--
 		ref := r.owner[g]
-		lr := &r.layers[ref.b][r.pp.Stages[ref.s].First+ref.li]
-		lr.NoC = r.ses.Result(g)
-		lr.CommCycles = lr.NoC.Cycles
-		for _, lt := range r.ses.Lost(g) {
-			src, dst := lt.Src, lt.Dst
-			if r.inv != nil {
-				src, dst = r.inv[lt.Src], r.inv[lt.Dst]
-			}
-			lr.Failed = append(lr.Failed, noc.LostTransfer{Src: src, Dst: dst})
-		}
-		sortLost(lr.Failed)
-		if len(lr.Failed) > 0 {
-			r.failedGroups++
-		}
+		r.settle(&r.layers[ref.b][r.pp.Stages[ref.s].First+ref.li], r.ses.Result(g), r.ses.Lost(g))
 		tk := &r.tasks[ref.b][ref.s]
 		if ref.li != tk.li {
 			return PipelineReport{}, fmt.Errorf("cmp: pipeline: group for layer %d resolved while task at layer %d", ref.li, tk.li)
@@ -271,6 +274,68 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 		}
 	}
 	return r.report(B, depth)
+}
+
+// resolveGroups simulates every transfer group of a single-stage run
+// before scheduling starts: the groups feeding layers 1..L−1 of every
+// batch (layer 0's input is the broadcast network input). Each group
+// runs as an independent burst on a pooled simulator, under the salt
+// and timeline section the session path would give it, and writes only
+// its own layer result, so the fan-out over host workers is
+// deterministic.
+func (r *pipelineRun) resolveGroups() error {
+	s := r.sys
+	B, L := len(r.layers), len(r.pp.Base.Layers)
+	r.injected = make([]bool, B*L)
+	errs := make([]error, B*L)
+	parallel.For(B*L, func(i int) {
+		b, k := i/L, i%L
+		if k == 0 {
+			return
+		}
+		msgs := r.transferMsgs(b, 0, k)
+		if len(msgs) == 0 {
+			return
+		}
+		sim := s.simPool.Get().(*noc.Simulator)
+		sim.SetFaultSalt(int64(i))
+		sim.SetTimelineSection(r.section(b, k))
+		res, err := sim.RunBurst(msgs)
+		lost := sim.LostTransfers()
+		s.simPool.Put(sim)
+		if err != nil {
+			errs[i] = fmt.Errorf("cmp: layer %s: %w", r.layers[b][k].Name, err)
+			return
+		}
+		r.injected[i] = true
+		r.settle(&r.layers[b][k], res, lost)
+	}, parallel.WithWorkers(s.cfg.Workers))
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// settle records a resolved group's NoC result and lost transfers
+// (mapped back to global cores) on its consumer layer.
+func (r *pipelineRun) settle(lr *LayerResult, res noc.Result, lost []noc.LostTransfer) {
+	lr.NoC = res
+	lr.CommCycles = res.Cycles
+	for _, lt := range lost {
+		lr.Failed = append(lr.Failed, noc.LostTransfer{Src: r.inv[lt.Src], Dst: r.inv[lt.Dst]})
+	}
+	sortLost(lr.Failed)
+}
+
+// section returns the timeline section of (batch b, layer k), nil when
+// untraced.
+func (r *pipelineRun) section(b, k int) *timeline.Section {
+	if r.secs == nil {
+		return nil
+	}
+	return r.secs[b][k]
 }
 
 // nodeOf maps a global core id to its mesh node under the placement.
@@ -310,11 +375,13 @@ func (r *pipelineRun) tryAdvance(b, st int) error {
 		k := stage.First + tk.li
 		sl := &stage.Layers[tk.li]
 		lr := &r.layers[b][k]
-		var sec *timeline.Section
-		if r.secs != nil {
-			sec = r.secs[b][k]
-		}
+		sec := r.section(b, k)
 
+		// The section starts where its burst was injected (start −
+		// drain), so burst events (relative to injection) and compute
+		// spans share one origin; at depth 1 sections tile back to back,
+		// each burst drain followed by its layer's compute.
+		sec.SetStart(start - lr.CommCycles)
 		// Compute: the stage's slowest live core bounds the layer.
 		var cy int64
 		var pj float64
@@ -325,29 +392,15 @@ func (r *pipelineRun) tryAdvance(b, st int) error {
 			}
 			w := sl.CoreWork(lc, r.pp.Base.BytesPerValue)
 			c := r.sys.core.ComputeCycles(w)
-			if c > cy {
-				cy = c
-			}
+			cy = max(cy, c)
 			pj += r.sys.core.ComputeEnergyPJ(w)
-		}
-		lr.ComputeCycles = cy
-		r.energy[b] += pj
-		// The section starts where its burst was injected (start −
-		// drain), so burst events (relative to injection) and compute
-		// spans share one origin — the exact layout RunPlanPlaced pins
-		// with its cumulative cursor at depth 1.
-		sec.SetStart(start - lr.CommCycles)
-		for lc := 0; lc < stage.Cores; lc++ {
-			n := nodeOf(r.place, stage.CoreBase+lc)
-			if r.sys.deadNode != nil && r.sys.deadNode[n] {
-				continue
-			}
-			if c := r.sys.core.ComputeCycles(sl.CoreWork(lc, r.pp.Base.BytesPerValue)); c > 0 {
+			if c > 0 {
 				sec.Compute(lr.CommCycles, lr.CommCycles+c, n)
 			}
 		}
+		lr.ComputeCycles = cy
+		r.energy[b] += pj
 		end := start + cy
-		tk.prevEnd = end
 		tk.li++
 		tk.inputReady = -1
 
@@ -380,61 +433,33 @@ func (r *pipelineRun) tryAdvance(b, st int) error {
 
 // launchTransfer injects the burst feeding stage-layer (st, li) of
 // batch b at cycle at — the producer's compute completion — and records
-// it against the consumer. Zero-traffic transfers deliver immediately.
+// it against the consumer. Zero-traffic transfers deliver immediately;
+// groups resolved up front deliver once their drain has elapsed.
 func (r *pipelineRun) launchTransfer(b, st, li int, at int64) error {
-	s := r.sys
-	stage := &r.pp.Stages[st]
-	k := stage.First + li
+	k := r.pp.Stages[st].First + li
 	lr := &r.layers[b][k]
-	var sec *timeline.Section
-	if r.secs != nil {
-		sec = r.secs[b][k]
-	}
-
-	traffic := r.pp.LayerTraffic(st, li)
-	if r.place != nil {
-		traffic = r.place.Apply(traffic)
-	}
-	lr.TrafficBytes = traffic.Total()
-	deliver := func() error {
+	deliver := func(at int64) error {
 		r.tasks[b][st].inputReady = at
 		if li == 0 {
 			return r.tryAdvance(b, st) // cross-stage handoff may unblock the consumer
 		}
 		return nil // intra-stage: the caller's loop continues
 	}
-	if lr.TrafficBytes == 0 {
-		return deliver()
-	}
-	msgs := traffic.Messages()
-	if s.deadNode != nil {
-		kept := msgs[:0]
-		var bytes int64
-		for _, m := range msgs {
-			if s.deadNode[m.Src] || s.deadNode[m.Dst] {
-				if s.deadNode[m.Src] && !s.deadNode[m.Dst] {
-					lr.Failed = append(lr.Failed, noc.LostTransfer{Src: r.inv[m.Src], Dst: r.inv[m.Dst]})
-					sec.Lost(0, -1, 0, m.Src, m.Src, m.Dst)
-				}
-				continue
-			}
-			kept = append(kept, m)
-			bytes += int64(m.Bytes)
+	// Salt decorrelates every (batch, layer) burst; batch 0's layer k
+	// is salted k, so a single inference's faults do not depend on
+	// how many batches follow it.
+	salt := b*len(r.pp.Base.Layers) + k
+	if r.ses == nil {
+		if r.injected[salt] {
+			r.scheduled++
 		}
-		msgs = kept
-		lr.TrafficBytes = bytes
-		if len(lr.Failed) > 0 {
-			r.failedGroups++
-		}
+		return deliver(at + lr.CommCycles)
 	}
+	msgs := r.transferMsgs(b, st, li)
 	if len(msgs) == 0 {
-		sortLost(lr.Failed)
-		return deliver()
+		return deliver(at)
 	}
-	// Salt decorrelates every (batch, layer) burst while keeping batch
-	// 0 on the exact per-layer salts RunPlanPlaced uses.
-	salt := int64(b)*int64(len(r.pp.Base.Layers)) + int64(k)
-	gid, err := r.ses.Inject(msgs, at, salt, sec)
+	gid, err := r.ses.Inject(msgs, at, int64(salt), r.section(b, k))
 	if err != nil {
 		return fmt.Errorf("cmp: pipeline layer %s: %w", lr.Name, err)
 	}
@@ -447,13 +472,53 @@ func (r *pipelineRun) launchTransfer(b, st, li int, at int64) error {
 	return nil
 }
 
+// transferMsgs returns the placed messages of the burst feeding
+// stage-layer (st, li) of batch b and sets the consumer layer's traffic.
+// A dead core produces nothing: its outgoing transfers are never
+// generated (the consumer zero-fills them, recorded as failed) and
+// transfers addressed to it are pointless, so neither enters the
+// network.
+func (r *pipelineRun) transferMsgs(b, st, li int) []noc.Message {
+	dead := r.sys.deadNode
+	k := r.pp.Stages[st].First + li
+	lr := &r.layers[b][k]
+	traffic := r.pp.LayerTraffic(st, li)
+	if r.place != nil {
+		traffic = r.place.Apply(traffic)
+	}
+	lr.TrafficBytes = traffic.Total()
+	if lr.TrafficBytes == 0 {
+		return nil
+	}
+	msgs := traffic.Messages()
+	if dead == nil {
+		return msgs
+	}
+	sec := r.section(b, k)
+	kept := msgs[:0]
+	var bytes int64
+	for _, m := range msgs {
+		if dead[m.Src] || dead[m.Dst] {
+			if dead[m.Src] && !dead[m.Dst] {
+				lr.Failed = append(lr.Failed, noc.LostTransfer{Src: r.inv[m.Src], Dst: r.inv[m.Dst]})
+				sec.Lost(0, -1, 0, m.Src, m.Src, m.Dst)
+			}
+			continue
+		}
+		kept = append(kept, m)
+		bytes += int64(m.Bytes)
+	}
+	lr.TrafficBytes = bytes
+	sortLost(lr.Failed)
+	return kept
+}
+
 // report assembles the final PipelineReport once every task retired.
 func (r *pipelineRun) report(B, depth int) (PipelineReport, error) {
 	s := r.sys
-	rep := PipelineReport{Depth: depth, Batches: B,
-		TransfersScheduled: r.scheduled, TransfersFailed: r.failedGroups}
+	rep := PipelineReport{Depth: depth, Batches: B, TransfersScheduled: r.scheduled}
 
-	// Batch 0's per-layer report — the barrier-comparable inference.
+	// Batch 0's per-layer report — the single-inference view.
 	for k := range r.layers[0] {
 		lr := r.layers[0][k]
 		for _, ft := range lr.Failed {
@@ -473,6 +538,9 @@ func (r *pipelineRun) report(B, depth int) (PipelineReport, error) {
 		for k := range r.layers[b] {
 			lr := &r.layers[b][k]
 			rep.NoC.Add(lr.NoC)
+			if len(lr.Failed) > 0 {
+				rep.TransfersFailed++
+			}
 			for _, ft := range lr.Failed {
 				rep.Failed = append(rep.Failed, PipelineFailedTransfer{Batch: b, Layer: k, Src: ft.Src, Dst: ft.Dst})
 			}
@@ -527,10 +595,9 @@ func (r *pipelineRun) report(B, depth int) (PipelineReport, error) {
 		}
 	}
 
-	// Obs: batch 0 reproduces RunPlanPlaced's per-layer gauges and
-	// whole-run counters exactly; pipeline.* aggregates only appear for
-	// genuinely pipelined runs so barrier-shaped runs keep their
-	// registry byte-identical.
+	// Obs: batch 0's per-layer gauges and whole-run counters;
+	// pipeline.* aggregates only appear for genuinely pipelined runs so
+	// depth-1 single-batch (RunPlan) records carry none of them.
 	if reg := s.cfg.Obs; reg != nil {
 		for k := range rep.Inference.Layers {
 			lr := &rep.Inference.Layers[k]
@@ -568,9 +635,9 @@ func (r *pipelineRun) report(B, depth int) (PipelineReport, error) {
 			}
 			reg.Boundary("pipeline", float64(rep.TotalCycles))
 		} else {
-			// A depth-1 single-batch run IS a barrier run; close the
-			// telemetry window exactly as RunPlanPlaced does so the
-			// depth-1 bit-identity contract extends to live streams.
+			// A depth-1 single-batch run is one RunPlan inference: one
+			// deterministic telemetry window spanning its simulated
+			// cycles.
 			span := float64(rep.Inference.TotalCycles())
 			if span <= 0 {
 				span = 1

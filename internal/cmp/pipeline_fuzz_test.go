@@ -18,7 +18,10 @@ import (
 //   - conservation: without structural faults every injected packet is
 //     either ejected intact or accounted lost
 //     (Packets == EjectedPackets + LostPackets), and fill/steady/drain
-//     telescope exactly to the total.
+//     telescope exactly to the total;
+//   - failure bookkeeping: TransfersFailed counts each (batch, layer)
+//     transfer with a lost slice exactly once, whether a dead core
+//     dropped it before injection or the network lost it.
 //
 // Dead compute tiles are fair game (their transfers are filtered before
 // injection); dead links/routers are not, since disconnected endpoints
@@ -109,6 +112,14 @@ func FuzzPipelineSchedule(f *testing.F) {
 			if rep.Completions[b] <= rep.Completions[b-1] {
 				t.Fatalf("cuts %v: completions not increasing: %v", cuts, rep.Completions)
 			}
+		}
+		failedGroups := map[[2]int]bool{}
+		for _, ft := range rep.Failed {
+			failedGroups[[2]int{ft.Batch, ft.Layer}] = true
+		}
+		if rep.TransfersFailed != int64(len(failedGroups)) {
+			t.Fatalf("cuts %v: TransfersFailed %d, but %d (batch, layer) transfers lost slices",
+				cuts, rep.TransfersFailed, len(failedGroups))
 		}
 	})
 }

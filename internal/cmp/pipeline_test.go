@@ -2,6 +2,7 @@ package cmp
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -62,26 +63,17 @@ func pipelinePlans(cores int) map[string]*partition.Plan {
 	return plans
 }
 
-// runBarrier runs RunPlanPlaced with fresh obs and timeline attached
-// and returns the report plus both serialized records.
-func runBarrier(t *testing.T, cfg Config, p *partition.Plan, place partition.Placement) (Report, []byte, []byte) {
+// runPipe runs RunPipeline with fresh obs and timeline attached and
+// returns the report plus both serialized records. session forces
+// single-stage runs through the NoC session instead of resolving their
+// bursts up front.
+func runPipe(t *testing.T, cfg Config, p *partition.Plan, opt PipelineOptions, session bool) (PipelineReport, []byte, []byte) {
 	t.Helper()
 	reg, sink := obs.New(), timeline.NewSink()
 	cfg.Obs, cfg.Timeline = reg, sink
-	rep, err := MustNew(cfg).RunPlanPlaced(p, place)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob, tb := recordBytes(t, reg, sink)
-	return rep, ob, tb
-}
-
-// runPipe runs RunPipeline the same way.
-func runPipe(t *testing.T, cfg Config, p *partition.Plan, opt PipelineOptions) (PipelineReport, []byte, []byte) {
-	t.Helper()
-	reg, sink := obs.New(), timeline.NewSink()
-	cfg.Obs, cfg.Timeline = reg, sink
-	rep, err := MustNew(cfg).RunPipeline(p, opt)
+	sys := MustNew(cfg)
+	sys.sessionOnly = session
+	rep, err := sys.RunPipeline(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,57 +93,93 @@ func recordBytes(t *testing.T, reg *obs.Registry, sink *timeline.Sink) ([]byte, 
 	return ob.Bytes(), tb.Bytes()
 }
 
-// TestRunPipelineDepthOneMatchesBarrier is the tentpole's differential
-// contract: a depth-1 single-batch pipelined run is the barrier model
-// on a session clock, so its batch report, stable obs record and
-// timeline record must all be bit-identical to RunPlanPlaced — for
-// every parallelization scheme, fault-free and under transient faults.
+// singleStageFaults are the fault regimes the single-stage
+// differential tests sweep: none, transient flit drops with
+// retransmission, a dead compute tile (filtered before injection) and a
+// dead link (rerouted, disconnected pairs lost).
+var singleStageFaults = []struct {
+	name string
+	cfg  *fault.Config
+}{
+	{"fault-free", nil},
+	{"drops", &fault.Config{Seed: 9, DropProb: 0.03, RetryBudget: 2}},
+	{"dead-core", &fault.Config{Seed: 9, DeadCores: []int{5}}},
+	{"dead-link", &fault.Config{Seed: 9, DeadLinks: []fault.Link{{A: 1, B: 2}}, DropProb: 0.01, RetryBudget: 1}},
+}
+
+// checkUpFrontMatchesSession runs a single-stage schedule twice — its
+// bursts resolved up front on pooled simulators (the default), and
+// injected into one NoC session like a multi-stage run's — and
+// requires the reports, stable obs records and timeline records to be
+// identical.
+func checkUpFrontMatchesSession(t *testing.T, label string, cfg Config, plan *partition.Plan, opt PipelineOptions) PipelineReport {
+	t.Helper()
+	want, wantObs, wantTL := runPipe(t, cfg, plan, opt, true)
+	got, gotObs, gotTL := runPipe(t, cfg, plan, opt, false)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: up-front report differs from session\nsession:  %+v\nup-front: %+v", label, want, got)
+	}
+	if !bytes.Equal(wantObs, gotObs) {
+		t.Errorf("%s: stable obs records differ\n--- session\n%s\n--- up-front\n%s", label, wantObs, gotObs)
+	}
+	if !bytes.Equal(wantTL, gotTL) {
+		t.Errorf("%s: timeline records differ (%d vs %d bytes)", label, len(wantTL), len(gotTL))
+	}
+	return got
+}
+
+// heavyPlan reports whether a pipelinePlans scheme simulates a
+// full-scale network (CaffeNet, AlexNet). Those run one batch,
+// fault-free and under transient drops only; the LeNet and MLP schemes
+// cover every regime at every batch count and under placement.
+func heavyPlan(name string) bool { return name == "dense" || name == "grouped" }
+
+// TestRunPipelineDepthOneMatchesBarrier is the single scheduler's
+// differential contract. A single-stage (barrier) schedule never
+// overlaps two bursts, so RunPipeline resolves them concurrently up
+// front instead of through the NoC session; the two paths must agree
+// bit for bit — for every parallelization scheme, one and three
+// batches, fault-free and under transient drops, a dead core and a
+// dead link. RunPlan is the depth-1 single-batch case.
 func TestRunPipelineDepthOneMatchesBarrier(t *testing.T) {
 	for name, plan := range pipelinePlans(16) {
-		for _, faulty := range []bool{false, true} {
-			cfg := DefaultConfig(16)
-			if faulty {
-				cfg.Fault = &fault.Config{Seed: 9, DropProb: 0.03, RetryBudget: 2}
-			}
-			want, wantObs, wantTL := runBarrier(t, cfg, plan, nil)
-			got, gotObs, gotTL := runPipe(t, cfg, plan, PipelineOptions{Depth: 1, Batches: 1})
-
-			if !reflect.DeepEqual(want, got.Inference) {
-				t.Errorf("%s faulty=%v: depth-1 inference report differs from barrier\nbarrier:  %+v\npipeline: %+v",
-					name, faulty, want, got.Inference)
-			}
-			if !bytes.Equal(wantObs, gotObs) {
-				t.Errorf("%s faulty=%v: stable obs records differ\n--- barrier\n%s\n--- pipeline\n%s",
-					name, faulty, wantObs, gotObs)
-			}
-			if !bytes.Equal(wantTL, gotTL) {
-				t.Errorf("%s faulty=%v: timeline records differ (%d vs %d bytes)",
-					name, faulty, len(wantTL), len(gotTL))
-			}
-			if got.TotalCycles != want.TotalCycles() {
-				t.Errorf("%s faulty=%v: pipeline total %d, barrier %d",
-					name, faulty, got.TotalCycles, want.TotalCycles())
+		for i, fc := range singleStageFaults {
+			for _, batches := range []int{1, 3} {
+				if heavyPlan(name) && (batches > 1 || i > 1) {
+					continue
+				}
+				cfg := DefaultConfig(16)
+				cfg.Fault = fc.cfg
+				label := fmt.Sprintf("%s/%s/batches=%d", name, fc.name, batches)
+				got := checkUpFrontMatchesSession(t, label, cfg, plan, PipelineOptions{Depth: 1, Batches: batches})
+				if fc.name == "dead-core" && len(got.Failed) == 0 {
+					t.Errorf("%s: dead core lost no transfers", label)
+				}
 			}
 		}
 	}
 }
 
-// A depth-1 run under an explicit placement must also match the placed
-// barrier run (placement permutes routes, not the schedule).
+// The same contract under an explicit non-identity placement, which
+// permutes routes and maps lost transfers back to logical cores.
 func TestRunPipelineDepthOnePlaced(t *testing.T) {
-	plan := partition.NewPlan(netzoo.MLP(), 16)
 	place := make(partition.Placement, 16)
 	for i := range place {
 		place[i] = (i*5 + 3) % 16 // 5 ⟂ 16: a fixed permutation
 	}
-	cfg := DefaultConfig(16)
-	want, _, wantTL := runBarrier(t, cfg, plan, place)
-	got, _, gotTL := runPipe(t, cfg, plan, PipelineOptions{Depth: 1, Batches: 1, Place: place})
-	if !reflect.DeepEqual(want, got.Inference) {
-		t.Errorf("placed depth-1 report differs:\nbarrier:  %+v\npipeline: %+v", want, got.Inference)
-	}
-	if !bytes.Equal(wantTL, gotTL) {
-		t.Error("placed depth-1 timeline record differs from barrier")
+	faulty := &fault.Config{Seed: 4, DeadCores: []int{5}, DropProb: 0.02, RetryBudget: 1}
+	for name, plan := range pipelinePlans(16) {
+		if heavyPlan(name) {
+			continue
+		}
+		for _, fc := range []*fault.Config{nil, faulty} {
+			for _, batches := range []int{1, 3} {
+				cfg := DefaultConfig(16)
+				cfg.Fault = fc
+				label := fmt.Sprintf("%s/faulty=%v/batches=%d", name, fc != nil, batches)
+				checkUpFrontMatchesSession(t, label, cfg, plan, PipelineOptions{Depth: 1, Batches: batches, Place: place})
+			}
+		}
 	}
 }
 

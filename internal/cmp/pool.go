@@ -4,10 +4,10 @@ import "fmt"
 
 // Pool is a fixed-size pool of reusable simulator Systems sharing one
 // Config — the serving layer's "simulator fleet". A System is fully
-// reusable across RunPlan/RunPlanPlaced/RunPipeline calls (each run
-// builds its own NoC session and the per-burst simulators recycle
-// through System.simPool), so a pooled instance is indistinguishable
-// from a fresh one while its mesh arrays stay off the allocator.
+// reusable across RunPipeline calls, RunPlan/RunPlanPlaced included
+// (a multi-stage run builds its own NoC session; a single-stage run's
+// burst simulators recycle through System.simPool), so a pooled
+// instance is indistinguishable from a fresh one.
 //
 // Get blocks until an instance is free, bounding how many simulations
 // run concurrently to the pool size; Put returns an instance for the
