@@ -17,7 +17,9 @@ import (
 
 	"learn2scale/internal/core"
 	"learn2scale/internal/data"
+	"learn2scale/internal/fixed"
 	"learn2scale/internal/netzoo"
+	"learn2scale/internal/nn"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
 	"learn2scale/internal/parallel"
@@ -129,7 +131,9 @@ func main() {
 
 	fmt.Printf("\naccuracy:        %.2f%%\n", m.Accuracy*100)
 	if *quant {
-		fmt.Printf("fixed-pt accu.:  %.2f%% (Q7.8 inference path)\n", m.QuantizedAccuracy(ds)*100)
+		m.Quantize(ds, nn.CalibConfig{Method: fixed.CalibMaxAbs})
+		fmt.Printf("fixed-pt accu.:  %.2f%% (int16 inference path, %+.2f pp)\n",
+			m.QuantAccuracy*100, (m.QuantAccuracy-m.Accuracy)*100)
 	}
 	fmt.Printf("traffic rate:    %.0f%% of dense\n", m.TrafficRate()*100)
 	fmt.Printf("total cycles:    %d (compute %d + comm %d)\n",

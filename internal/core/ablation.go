@@ -6,6 +6,7 @@ import (
 
 	"learn2scale/internal/cmp"
 	"learn2scale/internal/data"
+	"learn2scale/internal/fixed"
 	"learn2scale/internal/netzoo"
 	"learn2scale/internal/nn"
 	"learn2scale/internal/noc"
@@ -420,7 +421,8 @@ func UnstructuredTable(rows []UnstructuredRow) Table {
 }
 
 // QuantRow reports a network's accuracy on the float path vs the
-// accelerator's 16-bit fixed-point (Q7.8) path.
+// accelerator's 16-bit fixed-point path (the scaled-int16 QuantNetwork
+// built by TrainedModel.Quantize).
 type QuantRow struct {
 	Network   string
 	FloatAcc  float64
@@ -432,8 +434,9 @@ type QuantRow struct {
 
 // QuantAblation validates the platform assumption that 16-bit fixed
 // point is accuracy-neutral (the premise of running inference on
-// Diannao-class cores at all): it trains each benchmark baseline and
-// evaluates both inference paths.
+// Diannao-class cores at all): it trains each benchmark baseline,
+// quantizes it with max-abs calibration and evaluates both inference
+// paths.
 func QuantAblation(nets []SparseNetConfig, cores int, log io.Writer) ([]QuantRow, error) {
 	return sweep(len(nets), log == nil, func(i int) (QuantRow, error) {
 		cfg := nets[i]
@@ -447,16 +450,17 @@ func QuantAblation(nets []SparseNetConfig, cores int, log io.Writer) ([]QuantRow
 		if err != nil {
 			return QuantRow{}, err
 		}
+		m.Quantize(ds, nn.CalibConfig{Method: fixed.CalibMaxAbs})
 		agree := 0
 		for _, x := range ds.TestX {
-			if m.Net.Predict(x) == m.Net.QuantizedPredict(x) {
+			if m.Net.Predict(x) == m.QNet.Predict(x) {
 				agree++
 			}
 		}
 		row := QuantRow{
 			Network:   cfg.Name,
 			FloatAcc:  m.Accuracy,
-			FixedAcc:  m.QuantizedAccuracy(ds),
+			FixedAcc:  m.QuantAccuracy,
 			TestCount: len(ds.TestX),
 		}
 		row.DeltaPP = (row.FixedAcc - row.FloatAcc) * 100
@@ -470,7 +474,7 @@ func QuantAblation(nets []SparseNetConfig, cores int, log io.Writer) ([]QuantRow
 // QuantTable formats the quantization ablation.
 func QuantTable(rows []QuantRow) Table {
 	t := Table{
-		Title:  "Ablation: float32 vs 16-bit fixed-point (Q7.8) inference accuracy",
+		Title:  "Ablation: float32 vs 16-bit fixed-point (scaled int16) inference accuracy",
 		Header: []string{"Network", "Float acc.", "Fixed acc.", "Delta (pp)", "Prediction agreement"},
 	}
 	for _, r := range rows {

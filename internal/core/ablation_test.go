@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"learn2scale/internal/data"
+	"learn2scale/internal/fixed"
 	"learn2scale/internal/netzoo"
+	"learn2scale/internal/nn"
 	"learn2scale/internal/topology"
 )
 
@@ -144,9 +146,20 @@ func TestQuantAblationTinyNet(t *testing.T) {
 	if r.FloatAcc <= 0.5 || r.FixedAcc <= 0.5 {
 		t.Errorf("accuracies too low: %+v", r)
 	}
-	// Q7.8 must track float closely on these small nets.
+	// The int16 path must track float closely on these small nets.
 	if r.AgreePct < 85 {
 		t.Errorf("prediction agreement %.1f%%, want >= 85%%", r.AgreePct)
+	}
+	// FixedAcc is the accuracy of the scaled-int16 QuantNetwork,
+	// max-abs calibrated on the first QuantCalibSamples training inputs.
+	ds := cfg.Data(cfg.Seed)
+	m, err := Train(Baseline, cfg.Spec, ds, TrainOptions{Cores: 4, SGD: cfg.SGD, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qn := nn.QuantizeNetwork(m.Net, ds.TrainX[:QuantCalibSamples], nn.CalibConfig{Method: fixed.CalibMaxAbs})
+	if want := qn.Accuracy(ds.TestX, ds.TestY); r.FixedAcc != want {
+		t.Errorf("FixedAcc = %v, want the int16 QuantNetwork's %v", r.FixedAcc, want)
 	}
 	if !strings.Contains(QuantTable(rows).Format(), "Fixed acc.") {
 		t.Error("table missing header")

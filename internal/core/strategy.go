@@ -279,13 +279,6 @@ func trainCustom(scheme Scheme, spec netzoo.NetSpec, ds *data.Dataset, strength 
 	return m, nil
 }
 
-// QuantizedAccuracy evaluates the model on the 16-bit fixed-point
-// inference path the accelerator cores implement (Q7.8 weights and
-// activations, wide accumulators).
-func (m *TrainedModel) QuantizedAccuracy(ds *data.Dataset) float64 {
-	return m.Net.QuantizedAccuracy(ds.TestX, ds.TestY)
-}
-
 // Simulate runs the model's plan on a CMP with the given core count
 // and returns the report.
 func (m *TrainedModel) Simulate() (cmp.Report, error) {

@@ -1,3 +1,9 @@
+// Package fixed holds the 16-bit number format of the Diannao-class
+// accelerator cores modelled in this repository (see internal/nna): the
+// inference Precision selector, the symmetric scaled int16 quantizer
+// with its max-abs and percentile calibrators, and AccQMax, the operand
+// bound that keeps an int16 dot product inside an int32 accumulator.
+// nn.QuantNetwork builds the int16 inference datapath on top of it.
 package fixed
 
 import (
@@ -42,21 +48,19 @@ func ParsePrecision(s string) (Precision, error) {
 
 // Scaled linear quantization.
 //
-// The Q7.8 format above hard-codes its binary point; real networks have
-// per-layer dynamic ranges that waste most of a fixed format's bits.
-// This file adds symmetric scaled quantization to int16: a tensor is
-// represented as q[i] ≈ x[i]/scale with q ∈ [-QMax, QMax], where the
-// scale is chosen per tensor (activations) or per output channel
-// (conv/FC weights) by a calibration pass.
+// A format with a hard-coded binary point wastes most of its bits on
+// real networks, whose dynamic ranges differ per layer. Quantization
+// here is symmetric and scaled: a tensor is represented as
+// q[i] ≈ x[i]/scale with q ∈ [-QMax, QMax], where the scale is chosen
+// per tensor (activations) or per output channel (conv/FC weights) by a
+// calibration pass.
 //
 // Rounding convention: QuantizeScaled rounds half to even
 // (math.RoundToEven), the IEEE default, so the quantizer is unbiased
-// over symmetric inputs. This deliberately differs from the Q7.8 path:
-// Acc.Done rounds half *up* (v += 1<<(FracBits-1); v >>= FracBits), the
-// cheap adder-tree convention of the modelled hardware. DESIGN.md §10
-// records the contrast. The negative extreme -32768 is excluded from
-// the quantized range so that |q| ≤ QMax always holds and negation
-// cannot overflow.
+// over symmetric inputs; it is the only rounding step on the 16-bit
+// datapath (DESIGN.md §10). The negative extreme -32768 is excluded
+// from the quantized range so that |q| ≤ QMax always holds and
+// negation cannot overflow.
 
 // QMax is the symmetric int16 quantization bound. The asymmetric
 // extreme -32768 is never produced.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"learn2scale/internal/fixed"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/tensor"
 )
@@ -194,6 +193,13 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, label int, grad *tensor.Tensor) 
 
 // Accuracy evaluates classification accuracy over a labelled set.
 func (n *Network) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
+	return accuracy(n.Predict, inputs, labels)
+}
+
+// accuracy is the top-1 loop shared by the float and quantized
+// networks: the fraction of inputs whose predicted class matches its
+// label, 0 on an empty set.
+func accuracy(predict func(*tensor.Tensor) int, inputs []*tensor.Tensor, labels []int) float64 {
 	if len(inputs) != len(labels) {
 		panic("nn: Accuracy input/label count mismatch")
 	}
@@ -202,76 +208,9 @@ func (n *Network) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
 	}
 	correct := 0
 	for i, in := range inputs {
-		if n.Predict(in) == labels[i] {
+		if predict(in) == labels[i] {
 			correct++
 		}
 	}
 	return float64(correct) / float64(len(inputs))
-}
-
-// QuantizedForward runs inference on the Q7.8 grid: the input, every
-// weight and every intermediate activation are rounded (with
-// saturation) to 16-bit fixed point before use, while accumulations
-// happen at full precision — the same structure as the Diannao core's
-// wide adder trees with 16-bit operand datapaths.
-func (n *Network) QuantizedForward(in *tensor.Tensor) *tensor.Tensor {
-	x := quantizeTensor(in)
-	for _, l := range n.Layers {
-		saved := snapshotWeights(l)
-		quantizeParams(l)
-		x = l.Forward(x, false)
-		restoreWeights(l, saved)
-		x = quantizeTensor(x)
-	}
-	return x
-}
-
-// QuantizedPredict returns the argmax class of the fixed-point path.
-func (n *Network) QuantizedPredict(in *tensor.Tensor) int {
-	return argmax(n.QuantizedForward(in).Data)
-}
-
-// QuantizedAccuracy evaluates fixed-point classification accuracy.
-func (n *Network) QuantizedAccuracy(inputs []*tensor.Tensor, labels []int) float64 {
-	if len(inputs) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, in := range inputs {
-		if n.QuantizedPredict(in) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(inputs))
-}
-
-func quantizeTensor(t *tensor.Tensor) *tensor.Tensor {
-	q := tensor.New(t.Shape...)
-	for i, v := range t.Data {
-		q.Data[i] = float32(fixed.FromFloat(float64(v)).Float())
-	}
-	return q
-}
-
-func snapshotWeights(l Layer) []*tensor.Tensor {
-	ps := l.Params()
-	saved := make([]*tensor.Tensor, len(ps))
-	for i, p := range ps {
-		saved[i] = p.W.Clone()
-	}
-	return saved
-}
-
-func quantizeParams(l Layer) {
-	for _, p := range l.Params() {
-		for i, v := range p.W.Data {
-			p.W.Data[i] = float32(fixed.FromFloat(float64(v)).Float())
-		}
-	}
-}
-
-func restoreWeights(l Layer, saved []*tensor.Tensor) {
-	for i, p := range l.Params() {
-		copy(p.W.Data, saved[i].Data)
-	}
 }

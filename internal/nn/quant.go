@@ -19,11 +19,8 @@ import (
 // per-output-channel weight scales, so its int32 accumulator
 // dequantizes as acc · (inScale · wScale[oc]) + bias.
 //
-// This is a second, scale-aware quantization scheme next to the legacy
-// Q7.8 path (QuantizedForward above): Q7.8 snapshots float weights
-// onto a fixed global grid with round-half-up accumulator rounding,
-// while this path picks per-tensor/per-channel grids with
-// round-half-to-even (see internal/fixed/quant.go and DESIGN.md §10).
+// It is the repo's one 16-bit datapath: every quantizer rounds half to
+// even (see internal/fixed/quant.go and DESIGN.md §10).
 //
 // Determinism: quantization is elementwise and the int16 GEMM is
 // exact, so QuantNetwork.Forward is bit-identical at any worker count
@@ -302,19 +299,7 @@ func (qn *QuantNetwork) Predict(in *tensor.Tensor) int {
 
 // Accuracy evaluates quantized classification accuracy.
 func (qn *QuantNetwork) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
-	if len(inputs) != len(labels) {
-		panic("nn: QuantNetwork.Accuracy input/label count mismatch")
-	}
-	if len(inputs) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, in := range inputs {
-		if qn.Predict(in) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(inputs))
+	return accuracy(qn.Predict, inputs, labels)
 }
 
 // Scales returns, for diagnostics, each quantized layer's name and

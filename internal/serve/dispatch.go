@@ -156,7 +156,7 @@ func (s *Server) dispatch() {
 		case first = <-s.queue:
 			s.stampDequeued(first)
 		case batch := <-s.batchq:
-			s.execute(batch)
+			s.executeScripted(batch)
 			continue
 		case <-s.quit:
 			// Drain: admission is closed, so the queue can only
@@ -167,7 +167,7 @@ func (s *Server) dispatch() {
 					s.stampDequeued(p)
 					s.execute(s.collect(p))
 				case batch := <-s.batchq:
-					s.execute(batch)
+					s.executeScripted(batch)
 				default:
 					return
 				}
@@ -175,6 +175,24 @@ func (s *Server) dispatch() {
 		}
 		s.execute(s.collect(first))
 	}
+}
+
+// executeScripted admits and executes a pre-composed (script-mode)
+// batch. Each request gets its admission ordinal, the deterministic
+// trace ID: the dispatcher is single-threaded, so the stream of
+// ordinals is a pure function of the script. Counting here rather
+// than in the submitter orders step i+1's serve.requests increments
+// after step i's serve.batch window edge: the submitter may see step
+// i's responses before execute's recordBatch closes that window.
+func (s *Server) executeScripted(batch []*pending) {
+	for _, p := range batch {
+		s.stats.Lock()
+		s.stats.s.Admitted++
+		p.id = s.stats.s.Admitted
+		s.stats.Unlock()
+		s.noteAdmitted(len(s.queue))
+	}
+	s.execute(batch)
 }
 
 // collect gathers the dynamic batch seeded by first: everything
@@ -431,22 +449,6 @@ func (s *Server) traceRequest(m *Model, p *pending, resp *Response, slot, size i
 }
 
 // --- counters and telemetry -------------------------------------------
-
-// countAdmitted records one admission and the post-enqueue queue
-// depth, and assigns the request its admission ordinal — the
-// deterministic trace ID (in script mode the stream of ordinals is a
-// pure function of the script). Only the pre-composed script path
-// uses it, where IDs are assigned before the batch is published; the
-// free-running path (admitOne) inlines the assignment under one
-// critical section with the queue send so ID order matches queue
-// order.
-func (s *Server) countAdmitted(p *pending, depth int) {
-	s.stats.Lock()
-	s.stats.s.Admitted++
-	p.id = s.stats.s.Admitted
-	s.stats.Unlock()
-	s.noteAdmitted(depth)
-}
 
 // noteAdmitted feeds the admission telemetry.
 func (s *Server) noteAdmitted(depth int) {

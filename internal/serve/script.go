@@ -100,17 +100,15 @@ func (s *Server) RunScript(ctx context.Context, steps []ScriptStep) ([][]*Respon
 	return out, nil
 }
 
-// submitBatch hands a pre-composed batch to the dispatcher. Like
-// admitOne it holds the admission read lock so a drain cannot start
-// between the closed check and the handoff.
+// submitBatch hands a pre-composed batch to the dispatcher, which
+// counts its admissions (executeScripted). Like admitOne it holds the
+// admission read lock so a drain cannot start between the closed check
+// and the handoff.
 func (s *Server) submitBatch(batch []*pending) error {
 	s.admit.RLock()
 	defer s.admit.RUnlock()
 	if s.closed {
 		return ErrDraining
-	}
-	for _, p := range batch {
-		s.countAdmitted(p, len(s.queue))
 	}
 	select {
 	case s.batchq <- batch:

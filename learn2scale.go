@@ -24,7 +24,7 @@
 //	// handle err
 //	report, err := model.Simulate() // cycle + energy report on the 16-core CMP
 //
-// Everything underneath — the fixed-point tensor/NN training stack,
+// Everything underneath — the float32/int16 tensor/NN stack,
 // the flit-level NoC simulator, the accelerator-core and DRAM timing
 // models, the partitioner and the group-Lasso machinery — lives in
 // internal/ packages and is re-exported here only to the extent a
