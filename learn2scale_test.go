@@ -2,8 +2,6 @@ package learn2scale_test
 
 import (
 	"bytes"
-	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -107,78 +105,6 @@ func TestFacadeTrainTiny(t *testing.T) {
 func TestFacadeTable4Nets(t *testing.T) {
 	if nets := learn2scale.Table4Nets(learn2scale.Quick); len(nets) != 4 {
 		t.Errorf("Table4Nets = %d nets", len(nets))
-	}
-}
-
-// trainedBits captures everything a Train+Simulate session computes,
-// with float32 weights as raw bit patterns so comparison is exact.
-type trainedBits struct {
-	weights  [][]uint32
-	accuracy float64
-	penalty  float64
-	report   learn2scale.Report
-}
-
-func captureSession(t *testing.T, workers string) trainedBits {
-	t.Helper()
-	t.Setenv(learn2scale.EnvWorkers, workers)
-	ds := learn2scale.MNISTLike(80, 40, 3)
-	opt := learn2scale.DefaultTrainOptions(4)
-	opt.SGD.Epochs = 3
-	opt.SGD.LearningRate = 0.03
-	m, err := learn2scale.Train(learn2scale.SSMask, learn2scale.MLP(), ds, opt)
-	if err != nil {
-		t.Fatalf("workers=%s: %v", workers, err)
-	}
-	rep, err := m.Simulate()
-	if err != nil {
-		t.Fatalf("workers=%s: %v", workers, err)
-	}
-	g := trainedBits{accuracy: m.Accuracy, penalty: m.Penalty, report: rep}
-	for _, p := range m.Net.Params() {
-		bits := make([]uint32, len(p.W.Data))
-		for i, v := range p.W.Data {
-			bits[i] = math.Float32bits(v)
-		}
-		g.weights = append(g.weights, bits)
-	}
-	return g
-}
-
-// TestDeterminismAcrossWorkers is the golden test of the parallel
-// runtime: a full train-then-simulate session must produce bit-
-// identical weights, accuracy and simulation report at every host
-// worker count. Chunk boundaries and fold order in internal/parallel
-// are pure functions of the problem size, never of the worker count,
-// so float32 accumulation order — and therefore every rounded bit —
-// is the same whether one goroutine does the work or seven.
-func TestDeterminismAcrossWorkers(t *testing.T) {
-	want := captureSession(t, "1")
-	for _, workers := range []string{"2", "7"} {
-		t.Run("workers="+workers, func(t *testing.T) {
-			got := captureSession(t, workers)
-			if got.accuracy != want.accuracy {
-				t.Errorf("accuracy %v, want %v (workers=1)", got.accuracy, want.accuracy)
-			}
-			if got.penalty != want.penalty {
-				t.Errorf("penalty %v, want %v (workers=1)", got.penalty, want.penalty)
-			}
-			if len(got.weights) != len(want.weights) {
-				t.Fatalf("param count %d, want %d", len(got.weights), len(want.weights))
-			}
-			for pi := range want.weights {
-				for i := range want.weights[pi] {
-					if got.weights[pi][i] != want.weights[pi][i] {
-						t.Fatalf("param %d weight %d: bits %#08x, want %#08x",
-							pi, i, got.weights[pi][i], want.weights[pi][i])
-					}
-				}
-			}
-			if !reflect.DeepEqual(got.report, want.report) {
-				t.Errorf("simulation report differs from workers=1 run:\ngot  %+v\nwant %+v",
-					got.report, want.report)
-			}
-		})
 	}
 }
 
