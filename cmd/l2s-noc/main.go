@@ -144,13 +144,17 @@ func replayTrace(path string, reg *obs.Registry, tl *timeline.Sink) {
 		if rec.Bytes == 0 {
 			continue
 		}
-		// Label the burst's timeline section after the layer instead of
-		// the auto-numbered default (nil-safe when tracing is off).
-		sim.SetTimelineSection(tl.Section(rec.Layer))
-		res, err := sim.RunBurst(rec.Messages)
+		// Label the burst's timeline section after the layer (nil-safe
+		// when tracing is off).
+		ses := sim.Begin()
+		g, err := ses.Inject(rec.Messages, 0, 0, tl.Section(rec.Layer))
+		if err == nil {
+			_, _, err = ses.Next()
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := ses.Result(g)
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%.1f\n",
 			rec.Layer, len(rec.Messages), rec.Bytes, res.Cycles, res.AvgLatency())
 		// Each replayed layer burst is one deterministic telemetry

@@ -79,7 +79,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 16, "largest dynamic batch")
 	queueCap := flag.Int("queue", 64, "admission queue bound (overflow answers 429)")
 	depth := flag.Int("depth", 4, "pipeline depth batches are simulated at")
-	sims := flag.Int("sims", 2, "reusable simulator instances per model")
 	script := flag.String("script", "", "replay this JSONL request script instead of listening, then exit")
 	serveTrace := flag.String("serve-trace", "", "append request-scoped lifecycle traces (JSONL) here")
 	traceSample := flag.Int("trace-sample", 1, "record every Nth answered request (?trace=1 requests always record)")
@@ -163,7 +162,6 @@ func main() {
 		Window:   *window,
 		MaxBatch: *maxBatch,
 		Depth:    *depth,
-		Sims:     *sims,
 		Obs:      reg,
 		Timeline: tl,
 		Trace:    sink,

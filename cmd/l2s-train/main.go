@@ -124,7 +124,7 @@ func main() {
 		log.Fatal(err)
 	}
 	tl := cli.TimelineSink()
-	rep, err := m.SimulateTimeline(tl, 0)
+	rep, err := m.SimulateTimeline(tl)
 	if err != nil {
 		log.Fatal(err)
 	}

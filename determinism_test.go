@@ -230,11 +230,11 @@ func runSession(label string, scheme learn2scale.Scheme, observed bool) (*rowRun
 	if err != nil {
 		return nil, err
 	}
-	floatRep, err := m.SimulateTimeline(tl, 0)
+	floatRep, err := m.SimulateTimeline(tl)
 	if err != nil {
 		return nil, err
 	}
-	pipeRep, err := m.SimulatePipeline(sessionPipeline, ptl, 0)
+	pipeRep, err := m.SimulatePipeline(sessionPipeline, ptl)
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +330,7 @@ func runServe(traced bool) (*rowRun, error) {
 	parallel.SetObs(reg)
 	defer parallel.SetObs(nil)
 
-	cfg := learn2scale.ServeConfig{Depth: 2, Sims: 1, Obs: reg}
+	cfg := learn2scale.ServeConfig{Depth: 2, Obs: reg}
 	var sink *learn2scale.ServeTraceSink
 	if traced {
 		sink = learn2scale.NewServeTraceSink(&trace, learn2scale.ServeTraceOptions{Stable: true, Tool: "test"})

@@ -56,9 +56,9 @@ func main() {
 		cfg  learn2scale.ServeConfig
 	}{
 		{"batch-1", "servetrace_batch1.json",
-			learn2scale.ServeConfig{Window: 0, Depth: 1, Sims: 1}},
+			learn2scale.ServeConfig{Window: 0, Depth: 1}},
 		{"batched", "servetrace_batched.json",
-			learn2scale.ServeConfig{Window: 2 * time.Millisecond, MaxBatch: 8, Depth: 4, Sims: 1}},
+			learn2scale.ServeConfig{Window: 2 * time.Millisecond, MaxBatch: 8, Depth: 4}},
 	} {
 		if err := serveTraced(run.name, run.out, run.cfg, pool); err != nil {
 			log.Fatal(err)

@@ -55,7 +55,7 @@ func main() {
 		// One sink per run; the simulation fills it with every packet's
 		// hop-by-hop lifecycle, link busy intervals and compute spans.
 		sink := learn2scale.NewTimeline()
-		rep, err := m.SimulateTimeline(sink, 0)
+		rep, err := m.SimulateTimeline(sink)
 		if err != nil {
 			log.Fatal(err)
 		}

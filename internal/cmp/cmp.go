@@ -112,7 +112,7 @@ type System struct {
 	deadNode []bool
 
 	// simPool recycles the burst simulators of single-stage runs across
-	// calls: RunBurst fully resets simulator state, so a pooled
+	// calls: Begin fully resets simulator state, so a pooled
 	// simulator is indistinguishable from a fresh one, and reuse keeps
 	// the mesh's router/buffer arrays off the allocator on every burst.
 	// Each host worker holds one only for the duration of a burst, so at

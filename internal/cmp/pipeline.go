@@ -279,10 +279,10 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 // resolveGroups simulates every transfer group of a single-stage run
 // before scheduling starts: the groups feeding layers 1..L−1 of every
 // batch (layer 0's input is the broadcast network input). Each group
-// runs as an independent burst on a pooled simulator, under the salt
-// and timeline section the session path would give it, and writes only
-// its own layer result, so the fan-out over host workers is
-// deterministic.
+// runs alone in a one-group session on a pooled simulator, under the
+// salt and timeline section the shared session would give it, and
+// writes only its own layer result, so the fan-out over host workers
+// is deterministic.
 func (r *pipelineRun) resolveGroups() error {
 	s := r.sys
 	B, L := len(r.layers), len(r.pp.Base.Layers)
@@ -298,17 +298,18 @@ func (r *pipelineRun) resolveGroups() error {
 			return
 		}
 		sim := s.simPool.Get().(*noc.Simulator)
-		sim.SetFaultSalt(int64(i))
-		sim.SetTimelineSection(r.section(b, k))
-		res, err := sim.RunBurst(msgs)
-		lost := sim.LostTransfers()
-		s.simPool.Put(sim)
+		defer s.simPool.Put(sim)
+		ses := sim.Begin()
+		g, err := ses.Inject(msgs, 0, int64(i), r.section(b, k))
+		if err == nil {
+			_, _, err = ses.Next()
+		}
 		if err != nil {
 			errs[i] = fmt.Errorf("cmp: layer %s: %w", r.layers[b][k].Name, err)
 			return
 		}
 		r.injected[i] = true
-		r.settle(&r.layers[b][k], res, lost)
+		r.settle(&r.layers[b][k], ses.Result(g), ses.Lost(g))
 	}, parallel.WithWorkers(s.cfg.Workers))
 	for _, err := range errs {
 		if err != nil {

@@ -160,6 +160,29 @@ func TestRunPipelineDepthOneMatchesBarrier(t *testing.T) {
 	}
 }
 
+// TestSystemReuseDeterminism: a System reused across RunPipeline calls
+// — as each served model's is — reports exactly what a fresh one does,
+// on both the up-front (depth 1) and the session (depth 2) path.
+func TestSystemReuseDeterminism(t *testing.T) {
+	plan := partition.NewPlan(netzoo.MLP(), 4)
+	reused := MustNew(DefaultConfig(4))
+	for _, opt := range []PipelineOptions{{Depth: 2, Batches: 3}, {Depth: 1, Batches: 2}} {
+		want, err := MustNew(DefaultConfig(4)).RunPipeline(plan, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			got, err := reused.RunPipeline(plan, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v run %d: reused system diverged from a fresh one", opt, i)
+			}
+		}
+	}
+}
+
 // The same contract under an explicit non-identity placement, which
 // permutes routes and maps lost transfers back to logical cores.
 func TestRunPipelineDepthOnePlaced(t *testing.T) {

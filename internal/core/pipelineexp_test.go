@@ -76,7 +76,7 @@ func TestSimulatePipelineDepthOneMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.SimulatePipeline(cmp.PipelineOptions{Depth: 1, Batches: 1}, nil, 0)
+	rep, err := m.SimulatePipeline(cmp.PipelineOptions{Depth: 1, Batches: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

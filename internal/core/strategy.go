@@ -282,28 +282,16 @@ func trainCustom(scheme Scheme, spec netzoo.NetSpec, ds *data.Dataset, strength 
 // Simulate runs the model's plan on a CMP with the given core count
 // and returns the report.
 func (m *TrainedModel) Simulate() (cmp.Report, error) {
-	return m.SimulateWithWorkers(0)
+	return m.SimulateTimeline(nil)
 }
 
-// SimulateWithWorkers is Simulate with an explicit host worker count
-// for the per-layer NoC simulation (<= 0 uses parallel.Workers()).
-// The report is bit-identical at every worker count.
-func (m *TrainedModel) SimulateWithWorkers(workers int) (cmp.Report, error) {
-	return m.SimulateTimeline(nil, workers)
-}
-
-// SimulateTimeline is SimulateWithWorkers with a cycle-accurate event
-// timeline attached: when tl is non-nil, the CMP simulation records one
-// section per layer (packet lifecycles, link busy intervals, per-core
-// compute spans) into it. The timeline — like the report — is
-// byte-identical at every worker count.
-func (m *TrainedModel) SimulateTimeline(tl *timeline.Sink, workers int) (cmp.Report, error) {
-	cfg := cmp.DefaultConfig(m.Plan.Cores)
-	cfg.Workers = workers
-	cfg.Obs = m.Obs
-	cfg.Timeline = tl
-	cfg.Core.Precision = m.Precision
-	sys, err := cmp.New(cfg)
+// SimulateTimeline is Simulate with a cycle-accurate event timeline
+// attached: when tl is non-nil, the CMP simulation records one section
+// per layer (packet lifecycles, link busy intervals, per-core compute
+// spans) into it. The timeline — like the report — is byte-identical
+// at every host worker count.
+func (m *TrainedModel) SimulateTimeline(tl *timeline.Sink) (cmp.Report, error) {
+	sys, err := m.system(tl)
 	if err != nil {
 		return cmp.Report{}, err
 	}
@@ -318,17 +306,23 @@ func (m *TrainedModel) SimulateTimeline(tl *timeline.Sink, workers int) (cmp.Rep
 // "pipeline stages" track whose gaps are the pipeline bubbles. At
 // depth 1 with one batch the report, observations and timeline are
 // bit-identical to SimulateTimeline.
-func (m *TrainedModel) SimulatePipeline(opt cmp.PipelineOptions, tl *timeline.Sink, workers int) (cmp.PipelineReport, error) {
-	cfg := cmp.DefaultConfig(m.Plan.Cores)
-	cfg.Workers = workers
-	cfg.Obs = m.Obs
-	cfg.Timeline = tl
-	cfg.Core.Precision = m.Precision
-	sys, err := cmp.New(cfg)
+func (m *TrainedModel) SimulatePipeline(opt cmp.PipelineOptions, tl *timeline.Sink) (cmp.PipelineReport, error) {
+	sys, err := m.system(tl)
 	if err != nil {
 		return cmp.PipelineReport{}, err
 	}
 	return sys.RunPipeline(m.Plan, opt)
+}
+
+// system builds the CMP the model simulates on: the default chip for
+// its core count at its datapath precision, recording into the
+// model's obs registry and into tl.
+func (m *TrainedModel) system(tl *timeline.Sink) (*cmp.System, error) {
+	cfg := cmp.DefaultConfig(m.Plan.Cores)
+	cfg.Obs = m.Obs
+	cfg.Timeline = tl
+	cfg.Core.Precision = m.Precision
+	return cmp.New(cfg)
 }
 
 // TrafficRate returns the model's total synchronization traffic as a

@@ -110,10 +110,10 @@ func TestValidate(t *testing.T) {
 		{DropProb: -0.1},
 		{DropProb: 1.5},
 		{SlowExtraCycles: -1},
-		{DeadLinks: []Link{{A: 1, B: 0}}},   // not normalized
-		{DeadLinks: []Link{{A: 0, B: 2}}},   // not adjacent
-		{DeadLinks: []Link{{A: 0, B: 99}}},  // out of range
-		{FlakyLinks: []Link{{A: 3, B: 4}}},  // row wrap: not adjacent
+		{DeadLinks: []Link{{A: 1, B: 0}}},  // not normalized
+		{DeadLinks: []Link{{A: 0, B: 2}}},  // not adjacent
+		{DeadLinks: []Link{{A: 0, B: 99}}}, // out of range
+		{FlakyLinks: []Link{{A: 3, B: 4}}}, // row wrap: not adjacent
 		{DeadRouters: []int{16}},
 		{DeadRouters: []int{-1}},
 		{DeadCores: []int{16}},
@@ -225,16 +225,16 @@ func TestSortLinks(t *testing.T) {
 
 func TestConfigJSONRoundTrip(t *testing.T) {
 	orig := &Config{
-		Seed:        17,
-		DeadLinks:   []Link{{A: 0, B: 1}, {A: 9, B: 13}},
-		DeadRouters: []int{6},
-		DeadCores:   []int{2, 11},
-		DropProb:    0.05,
-		FlakyLinks:  []Link{{A: 4, B: 5}},
-		SlowLinks:   []Link{{A: 1, B: 2}},
+		Seed:            17,
+		DeadLinks:       []Link{{A: 0, B: 1}, {A: 9, B: 13}},
+		DeadRouters:     []int{6},
+		DeadCores:       []int{2, 11},
+		DropProb:        0.05,
+		FlakyLinks:      []Link{{A: 4, B: 5}},
+		SlowLinks:       []Link{{A: 1, B: 2}},
 		SlowExtraCycles: 4,
-		RetryBudget:  2,
-		RetryBackoff: 16,
+		RetryBudget:     2,
+		RetryBackoff:    16,
 	}
 	var buf bytes.Buffer
 	if err := orig.WriteJSON(&buf); err != nil {

@@ -80,9 +80,9 @@ const unreachable int32 = 1 << 30
 // individually deadlock-free routing functions can deadlock.
 type Routes struct {
 	mesh  topology.Mesh
-	alive []bool           // router alive
-	live  [][numDirs]bool  // live[node][dir]: link exists and is not dead
-	level []int32          // BFS level from component root (-1 dead router)
+	alive []bool          // router alive
+	live  [][numDirs]bool // live[node][dir]: link exists and is not dead
+	level []int32         // BFS level from component root (-1 dead router)
 
 	// next[phase][cur*n+dst] is the direction of the next hop for a
 	// packet at cur heading to dst (phase 1 once it has moved down);

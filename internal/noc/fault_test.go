@@ -83,16 +83,14 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	cfg := cfg4x4()
 	cfg.Fault = fault.Scenario(0.15, 3)
 	s := MustNew(cfg)
-	a, err := s.RunBurst(msgs)
+	a, lostA, err := runIsolated(s, msgs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lostA := s.LostTransfers()
-	b, err := s.RunBurst(msgs)
+	b, lostB, err := runIsolated(s, msgs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lostB := s.LostTransfers()
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("repeated faulted runs differ:\n%+v\n%+v", a, b)
 	}
@@ -179,12 +177,10 @@ func TestDeadRouterLosesItsTransfers(t *testing.T) {
 	msgs := allPairsMsgs(m, 900)
 	cfg := cfg4x4()
 	cfg.Fault = &fault.Config{DeadRouters: []int{5}}
-	s := MustNew(cfg)
-	res, err := s.RunBurst(msgs)
+	res, lost, err := runIsolated(MustNew(cfg), msgs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lost := s.LostTransfers()
 	// 15 transfers out of node 5 plus 15 into it.
 	if len(lost) != 30 {
 		t.Fatalf("%d lost transfers, want 30: %v", len(lost), lost)

@@ -52,13 +52,12 @@ type Config struct {
 	Obs *obs.Registry
 
 	// Timeline, when non-nil, receives a cycle-accurate event trace of
-	// every run: per-packet inject/hop/eject lifecycles, retransmission
-	// attempts, and exact per-link busy intervals, each run in its own
-	// auto-registered section. Callers that manage sections themselves
-	// (internal/cmp registers one per layer) leave this nil and hand
-	// sections to the simulator via SetTimelineSection instead. All
-	// stamps are simulated cycles; tracing never changes simulation
-	// behaviour or Results.
+	// every RunBurst: per-packet inject/hop/eject lifecycles,
+	// retransmission attempts, and exact per-link busy intervals, each
+	// burst in its own auto-registered section. Callers that manage
+	// sections themselves (internal/cmp registers one per layer) pass
+	// them to Session.Inject instead. All stamps are simulated cycles;
+	// tracing never changes simulation behaviour or Results.
 	Timeline *timeline.Sink
 
 	// Fault, when non-nil and active, injects the configured faults
@@ -67,7 +66,7 @@ type Config struct {
 	// hardware, transient faults corrupt flits in flight (detected at
 	// tail ejection and retransmitted with exponential backoff up to
 	// the retry budget; packets that exhaust it are reported through
-	// LostTransfers). A nil or inactive config is bit-identical to the
+	// Session.Lost). A nil or inactive config is bit-identical to the
 	// fault-free simulator.
 	Fault *fault.Config
 }

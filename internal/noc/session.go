@@ -6,18 +6,20 @@ import (
 	"learn2scale/internal/timeline"
 )
 
-// Session runs many message bursts ("groups") on one simulated clock,
+// Session runs message bursts ("groups") on one simulated clock,
 // letting them overlap in the network — the substrate of the pipelined
 // CMP scheduler (internal/cmp.RunPipeline), where one stage's transfer
 // burst drains while another stage's next burst is already in flight.
+// It is the simulator's only drive loop: RunBurst is a one-group
+// session.
 //
-// The contract mirrors RunBurst per group: each group gets its own
-// packet-id space (ids restart at 0), fault salt, timeline section
-// (event stamps relative to the group's inject cycle) and Result, so a
-// session whose groups happen to run strictly one after another is
+// Each group gets its own packet-id space (ids restart at 0), fault
+// salt, timeline section (event stamps relative to the group's inject
+// cycle) and Result, all passed explicitly to Inject, so a session
+// whose groups happen to run strictly one after another is
 // bit-identical — results, obs metrics, timeline events — to the same
-// bursts run through independent RunBurst calls. Two mechanisms carry
-// that equivalence:
+// groups each run alone in a fresh session. Two mechanisms carry that
+// equivalence:
 //
 //   - Idle renormalization: when a new group is injected into a
 //     completely quiescent network (no flit buffered, every NI queue
@@ -29,25 +31,56 @@ import (
 //   - Unique VC ownership: groups reuse packet ids, so virtual-channel
 //     buffers are claimed by a simulator-unique uid instead of the id.
 //
-// A Session is single-threaded and is invalidated by the next
-// Begin/RunBurst call on the simulator.
+// A Session is single-threaded. The next Begin or RunBurst on its
+// simulator invalidates it: Inject and Next on a stale session error.
 type Session struct {
 	sim *Simulator
+	gen uint64
 	now int64
 }
 
-// Begin resets the simulator and starts a session. Any previous
-// session or RunBurst state is discarded.
+// Begin resets the simulator and starts a session, invalidating any
+// earlier one.
 func (s *Simulator) Begin() *Session {
 	s.reset()
-	s.sess = true
-	s.groups = s.groups[:0]
-	return &Session{sim: s}
+	s.gen++
+	return &Session{sim: s, gen: s.gen}
+}
+
+// RunBurst injects all messages at their Time stamps (0 for a layer-
+// transition burst) and simulates until the network drains, returning
+// aggregate statistics: a one-group session under fault salt 0. When
+// cfg.Timeline is set the burst records into its own auto-registered
+// "burstNNN" section. Zero-byte and self-addressed messages carry no
+// traffic and are skipped.
+func (s *Simulator) RunBurst(msgs []Message) (Result, error) {
+	ss := s.Begin()
+	var sec *timeline.Section
+	if s.cfg.Timeline != nil {
+		sec = s.cfg.Timeline.Section(fmt.Sprintf("burst%03d", s.tlAuto))
+		s.tlAuto++
+	}
+	g, err := ss.Inject(msgs, 0, 0, sec)
+	if err != nil {
+		return Result{}, err
+	}
+	if _, _, err := ss.Next(); err != nil {
+		return Result{}, err
+	}
+	return ss.Result(g), nil
 }
 
 // Now returns the session clock: every cycle before it has been fully
 // simulated. Next advances it; Inject never does.
 func (ss *Session) Now() int64 { return ss.now }
+
+// stale reports an error when a later Begin invalidated the session.
+func (ss *Session) stale() error {
+	if ss.gen != ss.sim.gen {
+		return fmt.Errorf("noc: stale session (a later Begin or RunBurst reset the simulator)")
+	}
+	return nil
+}
 
 // Inject schedules one burst group: msgs enter their source NI queues
 // at absolute cycle at (plus each message's own Time offset), faulted
@@ -56,28 +89,43 @@ func (ss *Session) Now() int64 { return ss.now }
 // empty, filtered, or all lost to disconnected endpoints — resolves
 // immediately at cycle at.
 func (ss *Session) Inject(msgs []Message, at, salt int64, sec *timeline.Section) (int, error) {
-	s := ss.sim
-	if !s.sess {
-		return 0, fmt.Errorf("noc: Inject outside a session (call Begin first)")
+	if err := ss.stale(); err != nil {
+		return 0, err
 	}
 	if at < ss.now {
 		return 0, fmt.Errorf("noc: session inject at cycle %d, clock already at %d", at, ss.now)
 	}
+	s := ss.sim
 	s.maybeRenormalize()
 	need, err := s.countPackets(msgs)
 	if err != nil {
 		return 0, err
 	}
 	gi := int32(len(s.groups))
-	s.groups = append(s.groups, groupState{sec: sec, base: at, salt: salt})
-	g := &s.groups[gi]
-	if sec != nil {
-		g.links = make([]tlInterval, s.linkScratchSize())
+	if int(gi) < cap(s.groups) {
+		s.groups = s.groups[:gi+1]
+	} else {
+		s.groups = append(s.groups, groupState{})
 	}
-	// Each group gets its own exact-size arena: the injection queues
-	// hold pointers into it, and queues of concurrent groups outlive any
+	// Reuse the slot's packet arena and link scratch from an earlier
+	// session. Each live group owns its arena: the injection queues hold
+	// pointers into it, and queues of concurrent groups outlive any
 	// shared scratch.
-	s.buildGroup(gi, msgs, at, make([]packet, need))
+	g := &s.groups[gi]
+	*g = groupState{sec: sec, base: at, salt: salt,
+		arena: g.arena, links: g.links, lost: g.lost[:0]}
+	if cap(g.arena) < need {
+		g.arena = make([]packet, need)
+	}
+	g.arena = g.arena[:need]
+	if sec != nil {
+		if n := s.linkScratchSize(); len(g.links) != n {
+			g.links = make([]tlInterval, n)
+		} else {
+			clear(g.links)
+		}
+	}
+	s.buildGroup(gi, msgs, at)
 	if g.res.Packets == 0 {
 		s.resolveGroup(gi, at)
 		return int(gi), nil
@@ -109,10 +157,10 @@ func (ss *Session) Inject(msgs []Message, at, salt int64, sec *timeline.Section)
 // error to call Next with no unresolved groups outstanding, or for the
 // session clock to exceed the config's MaxCycles.
 func (ss *Session) Next() (group int, end int64, err error) {
-	s := ss.sim
-	if !s.sess {
-		return 0, 0, fmt.Errorf("noc: Next outside a session (call Begin first)")
+	if err := ss.stale(); err != nil {
+		return 0, 0, err
 	}
+	s := ss.sim
 	for len(s.resolved) == 0 {
 		if s.live == 0 {
 			return 0, 0, fmt.Errorf("noc: session has no unresolved groups")
@@ -125,8 +173,11 @@ func (ss *Session) Next() (group int, end int64, err error) {
 			s.stepPlane(&s.planes[p], p, ss.now)
 		}
 		ss.now++
-		// Idle-cycle fast-forward, exactly as in RunBurst: skipped
-		// cycles are provable no-ops.
+		// Idle-cycle fast-forward: when no flit is buffered anywhere and
+		// no node may inject yet, every skipped cycle is a no-op
+		// (stepPlane touches nothing), so jump straight to the next
+		// injection time. The cap keeps the MaxCycles overrun check
+		// firing exactly as the dense loop would.
 		if !s.noFastForward && len(s.resolved) == 0 {
 			if next, ok := s.fastForwardTarget(ss.now); ok {
 				if next > s.cfg.MaxCycles+1 {
@@ -136,8 +187,10 @@ func (ss *Session) Next() (group int, end int64, err error) {
 			}
 		}
 	}
+	// Pop by shifting, not reslicing, so the queue keeps its capacity
+	// across sessions.
 	gi := s.resolved[0]
-	s.resolved = s.resolved[1:]
+	s.resolved = s.resolved[:copy(s.resolved, s.resolved[1:])]
 	// A zero-traffic group's endCycle (its inject cycle) may lie ahead
 	// of the session clock; the clock stays put — those cycles still
 	// need simulating for the groups that do carry traffic.
@@ -164,7 +217,7 @@ func (ss *Session) Lost(group int) []LostTransfer {
 // (every buffered flit was popped, returning its credit; tails release
 // VC ownership), so after the reset the simulator is indistinguishable
 // from a freshly constructed one — the property that makes strictly
-// sequential session groups bit-identical to independent RunBursts.
+// sequential session groups bit-identical to groups run alone.
 // It never fires mid-flight, so overlapping groups are untouched.
 func (s *Simulator) maybeRenormalize() {
 	for p := range s.planes {

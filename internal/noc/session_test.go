@@ -31,11 +31,26 @@ func burstPatterns(nodes int) [][]Message {
 	return [][]Message{all, ring, hot}
 }
 
+// runIsolated runs msgs alone as a one-group session under the given
+// fault salt and timeline section, returning its result and lost
+// transfers.
+func runIsolated(sim *Simulator, msgs []Message, salt int64, sec *timeline.Section) (Result, []LostTransfer, error) {
+	ses := sim.Begin()
+	gi, err := ses.Inject(msgs, 0, salt, sec)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	if _, _, err := ses.Next(); err != nil {
+		return Result{}, nil, err
+	}
+	return ses.Result(gi), ses.Lost(gi), nil
+}
+
 // TestSessionSequentialMatchesRunBurst is the session's determinism
 // contract: groups injected strictly one after another (each at the
 // previous group's end cycle) must produce, per group, the exact
-// Result and timeline events of independent RunBurst calls — the
-// property depth-1 pipelined execution rests on.
+// Result and timeline events of the same bursts each run alone (as
+// RunBurst does) — the property depth-1 pipelined execution rests on.
 func TestSessionSequentialMatchesRunBurst(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		cfg := DefaultConfig(topology.Mesh{W: 4, H: 4})
@@ -49,9 +64,7 @@ func TestSessionSequentialMatchesRunBurst(t *testing.T) {
 		var want []Result
 		ref := MustNew(cfg)
 		for k, msgs := range bursts {
-			ref.SetFaultSalt(int64(k))
-			ref.SetTimelineSection(refSink.Section("b"))
-			r, err := ref.RunBurst(msgs)
+			r, _, err := runIsolated(ref, msgs, int64(k), refSink.Section("b"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,8 +123,7 @@ func TestSessionOverlapConservation(t *testing.T) {
 	iso := make([]Result, len(bursts))
 	sim := MustNew(cfg)
 	for k, msgs := range bursts {
-		sim.SetFaultSalt(int64(k))
-		r, err := sim.RunBurst(msgs)
+		r, _, err := runIsolated(sim, msgs, int64(k), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,5 +204,21 @@ func TestSessionEdgeCases(t *testing.T) {
 	}
 	if _, err := s2.Inject(nil, 0, 0, nil); err == nil {
 		t.Error("inject into a session invalidated by RunBurst did not error")
+	}
+
+	// ... and by the next Begin.
+	old := sim.Begin()
+	cur := sim.Begin()
+	if _, err := old.Inject([]Message{{Src: 0, Dst: 1, Bytes: 64}}, 0, 0, nil); err == nil {
+		t.Error("inject into a session invalidated by Begin did not error")
+	}
+	if _, err := cur.Inject([]Message{{Src: 0, Dst: 1, Bytes: 64}}, 0, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := old.Next(); err == nil {
+		t.Error("Next on a session invalidated by Begin did not error")
+	}
+	if _, _, err := cur.Next(); err != nil {
+		t.Fatal(err)
 	}
 }

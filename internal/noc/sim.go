@@ -38,7 +38,7 @@ var LatencyBuckets = []int64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 type packet struct {
 	id         int   // id within its burst group (timeline / arbitration tiebreak)
 	uid        int   // simulator-unique id (VC ownership; groups reuse local ids)
-	group      int32 // burst group the packet belongs to (0 for RunBurst)
+	group      int32 // session group the packet belongs to
 	src, dst   int
 	nflits     int
 	injectTime int64
@@ -135,17 +135,21 @@ type plane struct {
 	buffered  int64        // total flits buffered across the plane (Σ occ)
 }
 
-// groupState is the per-burst-group accounting of a run. RunBurst uses
-// exactly one group; a Session (see session.go) keeps several groups in
-// flight on the same clock, each with its own packet-id space, fault
-// salt, timeline section, result counters and lost-transfer list.
+// groupState is the per-burst-group accounting of a session (see
+// session.go): each group injected into the shared clock keeps its own
+// packet-id space, fault salt, timeline section, result counters and
+// lost-transfer list.
 type groupState struct {
 	sec  *timeline.Section
 	base int64 // absolute cycle the group's section starts; events are relative to it
 	salt int64 // fault salt of this group's packets
+	// arena backs the group's packets; the injection queues hold
+	// pointers into it, so it is sized once per Inject and never grows
+	// while the group is live.
+	arena []packet
 	// links is the per-(plane, node, direction) open link busy-interval
-	// scratch of this group, with stamps relative to base; nil when the
-	// group is untraced.
+	// scratch of this group, with stamps relative to base; only read
+	// while sec is non-nil.
 	links []tlInterval
 
 	res       Result
@@ -161,51 +165,38 @@ type Simulator struct {
 	planes []plane
 	// linkLoad[node][op-1] counts flit traversals of the link leaving
 	// node through output port op (E/W/N/S), summed over planes, for
-	// the most recent run (RunBurst) or session (Begin).
+	// the most recent session (RunBurst is a one-group session).
 	linkLoad [][4]int64
 
-	// pktArena backs the packets of the current RunBurst. RunBurst sizes
-	// it up front so the injEntry pointers into it stay stable, then
-	// reuses the storage on the next run. Session groups allocate their
-	// own exact-size packet chunks instead.
-	pktArena []packet
-
 	// loopIters counts the drain-loop iterations of the most recent
-	// run; with idle-cycle fast-forward it can be far below
+	// session; with idle-cycle fast-forward it can be far below
 	// Result.Cycles on time-sparse bursts. noFastForward disables the
 	// jump so tests can compare against dense cycle-by-cycle ticking.
 	loopIters     int64
 	noFastForward bool
 
-	// Burst-group state. groups[i] is group i of the current run:
-	// RunBurst stores its single group in g0 to stay off the heap; a
-	// Session appends one group per Inject. sess marks session mode, in
-	// which a group flushes (timeline + obs) the moment its last packet
-	// resolves and lands on the resolved queue for Session.Next.
+	// Session state. groups[i] is group i of the current session; the
+	// slots past len keep their packet arenas and link scratch across
+	// Begin, so repeated bursts stay off the heap. gen counts Begin
+	// calls and invalidates every earlier Session.
 	groups   []groupState
-	g0       [1]groupState
-	sess     bool
-	live     int     // session groups injected and not yet resolved
-	resolved []int32 // session groups resolved but not yet reported
+	gen      uint64
+	live     int     // groups injected and not yet resolved
+	resolved []int32 // groups resolved but not yet reported by Next
 	uidNext  int     // next simulator-unique packet id
 
-	// tlNext is a section handed in via SetTimelineSection and consumed
-	// by the next RunBurst; tlAuto numbers the sections auto-registered
-	// on cfg.Timeline when no section is pending. tlLinks is RunBurst's
-	// reusable link-interval scratch (session groups allocate per group).
-	tlNext  *timeline.Section
-	tlAuto  int
-	tlLinks []tlInterval
+	// tlAuto numbers the "burstNNN" sections RunBurst auto-registers on
+	// cfg.Timeline.
+	tlAuto int
 
 	// Fault-injection state, all nil/zero when cfg.Fault is inactive so
 	// the fault-free hot path is untouched (and bit-identical to the
 	// pre-fault simulator).
-	faultOn   bool
-	budget    int           // retransmissions allowed per packet
-	routes    *fault.Routes // up*/down* tables; nil without structural faults
-	flaky     [][4]bool     // per-(node, dir) flit-drop eligibility; nil = all links
-	slow      [][4]bool     // per-(node, dir) extra-latency links; nil = none
-	faultSalt int64         // decorrelates runs sharing packet-id sequences
+	faultOn bool
+	budget  int           // retransmissions allowed per packet
+	routes  *fault.Routes // up*/down* tables; nil without structural faults
+	flaky   [][4]bool     // per-(node, dir) flit-drop eligibility; nil = all links
+	slow    [][4]bool     // per-(node, dir) extra-latency links; nil = none
 
 	// Metric handles resolved once from cfg.Obs (nil when disabled;
 	// every obs operation on nil is a no-op). The fault counters are
@@ -316,13 +307,14 @@ func (s *Simulator) newPlane() plane {
 	return pl
 }
 
-// reset restores the simulator's network state for a fresh run,
-// reusing the plane, router, and link-load storage of earlier runs so
-// repeated RunBurst calls stay off the heap.
+// reset restores the simulator's network state for a fresh session,
+// reusing the plane, router, and link-load storage of earlier sessions
+// so repeated RunBurst calls stay off the heap.
 func (s *Simulator) reset() {
 	s.loopIters = 0
 	s.uidNext = 0
 	s.live = 0
+	s.groups = s.groups[:0]
 	s.resolved = s.resolved[:0]
 	if s.planes == nil {
 		s.planes = make([]plane, s.cfg.Planes)
@@ -393,10 +385,10 @@ func (s *Simulator) fastForwardTarget(now int64) (int64, bool) {
 }
 
 // LoopIters returns how many drain-loop iterations the most recent
-// RunBurst executed. With idle-cycle fast-forward this can be far
-// smaller than Result.Cycles on time-sparse bursts; it measures the
-// simulator's own cost, not a network property, so it lives outside
-// Result.
+// session (or RunBurst) executed. With idle-cycle fast-forward this can
+// be far smaller than Result.Cycles on time-sparse bursts; it measures
+// the simulator's own cost, not a network property, so it lives
+// outside Result.
 func (s *Simulator) LoopIters() int64 { return s.loopIters }
 
 // neighbor returns the node reached through output port op of node id,
@@ -476,21 +468,6 @@ func (s *Simulator) routePort(cur int, p *packet) (op int, isDown bool) {
 	return int(dir) + 1, down
 }
 
-// SetFaultSalt folds salt into every subsequent fault decision. Callers
-// running many bursts with identical packet-id sequences (internal/cmp
-// uses the layer index) set it so faults decorrelate across bursts
-// while staying independent of host scheduling and worker count.
-// Session groups carry their salt explicitly via Session.Inject.
-func (s *Simulator) SetFaultSalt(salt int64) { s.faultSalt = salt }
-
-// SetTimelineSection hands the simulator the timeline section the next
-// RunBurst should record into. Callers that own a sink and register
-// sections in a deterministic order (internal/cmp registers one per
-// layer before its parallel loop) use this instead of Config.Timeline;
-// passing a nil section is a no-op recording. The section is consumed
-// by the next run.
-func (s *Simulator) SetTimelineSection(sec *timeline.Section) { s.tlNext = sec }
-
 // linkScratchSize is the length of a group's per-(plane, node,
 // direction) link-interval scratch.
 func (s *Simulator) linkScratchSize() int {
@@ -540,7 +517,7 @@ func (s *Simulator) flushGroupObs(g *groupState) {
 	s.dropC.Add(g.res.DroppedFlits)
 }
 
-// resolveGroup marks session group gi fully drained at absolute cycle
+// resolveGroup marks group gi fully drained at absolute cycle
 // end and queues it for Session.Next. Timeline and obs flush here — the
 // group's flits are all terminal, so its event stream is complete.
 func (s *Simulator) resolveGroup(gi int32, end int64) {
@@ -556,23 +533,14 @@ func (s *Simulator) resolveGroup(gi int32, end int64) {
 	}
 }
 
-// packetResolved retires one packet of group gi at cycle now. In
-// session mode, the group resolves the moment its last packet does.
+// packetResolved retires one packet of group gi at cycle now; the
+// group resolves the moment its last packet does.
 func (s *Simulator) packetResolved(gi int32, now int64) {
 	g := &s.groups[gi]
 	g.remaining--
-	if s.sess && g.remaining == 0 {
+	if g.remaining == 0 {
 		s.resolveGroup(gi, now+1)
 	}
-}
-
-// LostTransfers returns the deduplicated, sorted (Src, Dst) pairs whose
-// transfers the most recent RunBurst failed to deliver.
-func (s *Simulator) LostTransfers() []LostTransfer {
-	if len(s.groups) == 0 {
-		return nil
-	}
-	return dedupLost(s.groups[0].lost)
 }
 
 // dedupLost returns a sorted, deduplicated copy of l (nil when empty).
@@ -638,10 +606,11 @@ func (s *Simulator) resolveCorrupt(pl *plane, p *packet, now int64, g *groupStat
 
 // buildGroup validates msgs and appends their packets to group gi,
 // entering them into the per-node injection queues. Packet ids are
-// group-local (restarting at 0, matching an independent RunBurst);
-// uids are simulator-unique. at shifts every message's Time stamp.
-// arena must hold exactly the packets counted by countPackets.
-func (s *Simulator) buildGroup(gi int32, msgs []Message, at int64, arena []packet) {
+// group-local (restarting at 0, so a group run alone matches a fresh
+// simulator's); uids are simulator-unique. at shifts every message's
+// Time stamp. g.arena must hold exactly the packets counted by
+// countPackets.
+func (s *Simulator) buildGroup(gi int32, msgs []Message, at int64) {
 	g := &s.groups[gi]
 	payload := s.cfg.PayloadPerPacket()
 	id := 0
@@ -660,7 +629,7 @@ func (s *Simulator) buildGroup(gi int32, msgs []Message, at int64, arena []packe
 				chunk = payload
 			}
 			nf := 1 + (chunk+s.cfg.FlitBytes-1)/s.cfg.FlitBytes
-			pk := &arena[id]
+			pk := &g.arena[id]
 			*pk = packet{id: id, uid: s.uidNext, group: gi,
 				src: m.Src, dst: m.Dst, nflits: nf, injectTime: at + m.Time}
 			s.uidNext++
@@ -692,85 +661,6 @@ func (s *Simulator) countPackets(msgs []Message) (int, error) {
 		need += PacketsForBytes(s.cfg, m.Bytes)
 	}
 	return need, nil
-}
-
-// RunBurst injects all messages at their Time stamps (0 for a layer-
-// transition burst) and simulates until the network drains, returning
-// aggregate statistics. Zero-byte and self-addressed messages carry no
-// traffic and are skipped.
-func (s *Simulator) RunBurst(msgs []Message) (Result, error) {
-	s.reset()
-	s.sess = false
-	sec := s.tlNext
-	s.tlNext = nil
-	if sec == nil && s.cfg.Timeline != nil {
-		sec = s.cfg.Timeline.Section(fmt.Sprintf("burst%03d", s.tlAuto))
-		s.tlAuto++
-	}
-	s.g0[0] = groupState{sec: sec, lost: s.g0[0].lost[:0], salt: s.faultSalt}
-	s.groups = s.g0[:1]
-	g := &s.groups[0]
-	if sec != nil {
-		if need := s.linkScratchSize(); len(s.tlLinks) != need {
-			s.tlLinks = make([]tlInterval, need)
-		} else {
-			clear(s.tlLinks)
-		}
-		g.links = s.tlLinks
-	}
-
-	// Validate and count packets first so the arena can be sized in one
-	// shot: injEntry keeps pointers into it, so it must not grow while
-	// packets are being appended.
-	need, err := s.countPackets(msgs)
-	if err != nil {
-		return Result{}, err
-	}
-	if cap(s.pktArena) < need {
-		s.pktArena = make([]packet, need)
-	}
-	s.pktArena = s.pktArena[:need]
-
-	s.buildGroup(0, msgs, 0, s.pktArena)
-	if g.res.Packets == 0 {
-		s.lostC.Add(g.res.LostPackets)
-		s.flushGroupTimeline(g)
-		return g.res, nil
-	}
-	for p := range s.planes {
-		for n := range s.planes[p].nodeQueue {
-			sortInjQueue(s.planes[p].nodeQueue[n])
-		}
-	}
-
-	var now int64
-	for g.remaining > 0 {
-		if now > s.cfg.MaxCycles {
-			return Result{}, fmt.Errorf("noc: burst did not drain within %d cycles", s.cfg.MaxCycles)
-		}
-		s.loopIters++
-		for p := range s.planes {
-			s.stepPlane(&s.planes[p], p, now)
-		}
-		now++
-		// Idle-cycle fast-forward: when no flit is buffered anywhere and
-		// no node may inject yet, every skipped cycle is a no-op (stepPlane
-		// touches nothing), so jump straight to the next injection time.
-		// The cap keeps the MaxCycles overrun check firing exactly as the
-		// dense loop would.
-		if !s.noFastForward && g.remaining > 0 {
-			if next, ok := s.fastForwardTarget(now); ok {
-				if next > s.cfg.MaxCycles+1 {
-					next = s.cfg.MaxCycles + 1
-				}
-				now = next
-			}
-		}
-	}
-	g.res.Cycles = now
-	s.flushGroupTimeline(g)
-	s.flushGroupObs(g)
-	return g.res, nil
 }
 
 // stepPlane advances one plane (index pi) by one cycle. Terminal packet

@@ -38,7 +38,7 @@ func (ls LinkStats) Imbalance() float64 {
 	return float64(ls.Max) / avg
 }
 
-// LinkUtilization reports the per-link flit loads of the last RunBurst
+// LinkUtilization reports the per-link flit loads of the last session
 // (or open-loop run), sorted by decreasing load.
 func (s *Simulator) LinkUtilization() LinkStats {
 	var ls LinkStats

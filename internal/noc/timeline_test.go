@@ -144,8 +144,8 @@ func TestTimelineLostTransfers(t *testing.T) {
 	}
 }
 
-// Named sections registered through SetTimelineSection must be
-// consumed one per burst, falling back to auto-registration after.
+// With cfg.Timeline set, RunBurst hands each burst its own
+// auto-registered section, numbered in call order.
 func TestTimelineSectionHandoff(t *testing.T) {
 	sink := timeline.NewSink()
 	cfg := cfg4x4()
@@ -153,15 +153,13 @@ func TestTimelineSectionHandoff(t *testing.T) {
 	s := MustNew(cfg)
 	msgs := []Message{{Src: 0, Dst: 3, Bytes: 64}}
 
-	s.SetTimelineSection(sink.Section("named"))
-	if _, err := s.RunBurst(msgs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunBurst(msgs); err != nil { // auto-registered
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := s.RunBurst(msgs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	secs := sink.Sections()
-	if len(secs) != 2 || secs[0].Label != "named" || secs[1].Label == "named" {
+	if len(secs) != 2 || secs[0].Label != "burst000" || secs[1].Label != "burst001" {
 		t.Fatalf("sections = %+v", secs)
 	}
 	if len(secs[0].Events) == 0 || len(secs[1].Events) == 0 {

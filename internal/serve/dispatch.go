@@ -318,12 +318,10 @@ func (s *Server) executeGroup(m *Model, group []*pending) {
 	if trace {
 		simStart = time.Now()
 	}
-	sim := m.sims.Get()
-	report, simErr := sim.RunPipeline(m.TM.Plan, cmp.PipelineOptions{
+	report, simErr := m.sys.RunPipeline(m.TM.Plan, cmp.PipelineOptions{
 		Depth:   depth,
 		Batches: len(group),
 	})
-	m.sims.Put(sim)
 	if trace {
 		simEnd = time.Now()
 	}

@@ -272,9 +272,9 @@ func TestHTTPHandler(t *testing.T) {
 	}{
 		{`{"model":"nope","sample":1}`, http.StatusBadRequest},
 		{`{"model":"ss","sample":1,"x":2}`, http.StatusBadRequest},
-		{`{"model":"ss"}`, http.StatusBadRequest},                  // no sample or input
-		{`{"model":"ss","sample":999999}`, http.StatusBadRequest},  // out of range
-		{`{"model":"ss","input":[1,2,3]}`, http.StatusBadRequest},  // wrong length
+		{`{"model":"ss"}`, http.StatusBadRequest},                 // no sample or input
+		{`{"model":"ss","sample":999999}`, http.StatusBadRequest}, // out of range
+		{`{"model":"ss","input":[1,2,3]}`, http.StatusBadRequest}, // wrong length
 	} {
 		resp, _ := post(c.body)
 		if resp.StatusCode != c.code {

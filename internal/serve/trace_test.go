@@ -135,7 +135,7 @@ func TestServeTraceTelescoping(t *testing.T) {
 }
 
 // tracedModels re-wraps the shared fixture's trained models with a
-// fresh config (cheap: no retraining, just new simulator pools) so a
+// fresh config (cheap: no retraining, just new simulator Systems) so a
 // test can attach its own timeline sink.
 func tracedModels(t testing.TB, cfg Config) []*Model {
 	t.Helper()

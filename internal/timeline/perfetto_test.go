@@ -36,7 +36,7 @@ func TestWritePerfettoStructure(t *testing.T) {
 	}
 
 	type track struct{ pid, tid int }
-	depth := map[track]int{}     // open B/E nesting per track
+	depth := map[track]int{}      // open B/E nesting per track
 	slices := map[track][]int64{} // X slice start stamps per track
 	var prevTS int64
 	var sawMeta, sawData bool

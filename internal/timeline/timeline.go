@@ -78,13 +78,13 @@ var DirNames = [5]string{"local", "east", "west", "north", "south"}
 // to decompose latencies (router pipeline depth, mesh shape). The
 // first writer wins; it is serialized into the record header.
 type Platform struct {
-	MeshW        int `json:"mesh_w,omitempty"`
-	MeshH        int `json:"mesh_h,omitempty"`
-	Stages       int `json:"stages,omitempty"` // router pipeline depth in cycles
-	Planes       int `json:"planes,omitempty"`
-	VCs          int `json:"vcs,omitempty"`
-	FlitBytes    int `json:"flit_bytes,omitempty"`
-	PacketFlits  int `json:"packet_flits,omitempty"`
+	MeshW       int `json:"mesh_w,omitempty"`
+	MeshH       int `json:"mesh_h,omitempty"`
+	Stages      int `json:"stages,omitempty"` // router pipeline depth in cycles
+	Planes      int `json:"planes,omitempty"`
+	VCs         int `json:"vcs,omitempty"`
+	FlitBytes   int `json:"flit_bytes,omitempty"`
+	PacketFlits int `json:"packet_flits,omitempty"`
 }
 
 // Sink collects a run's timeline. The zero value is not usable; use

@@ -155,17 +155,17 @@ func TestReadRecordRejectsMalformed(t *testing.T) {
 		return buf.String()
 	}()
 	cases := map[string]string{
-		"empty":            "",
-		"bad header":       "not json\n",
-		"bad version":      strings.Replace(good, `"version":1`, `"version":9`, 1),
-		"no tool":          strings.Replace(good, `"tool":"unit"`, `"tool":""`, 1),
-		"truncated":        good[:len(good)/2],
-		"trailing":         good + "{\"k\":\"inject\"}\n",
-		"unknown kind":     strings.Replace(good, `"k":"eject"`, `"k":"warp"`, 1),
-		"inverted span":    strings.Replace(good, `{"k":"compute","c":0,"e":4}`, `{"k":"compute","c":9,"e":4}`, 1),
-		"non-monotone":     strings.Replace(good, `{"k":"eject","c":10,"n":1}`, `{"k":"eject","c":1,"n":1}`, 1),
-		"section index":    strings.Replace(good, `{"index":1,`, `{"index":7,`, 1),
-		"negative cycle":   strings.Replace(good, `{"k":"inject","c":2,`, `{"k":"inject","c":-2,`, 1),
+		"empty":          "",
+		"bad header":     "not json\n",
+		"bad version":    strings.Replace(good, `"version":1`, `"version":9`, 1),
+		"no tool":        strings.Replace(good, `"tool":"unit"`, `"tool":""`, 1),
+		"truncated":      good[:len(good)/2],
+		"trailing":       good + "{\"k\":\"inject\"}\n",
+		"unknown kind":   strings.Replace(good, `"k":"eject"`, `"k":"warp"`, 1),
+		"inverted span":  strings.Replace(good, `{"k":"compute","c":0,"e":4}`, `{"k":"compute","c":9,"e":4}`, 1),
+		"non-monotone":   strings.Replace(good, `{"k":"eject","c":10,"n":1}`, `{"k":"eject","c":1,"n":1}`, 1),
+		"section index":  strings.Replace(good, `{"index":1,`, `{"index":7,`, 1),
+		"negative cycle": strings.Replace(good, `{"k":"inject","c":2,`, `{"k":"inject","c":-2,`, 1),
 	}
 	for name, in := range cases {
 		if _, err := ReadRecord(strings.NewReader(in)); err == nil {

@@ -412,13 +412,6 @@ func WriteServePerfetto(w io.Writer, l *ServeTraceLog, tl *TimelineSink, tool st
 	return serve.WriteServePerfetto(w, l, tl, tool, meta)
 }
 
-// SimPool is a fixed-size pool of reusable simulator Systems — the
-// serving layer's simulator fleet, exported for direct use.
-type SimPool = cmp.Pool
-
-// NewSimPool eagerly builds n Systems sharing cfg.
-func NewSimPool(cfg SystemConfig, n int) (*SimPool, error) { return cmp.NewPool(cfg, n) }
-
 // Experiment harness — each function regenerates one table or figure
 // of the paper; see EXPERIMENTS.md for paper-vs-measured results.
 
