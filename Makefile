@@ -28,6 +28,7 @@ fuzz:
 	go test -fuzz FuzzMeshRoute -fuzztime 30s ./internal/topology
 	go test -fuzz FuzzPartition -fuzztime 30s ./internal/partition
 	go test -fuzz FuzzFaultedRoute -fuzztime 30s ./internal/fault
+	go test -fuzz FuzzSwitchAllocation -fuzztime 30s ./internal/noc
 	go test -fuzz FuzzPipelineSchedule -fuzztime 30s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
@@ -38,6 +39,7 @@ fuzz-smoke:
 	go test -fuzz FuzzMeshRoute -fuzztime 5s ./internal/topology
 	go test -fuzz FuzzPartition -fuzztime 5s ./internal/partition
 	go test -fuzz FuzzFaultedRoute -fuzztime 5s ./internal/fault
+	go test -fuzz FuzzSwitchAllocation -fuzztime 5s ./internal/noc
 	go test -fuzz FuzzPipelineSchedule -fuzztime 5s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
@@ -54,9 +56,10 @@ bench-default:
 # packed-int16 GEMM kernels, steady-state training step, NoC bursts,
 # pipelined AlexNet inference, tap-overhead pairs, quantized-inference
 # pair, serving-layer load pair, request-tracing overhead pair), with
-# the zero-alloc gates CI enforces. Writes BENCH_PR10.json.
+# the zero-alloc gates CI enforces (train step, disabled tracer, NoC
+# burst loop). Writes BENCH_PR10.json.
 bench-json:
-	go run ./tools/benchjson -require-zero-allocs 'TrainStepSteadyState|ServeTraceOverhead'
+	go run ./tools/benchjson -require-zero-allocs 'TrainStepSteadyState|ServeTraceOverhead|AllToAllBurst16|SparseBurst16'
 
 # Regression-gate the committed bench trajectory (see ci.yml bench-smoke).
 bench-compare:

@@ -166,6 +166,9 @@ func BenchmarkSparseBurst16(b *testing.B) {
 		})
 	}
 	sim := MustNew(cfg)
+	if _, err := sim.RunBurst(msgs); err != nil { // size the reusable storage
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

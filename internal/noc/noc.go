@@ -32,13 +32,17 @@ const (
 	numPorts
 )
 
+// maxVCs bounds Config.VCs so a router's numPorts·VCs input VCs fit the
+// 64-bit request masks of switch allocation.
+const maxVCs = 64 / numPorts
+
 // Config describes the simulated network. The zero value is not
 // usable; start from DefaultConfig.
 type Config struct {
 	Mesh        topology.Mesh
 	FlitBytes   int // payload bytes per flit (512-bit flit = 64)
 	PacketFlits int // max flits per packet, head included (20)
-	VCs         int // virtual channels per input port (3)
+	VCs         int // virtual channels per input port (3), at most 12
 	BufDepth    int // flit slots per VC buffer
 	Stages      int // router pipeline depth in cycles (3)
 	Planes      int // physical channels (2)
@@ -92,6 +96,8 @@ func (c Config) validate() error {
 	case c.FlitBytes <= 0, c.PacketFlits < 2, c.VCs <= 0, c.BufDepth <= 0,
 		c.Stages <= 0, c.Planes <= 0:
 		return fmt.Errorf("noc: non-positive parameter in config %+v", c)
+	case c.VCs > maxVCs:
+		return fmt.Errorf("noc: %d VCs per port exceeds the limit of %d", c.VCs, maxVCs)
 	}
 	return c.Fault.Validate(c.Mesh)
 }

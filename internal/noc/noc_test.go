@@ -108,6 +108,14 @@ func TestBadConfigErrors(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("expected error for zero VCs")
 	}
+	cfg.VCs = 13
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "limit of 12") {
+		t.Errorf("13 VCs: got %v, want an error naming the limit of 12", err)
+	}
+	cfg.VCs = 12
+	if _, err := New(cfg); err != nil {
+		t.Errorf("12 VCs rejected: %v", err)
+	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("expected error for zero config")
 	}
@@ -308,6 +316,10 @@ func BenchmarkAllToAllBurst16(b *testing.B) {
 		}
 	}
 	sim := MustNew(cfg)
+	if _, err := sim.RunBurst(msgs); err != nil { // size the reusable storage
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.RunBurst(msgs); err != nil {

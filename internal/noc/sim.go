@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"learn2scale/internal/fault"
@@ -174,6 +175,11 @@ type Simulator struct {
 	// jump so tests can compare against dense cycle-by-cycle ticking.
 	loopIters     int64
 	noFastForward bool
+
+	// denseArbitration selects arbitrateDense, the scan every output
+	// makes over all input VCs of every router, in place of the
+	// request-mask allocator; tests compare the two.
+	denseArbitration bool
 
 	// Session state. groups[i] is group i of the current session; the
 	// slots past len keep their packet arenas and link scratch across
@@ -670,131 +676,15 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 	pending := pl.pending[:0]
 
 	// Switch allocation and traversal: one grant per output port, at
-	// most one flit per input port.
+	// most one flit per input port. A router with no buffered flit has
+	// nothing to arbitrate; arrivals commit after this phase, so none
+	// can appear in it mid-cycle.
 	for rid := range pl.routers {
-		r := &pl.routers[rid]
-		var usedIn [numPorts]bool
-		for op := 0; op < numPorts; op++ {
-			granted := false
-			nCand := numPorts * s.cfg.VCs
-			for k := 0; k < nCand && !granted; k++ {
-				slot := (r.rrPtr[op] + k) % nCand
-				ip := slot / s.cfg.VCs
-				v := slot % s.cfg.VCs
-				if usedIn[ip] {
-					continue
-				}
-				vc := &r.in[ip][v]
-				if vc.n == 0 {
-					continue
-				}
-				f := *vc.front()
-				if f.readyAt > now {
-					continue
-				}
-				// Route computation + VC allocation for head flits.
-				if vc.outPort == -1 {
-					if f.seq != 0 {
-						panic("noc: body flit in unrouted VC")
-					}
-					want, wantDown := s.routePort(rid, f.pkt)
-					if want != op {
-						continue
-					}
-					if op == PortLocal {
-						vc.outPort = op
-						vc.outVC = 0
-					} else {
-						dn := s.neighbor(rid, op)
-						dvc := s.allocVC(pl, dn, opposite(op), f.pkt.uid)
-						if dvc == -1 {
-							continue // no free downstream VC yet
-						}
-						vc.outPort = op
-						vc.outVC = dvc
-					}
-					// The hop is committed; latch the phase change so the
-					// downstream route computation sees it.
-					if wantDown {
-						f.pkt.down = true
-					}
-					vc.vcAllocAt = now
-				}
-				if vc.outPort != op {
-					continue
-				}
-				if op != PortLocal && r.credits[op][vc.outVC] == 0 {
-					continue
-				}
-
-				// Grant: pop and traverse.
-				g := &s.groups[f.pkt.group]
-				if g.sec != nil && f.seq == 0 {
-					g.sec.Depart(now-g.base, vc.vcAllocAt-g.base, f.pkt.id, f.pkt.attempt, rid, op, pi)
-				}
-				vc.pop()
-				pl.occ[rid]--
-				pl.buffered--
-				g.res.BufferReads++
-				g.res.SwitchTraversals++
-				usedIn[ip] = true
-				granted = true
-				r.rrPtr[op] = (slot + 1) % nCand
-
-				// Credit return to the upstream hop (local injection
-				// reads buffer occupancy directly instead).
-				if ip != PortLocal {
-					up := s.neighbor(rid, ip)
-					pl.routers[up].credits[opposite(ip)][v]++
-				}
-				isTail := f.seq == f.pkt.nflits-1
-				outVC := vc.outVC
-				if isTail {
-					vc.outPort = -1
-					vc.owner = -1
-				}
-				if op == PortLocal {
-					f.pkt.ejected++
-					if isTail {
-						if f.pkt.corrupt {
-							if s.resolveCorrupt(pl, f.pkt, now, g) {
-								s.packetResolved(f.pkt.group, now)
-							}
-						} else {
-							g.sec.Eject(now+1-g.base, f.pkt.id, f.pkt.attempt, rid)
-							lat := now + 1 - f.pkt.injectTime
-							g.res.TotalPacketLatency += lat
-							if lat > g.res.MaxPacketLatency {
-								g.res.MaxPacketLatency = lat
-							}
-							g.res.EjectedPackets++
-							s.latHist.Observe(lat)
-							s.packetResolved(f.pkt.group, now)
-						}
-					}
-				} else {
-					dn := s.neighbor(rid, op)
-					r.credits[op][outVC]--
-					g.res.LinkTraversals++
-					s.linkLoad[rid][op-1]++
-					if g.sec != nil {
-						s.linkBusy(g, pi, rid, op, now)
-					}
-					f.readyAt = now + 1 + int64(s.cfg.Stages-1)
-					if s.faultOn {
-						if s.slow != nil && s.slow[rid][op-1] {
-							f.readyAt += int64(s.cfg.Fault.SlowExtraCycles)
-						}
-						fc := s.cfg.Fault
-						if fc.DropProb > 0 && (s.flaky == nil || s.flaky[rid][op-1]) &&
-							fc.DropFlit(g.salt, int64(f.pkt.id), f.pkt.attempt, rid*4+(op-1), f.seq) {
-							f.pkt.corrupt = true
-							g.res.DroppedFlits++
-						}
-					}
-					pending = append(pending, arrival{dn, opposite(op), outVC, f})
-				}
-			}
+		switch {
+		case s.denseArbitration:
+			pending = s.arbitrateDense(pl, pi, rid, now, pending)
+		case pl.occ[rid] != 0:
+			pending = s.arbitrate(pl, pi, rid, now, pending)
 		}
 	}
 
@@ -860,6 +750,203 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 		g.res.BufferWrites++
 	}
 	pl.pending = pending[:0]
+}
+
+// arbitrate runs switch allocation for router rid. Every input VC
+// whose front flit is ready requests exactly one output — its assigned
+// port, or the routed port of an unrouted head — so one pass fills a
+// per-output request mask over slots ip·VCs+v, and each output then
+// visits only its requesters in round-robin order from rrPtr. This
+// grants exactly what the dense scan (arbitrateDense) grants, in the
+// same order: during switch allocation a VC's front flit changes only
+// when popped, which marks its input port used, and a head's route is a
+// pure function of (router, packet) until that head is granted.
+func (s *Simulator) arbitrate(pl *plane, pi, rid int, now int64, pending []arrival) []arrival {
+	r := &pl.routers[rid]
+	vcs := s.cfg.VCs
+	var req [numPorts]uint64
+	var down uint64 // slots whose routed hop is an up*/down* "down" move
+	for ip := 0; ip < numPorts; ip++ {
+		for v := range r.in[ip] {
+			vc := &r.in[ip][v]
+			if vc.n == 0 {
+				continue
+			}
+			f := vc.front()
+			if f.readyAt > now {
+				continue
+			}
+			slot := uint(ip*vcs + v)
+			op := vc.outPort
+			if op == -1 {
+				if f.seq != 0 {
+					panic("noc: body flit in unrouted VC")
+				}
+				var isDown bool
+				if op, isDown = s.routePort(rid, f.pkt); isDown {
+					down |= 1 << slot
+				}
+			}
+			req[op] |= 1 << slot
+		}
+	}
+	var usedIn [numPorts]bool
+	for op := 0; op < numPorts; op++ {
+		if req[op] == 0 {
+			continue
+		}
+		below := uint64(1)<<uint(r.rrPtr[op]) - 1
+	scan:
+		for _, m := range [2]uint64{req[op] &^ below, req[op] & below} {
+			for ; m != 0; m &= m - 1 {
+				slot := bits.TrailingZeros64(m)
+				ip, v := slot/vcs, slot%vcs
+				if usedIn[ip] || !s.allocate(pl, rid, op, &r.in[ip][v], down>>uint(slot)&1 != 0, now) {
+					continue
+				}
+				usedIn[ip] = true
+				pending = s.grant(pl, pi, rid, ip, v, op, now, pending)
+				break scan
+			}
+		}
+	}
+	return pending
+}
+
+// arbitrateDense is the reference switch allocator for arbitrate:
+// every output scans all numPorts·VCs input VCs from its round-robin
+// pointer, routing each unrouted head it visits. Only tests select it
+// (denseArbitration), to hold arbitrate equal to it.
+func (s *Simulator) arbitrateDense(pl *plane, pi, rid int, now int64, pending []arrival) []arrival {
+	r := &pl.routers[rid]
+	var usedIn [numPorts]bool
+	nCand := numPorts * s.cfg.VCs
+	for op := 0; op < numPorts; op++ {
+		for k := 0; k < nCand; k++ {
+			slot := (r.rrPtr[op] + k) % nCand
+			ip, v := slot/s.cfg.VCs, slot%s.cfg.VCs
+			if usedIn[ip] {
+				continue
+			}
+			vc := &r.in[ip][v]
+			if vc.n == 0 || vc.front().readyAt > now {
+				continue
+			}
+			want, wantDown := vc.outPort, false
+			if want == -1 {
+				if vc.front().seq != 0 {
+					panic("noc: body flit in unrouted VC")
+				}
+				want, wantDown = s.routePort(rid, vc.front().pkt)
+			}
+			if want != op || !s.allocate(pl, rid, op, vc, wantDown, now) {
+				continue
+			}
+			usedIn[ip] = true
+			pending = s.grant(pl, pi, rid, ip, v, op, now, pending)
+			break
+		}
+	}
+	return pending
+}
+
+// allocate runs route commitment and VC allocation for vc of router
+// rid, whose ready front flit requests output op (wantDown: that hop is
+// a "down" move), and reports whether the flit may cross the switch
+// this cycle. An unrouted head claims a downstream VC here and keeps it
+// even when the credit check then fails.
+func (s *Simulator) allocate(pl *plane, rid, op int, vc *vcState, wantDown bool, now int64) bool {
+	if vc.outPort == -1 {
+		dvc := 0
+		if op != PortLocal {
+			if dvc = s.allocVC(pl, s.neighbor(rid, op), opposite(op), vc.front().pkt.uid); dvc == -1 {
+				return false // no free downstream VC yet
+			}
+		}
+		vc.outPort, vc.outVC = op, dvc
+		// The hop is committed; latch the phase change so the
+		// downstream route computation sees it.
+		if wantDown {
+			vc.front().pkt.down = true
+		}
+		vc.vcAllocAt = now
+	}
+	return op == PortLocal || pl.routers[rid].credits[op][vc.outVC] != 0
+}
+
+// grant pops the front flit of input VC v of port ip at router rid and
+// sends it through output op: round-robin pointer advance, credit
+// return upstream, then ejection (with retransmission of a corrupt
+// tail) or link traversal (with slow-link delay and fault drop) into
+// pending.
+func (s *Simulator) grant(pl *plane, pi, rid, ip, v, op int, now int64, pending []arrival) []arrival {
+	r := &pl.routers[rid]
+	vc := &r.in[ip][v]
+	f := *vc.front()
+	g := &s.groups[f.pkt.group]
+	if g.sec != nil && f.seq == 0 {
+		g.sec.Depart(now-g.base, vc.vcAllocAt-g.base, f.pkt.id, f.pkt.attempt, rid, op, pi)
+	}
+	vc.pop()
+	pl.occ[rid]--
+	pl.buffered--
+	g.res.BufferReads++
+	g.res.SwitchTraversals++
+	r.rrPtr[op] = (ip*s.cfg.VCs + v + 1) % (numPorts * s.cfg.VCs)
+
+	// Credit return to the upstream hop (local injection reads buffer
+	// occupancy directly instead).
+	if ip != PortLocal {
+		up := s.neighbor(rid, ip)
+		pl.routers[up].credits[opposite(ip)][v]++
+	}
+	isTail := f.seq == f.pkt.nflits-1
+	outVC := vc.outVC
+	if isTail {
+		vc.outPort = -1
+		vc.owner = -1
+	}
+	if op == PortLocal {
+		f.pkt.ejected++
+		if isTail {
+			if f.pkt.corrupt {
+				if s.resolveCorrupt(pl, f.pkt, now, g) {
+					s.packetResolved(f.pkt.group, now)
+				}
+			} else {
+				g.sec.Eject(now+1-g.base, f.pkt.id, f.pkt.attempt, rid)
+				lat := now + 1 - f.pkt.injectTime
+				g.res.TotalPacketLatency += lat
+				if lat > g.res.MaxPacketLatency {
+					g.res.MaxPacketLatency = lat
+				}
+				g.res.EjectedPackets++
+				s.latHist.Observe(lat)
+				s.packetResolved(f.pkt.group, now)
+			}
+		}
+		return pending
+	}
+	dn := s.neighbor(rid, op)
+	r.credits[op][outVC]--
+	g.res.LinkTraversals++
+	s.linkLoad[rid][op-1]++
+	if g.sec != nil {
+		s.linkBusy(g, pi, rid, op, now)
+	}
+	f.readyAt = now + 1 + int64(s.cfg.Stages-1)
+	if s.faultOn {
+		if s.slow != nil && s.slow[rid][op-1] {
+			f.readyAt += int64(s.cfg.Fault.SlowExtraCycles)
+		}
+		fc := s.cfg.Fault
+		if fc.DropProb > 0 && (s.flaky == nil || s.flaky[rid][op-1]) &&
+			fc.DropFlit(g.salt, int64(f.pkt.id), f.pkt.attempt, rid*4+(op-1), f.seq) {
+			f.pkt.corrupt = true
+			g.res.DroppedFlits++
+		}
+	}
+	return append(pending, arrival{dn, opposite(op), outVC, f})
 }
 
 // allocVC finds (or confirms) a VC at node/port for the packet with
