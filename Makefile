@@ -31,6 +31,7 @@ fuzz:
 	go test -fuzz FuzzSwitchAllocation -fuzztime 30s ./internal/noc
 	go test -fuzz FuzzPipelineSchedule -fuzztime 30s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
+	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
 
 # Quick fuzz pass for CI: a few seconds per target on top of the seed
@@ -42,6 +43,7 @@ fuzz-smoke:
 	go test -fuzz FuzzSwitchAllocation -fuzztime 5s ./internal/noc
 	go test -fuzz FuzzPipelineSchedule -fuzztime 5s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
+	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 
 # One benchmark per paper table/figure plus the per-package benches.
@@ -55,11 +57,12 @@ bench-default:
 # Machine-readable record of the performance benchmarks (float32 and
 # packed-int16 GEMM kernels, steady-state training step, NoC bursts,
 # pipelined AlexNet inference, tap-overhead pairs, quantized-inference
-# pair, serving-layer load pair, request-tracing overhead pair), with
-# the zero-alloc gates CI enforces (train step, disabled tracer, NoC
-# burst loop). Writes BENCH_PR10.json.
+# pair, serving-layer load pair, request-tracing overhead pair, batched
+# serving forward pass), with the zero-alloc gates CI enforces (train
+# step, disabled tracer, NoC burst loop, batched forward). Writes
+# BENCH_PR10.json.
 bench-json:
-	go run ./tools/benchjson -require-zero-allocs 'TrainStepSteadyState|ServeTraceOverhead|AllToAllBurst16|SparseBurst16'
+	go run ./tools/benchjson -require-zero-allocs 'TrainStepSteadyState|ServeTraceOverhead|AllToAllBurst16|SparseBurst16|InferBatch'
 
 # Regression-gate the committed bench trajectory (see ci.yml bench-smoke).
 bench-compare:

@@ -8,10 +8,11 @@
 // requests, joined by flow arrows.
 //
 // The printed attribution tables carry the why-batch story at request
-// granularity: batch-1 spends its latency in the sim phase once per
-// request, batching moves requests into shared sim passes and shifts
-// the residual blame toward queueing — the classic batching trade read
-// straight off the telescoping queue→batch→sim→dequant→respond spans.
+// granularity: at batch-1 the burst queues behind itself, one sim and
+// one forward pass per request; batched, it shares one sim pass and one
+// batched forward pass, which leaves the group's forward (dequant) as
+// the residual blame — the batching trade read straight off the
+// telescoping queue→batch→sim→dequant→respond spans.
 //
 // Load servetrace_batch1.json or servetrace_batched.json (the
 // committed pair lives next to this file) at https://ui.perfetto.dev

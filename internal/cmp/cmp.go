@@ -111,12 +111,14 @@ type System struct {
 	// cfg.Fault.DeadCores); nil when no cores are dead.
 	deadNode []bool
 
-	// simPool recycles the burst simulators of single-stage runs across
-	// calls: Begin fully resets simulator state, so a pooled
-	// simulator is indistinguishable from a fresh one, and reuse keeps
-	// the mesh's router/buffer arrays off the allocator on every burst.
-	// Each host worker holds one only for the duration of a burst, so at
-	// most Workers live at once.
+	// simPool recycles NoC simulators across calls: the burst
+	// simulators of single-stage runs and the one session simulator of
+	// a multi-stage run. Begin fully resets simulator state, so a
+	// pooled simulator is indistinguishable from a fresh one, and reuse
+	// keeps the mesh's router/buffer arrays off the allocator. Each host
+	// worker holds one only for the duration of a burst, and a
+	// multi-stage run one for its whole session, so at most Workers
+	// live at once per call.
 	simPool sync.Pool // holds *noc.Simulator
 
 	// sessionOnly routes single-stage runs through the NoC session like

@@ -240,11 +240,11 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 			return PipelineReport{}, err
 		}
 	} else {
-		// One session simulator owns the whole run; its horizon scales
-		// with the number of inferences in flight.
-		scfg := s.cfg.NoC
-		scfg.MaxCycles *= int64(B + depth)
-		r.ses = noc.MustNew(scfg).Begin()
+		// One pooled simulator owns the whole run's session; Begin
+		// resets it, so it is indistinguishable from a fresh one.
+		sim := s.simPool.Get().(*noc.Simulator)
+		defer s.simPool.Put(sim)
+		r.ses = sim.Begin()
 	}
 
 	// Seed the pipeline and drain resolution events. Every scheduling

@@ -288,9 +288,16 @@ type FullyConnected struct {
 	outBuf *tensor.Tensor
 	gradIn *tensor.Tensor
 
+	// Batched forward scratch: the group's output rows, its input rows
+	// packed as the GEMM's B panels, and the transposed outputs the
+	// GEMM accumulates (out × K). W is read in place, never packed.
+	batchOut tensor.Tensor
+	xPacked  []float32
+	yT       []float32
+
 	curX, curG []float32
 
-	fnFwd, fnBwdA, fnBwdB func(lo, hi int)
+	fnFwd, fnFwdBatch, fnBwdA, fnBwdB func(lo, hi int)
 }
 
 // NewFullyConnected creates a dense layer mapping in features to out.
@@ -312,6 +319,24 @@ func (l *FullyConnected) initScratch() {
 	// per-row dot seeded with the bias.
 	l.fnFwd = func(lo, hi int) {
 		tensor.MatVecAcc(l.outBuf.Data[lo:hi], l.weight.W.Data[lo*l.in:hi*l.in], l.curX, hi-lo, l.in)
+	}
+	// Outputs [lo, hi) of the group: Yᵀ = b + W·Xᵀ, bias-seeded and
+	// accumulated in place, then scattered into the K output rows.
+	l.fnFwdBatch = func(lo, hi int) {
+		k := l.batchOut.Shape[0]
+		for o := lo; o < hi; o++ {
+			row := l.yT[o*k : (o+1)*k]
+			for i := range row {
+				row[i] = l.bias.W.Data[o]
+			}
+		}
+		tensor.MatMulABTAcc(l.yT, l.weight.W.Data, l.xPacked, l.out, l.in, k, lo, hi)
+		y := l.batchOut.Data
+		for o := lo; o < hi; o++ {
+			for i, v := range l.yT[o*k : (o+1)*k] {
+				y[i*l.out+o] = v
+			}
+		}
 	}
 	// Pass A: per-output-neuron gradients (bias row, weight row) are
 	// disjoint in o.
@@ -372,6 +397,27 @@ func (l *FullyConnected) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	l.curX = in.Data
 	parallel.ForChunks(l.out, tensor.GEMMRowGrain, l.fnFwd)
 	return l.outBuf
+}
+
+// ForwardBatch is the inference forward of a group: x holds K input
+// rows (shape [K, ...]) and the result K output rows, row i
+// bit-identical to Forward of input row i. The group, K = 1 included,
+// is one GEMM, Yᵀ = b + W·Xᵀ (tensor.MatMulABTAcc, whose per-element
+// add sequence is MatVecAcc's), split over workers by output rows, so
+// W is read once per group instead of once per input. The returned
+// tensor is owned by the layer and overwritten by the next
+// ForwardBatch call.
+func (l *FullyConnected) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	k := x.Shape[0]
+	if len(x.Data) != k*l.in {
+		panic(fmt.Sprintf("nn: %s: batch of %d rows has %d inputs, want %d per row", l.name, k, len(x.Data), l.in))
+	}
+	setRows(&l.batchOut, k, l.outBuf.Shape)
+	l.xPacked = grow(l.xPacked, tensor.PackBSize(l.in, k))
+	tensor.PackBT(l.xPacked, x.Data, l.in, k)
+	l.yT = grow(l.yT, l.out*k)
+	parallel.ForChunks(l.out, 4*tensor.GEMMABTRowGrain, l.fnFwdBatch)
+	return &l.batchOut
 }
 
 // Backward implements Layer. The returned tensor is owned by the layer

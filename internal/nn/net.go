@@ -23,6 +23,9 @@ type Network struct {
 	// lossGrad is the trainer's SoftmaxCrossEntropy gradient scratch,
 	// one per network so replicas running concurrently never share it.
 	lossGrad *tensor.Tensor
+
+	// batch is ForwardBatch's staging.
+	batch batchPass
 }
 
 // lossGradBuf returns a persistent buffer of the given shape for the

@@ -43,6 +43,9 @@ type quantLayer interface {
 type QuantNetwork struct {
 	Name   string
 	layers []quantLayer
+
+	// batch is ForwardBatch's staging.
+	batch batchPass
 }
 
 // floatFallback wraps a layer with no quantized implementation; it
@@ -183,8 +186,13 @@ func (q *quantConv) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return q.out
 }
 
-// quantFC runs a FullyConnected layer as an int16 matvec with int32
-// accumulation.
+// quantFC runs a FullyConnected layer on the int16 GEMM path. Its
+// weights exist only as packed A quads (PackAInt16, out × in); the
+// quantized input rows are packed as the Xᵀ panel (PackBTInt16), so a
+// single input and a group of K both run MatMulPackedInt16, whose
+// exact integer accumulation makes every row's result independent of
+// K. Dequantization then writes output o of row i as
+// acc · inScale · wScale[o] + bias[o].
 type quantFC struct {
 	name    string
 	in, out int
@@ -192,13 +200,17 @@ type quantFC struct {
 	qmax    int32 // accumulator-safe clamp: AccQMax(in)
 	inScale float32
 	wScales []float32
-	qw      []int16 // row-major int16 weights, out × in
+	wPacked []int16 // int16 weights as PackAInt16 quads, out × in
 	bias    []float32
 
-	qx     []int16
-	y32    []int32
-	outBuf *tensor.Tensor
+	qx       []int16 // quantized input rows, K × in
+	xPacked  []int16 // qx as the packed Xᵀ panel
+	y32      []int32 // int32 accumulators, out × K
+	outBuf   *tensor.Tensor
+	batchOut tensor.Tensor
 
+	curK  int
+	curY  []float32 // this pass's K × out outputs
 	fnFwd func(lo, hi int)
 }
 
@@ -209,23 +221,29 @@ func newQuantFC(l *FullyConnected, inRange float64) *quantFC {
 	}
 	q.qmax = fixed.AccQMax(l.in)
 	q.inScale = fixed.ScaleForQ(inRange, q.qmax)
+	// Per-output-row weight scales; each row is quantized straight
+	// into its slot of the packed quads, and chunks own disjoint quads.
 	w := l.weight.W.Data
 	q.wScales = make([]float32, l.out)
-	q.qw = make([]int16, l.out*l.in)
-	for o := 0; o < l.out; o++ {
-		q.wScales[o] = fixed.ScaleForQ(fixed.MaxAbs(w[o*l.in:(o+1)*l.in]), q.qmax)
-		fixed.QuantizeScaledQ(q.qw[o*l.in:(o+1)*l.in], w[o*l.in:(o+1)*l.in], q.wScales[o], q.qmax)
-	}
-	q.qx = make([]int16, l.in)
-	q.y32 = make([]int32, l.out)
+	q.wPacked = make([]int16, tensor.PackASizeInt16(l.out, l.in))
+	parallel.ForChunks(l.out, tensor.GEMMRowGrain, func(lo, hi int) {
+		for o := lo; o < hi; o++ {
+			row := w[o*l.in : (o+1)*l.in]
+			s := fixed.ScaleForQ(fixed.MaxAbs(row), q.qmax)
+			q.wScales[o] = s
+			for p, v := range row {
+				q.wPacked[tensor.PackAIndexInt16(l.in, o, p)] = fixed.QuantizeValueQ(v, s, q.qmax)
+			}
+		}
+	})
 	q.outBuf = tensor.New(l.out)
 	q.fnFwd = func(lo, hi int) {
-		y := q.y32[lo:hi]
-		clear(y)
-		tensor.MatVecAccInt32(y, q.qw[lo*q.in:hi*q.in], q.qx, hi-lo, q.in)
-		out := q.outBuf.Data[lo:hi]
-		for i, v := range y {
-			out[i] = float32(v)*q.inScale*q.wScales[lo+i] + q.bias[lo+i]
+		k := q.curK
+		tensor.MatMulPackedInt16(q.y32, q.wPacked, q.xPacked, q.out, q.in, k, lo, hi)
+		for o := lo; o < hi; o++ {
+			for i, v := range q.y32[o*k : (o+1)*k] {
+				q.curY[i*q.out+o] = float32(v)*q.inScale*q.wScales[o] + q.bias[o]
+			}
 		}
 	}
 	return q
@@ -237,9 +255,34 @@ func (q *quantFC) Forward(in *tensor.Tensor) *tensor.Tensor {
 	if in.Len() != q.in {
 		panic(fmt.Sprintf("nn: %s: input length %d, want %d", q.name, in.Len(), q.in))
 	}
-	fixed.QuantizeScaledQ(q.qx, in.Data, q.inScale, q.qmax)
-	parallel.ForChunks(q.out, tensor.GEMMRowGrain, q.fnFwd)
+	q.forward(in.Data, 1, q.outBuf.Data)
 	return q.outBuf
+}
+
+// ForwardBatch runs a group of input rows (shape [K, ...]) and returns
+// the K output rows, row i bit-identical to Forward of input row i.
+// The returned tensor is owned by the layer and overwritten by the
+// next ForwardBatch call.
+func (q *quantFC) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+	k := x.Shape[0]
+	if len(x.Data) != k*q.in {
+		panic(fmt.Sprintf("nn: %s: batch of %d rows has %d inputs, want %d per row", q.name, k, len(x.Data), q.in))
+	}
+	setRows(&q.batchOut, k, q.outBuf.Shape)
+	q.forward(x.Data, k, q.batchOut.Data)
+	return &q.batchOut
+}
+
+// forward quantizes the k input rows of x, packs them as the Xᵀ panel
+// and runs the packed int16 product into the k output rows of y.
+func (q *quantFC) forward(x []float32, k int, y []float32) {
+	q.qx = grow(q.qx, k*q.in)
+	fixed.QuantizeScaledQ(q.qx, x, q.inScale, q.qmax)
+	q.xPacked = grow(q.xPacked, tensor.PackBSizeInt16(q.in, k))
+	tensor.PackBTInt16(q.xPacked, q.qx, q.in, k)
+	q.y32 = grow(q.y32, q.out*k)
+	q.curK, q.curY = k, y
+	parallel.ForChunks(q.out, tensor.GEMMRowGrain, q.fnFwd)
 }
 
 // QuantizeNetwork builds the int16 inference twin of a trained

@@ -134,10 +134,12 @@ func TestQuantFCMatchesDequantReference(t *testing.T) {
 
 	qx := make([]int16, l.in)
 	fixed.QuantizeScaledQ(qx, in.Data, q.inScale, q.qmax)
+	qw := make([]int16, l.in)
 	for o := 0; o < l.out; o++ {
+		fixed.QuantizeScaledQ(qw, l.weight.W.Data[o*l.in:(o+1)*l.in], q.wScales[o], q.qmax)
 		acc := int64(0)
 		for i := 0; i < l.in; i++ {
-			acc += int64(q.qw[o*l.in+i]) * int64(qx[i])
+			acc += int64(qw[i]) * int64(qx[i])
 		}
 		want := float32(acc)*q.inScale*q.wScales[o] + l.bias.W.Data[o]
 		if math.Float32bits(got.Data[o]) != math.Float32bits(want) {

@@ -37,6 +37,9 @@ type Session struct {
 	sim *Simulator
 	gen uint64
 	now int64
+	// mark is the clock when the session began or Next last returned
+	// a group: the MaxCycles guard measures from it.
+	mark int64
 }
 
 // Begin resets the simulator and starts a session, invalidating any
@@ -107,17 +110,13 @@ func (ss *Session) Inject(msgs []Message, at, salt int64, sec *timeline.Section)
 	} else {
 		s.groups = append(s.groups, groupState{})
 	}
-	// Reuse the slot's packet arena and link scratch from an earlier
-	// session. Each live group owns its arena: the injection queues hold
-	// pointers into it, and queues of concurrent groups outlive any
-	// shared scratch.
+	// Reuse the slot's link scratch from an earlier session. Each live
+	// group owns its arena, a spare one when it fits: the injection
+	// queues hold pointers into it, and queues of concurrent groups
+	// outlive any shared scratch.
 	g := &s.groups[gi]
 	*g = groupState{sec: sec, base: at, salt: salt,
-		arena: g.arena, links: g.links, lost: g.lost[:0]}
-	if cap(g.arena) < need {
-		g.arena = make([]packet, need)
-	}
-	g.arena = g.arena[:need]
+		arena: s.takeArena(need), links: g.links, lost: g.lost[:0]}
 	if sec != nil {
 		if n := s.linkScratchSize(); len(g.links) != n {
 			g.links = make([]tlInterval, n)
@@ -154,8 +153,10 @@ func (ss *Session) Inject(msgs []Message, at, salt int64, sec *timeline.Section)
 // packet delivered or terminally lost) and returns its id and the
 // absolute cycle it resolved at. Groups that resolved while an earlier
 // Next was stepping are reported first, in resolution order. It is an
-// error to call Next with no unresolved groups outstanding, or for the
-// session clock to exceed the config's MaxCycles.
+// error to call Next with no unresolved groups outstanding, or for no
+// group to resolve within the config's MaxCycles cycles of the session
+// start or the previous Next — for a one-group session (RunBurst), a
+// clock past MaxCycles.
 func (ss *Session) Next() (group int, end int64, err error) {
 	if err := ss.stale(); err != nil {
 		return 0, 0, err
@@ -165,7 +166,7 @@ func (ss *Session) Next() (group int, end int64, err error) {
 		if s.live == 0 {
 			return 0, 0, fmt.Errorf("noc: session has no unresolved groups")
 		}
-		if ss.now > s.cfg.MaxCycles {
+		if ss.now-ss.mark > s.cfg.MaxCycles {
 			return 0, 0, fmt.Errorf("noc: session did not resolve a group within %d cycles", s.cfg.MaxCycles)
 		}
 		s.loopIters++
@@ -180,8 +181,8 @@ func (ss *Session) Next() (group int, end int64, err error) {
 		// firing exactly as the dense loop would.
 		if !s.noFastForward && len(s.resolved) == 0 {
 			if next, ok := s.fastForwardTarget(ss.now); ok {
-				if next > s.cfg.MaxCycles+1 {
-					next = s.cfg.MaxCycles + 1
+				if limit := ss.mark + s.cfg.MaxCycles + 1; next > limit {
+					next = limit
 				}
 				ss.now = next
 			}
@@ -191,6 +192,7 @@ func (ss *Session) Next() (group int, end int64, err error) {
 	// across sessions.
 	gi := s.resolved[0]
 	s.resolved = s.resolved[:copy(s.resolved, s.resolved[1:])]
+	ss.mark = ss.now
 	// A zero-traffic group's endCycle (its inject cycle) may lie ahead
 	// of the session clock; the clock stays put — those cycles still
 	// need simulating for the groups that do carry traffic.

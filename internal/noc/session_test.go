@@ -222,3 +222,73 @@ func TestSessionEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSessionMaxCyclesPerResolution pins the session guard's horizon:
+// MaxCycles bounds the wait for the next group resolution, not the
+// session clock, so a long session of timely groups runs past it while
+// a group that cannot resolve within MaxCycles of the previous one
+// still errors.
+func TestSessionMaxCyclesPerResolution(t *testing.T) {
+	cfg := cfg4x4()
+	cfg.MaxCycles = 1000
+	msg := []Message{{Src: 0, Dst: 5, Bytes: 256}}
+	ses := MustNew(cfg).Begin()
+	for i := int64(0); i < 4; i++ {
+		if _, err := ses.Inject(msg, ses.Now()+900, i, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, end, err := ses.Next(); err != nil {
+			t.Fatalf("group %d: %v", i, err)
+		} else if i == 3 && end <= cfg.MaxCycles {
+			t.Fatalf("session ended at cycle %d, want past MaxCycles %d", end, cfg.MaxCycles)
+		}
+	}
+	if _, err := ses.Inject(msg, ses.Now()+cfg.MaxCycles+1, 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ses.Next(); err == nil {
+		t.Fatal("group injected past the horizon resolved without a MaxCycles error")
+	}
+}
+
+// TestSessionRecyclesArenas pins the session's memory bound: a resolved
+// group's packet arena serves later groups, so groups that run one at
+// a time share one arena however many the session injects, and the
+// reuse leaves every result unchanged.
+func TestSessionRecyclesArenas(t *testing.T) {
+	cfg := cfg4x4()
+	sim := MustNew(cfg)
+	bursts := burstPatterns(cfg.Mesh.Nodes())
+	var want []Result
+	for _, msgs := range bursts {
+		res, _, err := runIsolated(MustNew(cfg), msgs, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	ses := sim.Begin()
+	for round := 0; round < 3; round++ {
+		for i, msgs := range bursts {
+			g, err := ses.Inject(msgs, ses.Now(), 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ses.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if got := ses.Result(g); got != want[i] {
+				t.Fatalf("round %d burst %d: %+v, alone %+v", round, i, got, want[i])
+			}
+		}
+	}
+	arenas := len(sim.spare)
+	for _, g := range sim.groups {
+		if g.arena != nil {
+			arenas++
+		}
+	}
+	if arenas != 1 {
+		t.Fatalf("session of %d sequential groups holds %d packet arenas, want 1", 3*len(bursts), arenas)
+	}
+}

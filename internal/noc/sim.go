@@ -146,7 +146,8 @@ type groupState struct {
 	salt int64 // fault salt of this group's packets
 	// arena backs the group's packets; the injection queues hold
 	// pointers into it, so it is sized once per Inject and never grows
-	// while the group is live.
+	// while the group is live. It comes from the simulator's spare
+	// arenas and returns there when the group resolves.
 	arena []packet
 	// links is the per-(plane, node, direction) open link busy-interval
 	// scratch of this group, with stamps relative to base; only read
@@ -182,10 +183,14 @@ type Simulator struct {
 	denseArbitration bool
 
 	// Session state. groups[i] is group i of the current session; the
-	// slots past len keep their packet arenas and link scratch across
-	// Begin, so repeated bursts stay off the heap. gen counts Begin
-	// calls and invalidates every earlier Session.
+	// slots past len keep their link scratch across Begin. spare holds
+	// the packet arenas of resolved groups for later Injects to reuse:
+	// a resolved group's packets are never read again, so a session
+	// holds only as many arenas as it has groups live at once, and
+	// repeated bursts stay off the heap. gen counts Begin calls and
+	// invalidates every earlier Session.
 	groups   []groupState
+	spare    [][]packet
 	gen      uint64
 	live     int     // groups injected and not yet resolved
 	resolved []int32 // groups resolved but not yet reported by Next
@@ -320,6 +325,9 @@ func (s *Simulator) reset() {
 	s.loopIters = 0
 	s.uidNext = 0
 	s.live = 0
+	for i := range s.groups {
+		s.releaseArena(&s.groups[i]) // groups an abandoned session left live
+	}
 	s.groups = s.groups[:0]
 	s.resolved = s.resolved[:0]
 	if s.planes == nil {
@@ -533,10 +541,38 @@ func (s *Simulator) resolveGroup(gi int32, end int64) {
 	g.res.Cycles = end - g.base
 	s.flushGroupTimeline(g)
 	s.flushGroupObs(g)
+	s.releaseArena(g)
 	s.resolved = append(s.resolved, gi)
 	if g.res.Packets > 0 {
 		s.live--
 	}
+}
+
+// takeArena returns storage for need packets: the smallest spare
+// arena that fits, else a new one.
+func (s *Simulator) takeArena(need int) []packet {
+	best := -1
+	for i, a := range s.spare {
+		if cap(a) >= need && (best < 0 || cap(a) < cap(s.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]packet, need)
+	}
+	a := s.spare[best]
+	last := len(s.spare) - 1
+	s.spare[best], s.spare[last] = s.spare[last], nil
+	s.spare = s.spare[:last]
+	return a[:need]
+}
+
+// releaseArena returns g's packet arena to the spares.
+func (s *Simulator) releaseArena(g *groupState) {
+	if cap(g.arena) > 0 {
+		s.spare = append(s.spare, g.arena)
+	}
+	g.arena = nil
 }
 
 // packetResolved retires one packet of group gi at cycle now; the

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"learn2scale/internal/obs"
+	"learn2scale/internal/parallel"
 )
 
 // The serving benchmarks measure end-to-end capacity through the full
@@ -104,6 +106,31 @@ func BenchmarkServeBatch1(b *testing.B) {
 
 func BenchmarkServeBatched(b *testing.B) {
 	benchLoad(b, Config{QueueCap: 64, Window: 2 * time.Millisecond, MaxBatch: 8, Depth: 4}, 8)
+}
+
+// BenchmarkInferBatch measures one batched forward pass of a served
+// group on the ssmask model at each precision: K = 1 is a lone
+// request (Model.Infer), K = 8 a full batch of the batched serving
+// benchmark. With the logits buffer reused, steady state allocates
+// nothing — CI's bench-smoke job fails if it ever reports otherwise.
+func BenchmarkInferBatch(b *testing.B) {
+	b.Setenv(parallel.EnvWorkers, "1")
+	for _, m := range testModels(b) {
+		if m.Key.Scheme != fixtureSchemes[3] {
+			continue
+		}
+		for _, k := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/K=%d", m.Key.Precision, k), func(b *testing.B) {
+				ins := m.Samples[:k]
+				dst := m.InferBatch(ins, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst = m.InferBatch(ins, dst[:0])
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkServeTraceRecord measures the ENABLED tracer end to end —

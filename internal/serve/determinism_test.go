@@ -11,14 +11,14 @@ import (
 // TestBatchedMatchesSequential is the serving layer's bit-identity
 // contract: a batch of K requests answers logits byte-identical to K
 // sequential single-request inferences, for every scheme at float32
-// and int16, at host worker counts 1, 2 and 7. The batched path runs
-// one pipelined simulation pass with K in-flight slots; the sequential
-// path runs K separate passes — the logits must not care.
+// and int16, at group sizes K ∈ {2, 3, 5, 8} (ragged and full GEMM
+// quads) and host worker counts 1, 2 and 7. The batched path runs one
+// pipelined simulation pass with K in-flight slots and one batched
+// forward pass; the sequential path runs K separate forwards — the
+// logits must not care.
 func TestBatchedMatchesSequential(t *testing.T) {
 	models := testModels(t)
-	const K = 4
-	samples := []int{0, 1, 2, 3}
-
+	const maxK = 8
 	for _, w := range []string{"1", "2", "7"} {
 		t.Run("workers="+w, func(t *testing.T) {
 			t.Setenv(parallel.EnvWorkers, w)
@@ -27,7 +27,7 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			sequential := make(map[ModelKey][][]uint32)
 			for _, m := range models {
 				var ref [][]uint32
-				for _, si := range samples {
+				for si := 0; si < maxK; si++ {
 					ref = append(ref, logitBits(m.Infer(m.Samples[si], nil)))
 				}
 				sequential[m.Key] = ref
@@ -36,28 +36,34 @@ func TestBatchedMatchesSequential(t *testing.T) {
 			// Batched: every step one K-request batch through the server.
 			s := testServer(t, Config{Depth: 4})
 			defer s.Close()
-			for _, m := range models {
-				out, err := s.RunScript(context.Background(), []ScriptStep{{
-					Model:     ModelName(m.Key.Scheme),
-					Precision: m.Key.Precision.String(),
-					Samples:   samples,
-				}})
-				if err != nil {
-					t.Fatalf("%s: %v", m.Key, err)
+			for _, K := range []int{2, 3, 5, 8} {
+				samples := make([]int, K)
+				for k := range samples {
+					samples[k] = (k + K) % maxK
 				}
-				for k, resp := range out[0] {
-					if resp.BatchSize != K {
-						t.Fatalf("%s sample %d: batch %d, want %d", m.Key, k, resp.BatchSize, K)
+				for _, m := range models {
+					out, err := s.RunScript(context.Background(), []ScriptStep{{
+						Model:     ModelName(m.Key.Scheme),
+						Precision: m.Key.Precision.String(),
+						Samples:   samples,
+					}})
+					if err != nil {
+						t.Fatalf("%s: %v", m.Key, err)
 					}
-					got := logitBits(resp.Logits)
-					want := sequential[m.Key][k]
-					if len(got) != len(want) {
-						t.Fatalf("%s sample %d: %d logits, want %d", m.Key, k, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s sample %d logit %d: batched %08x, sequential %08x",
-								m.Key, k, i, got[i], want[i])
+					for k, resp := range out[0] {
+						if resp.BatchSize != K {
+							t.Fatalf("%s sample %d: batch %d, want %d", m.Key, k, resp.BatchSize, K)
+						}
+						got := logitBits(resp.Logits)
+						want := sequential[m.Key][samples[k]]
+						if len(got) != len(want) {
+							t.Fatalf("%s K=%d sample %d: %d logits, want %d", m.Key, K, samples[k], len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s K=%d sample %d logit %d: batched %08x, sequential %08x",
+									m.Key, K, samples[k], i, got[i], want[i])
+							}
 						}
 					}
 				}

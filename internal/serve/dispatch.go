@@ -233,7 +233,7 @@ func (s *Server) collect(first *pending) []*pending {
 // in deterministic key order, each group runs as ONE pipelined
 // simulation pass (cmp.RunPipeline at the configured depth, one
 // in-flight batch slot per request), and each request's logits come
-// from its own forward pass on the model's datapath.
+// from the group's one batched forward pass on the model's datapath.
 func (s *Server) execute(batch []*pending) {
 	// Expired requests are answered immediately and occupy no slot.
 	// A fresh slice, not batch[:0]: script mode hands us a slice the
@@ -280,12 +280,14 @@ func (s *Server) execute(batch []*pending) {
 }
 
 // executeGroup runs one model's slice of the batch: a single pipeline
-// pass with len(group) in-flight batch slots, then per-request logits.
+// pass with len(group) in-flight batch slots, then one batched forward
+// pass for the logits of every request (Model.InferBatch).
 //
 // When tracing is active (a serve-trace sink is configured, or any
 // group member asked via ?trace=1) the group's lifecycle stamps are
-// taken here: sim-pass start/end around RunPipeline and per-request
-// logits-ready / answered stamps in the respond loop. Phases are
+// taken here: sim-pass start/end around RunPipeline, the group's one
+// logits-ready stamp after the batched forward, and per-request
+// answered stamps in the respond loop. Phases are
 // consecutive monotonic-stamp differences, so the decomposition
 // telescopes exactly — queue+batch+sim+dequant+respond == total as an
 // int64 identity. All of it is pure observation: batch IDs, the
@@ -365,21 +367,32 @@ func (s *Server) executeGroup(m *Model, group []*pending) {
 			SimNS:     simEnd.Sub(simStart).Nanoseconds(),
 		})
 	}
+	// One batched forward pass answers the whole group; every member's
+	// logits are ready at the same inferDone stamp.
+	var logits []float32
+	var inferDone time.Time
+	if simErr == nil {
+		ins := make([]*tensor.Tensor, len(group))
+		for i, p := range group {
+			ins[i] = p.in
+		}
+		logits = m.InferBatch(ins, nil)
+		if trace {
+			inferDone = time.Now()
+		}
+	}
+	classes := len(logits) / len(group)
 	for i, p := range group {
 		s.countResponded(time.Since(p.admitted))
 		if simErr != nil {
 			p.resp <- result{err: fmt.Errorf("serve: simulate %s: %w", m.Key, simErr)}
 			continue
 		}
-		logits := m.Infer(p.in, nil)
-		var inferDone time.Time
+		logits := logits[i*classes : (i+1)*classes : (i+1)*classes]
 		// A request has stamps only if the sink is on or it asked
 		// itself; a lone ?trace=1 member must not fabricate phases for
 		// its unstamped batchmates.
 		stamped := s.traceOn || p.traced
-		if stamped {
-			inferDone = time.Now()
-		}
 		class, best := 0, logits[0]
 		for c := 1; c < len(logits); c++ {
 			if logits[c] > best {

@@ -115,16 +115,37 @@ type Model struct {
 	sys   *cmp.System
 
 	// mu serializes forward passes: both the float and the quantized
-	// network own their scratch buffers, so one inference runs at a
-	// time per model (host workers parallelize inside the kernels).
+	// network own their scratch buffers, so one (batched) inference
+	// runs at a time per model (host workers parallelize inside the
+	// kernels).
 	mu sync.Mutex
 }
 
 // InputLen returns the flattened input length a request must supply.
 func (m *Model) InputLen() int { return m.inLen }
 
-// Infer runs one forward pass on the model's datapath and appends the
-// logits to dst (copied out of the network's reused scratch).
+// InferBatch runs one batched forward pass over ins on the model's
+// datapath and appends the logits of every input, row after row, to
+// dst (copied out of the network's reused scratch). Row i is
+// bit-identical to Infer(ins[i]): fully-connected layers run the group
+// as one GEMM, every other layer per sample (nn.Network.ForwardBatch,
+// nn.QuantNetwork.ForwardBatch).
+func (m *Model) InferBatch(ins []*tensor.Tensor, dst []float32) []float32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var logits *tensor.Tensor
+	if m.Key.Precision == fixed.Int16 {
+		logits = m.TM.QNet.ForwardBatch(ins)
+	} else {
+		logits = m.TM.Net.ForwardBatch(ins)
+	}
+	return append(dst, logits.Data...)
+}
+
+// Infer runs one single-input forward pass on the model's datapath
+// and appends the logits to dst (copied out of the network's reused
+// scratch). It does not go through the batched pass, so it is the
+// independent reference InferBatch's rows are checked against.
 func (m *Model) Infer(in *tensor.Tensor, dst []float32) []float32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

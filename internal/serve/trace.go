@@ -42,7 +42,7 @@ const (
 	PhaseQueue   Phase = iota // admission → pulled off the queue by the dispatcher
 	PhaseBatch                // dequeue → batch formed and grouped, sim pass starts
 	PhaseSim                  // the group's pipelined simulation pass
-	PhaseDequant              // sim end → this request's logits ready (its turn in the group's serialized forward/dequant passes)
+	PhaseDequant              // sim end → logits ready: the group's one batched forward/dequant pass, shared by every member
 	PhaseRespond              // logits → answer posted to the waiter
 	NumPhases
 )

@@ -95,6 +95,16 @@ func TestServeTraceTelescoping(t *testing.T) {
 			t.Fatalf("req %d: phases sum %dns != total %dns", id, got, rt.TotalNS)
 		}
 	}
+	// The dequant phase is the group's one batched forward pass: every
+	// member's logits-ready stamp is the same instant.
+	inferDone := map[int64]int64{}
+	for id, rt := range echoes {
+		done := rt.AdmitNS + rt.QueueNS + rt.BatchNS + rt.SimNS + rt.DequantNS
+		if prev, ok := inferDone[rt.Batch]; ok && prev != done {
+			t.Fatalf("req %d: logits ready at %dns, batchmate at %dns (batch %d)", id, done, prev, rt.Batch)
+		}
+		inferDone[rt.Batch] = done
+	}
 
 	// The JSONL round-trips through the validating reader (which
 	// re-asserts telescoping and batch correlation on every line).

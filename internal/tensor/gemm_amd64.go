@@ -5,6 +5,11 @@ package tensor
 //go:noescape
 func gemmQuadPanelAVX(c *float32, n int, ap, bp *float32, k int)
 
+// gemmRowsABTAVX is implemented in gemm_amd64.s.
+//
+//go:noescape
+func gemmRowsABTAVX(c *float32, ldc int, a *float32, lda int, bp *float32, k int)
+
 // cpuHasAVX is implemented in gemm_amd64.s.
 func cpuHasAVX() bool
 

@@ -102,6 +102,36 @@ func PackBRangeInt16(dst, b []int16, k, n, loPanel, hiPanel int) {
 	}
 }
 
+// PackBTInt16 packs a transposed int16 B operand: bt is the n×k
+// row-major matrix whose transpose is the logical k×n B. Same
+// destination layout as PackBInt16. The quantized FC layer packs its
+// K quantized input rows this way, as the B operand of its product
+// with the packed weight quads.
+func PackBTInt16(dst, bt []int16, k, n int) {
+	step := gemmPanelW * gemmPairW // int16s per pair step: 16
+	size := PackBSizeInt16(k, n)
+	if len(dst) < size || len(bt) != n*k {
+		panic("tensor: PackBTInt16 size mismatch")
+	}
+	kp2 := PackPairs(k)
+	clear(dst[:size]) // odd-k and ragged-panel padding
+	for j := 0; j < n; j++ {
+		panel := dst[(j/gemmPanelW)*kp2*step:]
+		c := (j % gemmPanelW) * gemmPairW
+		for p, v := range bt[j*k : (j+1)*k] {
+			panel[(p/gemmPairW)*step+c+p%gemmPairW] = v
+		}
+	}
+}
+
+// PackAIndexInt16 returns where a PackAInt16 packing of a k-column A
+// stores element (i, p), so a producer can write A straight into its
+// packed form; a zeroed buffer already holds the padding.
+func PackAIndexInt16(k, i, p int) int {
+	step := gemmQuadH * gemmPairW // int16s per pair step: 8
+	return (i/gemmQuadH)*PackPairs(k)*step + (p/gemmPairW)*step + (i%gemmQuadH)*gemmPairW + p%gemmPairW
+}
+
 // PackAInt16 repacks row-major int16 A (m×k) into pair-interleaved
 // quad-major form (see the package comment for the layout). Ragged
 // quads and odd k are zero-padded; integer zero products are inert.
@@ -312,38 +342,4 @@ func MatMulInt16(c []int32, a, b []int16, m, k, n int) {
 	PackBInt16(pp.b, b, k, n)
 	MatMulPackedInt16(c, pp.a, pp.b, m, k, n, 0, m)
 	packScratchInt16.Put(pp)
-}
-
-// MatVecAccInt32 accumulates y[o] += A[o,:]·x for row-major int16 A
-// (m×k) into the caller-seeded int32 y — the quantized FC kernel,
-// mirroring MatVecAcc's four-row structure. Integer accumulation is
-// exact, so the unroll is bit-identical to the naive per-row dot.
-func MatVecAccInt32(y []int32, a, x []int16, m, k int) {
-	if len(a) != m*k || len(y) < m || len(x) != k {
-		panic("tensor: MatVecAccInt32 dimension mismatch")
-	}
-	o := 0
-	for ; o+4 <= m; o += 4 {
-		r0 := a[(o+0)*k : (o+1)*k]
-		r1 := a[(o+1)*k : (o+2)*k]
-		r2 := a[(o+2)*k : (o+3)*k]
-		r3 := a[(o+3)*k : (o+4)*k]
-		s0, s1, s2, s3 := y[o], y[o+1], y[o+2], y[o+3]
-		for i, xv := range x {
-			v := int32(xv)
-			s0 += int32(r0[i]) * v
-			s1 += int32(r1[i]) * v
-			s2 += int32(r2[i]) * v
-			s3 += int32(r3[i]) * v
-		}
-		y[o], y[o+1], y[o+2], y[o+3] = s0, s1, s2, s3
-	}
-	for ; o < m; o++ {
-		row := a[o*k : (o+1)*k]
-		s := y[o]
-		for i, xv := range x {
-			s += int32(row[i]) * int32(xv)
-		}
-		y[o] = s
-	}
 }

@@ -4,14 +4,16 @@
 // inference (whose inf/Mcycle metric carries the pipelined-vs-replay
 // throughput comparison), the float32-vs-int16 quantized inference
 // pair, the serving-layer load benchmarks (whose qps metric carries
-// the batched-vs-batch-1 capacity comparison), and the request-tracing
+// the batched-vs-batch-1 capacity comparison), the request-tracing
 // overhead pair (whose Base/Nil ns/op carry the disabled-tracer
-// ≤2%+1ns bound) — through `go test -bench` and writes the parsed
+// ≤2%+1ns bound), and the batched serving forward pass (K = 1 and 8
+// at each precision) — through `go test -bench` and writes the parsed
 // results as one machine-readable JSON file (BENCH_PR10.json by
 // default). CI's bench-smoke job uploads the file as an artifact,
 // asserts the int16 GEMM speedup on the AlexNet-shaped matmuls and the
 // dynamic-batching QPS win, and uses -require-zero-allocs to fail the
-// build if the steady-state training step ever allocates again.
+// build if the steady-state training step, the disabled tracer, the
+// NoC burst loop or the batched forward ever allocates.
 //
 // Usage:
 //
@@ -67,7 +69,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
 
-	benchRe := flag.String("bench", "GEMM|TrainStepSteadyState|TrainEpoch|AllToAllBurst16|SparseBurst16|RunPipeline|TapOverhead|QuantizedInference|ServeBatch|ServeOpenLoop|ServeTrace",
+	benchRe := flag.String("bench", "GEMM|TrainStepSteadyState|TrainEpoch|AllToAllBurst16|SparseBurst16|RunPipeline|TapOverhead|QuantizedInference|ServeBatch|ServeOpenLoop|ServeTrace|InferBatch",
 		"benchmark selection regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "0.3s", "go test -benchtime value")
 	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
