@@ -51,15 +51,6 @@ type Config struct {
 	// single-pass latency contains no weight refetch.
 	StreamWeights bool
 
-	// Workers bounds the host worker threads that simulate a
-	// single-stage run's NoC bursts (see internal/parallel). <= 0 uses
-	// parallel.Workers(). These are host threads, not simulated cores:
-	// the report is bit-identical at every value because the bursts of
-	// a single-stage run never overlap, so each runs on its own pooled
-	// simulator and writes only its own layer result. Multi-stage runs
-	// share one NoC session and simulate serially.
-	Workers int
-
 	// Obs, when non-nil, receives per-layer cycle/traffic gauges and
 	// whole-run counters from every run, and is propagated to the NoC
 	// simulators (packet-latency histogram, occupancy high-water). All
@@ -72,7 +63,7 @@ type Config struct {
 	// plus per-core compute spans. Sections are registered serially,
 	// batch-major in layer order, before any burst is simulated, and
 	// each is filled by the one simulator running its burst, so the
-	// timeline is byte-identical at every Workers value. The NoC
+	// timeline is byte-identical at every host worker count. The NoC
 	// config's own Timeline stays nil; burst simulators receive their
 	// section explicitly.
 	Timeline *timeline.Sink
@@ -117,8 +108,8 @@ type System struct {
 	// pooled simulator is indistinguishable from a fresh one, and reuse
 	// keeps the mesh's router/buffer arrays off the allocator. Each host
 	// worker holds one only for the duration of a burst, and a
-	// multi-stage run one for its whole session, so at most Workers
-	// live at once per call.
+	// multi-stage run one for its whole session, so at most one per
+	// host worker lives at once per call.
 	simPool sync.Pool // holds *noc.Simulator
 
 	// sessionOnly routes single-stage runs through the NoC session like

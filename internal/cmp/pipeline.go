@@ -152,10 +152,10 @@ type pipelineRun struct {
 // model, and RunPlan) injects each group only after the previous one
 // resolved, so no two groups overlap and each is bit-identical to an
 // independent burst with the same salt (the noc.Session contract);
-// those groups are simulated up front, concurrently on Config.Workers
-// host threads, and the scheduler delivers each at its inject cycle
-// plus its drain. Reports, obs metrics and timelines are byte-identical
-// at any Config.Workers value.
+// those groups are simulated up front, concurrently on the host
+// workers of internal/parallel, and the scheduler delivers each at its
+// inject cycle plus its drain. Reports, obs metrics and timelines are
+// byte-identical at any host worker count.
 func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineReport, error) {
 	if p.Cores != s.cfg.Cores {
 		return PipelineReport{}, fmt.Errorf("cmp: plan for %d cores on a %d-core system", p.Cores, s.cfg.Cores)
@@ -166,8 +166,8 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 	if opt.Depth < 1 && opt.Cuts == nil {
 		opt.Depth = 1
 	}
-	if opt.Place != nil && !opt.Place.Valid() {
-		return PipelineReport{}, fmt.Errorf("cmp: invalid placement %v", opt.Place)
+	if opt.Place != nil && (len(opt.Place) != p.Cores || !opt.Place.Valid()) {
+		return PipelineReport{}, fmt.Errorf("cmp: invalid placement %v for %d cores", opt.Place, p.Cores)
 	}
 	var pp *partition.PipelinePlan
 	var err error
@@ -310,7 +310,7 @@ func (r *pipelineRun) resolveGroups() error {
 		}
 		r.injected[i] = true
 		r.settle(&r.layers[b][k], ses.Result(g), ses.Lost(g))
-	}, parallel.WithWorkers(s.cfg.Workers))
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

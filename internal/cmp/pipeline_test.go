@@ -369,4 +369,14 @@ func TestRunPipelineRejects(t *testing.T) {
 	if _, err := sys.RunPipeline(plan, PipelineOptions{Place: partition.Placement{0, 0}}); err == nil {
 		t.Error("invalid placement accepted")
 	}
+	// Placements must cover exactly the plan's cores: a short one would
+	// index past its end, a long one would leave mesh nodes unmapped.
+	for _, place := range []partition.Placement{{1, 0, 2, 3}, partition.IdentityPlacement(32)} {
+		if _, err := sys.RunPlanPlaced(plan, place); err == nil {
+			t.Errorf("%d-entry placement accepted by RunPlanPlaced on 16 cores", len(place))
+		}
+		if _, err := sys.RunPipeline(plan, PipelineOptions{Depth: 2, Place: place}); err == nil {
+			t.Errorf("%d-entry placement accepted by a depth-2 RunPipeline on 16 cores", len(place))
+		}
+	}
 }

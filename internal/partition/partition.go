@@ -107,7 +107,10 @@ func (m BlockMask) NonzeroFrac() float64 {
 	return float64(c) / float64(len(m)*len(m[0]))
 }
 
-// LayerPartition is one synaptic layer mapped onto the cores.
+// LayerPartition is one synaptic layer mapped onto a block of cores:
+// all of a Plan's cores, or one pipeline stage's (StageLayer). Its
+// methods hold the per-layer rules — mask test, fan-in, per-core work
+// and traffic bytes — for both.
 type LayerPartition struct {
 	Shape netzoo.LayerShape
 	// OutRanges[c]: output channels (conv) or neurons (FC) of core c.
@@ -121,6 +124,67 @@ type LayerPartition struct {
 	InUnitValues int
 	// Mask is the layer's block-sparsity pattern; nil means dense.
 	Mask BlockMask
+}
+
+// blockActive reports whether producer core a's inputs feed core b.
+func (lp *LayerPartition) blockActive(a, b int) bool {
+	return lp.Mask == nil || lp.Mask[a][b]
+}
+
+// EffectiveFanIn returns the fan-in (input values per output neuron)
+// of core c, honoring the block mask: inputs from cores whose block is
+// zero are never fetched or multiplied.
+func (lp *LayerPartition) EffectiveFanIn(c int) int {
+	if lp.InRanges == nil {
+		// First layer: full (possibly group-reduced) kernel volume.
+		return lp.Shape.KernelVolume()
+	}
+	units := 0
+	for a, r := range lp.InRanges {
+		if lp.blockActive(a, c) {
+			units += r.Len()
+		}
+	}
+	if lp.Shape.Spec.Kind == netzoo.Conv {
+		return units * lp.Shape.Spec.K * lp.Shape.Spec.K
+	}
+	return units
+}
+
+// CoreWork returns the nna workload of core c for the layer.
+func (lp *LayerPartition) CoreWork(c, bytesPerValue int) nna.LayerWork {
+	outC := lp.OutRanges[c].Len()
+	if outC == 0 {
+		return nna.LayerWork{}
+	}
+	fanIn := lp.EffectiveFanIn(c)
+	if fanIn == 0 {
+		return nna.LayerWork{}
+	}
+	if lp.Shape.Spec.Kind == netzoo.Conv {
+		return nna.ConvWork(outC, lp.Shape.OutH, lp.Shape.OutW, fanIn,
+			lp.Shape.InC, lp.Shape.InH, lp.Shape.InW, bytesPerValue)
+	}
+	return nna.FCWork(fanIn, outC, bytesPerValue)
+}
+
+// addTraffic adds the transition into the layer to t: producer core a
+// (matrix index prodBase+a) sends its whole input slice to every core b
+// (index consBase+b) that owns outputs and whose block from a is
+// active. A layer with nil InRanges adds nothing (broadcast input).
+func (lp *LayerPartition) addTraffic(t TrafficMatrix, prodBase, consBase, bytesPerValue int) {
+	for a, in := range lp.InRanges {
+		srcBytes := int64(in.Len()) * int64(lp.InUnitValues) * int64(bytesPerValue)
+		if srcBytes == 0 {
+			continue
+		}
+		for b, out := range lp.OutRanges {
+			src, dst := prodBase+a, consBase+b
+			if src != dst && out.Len() > 0 && lp.blockActive(a, b) {
+				t[src][dst] += srcBytes
+			}
+		}
+	}
 }
 
 // Plan is a whole network mapped onto n cores.
@@ -142,30 +206,10 @@ func NewPlan(spec netzoo.NetSpec, cores int) *Plan {
 	p := &Plan{Spec: spec, Cores: cores, BytesPerValue: 2}
 	syn := spec.SynapticShapes()
 	for k, ls := range syn {
-		lp := LayerPartition{Shape: ls}
-		lp.OutRanges = Split(ls.OutC, cores)
+		lp := LayerPartition{Shape: ls, OutRanges: Split(ls.OutC, cores)}
 		if k > 0 {
 			prev := p.Layers[k-1]
-			switch ls.Spec.Kind {
-			case netzoo.Conv:
-				// Input channels are the previous layer's output
-				// channels (pooling preserves channel ownership).
-				lp.InRanges = prev.OutRanges
-				lp.InUnitValues = ls.InH * ls.InW
-			case netzoo.FC:
-				lp.InUnitValues = 1
-				if prev.Shape.Spec.Kind == netzoo.FC {
-					lp.InRanges = prev.OutRanges
-				} else {
-					// Flatten: channel range [lo,hi) covers flat
-					// neurons [lo·HW, hi·HW) of this layer's input.
-					hw := ls.InC / prev.Shape.OutC
-					lp.InRanges = make([]Range, cores)
-					for c, r := range prev.OutRanges {
-						lp.InRanges[c] = Range{Lo: r.Lo * hw, Hi: r.Hi * hw}
-					}
-				}
-			}
+			lp.InRanges, lp.InUnitValues = inputRanges(ls, prev.Shape, prev.OutRanges)
 		}
 		if g := ls.Spec.Groups; g > 1 && k > 0 {
 			lp.Mask = groupMask(ls, lp, g, cores)
@@ -173,6 +217,31 @@ func NewPlan(spec netzoo.NetSpec, cores int) *Plan {
 		p.Layers = append(p.Layers, lp)
 	}
 	return p
+}
+
+// inputRanges derives the input-unit ranges of layer ls's producers
+// from the producing layer's shape and output ranges: a conv layer's
+// input channels are the producer's output channels (pooling preserves
+// channel ownership), and an FC layer after a conv layer flattens each
+// channel range into its neuron range.
+func inputRanges(ls, prev netzoo.LayerShape, prodOut []Range) (in []Range, unitVals int) {
+	switch ls.Spec.Kind {
+	case netzoo.Conv:
+		return prodOut, ls.InH * ls.InW
+	case netzoo.FC:
+		if prev.Spec.Kind == netzoo.FC {
+			return prodOut, 1
+		}
+		// Flatten: channel range [lo,hi) covers flat neurons
+		// [lo·HW, hi·HW) of this layer's input.
+		hw := ls.InC / prev.OutC
+		in = make([]Range, len(prodOut))
+		for c, r := range prodOut {
+			in[c] = Range{Lo: r.Lo * hw, Hi: r.Hi * hw}
+		}
+		return in, 1
+	}
+	return nil, 0
 }
 
 // groupMask derives the block mask of a grouped conv layer: block
@@ -205,15 +274,6 @@ func (p *Plan) SetMask(k int, m BlockMask) {
 		panic(fmt.Sprintf("partition: mask is %d×?, plan has %d cores", len(m), p.Cores))
 	}
 	p.Layers[k].Mask = m
-}
-
-// blockActive reports whether block (i, j) of layer k carries weights.
-func (p *Plan) blockActive(k, i, j int) bool {
-	m := p.Layers[k].Mask
-	if m == nil {
-		return true
-	}
-	return m[i][j]
 }
 
 // TrafficMatrix holds bytes sent from core i to core j at one layer
@@ -272,24 +332,7 @@ func (t TrafficMatrix) WeightedHops(dist [][]int) int64 {
 // partition of layer k. Layer 0 never has traffic (broadcast input).
 func (p *Plan) LayerTraffic(k int) TrafficMatrix {
 	t := NewTrafficMatrix(p.Cores)
-	lp := p.Layers[k]
-	if k == 0 || lp.InRanges == nil {
-		return t
-	}
-	for i := 0; i < p.Cores; i++ {
-		srcBytes := int64(lp.InRanges[i].Len()) * int64(lp.InUnitValues) * int64(p.BytesPerValue)
-		if srcBytes == 0 {
-			continue
-		}
-		for j := 0; j < p.Cores; j++ {
-			if i == j || lp.OutRanges[j].Len() == 0 {
-				continue
-			}
-			if p.blockActive(k, i, j) {
-				t[i][j] = srcBytes
-			}
-		}
-	}
+	p.Layers[k].addTraffic(t, 0, 0, p.BytesPerValue)
 	return t
 }
 
@@ -300,52 +343,4 @@ func (p *Plan) TotalTraffic() int64 {
 		s += p.LayerTraffic(k).Total()
 	}
 	return s
-}
-
-// EffectiveFanIn returns the fan-in (input values per output neuron)
-// of core c at layer k, honoring the block mask: inputs from cores
-// whose block is zero are never fetched or multiplied.
-func (p *Plan) EffectiveFanIn(k, c int) int {
-	lp := p.Layers[k]
-	if lp.InRanges == nil {
-		// First layer: full (possibly group-reduced) kernel volume.
-		return lp.Shape.KernelVolume()
-	}
-	units := 0
-	for i := 0; i < p.Cores; i++ {
-		if p.blockActive(k, i, c) {
-			units += lp.InRanges[i].Len()
-		}
-	}
-	if lp.Shape.Spec.Kind == netzoo.Conv {
-		return units * lp.Shape.Spec.K * lp.Shape.Spec.K
-	}
-	return units
-}
-
-// CoreWork returns the nna workload of core c for synaptic layer k.
-func (p *Plan) CoreWork(k, c int) nna.LayerWork {
-	lp := p.Layers[k]
-	outC := lp.OutRanges[c].Len()
-	if outC == 0 {
-		return nna.LayerWork{}
-	}
-	fanIn := p.EffectiveFanIn(k, c)
-	if fanIn == 0 {
-		return nna.LayerWork{}
-	}
-	if lp.Shape.Spec.Kind == netzoo.Conv {
-		return nna.ConvWork(outC, lp.Shape.OutH, lp.Shape.OutW, fanIn,
-			lp.Shape.InC, lp.Shape.InH, lp.Shape.InW, p.BytesPerValue)
-	}
-	return nna.FCWork(fanIn, outC, p.BytesPerValue)
-}
-
-// LayerWorks returns the per-core workloads of synaptic layer k.
-func (p *Plan) LayerWorks(k int) []nna.LayerWork {
-	ws := make([]nna.LayerWork, p.Cores)
-	for c := range ws {
-		ws[c] = p.CoreWork(k, c)
-	}
-	return ws
 }

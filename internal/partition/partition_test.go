@@ -157,11 +157,11 @@ func TestGroupedConvFewerGroupsThanCores(t *testing.T) {
 func TestEffectiveFanInDenseVsMasked(t *testing.T) {
 	p := NewPlan(netzoo.MLP(), 16)
 	// Dense layer 1: fan-in 512 for every core.
-	if got := p.EffectiveFanIn(1, 3); got != 512 {
+	if got := p.Layers[1].EffectiveFanIn(3); got != 512 {
 		t.Errorf("dense fan-in = %d", got)
 	}
 	p.SetMask(1, DiagonalMask(16))
-	if got := p.EffectiveFanIn(1, 3); got != 32 {
+	if got := p.Layers[1].EffectiveFanIn(3); got != 32 {
 		t.Errorf("diagonal fan-in = %d, want 32", got)
 	}
 }
@@ -174,7 +174,7 @@ func TestCoreWorkSumsToFullLayer(t *testing.T) {
 		for k, ls := range syn {
 			var sum int64
 			for c := 0; c < 16; c++ {
-				sum += p.CoreWork(k, c).MACs
+				sum += p.Layers[k].CoreWork(c, p.BytesPerValue).MACs
 			}
 			if sum != ls.MACs() {
 				t.Errorf("%s layer %d: core MACs %d != layer MACs %d", spec.Name, k, sum, ls.MACs())
@@ -185,9 +185,9 @@ func TestCoreWorkSumsToFullLayer(t *testing.T) {
 
 func TestMaskedWorkIsSmaller(t *testing.T) {
 	p := NewPlan(netzoo.LeNet(), 16)
-	dense := p.CoreWork(1, 0).MACs
+	dense := p.Layers[1].CoreWork(0, p.BytesPerValue).MACs
 	p.SetMask(1, DiagonalMask(16))
-	masked := p.CoreWork(1, 0).MACs
+	masked := p.Layers[1].CoreWork(0, p.BytesPerValue).MACs
 	if masked >= dense {
 		t.Errorf("masked MACs %d !< dense %d", masked, dense)
 	}

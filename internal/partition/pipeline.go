@@ -7,30 +7,17 @@
 // the layer-synchronous barrier model.
 package partition
 
-import (
-	"fmt"
-
-	"learn2scale/internal/netzoo"
-	"learn2scale/internal/nna"
-)
+import "fmt"
 
 // StageLayer is one synaptic layer re-partitioned over its stage's
-// cores. Producer-side fields (InRanges, Mask rows) are indexed by the
-// producing stage's local cores — the same stage for an intra-stage
-// transition, the previous stage for the stage's first layer.
+// cores. The embedded LayerPartition's producer-side fields (InRanges,
+// Mask rows) are indexed by the producing stage's local cores — the
+// same stage for an intra-stage transition, the previous stage for the
+// stage's first layer — and its Mask is projected from the base plan's
+// (see projectMask).
 type StageLayer struct {
-	K     int // synaptic layer index in the base plan
-	Shape netzoo.LayerShape
-	// OutRanges[c]: output channels/neurons of the stage's local core c.
-	OutRanges []Range
-	// InRanges[a]: this layer's input units produced by the producer's
-	// local core a. Nil for the network's first synaptic layer
-	// (broadcast input).
-	InRanges     []Range
-	InUnitValues int
-	// Mask[a][b]: producer core a feeds local core b. Projected from the
-	// base plan's mask (see projectMask); nil = dense.
-	Mask BlockMask
+	K int // synaptic layer index in the base plan
+	LayerPartition
 	// CrossStage marks the stage's first layer when its producers live
 	// on the previous stage's cores.
 	CrossStage bool
@@ -118,9 +105,9 @@ func NewPipelinePlanCustom(p *Plan, cuts, coresPerStage []int) (*PipelinePlan, e
 	for s := range pp.Stages {
 		st := &pp.Stages[s]
 		for k := st.First; k <= st.Last; k++ {
-			lp := p.Layers[k]
-			sl := StageLayer{K: k, Shape: lp.Shape}
-			sl.OutRanges = Split(lp.Shape.OutC, st.Cores)
+			lp := &p.Layers[k]
+			sl := StageLayer{K: k, LayerPartition: LayerPartition{
+				Shape: lp.Shape, OutRanges: Split(lp.Shape.OutC, st.Cores)}}
 			if k > 0 {
 				var prodOut []Range // producer's OutRanges for base layer k-1
 				if k == st.First {
@@ -130,12 +117,8 @@ func NewPipelinePlanCustom(p *Plan, cuts, coresPerStage []int) (*PipelinePlan, e
 				} else {
 					prodOut = st.Layers[len(st.Layers)-1].OutRanges
 				}
-				sl.InRanges, sl.InUnitValues = inputRanges(lp, p.Layers[k-1], prodOut)
-				// Both producer-side range sets must live in layer k's
-				// input-unit space (flattened neurons for FC-after-conv),
-				// hence base lp.InRanges, not the raw channel OutRanges.
-				sl.Mask = projectMask(lp.Mask, lp.InRanges, lp.InRanges == nil,
-					lp.OutRanges, sl.InRanges, sl.InRanges == nil, sl.OutRanges)
+				sl.InRanges, sl.InUnitValues = inputRanges(lp.Shape, p.Layers[k-1].Shape, prodOut)
+				sl.Mask = projectMask(lp, &sl.LayerPartition)
 			}
 			st.Layers = append(st.Layers, sl)
 		}
@@ -143,51 +126,30 @@ func NewPipelinePlanCustom(p *Plan, cuts, coresPerStage []int) (*PipelinePlan, e
 	return pp, nil
 }
 
-// inputRanges derives the input-unit ranges of layer lp's producers,
-// given the producer's output ranges, following NewPlan's rules.
-func inputRanges(lp, prev LayerPartition, prodOut []Range) (in []Range, unitVals int) {
-	switch lp.Shape.Spec.Kind {
-	case netzoo.Conv:
-		return prodOut, lp.Shape.InH * lp.Shape.InW
-	case netzoo.FC:
-		if prev.Shape.Spec.Kind == netzoo.FC {
-			return prodOut, 1
-		}
-		// Flatten: channel range [lo,hi) covers flat neurons
-		// [lo·HW, hi·HW) of this layer's input.
-		hw := lp.Shape.InC / prev.Shape.OutC
-		in = make([]Range, len(prodOut))
-		for c, r := range prodOut {
-			in[c] = Range{Lo: r.Lo * hw, Hi: r.Hi * hw}
-		}
-		return in, 1
-	}
-	return nil, 0
-}
-
-// projectMask maps the base plan's n×n block mask onto the stage's
-// (producer cores × consumer cores) geometry: sub-block (a, b) is
-// active iff some base block (i, j) is active with base core i's input
-// range overlapping producer core a's and base core j's output range
-// overlapping consumer core b's. With identical partitions (depth 1)
-// the projection is the identity on every traffic-carrying block; with
-// coarser stage partitions it is conservative (a superset), never
-// dropping a dependency the base mask kept.
-func projectMask(base BlockMask, baseIn []Range, baseInNil bool,
-	baseOut, subIn []Range, subInNil bool, subOut []Range) BlockMask {
-	if base == nil || baseInNil || subInNil {
+// projectMask maps the base layer's n×n block mask onto the stage
+// layer's (producer cores × consumer cores) geometry: sub-block (a, b)
+// is active iff some base block (i, j) is active with base core i's
+// input range overlapping producer core a's and base core j's output
+// range overlapping consumer core b's. Both input-range sets live in the
+// layer's input-unit space (flattened neurons for FC-after-conv). With
+// identical partitions (depth 1) the projection is the identity on
+// every traffic-carrying block; with coarser stage partitions it is
+// conservative (a superset), never dropping a dependency the base mask
+// kept.
+func projectMask(base, sub *LayerPartition) BlockMask {
+	if base.Mask == nil || base.InRanges == nil || sub.InRanges == nil {
 		return nil // dense stays dense; first-layer masks carry no traffic
 	}
-	m := make(BlockMask, len(subIn))
-	for a := range subIn {
-		m[a] = make([]bool, len(subOut))
-		for b := range subOut {
-			for i := range base {
-				if !baseIn[i].Overlaps(subIn[a]) {
+	m := make(BlockMask, len(sub.InRanges))
+	for a, subIn := range sub.InRanges {
+		m[a] = make([]bool, len(sub.OutRanges))
+		for b, subOut := range sub.OutRanges {
+			for i, row := range base.Mask {
+				if !base.InRanges[i].Overlaps(subIn) {
 					continue
 				}
-				for j := range base[i] {
-					if base[i][j] && baseOut[j].Overlaps(subOut[b]) {
+				for j, on := range row {
+					if on && base.OutRanges[j].Overlaps(subOut) {
 						m[a][b] = true
 						break
 					}
@@ -201,83 +163,20 @@ func projectMask(base BlockMask, baseIn []Range, baseInNil bool,
 	return m
 }
 
-// blockActive reports whether producer a feeds local core b at the
-// stage layer.
-func (sl *StageLayer) blockActive(a, b int) bool {
-	if sl.Mask == nil {
-		return true
-	}
-	return sl.Mask[a][b]
-}
-
-// EffectiveFanIn returns the fan-in of the stage's local core c at the
-// layer, honoring the projected mask.
-func (sl *StageLayer) EffectiveFanIn(c int) int {
-	if sl.InRanges == nil {
-		return sl.Shape.KernelVolume()
-	}
-	units := 0
-	for a := range sl.InRanges {
-		if sl.blockActive(a, c) {
-			units += sl.InRanges[a].Len()
-		}
-	}
-	if sl.Shape.Spec.Kind == netzoo.Conv {
-		return units * sl.Shape.Spec.K * sl.Shape.Spec.K
-	}
-	return units
-}
-
-// CoreWork returns the nna workload of the stage's local core c at the
-// layer.
-func (sl *StageLayer) CoreWork(c, bytesPerValue int) nna.LayerWork {
-	outC := sl.OutRanges[c].Len()
-	if outC == 0 {
-		return nna.LayerWork{}
-	}
-	fanIn := sl.EffectiveFanIn(c)
-	if fanIn == 0 {
-		return nna.LayerWork{}
-	}
-	if sl.Shape.Spec.Kind == netzoo.Conv {
-		return nna.ConvWork(outC, sl.Shape.OutH, sl.Shape.OutW, fanIn,
-			sl.Shape.InC, sl.Shape.InH, sl.Shape.InW, bytesPerValue)
-	}
-	return nna.FCWork(fanIn, outC, bytesPerValue)
-}
-
 // LayerTraffic returns the global-core traffic matrix of the
 // transition into stage s's layer li: producer cores (previous layer's
 // owners — same stage, or the previous stage for li == 0) send the
 // input slices the projected mask requires. At depth 1 the matrix
 // equals the base plan's LayerTraffic for the same layer.
 func (pp *PipelinePlan) LayerTraffic(s, li int) TrafficMatrix {
-	n := pp.Base.Cores
-	t := NewTrafficMatrix(n)
+	t := NewTrafficMatrix(pp.Base.Cores)
 	st := &pp.Stages[s]
 	sl := &st.Layers[li]
-	if sl.InRanges == nil {
-		return t // broadcast input: no traffic
-	}
 	prodBase := st.CoreBase
 	if sl.CrossStage {
 		prodBase = pp.Stages[s-1].CoreBase
 	}
-	for a := range sl.InRanges {
-		srcBytes := int64(sl.InRanges[a].Len()) * int64(sl.InUnitValues) * int64(pp.Base.BytesPerValue)
-		if srcBytes == 0 {
-			continue
-		}
-		for b := range sl.OutRanges {
-			src, dst := prodBase+a, st.CoreBase+b
-			if src == dst || sl.OutRanges[b].Len() == 0 {
-				continue
-			}
-			if sl.blockActive(a, b) {
-				t[src][dst] = srcBytes
-			}
-		}
-	}
+	sl.addTraffic(t, prodBase, st.CoreBase, pp.Base.BytesPerValue)
 	return t
 }
 

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -19,51 +21,67 @@ func pipelineModels(t *testing.T) map[string]netzoo.NetSpec {
 // Depth 1 must degenerate to the base plan exactly: same ranges, same
 // per-core work, and byte-identical traffic matrices for every layer —
 // the identity the differential pipeline tests in internal/cmp rest on.
+// Work and traffic come from the same LayerPartition methods on both
+// sides, so this holds the depth-1 stage re-partition and projectMask
+// to the base plan, under dense layers, structure-level group masks and
+// seeded random learned masks on every layer after the first.
 func TestPipelineDepthOneIsBasePlan(t *testing.T) {
-	for name, spec := range pipelineModels(t) {
-		p := NewPlan(spec, 16)
-		// Exercise a learned mask too: block-diagonalize an FC layer.
-		for k := range p.Layers {
-			if p.Layers[k].Shape.Spec.Kind == netzoo.FC {
-				p.SetMask(k, DiagonalMask(p.Cores))
-				break
-			}
-		}
-		pp, err := NewPipelinePlan(p, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(pp.Stages) != 1 {
-			t.Fatalf("%s: depth-1 plan has %d stages", name, len(pp.Stages))
-		}
-		st := pp.Stages[0]
-		if st.CoreBase != 0 || st.Cores != p.Cores || st.First != 0 || st.Last != len(p.Layers)-1 {
-			t.Fatalf("%s: depth-1 stage %+v", name, st)
-		}
-		for li, sl := range st.Layers {
-			lp := p.Layers[sl.K]
-			if sl.K != li {
-				t.Fatalf("%s: stage layer %d maps to base layer %d", name, li, sl.K)
-			}
-			if !reflect.DeepEqual(sl.OutRanges, lp.OutRanges) {
-				t.Errorf("%s layer %d: OutRanges differ", name, li)
-			}
-			if !reflect.DeepEqual(sl.InRanges, lp.InRanges) {
-				t.Errorf("%s layer %d: InRanges differ", name, li)
-			}
-			if sl.InUnitValues != lp.InUnitValues {
-				t.Errorf("%s layer %d: InUnitValues %d vs %d", name, li, sl.InUnitValues, lp.InUnitValues)
-			}
-			if !reflect.DeepEqual(pp.LayerTraffic(0, li), p.LayerTraffic(li)) {
-				t.Errorf("%s layer %d: traffic matrices differ", name, li)
-			}
-			for c := 0; c < p.Cores; c++ {
-				if got, want := sl.CoreWork(c, p.BytesPerValue), p.CoreWork(li, c); got != want {
-					t.Errorf("%s layer %d core %d: work %+v vs %+v", name, li, c, got, want)
+	models := pipelineModels(t)
+	models["convnet-i10-g4"] = netzoo.ConvNetI10([3]int{64, 128, 256}, 4, 64)
+	for name, spec := range models {
+		for _, masked := range []bool{false, true} {
+			p := NewPlan(spec, 16)
+			if masked {
+				rng := rand.New(rand.NewSource(1))
+				for k := 1; k < len(p.Layers); k++ {
+					m := make(BlockMask, p.Cores)
+					for i := range m {
+						m[i] = make([]bool, p.Cores)
+						for j := range m[i] {
+							m[i][j] = rng.Intn(2) == 0
+						}
+					}
+					p.SetMask(k, m)
 				}
-				if got, want := sl.EffectiveFanIn(c), p.EffectiveFanIn(li, c); got != want {
-					t.Errorf("%s layer %d core %d: fan-in %d vs %d", name, li, c, got, want)
-				}
+			}
+			checkDepthOneIsBase(t, fmt.Sprintf("%s masked=%v", name, masked), p)
+		}
+	}
+}
+
+func checkDepthOneIsBase(t *testing.T, name string, p *Plan) {
+	t.Helper()
+	pp, err := NewPipelinePlan(p, 1)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(pp.Stages) != 1 {
+		t.Fatalf("%s: depth-1 plan has %d stages", name, len(pp.Stages))
+	}
+	st := pp.Stages[0]
+	if st.CoreBase != 0 || st.Cores != p.Cores || st.First != 0 || st.Last != len(p.Layers)-1 {
+		t.Fatalf("%s: depth-1 stage %+v", name, st)
+	}
+	for li, sl := range st.Layers {
+		lp := &p.Layers[sl.K]
+		if sl.K != li {
+			t.Fatalf("%s: stage layer %d maps to base layer %d", name, li, sl.K)
+		}
+		if !reflect.DeepEqual(sl.OutRanges, lp.OutRanges) {
+			t.Errorf("%s layer %d: OutRanges differ", name, li)
+		}
+		if !reflect.DeepEqual(sl.InRanges, lp.InRanges) {
+			t.Errorf("%s layer %d: InRanges differ", name, li)
+		}
+		if sl.InUnitValues != lp.InUnitValues {
+			t.Errorf("%s layer %d: InUnitValues %d vs %d", name, li, sl.InUnitValues, lp.InUnitValues)
+		}
+		if !reflect.DeepEqual(pp.LayerTraffic(0, li), p.LayerTraffic(li)) {
+			t.Errorf("%s layer %d: traffic matrices differ", name, li)
+		}
+		for c := 0; c < p.Cores; c++ {
+			if got, want := sl.CoreWork(c, p.BytesPerValue), lp.CoreWork(c, p.BytesPerValue); got != want {
+				t.Errorf("%s layer %d core %d: work %+v vs %+v", name, li, c, got, want)
 			}
 		}
 	}
