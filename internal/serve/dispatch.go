@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"learn2scale/internal/cmp"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/tensor"
 )
@@ -230,10 +229,12 @@ func (s *Server) collect(first *pending) []*pending {
 }
 
 // execute answers one collected batch: requests are grouped by model
-// in deterministic key order, each group runs as ONE pipelined
+// in deterministic key order, each group's timing is ONE pipelined
 // simulation pass (cmp.RunPipeline at the configured depth, one
-// in-flight batch slot per request), and each request's logits come
-// from the group's one batched forward pass on the model's datapath.
+// in-flight batch slot per request, read from the model's memo when
+// that shape was served before — Model.simulate), and each request's
+// logits come from the group's one batched forward pass on the
+// model's datapath.
 func (s *Server) execute(batch []*pending) {
 	// Expired requests are answered immediately and occupy no slot.
 	// A fresh slice, not batch[:0]: script mode hands us a slice the
@@ -279,13 +280,14 @@ func (s *Server) execute(batch []*pending) {
 	s.recordBatch(len(live))
 }
 
-// executeGroup runs one model's slice of the batch: a single pipeline
-// pass with len(group) in-flight batch slots, then one batched forward
-// pass for the logits of every request (Model.InferBatch).
+// executeGroup runs one model's slice of the batch: the report of a
+// pipeline pass with len(group) in-flight batch slots (Model.simulate),
+// then one batched forward pass for the logits of every request
+// (Model.InferBatch).
 //
 // When tracing is active (a serve-trace sink is configured, or any
 // group member asked via ?trace=1) the group's lifecycle stamps are
-// taken here: sim-pass start/end around RunPipeline, the group's one
+// taken here: sim-pass start/end around Model.simulate, the group's one
 // logits-ready stamp after the batched forward, and per-request
 // answered stamps in the respond loop. Phases are
 // consecutive monotonic-stamp differences, so the decomposition
@@ -320,10 +322,7 @@ func (s *Server) executeGroup(m *Model, group []*pending) {
 	if trace {
 		simStart = time.Now()
 	}
-	report, simErr := m.sys.RunPipeline(m.TM.Plan, cmp.PipelineOptions{
-		Depth:   depth,
-		Batches: len(group),
-	})
+	report, simErr := m.simulate(depth, len(group))
 	if trace {
 		simEnd = time.Now()
 	}

@@ -13,11 +13,14 @@
 //     growing unbounded latency.
 //   - Dynamic batching: a single dispatcher goroutine collects every
 //     request that arrives within the batching window (up to MaxBatch)
-//     and coalesces the ones bound for the same model into ONE
-//     pipelined simulation pass — cmp.RunPipeline at the configured
-//     depth with one in-flight batch slot per request — so concurrent
-//     load amortizes pipeline fill/drain exactly the way the stage
-//     scheduler's steady-state throughput promises.
+//     and coalesces the ones bound for the same model into one group,
+//     timed as ONE pipelined simulation pass — cmp.RunPipeline at the
+//     configured depth with one in-flight batch slot per request — so
+//     concurrent load amortizes pipeline fill/drain exactly the way
+//     the stage scheduler's steady-state throughput promises. The
+//     pass depends only on (model, depth, group size), so a model
+//     whose simulator records nothing runs it once per shape and
+//     serves later groups of that shape from a memo (see Model).
 //   - Routing: the request's model/precision pair selects the servable
 //     entry; float32 routes to the trained float network, int16 to its
 //     quantized twin (and the simulator models the denser MAC arrays).
@@ -102,6 +105,15 @@ func ParseModelName(s string) (core.Scheme, error) {
 // precision, its sample inputs, and its reusable CMP simulator. Only
 // the dispatcher goroutine simulates, one batch at a time, so one
 // System per model is never contended.
+//
+// A served group's simulation pass sees no request input: its report
+// is a function of the plan, the depth and the group size alone. So
+// when the System records nothing (no obs registry, no timeline sink)
+// the model memoizes each report by (depth, group size) and simulates
+// a shape only the first time it is served. With a registry or a
+// timeline attached every group is simulated: the NoC's per-packet
+// histograms and per-flit events are not functions of the report, and
+// skipping the pass would drop them from the records.
 type Model struct {
 	Key ModelKey
 	TM  *core.TrainedModel
@@ -113,6 +125,13 @@ type Model struct {
 
 	inLen int
 	sys   *cmp.System
+
+	// sims is the report memo, nil when sys records (the bypass).
+	// Cached reports are shared by every group of their shape, so
+	// nothing may write into them. simsMu guards the map, which two
+	// Servers sharing this Model would otherwise write at once.
+	simsMu sync.Mutex
+	sims   map[simShape]cmp.PipelineReport
 
 	// mu serializes forward passes: both the float and the quantized
 	// network own their scratch buffers, so one (batched) inference
@@ -156,6 +175,35 @@ func (m *Model) Infer(in *tensor.Tensor, dst []float32) []float32 {
 		logits = m.TM.Net.Forward(in, false)
 	}
 	return append(dst, logits.Data...)
+}
+
+// simShape keys the report memo. The depth is part of it because a
+// Model may be served by servers configured at different depths.
+type simShape struct{ depth, size int }
+
+// simulate returns the report of one served group's pipeline pass:
+// size in-flight batch slots at the given depth. A memo hit costs one
+// map lookup; a miss, or any call on a recording System, runs
+// RunPipeline. Failed passes are never memoized.
+func (m *Model) simulate(depth, size int) (cmp.PipelineReport, error) {
+	opt := cmp.PipelineOptions{Depth: depth, Batches: size}
+	if m.sims == nil {
+		return m.sys.RunPipeline(m.TM.Plan, opt)
+	}
+	key := simShape{depth, size}
+	m.simsMu.Lock()
+	rep, ok := m.sims[key]
+	m.simsMu.Unlock()
+	if ok {
+		return rep, nil
+	}
+	rep, err := m.sys.RunPipeline(m.TM.Plan, opt)
+	if err == nil {
+		m.simsMu.Lock()
+		m.sims[key] = rep
+		m.simsMu.Unlock()
+	}
+	return rep, err
 }
 
 // Config configures a Server.
@@ -214,7 +262,7 @@ type Stats struct {
 	Admitted  int64 // requests accepted into the queue
 	Responded int64 // requests answered (success or per-request error)
 	Rejected  int64 // requests refused at admission (queue full / draining)
-	Batches   int64 // simulated batch passes
+	Batches   int64 // executed batches (each group's report simulated or memoized)
 	BatchMax  int64 // largest coalesced batch so far
 }
 
@@ -336,8 +384,8 @@ func (s *Server) Close() {
 // entries share their scheme's trained float network through its
 // quantized twin (core.TrainedModel.Quantize), completing the
 // "servable quantization" stretch of ROADMAP item 4. The simulators
-// are wired to cfg.Obs / cfg.Timeline and model the precision's MAC
-// density.
+// are wired to cfg.Obs / cfg.Timeline (either one turns the report
+// memo off) and model the precision's MAC density.
 func NewModels(cfg Config, spec core.SparseNetConfig, ds *data.Dataset, schemes []core.Scheme, precisions []fixed.Precision, cores, epochs int, seed int64) ([]*Model, error) {
 	cfg.fill()
 	var out []*Model
@@ -389,12 +437,15 @@ func NewModel(cfg Config, tm *core.TrainedModel, prec fixed.Precision, samples [
 	if err != nil {
 		return nil, fmt.Errorf("serve: %s/%s: %w", ModelName(tm.Scheme), prec, err)
 	}
-	inLen := tm.Spec.InC * tm.Spec.InH * tm.Spec.InW
-	return &Model{
+	m := &Model{
 		Key:     ModelKey{Scheme: tm.Scheme, Precision: prec},
 		TM:      tm,
 		Samples: samples,
-		inLen:   inLen,
+		inLen:   tm.Spec.InC * tm.Spec.InH * tm.Spec.InW,
 		sys:     sys,
-	}, nil
+	}
+	if scfg.Obs == nil && scfg.Timeline == nil {
+		m.sims = make(map[simShape]cmp.PipelineReport)
+	}
+	return m, nil
 }

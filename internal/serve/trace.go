@@ -41,7 +41,7 @@ type Phase int
 const (
 	PhaseQueue   Phase = iota // admission → pulled off the queue by the dispatcher
 	PhaseBatch                // dequeue → batch formed and grouped, sim pass starts
-	PhaseSim                  // the group's pipelined simulation pass
+	PhaseSim                  // the group's pipelined simulation pass, or its memo lookup
 	PhaseDequant              // sim end → logits ready: the group's one batched forward/dequant pass, shared by every member
 	PhaseRespond              // logits → answer posted to the waiter
 	NumPhases
@@ -98,7 +98,8 @@ func (r *ReqTrace) stripVolatile() {
 }
 
 // BatchTrace is one executed group's serve-trace record: the spine the
-// request records hang off. One group = one cmp.RunPipeline pass.
+// request records hang off. One group = one cmp.RunPipeline report,
+// simulated or read from the model's memo.
 type BatchTrace struct {
 	// Stable.
 	ID        int64  `json:"id"` // executed-group ordinal, 1-based
@@ -115,7 +116,7 @@ type BatchTrace struct {
 
 	// Volatile: zero in Stable mode.
 	StartNS int64 `json:"t_start_ns,omitempty"` // sim-pass start, relative to server start
-	SimNS   int64 `json:"sim_ns,omitempty"`     // wall-clock cost of the sim pass
+	SimNS   int64 `json:"sim_ns,omitempty"`     // wall-clock cost of the sim pass (a lookup on a memo hit)
 }
 
 func (b *BatchTrace) stripVolatile() { b.StartNS, b.SimNS = 0, 0 }

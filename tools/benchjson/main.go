@@ -8,19 +8,23 @@
 // overhead pair (whose Base/Nil ns/op carry the disabled-tracer
 // ≤2%+1ns bound), and the batched serving forward pass (K = 1 and 8
 // at each precision) — through `go test -bench` and writes the parsed
-// results as one machine-readable JSON file (BENCH_PR10.json by
-// default). CI's bench-smoke job uploads the file as an artifact,
-// asserts the int16 GEMM speedup on the AlexNet-shaped matmuls and the
-// dynamic-batching QPS win, and uses -require-zero-allocs to fail the
-// build if the steady-state training step, the disabled tracer, the
-// NoC burst loop or the batched forward ever allocates.
+// results as one machine-readable JSON file (bench-ci.json by default;
+// it is gitignored, so a run never rewrites a committed BENCH_*.json).
+// CI's bench-smoke job uploads the file as an artifact, and the
+// zero-alloc gate (-require-zero-allocs, on by default) fails the run
+// if the steady-state training step, the disabled tracer, the NoC
+// burst loop or the batched forward ever allocates.
 //
 // Usage:
 //
-//	benchjson                                   # bench + write BENCH_PR10.json
+//	benchjson                                   # bench + gate + write bench-ci.json
 //	benchjson -benchtime 0.2s -out bench.json
-//	benchjson -require-zero-allocs 'TrainStepSteadyState'
+//	benchjson -bench GEMM -require-zero-allocs ''  # a subset, gate off
 //	benchjson -compare BENCH_PR9.json BENCH_PR10.json -max-regress 10
+//
+// Every top-level alternative of the -require-zero-allocs regex must
+// match at least one benchmark, so renaming a gated benchmark fails
+// the run instead of silently dropping it from the gate.
 //
 // -compare runs no benchmarks: it diffs two result files and exits
 // non-zero if any benchmark present in both regressed — ns/op and
@@ -72,11 +76,11 @@ func main() {
 	benchRe := flag.String("bench", "GEMM|TrainStepSteadyState|TrainEpoch|AllToAllBurst16|SparseBurst16|RunPipeline|TapOverhead|QuantizedInference|ServeBatch|ServeOpenLoop|ServeTrace|InferBatch",
 		"benchmark selection regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "0.3s", "go test -benchtime value")
-	out := flag.String("out", "BENCH_PR10.json", "output JSON path")
+	out := flag.String("out", "bench-ci.json", "output JSON path")
 	pkgs := flag.String("pkgs", "./internal/tensor,./internal/noc,./internal/cmp,./internal/obs,./internal/serve,.",
 		"comma-separated packages to benchmark")
-	requireZero := flag.String("require-zero-allocs", "",
-		"regex of benchmark names that must report 0 allocs/op; exits non-zero on violation")
+	requireZero := flag.String("require-zero-allocs", zeroAllocBenchmarks,
+		"regex of benchmark names that must report 0 allocs/op, each top-level alternative matching at least one; exits non-zero on violation ('' disables)")
 	compare := flag.Bool("compare", false, "compare two result files (old new) instead of benchmarking")
 	maxRegress := flag.Float64("max-regress", 10, "with -compare: max tolerated ns/op regression in percent")
 	flag.Parse()
@@ -177,22 +181,41 @@ func parseBench(raw []byte) []Benchmark {
 	return res
 }
 
+// zeroAllocBenchmarks is the default zero-alloc gate: the steady-state
+// training step, the disabled request tracer, the NoC burst loops and
+// the batched serving forward pass.
+const zeroAllocBenchmarks = "TrainStepSteadyState|ServeTraceOverhead|AllToAllBurst16|SparseBurst16|InferBatch"
+
 // checkZeroAllocs enforces the scratch-arena gate: every benchmark
-// whose name matches re must have reported exactly 0 allocs/op. It is
-// an error for the regex to match nothing — a renamed benchmark must
-// not silently disarm the gate.
+// whose name matches re must have reported exactly 0 allocs/op. Each
+// top-level alternative of re must match at least one benchmark — a
+// renamed benchmark must not silently disarm its part of the gate.
 func checkZeroAllocs(benchmarks []Benchmark, re string) error {
 	rx, err := regexp.Compile(re)
 	if err != nil {
 		return fmt.Errorf("bad -require-zero-allocs regex: %v", err)
 	}
-	matched := 0
 	var bad []string
+	for _, alt := range topLevelAlternatives(re) {
+		arx, err := regexp.Compile(alt)
+		if err != nil {
+			return fmt.Errorf("bad -require-zero-allocs alternative %q: %v", alt, err)
+		}
+		matched := false
+		for _, b := range benchmarks {
+			if arx.MatchString(b.Name) {
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			bad = append(bad, fmt.Sprintf("%q matched no benchmark (renamed, or not selected by -bench?)", alt))
+		}
+	}
 	for _, b := range benchmarks {
 		if !rx.MatchString(b.Name) {
 			continue
 		}
-		matched++
 		allocs, ok := b.Metrics["allocs/op"]
 		if !ok {
 			bad = append(bad, fmt.Sprintf("%s %s: no allocs/op metric (run with -benchmem)", b.Package, b.Name))
@@ -200,13 +223,43 @@ func checkZeroAllocs(benchmarks []Benchmark, re string) error {
 			bad = append(bad, fmt.Sprintf("%s %s: %v allocs/op, want 0", b.Package, b.Name, allocs))
 		}
 	}
-	if matched == 0 {
-		return fmt.Errorf("-require-zero-allocs %q matched no benchmarks", re)
-	}
 	if len(bad) > 0 {
 		return fmt.Errorf("zero-alloc gate failed:\n  %s", strings.Join(bad, "\n  "))
 	}
 	return nil
+}
+
+// topLevelAlternatives splits re at the '|' operators outside any
+// group, character class or escape: "A|(B|C)|[|]" yields "A", "(B|C)"
+// and "[|]".
+func topLevelAlternatives(re string) []string {
+	var alts []string
+	depth, start := 0, 0
+	classOpen := -1 // index just past an open '[' (and its '^'), or -1
+	for i := 0; i < len(re); i++ {
+		c := re[i]
+		switch {
+		case c == '\\':
+			i++ // the escaped byte is literal
+		case classOpen >= 0:
+			if c == ']' && i > classOpen { // a leading ']' is literal
+				classOpen = -1
+			}
+		case c == '[':
+			classOpen = i + 1
+			if classOpen < len(re) && re[classOpen] == '^' {
+				classOpen++
+			}
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			alts = append(alts, re[start:i])
+			start = i + 1
+		}
+	}
+	return append(alts, re[start:])
 }
 
 // compareFiles diffs two benchmark result files. For every benchmark
