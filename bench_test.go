@@ -343,10 +343,10 @@ func BenchmarkTrainStepSteadyState(b *testing.B) {
 // BenchmarkQuantizedInference measures one single-image forward pass
 // through CaffeNet (AlexNet at full ImageNet scale) on the float32
 // datapath and on the scaled-int16 fast path (per-channel weight
-// scales, packed int16 GEMM, requantize between layers). The pair
-// lands in BENCH_PR8.json; on AVX2 hosts the int16 path runs the
+// scales, packed int16 GEMM, requantize between layers). `make
+// bench-json` records the pair; on AVX2 hosts the int16 path runs the
 // GEMM-bound layers ~1.6-1.7x faster end to end (the GEMM-level ≥2x
-// bar CI asserts lives in BenchmarkGEMMInt16Blocked vs
+// bar benchjson asserts lives in BenchmarkGEMMInt16Blocked vs
 // BenchmarkGEMMFloat32Blocked in internal/tensor — the end-to-end gap
 // is smaller because im2col, quantize and dequant ride along).
 func BenchmarkQuantizedInference(b *testing.B) {

@@ -8,12 +8,11 @@ import (
 )
 
 // BenchmarkRunPipelineAlexNet measures the pipelined scheduler on the
-// PR's acceptance workload — AlexNet at depth 4 with 8 inferences in
+// pipelining acceptance workload — AlexNet at depth 4 with 8 inferences in
 // flight on 16 cores — and reports the simulated steady-state
 // throughput alongside the host-side cost. The inf/Mcycle metric is
-// the number BENCH_PR6.json carries for the throughput-vs-replay
-// comparison; BenchmarkRunPlanAlexNet above it is the sequential
-// anchor.
+// the lhs of benchjson's throughput-vs-replay predicate, which holds
+// it above BenchmarkRunPipelineDepth1AlexNet's.
 func BenchmarkRunPipelineAlexNet(b *testing.B) {
 	sys := MustNew(DefaultConfig(16))
 	plan := partition.NewPlan(netzoo.AlexNet(), 16)

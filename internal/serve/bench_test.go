@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"learn2scale/internal/benchpair"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/parallel"
 )
@@ -16,32 +17,24 @@ import (
 // batch, per-request forward passes. BenchmarkServeBatch1 is the
 // batch-size-1 anchor (window 0, depth 1: every request its own
 // barrier-scheduled pass); BenchmarkServeBatched is dynamic batching
-// at depth 4. Their qps metrics are the PR's acceptance comparison in
-// BENCH_PR9.json: batching must sustain measurably higher QPS.
+// at depth 4. benchjson's predicates hold the batched qps strictly
+// above the batch-1 qps.
 
-// BenchmarkServeTraceOverheadBase / Nil isolate the request-tracing
-// hook's cost on the dispatcher's per-request hot path, mirroring the
-// obs tap's Off/On pair. Base is the per-request respond accounting
-// every request paid before tracing existed (stats mutex, stable
-// counter, volatile latency histogram); Nil runs the identical
-// accounting plus the disabled-tracer branches exactly as the
-// dispatcher executes them — the dequeue-stamp guard and the trace
-// check. BENCH_PR10.json carries both so the ≤2%+1ns acceptance bound
-// is checkable from the artifact; TestServeTraceNilZeroAlloc pins the
-// zero-alloc side.
+// BenchmarkServeTraceOverhead isolates the request-tracing hook's cost
+// on the dispatcher's per-request hot path, mirroring the obs tap's
+// Off/On benchmarks. Off is the per-request respond accounting every
+// request paid before tracing existed (stats mutex, stable counter,
+// volatile latency histogram); On runs the identical accounting plus
+// the disabled-tracer branches exactly as the dispatcher executes them
+// — the dequeue-stamp guard and the trace check. benchjson's
+// predicates hold on-ns/op ≤ off-ns/op·1.02 + 1 ns;
+// TestServeTraceNilZeroAlloc pins the zero-alloc side.
 //
-// The pair is declared FIRST in this file on purpose: go test runs
-// benchmarks in declaration order, and running the pair before the
-// multi-goroutine load benchmarks keeps both sides on the same
-// processor frequency state — turbo decay during the load benchmarks
-// otherwise lands unevenly on a comparison gated at ±2%+1ns.
+// It is declared FIRST in this file on purpose: go test runs
+// benchmarks in declaration order, and running it before the
+// multi-goroutine load benchmarks keeps it off the processor frequency
+// state those leave behind.
 var traceProbe bool
-
-func traceOverheadServer() (*Server, *pending) {
-	s := &Server{cfg: Config{Obs: obs.New()}}
-	p := &pending{admitted: time.Now()}
-	return s, p
-}
 
 // A fixed observed latency keeps the histogram's bucket search on one
 // path for both sides of the pair; a live time.Since would drift
@@ -49,23 +42,20 @@ func traceOverheadServer() (*Server, *pending) {
 // cannot absorb.
 const traceOverheadLatency = 250 * time.Microsecond
 
-func BenchmarkServeTraceOverheadBase(b *testing.B) {
-	s, p := traceOverheadServer()
-	_ = p
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.countResponded(traceOverheadLatency)
-	}
-}
-
-func BenchmarkServeTraceOverheadNil(b *testing.B) {
-	s, p := traceOverheadServer() // no trace sink: the disabled path
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.stampDequeued(p)
-		traceProbe = s.traceOn || p.traced
-		s.countResponded(traceOverheadLatency)
-	}
+func BenchmarkServeTraceOverhead(b *testing.B) {
+	s := &Server{cfg: Config{Obs: obs.New()}} // no trace sink: the disabled path
+	p := &pending{admitted: time.Now()}
+	benchpair.OffOn(b, func(n int) {
+		for i := 0; i < n; i++ {
+			s.countResponded(traceOverheadLatency)
+		}
+	}, func(n int) {
+		for i := 0; i < n; i++ {
+			s.stampDequeued(p)
+			traceProbe = s.traceOn || p.traced
+			s.countResponded(traceOverheadLatency)
+		}
+	})
 }
 
 // benchLoad drives one closed-loop burst per iteration and reports

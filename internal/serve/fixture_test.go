@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"fmt"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"learn2scale/internal/core"
 	"learn2scale/internal/data"
@@ -50,13 +55,45 @@ func testModels(t testing.TB) []*Model {
 	return fixture.models
 }
 
-// testServer builds a server over the shared fixture pool. Callers own
-// Close.
+// testServer builds a server over the shared fixture pool and closes
+// it when the test ends; a test may Close it earlier, since Close is
+// safe to call twice.
 func testServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg, testModels(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
+}
+
+// TestMain fails the package if any server's dispatcher goroutine
+// outlives the tests: a test that starts a Server must Close it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if leaked := leakedDispatchers(2 * time.Second); leaked != "" {
+		fmt.Fprintf(os.Stderr, "(*Server).dispatch goroutines alive after the tests (a Server was not closed):\n\n%s\n", leaked)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// leakedDispatchers polls the goroutine dump until no dispatcher
+// goroutine is left or the wait runs out, and returns the stacks of
+// the dispatchers still alive.
+func leakedDispatchers(wait time.Duration) string {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(wait); ; time.Sleep(10 * time.Millisecond) {
+		dump := string(buf[:runtime.Stack(buf, true)])
+		var leaked []string
+		for _, g := range strings.Split(dump, "\n\n") {
+			if strings.Contains(g, "serve.(*Server).dispatch(") {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			return strings.Join(leaked, "\n\n")
+		}
+	}
 }

@@ -328,6 +328,13 @@ func Sweep(opt SweepOptions, log io.Writer) ([]SweepRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	return sweepGrid(opt, models, log)
+}
+
+// sweepGrid measures every (window, depth, precision) cell of opt's
+// grid on a fresh server over models; a cell's load mix is every model
+// at that precision.
+func sweepGrid(opt SweepOptions, models []*Model, log io.Writer) ([]SweepRow, error) {
 	logf(log, "serve sweep: %d models, %d requests x %d clients per cell",
 		len(models), opt.Requests, opt.Clients)
 

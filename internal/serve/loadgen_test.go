@@ -67,15 +67,11 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-// TestSweepSmoke runs the smallest possible sweep grid end to end and
-// checks the table renderer; the full grid is `l2s-bench -exp serve`.
+// TestSweepSmoke runs the smallest possible sweep grid over the shared
+// fixture pool and checks the table renderer; the full grid, with its
+// own trained pool, is `l2s-bench -exp serve`.
 func TestSweepSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep trains its own model pool")
-	}
 	opt := SweepOptions{
-		Cores:    4,
-		Epochs:   1,
 		Requests: 6,
 		Clients:  2,
 		Seed:     1,
@@ -83,7 +79,7 @@ func TestSweepSmoke(t *testing.T) {
 		Depths:   []int{1},
 	}
 	var log bytes.Buffer
-	rows, err := Sweep(opt, &log)
+	rows, err := sweepGrid(opt, testModels(t), &log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,6 @@ func TestDecodeRequest(t *testing.T) {
 
 func TestSubmitAnswersMatchDirectForward(t *testing.T) {
 	s := testServer(t, Config{Window: 0, Depth: 2})
-	defer s.Close()
 	for _, key := range s.Keys() {
 		m := s.Model(key)
 		in := m.Samples[1]
@@ -106,7 +105,6 @@ func TestSubmitAnswersMatchDirectForward(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := testServer(t, Config{})
-	defer s.Close()
 	key := ModelKey{Scheme: core.Baseline}
 	if _, err := s.Submit(context.Background(), ModelKey{Scheme: 99}, s.Model(key).Samples[0]); err == nil {
 		t.Fatal("submitted to a model that is not loaded")
@@ -176,7 +174,6 @@ func TestAdmissionOverflow(t *testing.T) {
 
 func TestDeadlineExpiredBeforeDispatch(t *testing.T) {
 	s := testServer(t, Config{Window: 0})
-	defer s.Close()
 	key := s.Keys()[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -221,7 +218,6 @@ func waitStats(t testing.TB, s *Server, ok func(Stats) bool) {
 
 func TestHTTPHandler(t *testing.T) {
 	s := testServer(t, Config{Window: time.Millisecond, Depth: 2})
-	defer s.Close()
 	ts := httptest.NewServer(s.Handler(nil))
 	defer ts.Close()
 
@@ -406,7 +402,6 @@ func TestScriptReadAndRun(t *testing.T) {
 	}
 
 	s := testServer(t, Config{Depth: 2})
-	defer s.Close()
 	out, err := s.RunScript(context.Background(), steps)
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +434,6 @@ func TestDynamicBatchingCoalesces(t *testing.T) {
 	// together land inside it; 200ms has huge slack on a loaded CI
 	// box and costs a single batch wait.
 	s := testServer(t, Config{Window: 200 * time.Millisecond, MaxBatch: 8, Depth: 2})
-	defer s.Close()
 	key := s.Keys()[0]
 	in := s.Model(key).Samples[0]
 

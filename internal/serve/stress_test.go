@@ -127,7 +127,6 @@ func TestStressSubmitDuringClose(t *testing.T) {
 // response channel never blocks, and accounting still converges.
 func TestStressAbandonedWaiters(t *testing.T) {
 	s := testServer(t, Config{QueueCap: 64, Window: 5 * time.Millisecond, MaxBatch: 8, Depth: 2})
-	defer s.Close()
 	key := s.Keys()[0]
 	in := s.Model(key).Samples[0]
 

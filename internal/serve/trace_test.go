@@ -451,7 +451,6 @@ func TestWriteServePerfetto(t *testing.T) {
 // trace is echoed.
 func TestHTTPTraceParam(t *testing.T) {
 	s := testServer(t, Config{QueueCap: 8})
-	defer s.Close()
 	h := s.Handler(nil)
 
 	post := func(url string) *Response {

@@ -290,8 +290,8 @@ func FuzzInt16GEMM(f *testing.F) {
 }
 
 // alexShapes are AlexNet/CaffeNet conv im2col products (OutC ×
-// InC·KH·KW × OutH·OutW), the shapes the PR 8 acceptance criterion
-// (int16 ≥ 2x float32 packed) is measured on in BENCH_PR8.json.
+// InC·KH·KW × OutH·OutW), the shapes benchjson's predicates hold
+// int16 ≥ 2x float32 packed on.
 var alexShapes = []struct {
 	name    string
 	m, k, n int

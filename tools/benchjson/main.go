@@ -1,41 +1,24 @@
-// Command benchjson runs the repo's performance benchmarks — GEMM
-// kernels (float32 and packed int16), the steady-state training step,
-// a training epoch, the dense/sparse NoC bursts, the pipelined AlexNet
-// inference (whose inf/Mcycle metric carries the pipelined-vs-replay
-// throughput comparison), the float32-vs-int16 quantized inference
-// pair, the serving-layer load benchmarks (whose qps metric carries
-// the batched-vs-batch-1 capacity comparison), the request-tracing
-// overhead pair (whose Base/Nil ns/op carry the disabled-tracer
-// ≤2%+1ns bound), and the batched serving forward pass (K = 1 and 8
-// at each precision) — through `go test -bench` and writes the parsed
-// results as one machine-readable JSON file (bench-ci.json by default;
-// it is gitignored, so a run never rewrites a committed BENCH_*.json).
-// CI's bench-smoke job uploads the file as an artifact, and the
-// zero-alloc gate (-require-zero-allocs, on by default) fails the run
-// if the steady-state training step, the disabled tracer, the NoC
-// burst loop or the batched forward ever allocates.
+// Command benchjson runs the repo's performance benchmarks (GEMM
+// kernels, training step and epoch, NoC bursts, pipelined AlexNet
+// inference, obs tap overhead, quantized inference, serving load,
+// request-tracing overhead, batched serving forward), checks the
+// acceptance predicates and the zero-alloc gate against the numbers of
+// its own run, and writes the results to one JSON file.
 //
 // Usage:
 //
-//	benchjson                                   # bench + gate + write bench-ci.json
+//	benchjson                                  # 0.3s per benchmark per round, writes bench-ci.json
 //	benchjson -benchtime 0.2s -out bench.json
-//	benchjson -bench GEMM -require-zero-allocs ''  # a subset, gate off
-//	benchjson -compare BENCH_PR9.json BENCH_PR10.json -max-regress 10
 //
-// Every top-level alternative of the -require-zero-allocs regex must
-// match at least one benchmark, so renaming a gated benchmark fails
-// the run instead of silently dropping it from the gate.
-//
-// -compare runs no benchmarks: it diffs two result files and exits
-// non-zero if any benchmark present in both regressed — ns/op and
-// allocs/op each by at most -max-regress percent (allocs get two
-// counts of absolute slack, since short-benchtime runs fold amortized
-// fixture allocations into allocs/op) — so the bench trajectory across
-// PRs is a gate, not just an artifact.
-//
-// The JSON is deterministic for a given set of benchmark results:
-// entries are sorted by (package, name) and no timestamps are
-// recorded (ns/op naturally varies run to run).
+// The set runs in `rounds` rounds, one `go test` each, so every
+// benchmark is sampled at points spread across the run rather than
+// back to back. The file records each metric's median over the rounds
+// and every round's sample, sorted by (package, name), with no
+// timestamps. The predicates relate two medians of the same run, so
+// they need no stored baseline and mean the same on any host; the
+// zero-alloc gate requires 0 allocs/op in every round. The run exits
+// non-zero if go test, a predicate (a missing benchmark fails its
+// predicate) or the gate fails.
 package main
 
 import (
@@ -48,23 +31,34 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed `go test -bench` result line.
+const (
+	// rounds is enough for a median that ignores two disturbed rounds,
+	// and few enough for a CI job.
+	rounds   = 5
+	benchSet = "GEMM|TrainStepSteadyState|TrainEpoch|AllToAllBurst16|SparseBurst16|RunPipeline|TapOverhead|QuantizedInference|ServeBatch|ServeOpenLoop|ServeTrace|InferBatch"
+	pkgs     = "./internal/tensor ./internal/noc ./internal/cmp ./internal/obs ./internal/serve ."
+)
+
+// Benchmark is one benchmark's results over the rounds.
 type Benchmark struct {
-	Package    string             `json:"package"`
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"` // unit → value, e.g. "ns/op", "allocs/op"
+	Package string               `json:"package"`
+	Name    string               `json:"name"`    // without the -GOMAXPROCS suffix
+	Metrics map[string]float64   `json:"metrics"` // unit → median over the rounds
+	Samples map[string][]float64 `json:"samples"` // unit → one value per round, in round order
 }
 
 // File is the schema of the emitted JSON document.
 type File struct {
 	Bench      string      `json:"bench"`     // regex the run selected
-	Benchtime  string      `json:"benchtime"` // per-benchmark budget
+	Benchtime  string      `json:"benchtime"` // per-benchmark budget per round
+	Rounds     int         `json:"rounds"`
 	GoVersion  string      `json:"go_version"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -72,78 +66,67 @@ type File struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-
-	benchRe := flag.String("bench", "GEMM|TrainStepSteadyState|TrainEpoch|AllToAllBurst16|SparseBurst16|RunPipeline|TapOverhead|QuantizedInference|ServeBatch|ServeOpenLoop|ServeTrace|InferBatch",
-		"benchmark selection regex passed to go test -bench")
-	benchtime := flag.String("benchtime", "0.3s", "go test -benchtime value")
+	benchtime := flag.String("benchtime", "0.3s", "go test -benchtime value, per benchmark per round")
 	out := flag.String("out", "bench-ci.json", "output JSON path")
-	pkgs := flag.String("pkgs", "./internal/tensor,./internal/noc,./internal/cmp,./internal/obs,./internal/serve,.",
-		"comma-separated packages to benchmark")
-	requireZero := flag.String("require-zero-allocs", zeroAllocBenchmarks,
-		"regex of benchmark names that must report 0 allocs/op, each top-level alternative matching at least one; exits non-zero on violation ('' disables)")
-	compare := flag.Bool("compare", false, "compare two result files (old new) instead of benchmarking")
-	maxRegress := flag.Float64("max-regress", 10, "with -compare: max tolerated ns/op regression in percent")
 	flag.Parse()
 
-	if *compare {
-		if flag.NArg() != 2 {
-			log.Fatal("usage: benchjson -compare [-max-regress N] old.json new.json")
-		}
-		if err := compareFiles(flag.Arg(0), flag.Arg(1), *maxRegress); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	args := []string{"test", "-run", "^$", "-bench", *benchRe,
-		"-benchmem", "-benchtime", *benchtime}
-	args = append(args, strings.Split(*pkgs, ",")...)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
-	if err != nil {
+	args := append([]string{"test", "-run", "^$", "-bench", benchSet,
+		"-benchmem", "-benchtime", *benchtime}, strings.Fields(pkgs)...)
+	var samples [][]Benchmark
+	for r := 1; r <= rounds; r++ {
+		log.Printf("round %d/%d: go %s", r, rounds, strings.Join(args, " "))
+		cmd := exec.Command("go", args...)
+		cmd.Stderr = os.Stderr
+		raw, err := cmd.Output()
 		os.Stdout.Write(raw)
-		log.Fatalf("go %s: %v", strings.Join(args, " "), err)
-	}
-	os.Stdout.Write(raw)
-
-	f := File{Bench: *benchRe, Benchtime: *benchtime, GoVersion: goVersion()}
-	f.Benchmarks = parseBench(raw)
-	if len(f.Benchmarks) == 0 {
-		log.Fatalf("no benchmark results parsed from go test output")
-	}
-	sort.Slice(f.Benchmarks, func(i, j int) bool {
-		if f.Benchmarks[i].Package != f.Benchmarks[j].Package {
-			return f.Benchmarks[i].Package < f.Benchmarks[j].Package
+		if err != nil {
+			log.Fatalf("round %d: go test: %v", r, err)
 		}
-		return f.Benchmarks[i].Name < f.Benchmarks[j].Name
-	})
-
-	if *requireZero != "" {
-		if err := checkZeroAllocs(f.Benchmarks, *requireZero); err != nil {
-			log.Fatal(err)
-		}
+		samples = append(samples, parseBench(raw))
 	}
 
+	// A run that parsed nothing fails every predicate, naming each
+	// missing benchmark.
+	f := File{Bench: benchSet, Benchtime: *benchtime, Rounds: rounds,
+		GoVersion: runtime.Version(), Benchmarks: merge(samples)}
 	buf, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
+	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %d benchmarks to %s", len(f.Benchmarks), *out)
+
+	fmt.Printf("\npredicates over the medians of %d rounds:\n", rounds)
+	med := medians(f.Benchmarks)
+	failed := 0
+	report := func(line string, err error) {
+		if err != nil {
+			failed++
+			line = "FAIL " + err.Error()
+		}
+		fmt.Println(line)
+	}
+	for _, p := range predicates {
+		report(p.check(med))
+	}
+	report("ok   zero-alloc gate: "+zeroAllocBenchmarks, checkZeroAllocs(f.Benchmarks, zeroAllocBenchmarks))
+	if failed > 0 {
+		log.Fatalf("%d of %d checks failed", failed, len(predicates)+1)
+	}
 }
 
 // parseBench extracts benchmark lines from `go test -bench` output.
 // Each result line is "BenchmarkName-P  N  v1 unit1  v2 unit2 ...";
 // "pkg:" header lines track which package the following results
-// belong to.
+// belong to. The -P suffix go test adds when GOMAXPROCS > 1 is
+// stripped, so names are the same on every host.
 func parseBench(raw []byte) []Benchmark {
 	var (
-		res []Benchmark
-		pkg string
+		res  []Benchmark
+		pkg  string
+		proc = fmt.Sprintf("-%d", runtime.GOMAXPROCS(0))
 	)
 	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
@@ -152,27 +135,23 @@ func parseBench(raw []byte) []Benchmark {
 			pkg = rest
 			continue
 		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
 		fields := strings.Fields(line)
-		if len(fields) < 4 || len(fields)%2 != 0 {
+		if !strings.HasPrefix(line, "Benchmark") || len(fields) < 4 || len(fields)%2 != 0 {
 			continue
 		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue
 		}
-		b := Benchmark{Package: pkg, Name: fields[0], Iterations: iters,
-			Metrics: make(map[string]float64, (len(fields)-2)/2)}
+		name := fields[0]
+		if proc != "-1" {
+			name = strings.TrimSuffix(name, proc)
+		}
+		b := Benchmark{Package: pkg, Name: name, Samples: map[string][]float64{}}
 		ok := true
-		for i := 2; i+1 < len(fields); i += 2 {
+		for i := 2; i+1 < len(fields) && ok; i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				ok = false
-				break
-			}
-			b.Metrics[fields[i+1]] = v
+			ok = err == nil
+			b.Samples[fields[i+1]] = []float64{v}
 		}
 		if ok {
 			res = append(res, b)
@@ -181,46 +160,156 @@ func parseBench(raw []byte) []Benchmark {
 	return res
 }
 
-// zeroAllocBenchmarks is the default zero-alloc gate: the steady-state
+// merge folds the rounds' results into one Benchmark per (package,
+// name), each unit's samples in round order and their median, sorted
+// by (package, name).
+func merge(rounds [][]Benchmark) []Benchmark {
+	byKey := map[string]*Benchmark{}
+	var keys []string
+	for _, round := range rounds {
+		for _, b := range round {
+			k := b.Package + " " + b.Name
+			m := byKey[k]
+			if m == nil {
+				m = &Benchmark{Package: b.Package, Name: b.Name, Samples: map[string][]float64{}}
+				byKey[k] = m
+				keys = append(keys, k)
+			}
+			for unit, vs := range b.Samples {
+				m.Samples[unit] = append(m.Samples[unit], vs...)
+			}
+		}
+	}
+	sort.Strings(keys)
+	res := make([]Benchmark, 0, len(keys))
+	for _, k := range keys {
+		m := byKey[k]
+		m.Metrics = make(map[string]float64, len(m.Samples))
+		for unit, vs := range m.Samples {
+			m.Metrics[unit] = median(vs)
+		}
+		res = append(res, *m)
+	}
+	return res
+}
+
+// median returns the middle of vs, or the mean of the two middle
+// values when len(vs) is even. vs is not modified.
+func median(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// metric names one benchmark's value in one unit.
+type metric struct{ bench, unit string }
+
+// medians indexes the merged results' medians by metric.
+func medians(benchmarks []Benchmark) map[metric]float64 {
+	med := map[metric]float64{}
+	for _, b := range benchmarks {
+		for unit, v := range b.Metrics {
+			med[metric{b.Name, unit}] = v
+		}
+	}
+	return med
+}
+
+// A predicate is one acceptance check over two medians of the same run.
+type predicate struct {
+	name     string
+	lhs, rhs metric
+	rule     string // the bound, as a format of the lhs and rhs descriptions
+	holds    func(lhs, rhs float64) bool
+}
+
+// predicates are the checks every run must pass, each at its original bound.
+var predicates = []predicate{
+	int16Speedup("AlexConv2_256x2400x729"),
+	int16Speedup("AlexConv3_384x2304x169"),
+	overhead("counter tap", "BenchmarkTapOverheadCounter"),
+	overhead("histogram tap", "BenchmarkTapOverheadHistogram"),
+	overhead("disabled request tracer", "BenchmarkServeTraceOverhead"),
+	{name: "pipelined throughput beats sequential replay",
+		lhs: metric{"BenchmarkRunPipelineAlexNet", "inf/Mcycle"}, rhs: metric{"BenchmarkRunPipelineDepth1AlexNet", "inf/Mcycle"},
+		rule: "%s > %s", holds: func(l, r float64) bool { return l > r }},
+	{name: "dynamic batching beats batch-1 serving",
+		lhs: metric{"BenchmarkServeBatched", "qps"}, rhs: metric{"BenchmarkServeBatch1", "qps"},
+		rule: "%s > %s", holds: func(l, r float64) bool { return l > r }},
+}
+
+// int16Speedup: the packed int16 GEMM is at least twice as fast as the
+// packed float32 GEMM on one of CaffeNet's im2col shapes.
+func int16Speedup(shape string) predicate {
+	return predicate{name: "int16 GEMM ≥ 2× float32 on " + shape,
+		lhs:  metric{"BenchmarkGEMMFloat32Blocked/" + shape, "ns/op"},
+		rhs:  metric{"BenchmarkGEMMInt16Blocked/" + shape, "ns/op"},
+		rule: "%s ≥ 2 × %s", holds: func(l, r float64) bool { return l >= 2*r }}
+}
+
+// overhead: a hook costs at most 2% plus 1 ns of absolute jitter per
+// operation over the same loop without it.
+func overhead(what, bench string) predicate {
+	return predicate{name: what + " overhead ≤ 2% + 1 ns",
+		lhs:  metric{bench, "on-ns/op"},
+		rhs:  metric{bench, "off-ns/op"},
+		rule: "%s ≤ 1.02 × %s + 1", holds: func(l, r float64) bool { return l <= r*1.02+1 }}
+}
+
+// check evaluates p over med and returns its report line, or an error
+// naming the missing benchmark or both numbers of the failed bound.
+func (p predicate) check(med map[metric]float64) (string, error) {
+	var desc [2]string
+	var val [2]float64
+	for i, m := range [2]metric{p.lhs, p.rhs} {
+		v, ok := med[m]
+		if !ok {
+			return "", fmt.Errorf("%s: %s reported no %s (renamed, or missing from the run?)", p.name, m.bench, m.unit)
+		}
+		val[i], desc[i] = v, fmt.Sprintf("%s %.6g %s", m.bench, v, m.unit)
+	}
+	got := fmt.Sprintf(p.rule, desc[0], desc[1])
+	if !p.holds(val[0], val[1]) {
+		return "", fmt.Errorf("%s: does not hold: %s", p.name, got)
+	}
+	return "ok   " + p.name + ": " + got, nil
+}
+
+// zeroAllocBenchmarks is the zero-alloc gate: the steady-state
 // training step, the disabled request tracer, the NoC burst loops and
 // the batched serving forward pass.
 const zeroAllocBenchmarks = "TrainStepSteadyState|ServeTraceOverhead|AllToAllBurst16|SparseBurst16|InferBatch"
 
 // checkZeroAllocs enforces the scratch-arena gate: every benchmark
-// whose name matches re must have reported exactly 0 allocs/op. Each
-// top-level alternative of re must match at least one benchmark — a
-// renamed benchmark must not silently disarm its part of the gate.
+// whose name matches re must have reported exactly 0 allocs/op in
+// every round. Each top-level alternative of re must match at least
+// one benchmark — a renamed benchmark must not silently disarm its
+// part of the gate.
 func checkZeroAllocs(benchmarks []Benchmark, re string) error {
-	rx, err := regexp.Compile(re)
-	if err != nil {
-		return fmt.Errorf("bad -require-zero-allocs regex: %v", err)
-	}
+	rx := regexp.MustCompile(re)
 	var bad []string
 	for _, alt := range topLevelAlternatives(re) {
-		arx, err := regexp.Compile(alt)
-		if err != nil {
-			return fmt.Errorf("bad -require-zero-allocs alternative %q: %v", alt, err)
-		}
-		matched := false
-		for _, b := range benchmarks {
-			if arx.MatchString(b.Name) {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			bad = append(bad, fmt.Sprintf("%q matched no benchmark (renamed, or not selected by -bench?)", alt))
+		arx := regexp.MustCompile(alt)
+		if !slices.ContainsFunc(benchmarks, func(b Benchmark) bool { return arx.MatchString(b.Name) }) {
+			bad = append(bad, fmt.Sprintf("%q matched no benchmark (renamed, or missing from the run?)", alt))
 		}
 	}
 	for _, b := range benchmarks {
 		if !rx.MatchString(b.Name) {
 			continue
 		}
-		allocs, ok := b.Metrics["allocs/op"]
-		if !ok {
+		allocs := b.Samples["allocs/op"]
+		if len(allocs) == 0 {
 			bad = append(bad, fmt.Sprintf("%s %s: no allocs/op metric (run with -benchmem)", b.Package, b.Name))
-		} else if allocs != 0 {
-			bad = append(bad, fmt.Sprintf("%s %s: %v allocs/op, want 0", b.Package, b.Name, allocs))
+		}
+		for r, a := range allocs {
+			if a != 0 {
+				bad = append(bad, fmt.Sprintf("%s %s: round %d: %v allocs/op, want 0", b.Package, b.Name, r+1, a))
+			}
 		}
 	}
 	if len(bad) > 0 {
@@ -260,101 +349,4 @@ func topLevelAlternatives(re string) []string {
 		}
 	}
 	return append(alts, re[start:])
-}
-
-// compareFiles diffs two benchmark result files. For every benchmark
-// present in both (keyed by package + name), ns/op must not grow by
-// more than maxRegress percent — the slack needed on shared CI
-// runners — and allocs/op by more than the same percentage plus two
-// allocations of absolute slack: per-op allocation counts are
-// deterministic in steady state, but short benchtimes fold one-time
-// fixture allocations (amortized over the iteration count) into the
-// per-op figure. Benchmarks present in only one file are reported but
-// not fatal: PRs legitimately add and retire benchmarks.
-func compareFiles(oldPath, newPath string, maxRegress float64) error {
-	load := func(path string) (map[string]Benchmark, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var f File
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return nil, fmt.Errorf("%s: %v", path, err)
-		}
-		m := make(map[string]Benchmark, len(f.Benchmarks))
-		for _, b := range f.Benchmarks {
-			m[b.Package+" "+b.Name] = b
-		}
-		if len(m) == 0 {
-			return nil, fmt.Errorf("%s: no benchmarks", path)
-		}
-		return m, nil
-	}
-	oldB, err := load(oldPath)
-	if err != nil {
-		return err
-	}
-	newB, err := load(newPath)
-	if err != nil {
-		return err
-	}
-
-	keys := make([]string, 0, len(oldB))
-	for k := range oldB {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var bad []string
-	common := 0
-	for _, k := range keys {
-		ob := oldB[k]
-		nb, ok := newB[k]
-		if !ok {
-			fmt.Printf("  %-60s retired\n", k)
-			continue
-		}
-		common++
-		oldNs, newNs := ob.Metrics["ns/op"], nb.Metrics["ns/op"]
-		delta := 0.0
-		if oldNs > 0 {
-			delta = (newNs - oldNs) / oldNs * 100
-		}
-		status := "ok"
-		if delta > maxRegress {
-			status = "REGRESSED"
-			bad = append(bad, fmt.Sprintf("%s: ns/op %.0f → %.0f (%+.1f%%, max %+.1f%%)",
-				k, oldNs, newNs, delta, maxRegress))
-		}
-		oldAllocs, newAllocs := ob.Metrics["allocs/op"], nb.Metrics["allocs/op"]
-		if limit := oldAllocs*(1+maxRegress/100) + 2; newAllocs > limit {
-			status = "REGRESSED"
-			bad = append(bad, fmt.Sprintf("%s: allocs/op %v → %v (limit %.1f)",
-				k, oldAllocs, newAllocs, limit))
-		}
-		fmt.Printf("  %-60s ns/op %12.0f → %12.0f (%+6.1f%%)  allocs %4.0f → %4.0f  %s\n",
-			k, oldNs, newNs, delta, oldAllocs, newAllocs, status)
-	}
-	for k := range newB {
-		if _, ok := oldB[k]; !ok {
-			fmt.Printf("  %-60s new\n", k)
-		}
-	}
-	if common == 0 {
-		return fmt.Errorf("no benchmarks in common between %s and %s", oldPath, newPath)
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("bench regression gate failed:\n  %s", strings.Join(bad, "\n  "))
-	}
-	fmt.Printf("bench gate passed: %d common benchmarks within %+.1f%% on ns/op and allocs/op\n",
-		common, maxRegress)
-	return nil
-}
-
-func goVersion() string {
-	out, err := exec.Command("go", "env", "GOVERSION").Output()
-	if err != nil {
-		return "unknown"
-	}
-	return strings.TrimSpace(string(out))
 }
