@@ -32,6 +32,7 @@ fuzz:
 	go test -fuzz FuzzPipelineSchedule -fuzztime 30s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
+	go test -fuzz FuzzFCForwardInt16 -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
 
 # Quick fuzz pass for CI: a few seconds per target on top of the seed
@@ -44,6 +45,7 @@ fuzz-smoke:
 	go test -fuzz FuzzPipelineSchedule -fuzztime 5s ./internal/cmp
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
+	go test -fuzz FuzzFCForwardInt16 -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 
 # One benchmark per paper table/figure plus the per-package benches.
@@ -57,7 +59,8 @@ bench-default:
 # The bench gate CI enforces: the performance benchmarks in 5 rounds,
 # the acceptance predicates (int16 GEMM >= 2x float32, tap and
 # disabled-tracer overhead <= 2% + 1ns, pipelined > replay, batched >
-# batch-1 QPS) and the zero-alloc gate over the run's own medians.
+# batch-1 QPS, a lone request <= half a full batch at float32 and
+# int16) and the zero-alloc gate over the run's own medians.
 # Writes the gitignored bench-ci.json.
 bench-json:
 	go run ./tools/benchjson

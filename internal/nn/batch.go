@@ -4,7 +4,8 @@ import "learn2scale/internal/tensor"
 
 // Batched inference: a group of K inputs runs through the layer stack
 // together. Fully-connected layers (float and int16) take the whole
-// group as one GEMM, reading their weights once per group; every other
+// group in one call — frozen and quantized ones through the output-lane
+// kernel, whose row blocks share each weight load — and every other
 // layer runs its own per-sample Forward on each row, so conv nets batch
 // unchanged. Each row's arithmetic is exactly the single-input
 // Forward's, so batched logits are bit-identical to K sequential
@@ -98,7 +99,7 @@ func grow[T any](s []T, n int) []T {
 // ForwardBatch runs inference on a group of inputs and returns their
 // logits as the rows of one [len(ins), classes] tensor, row i
 // bit-identical to Forward(ins[i], false). Fully-connected layers run
-// the group as one GEMM (FullyConnected.ForwardBatch); every other
+// the group in one call (FullyConnected.ForwardBatch); every other
 // layer runs its per-sample Forward on each row. With spans attached,
 // each layer's step over the whole group is one span hit. The returned
 // tensor is owned by the network and overwritten by the next call.
@@ -131,9 +132,9 @@ func (n *Network) batchStep(l Layer, ins []*tensor.Tensor) {
 // ForwardBatch runs quantized inference on a group of inputs and
 // returns their logits as the rows of one [len(ins), classes] tensor,
 // row i bit-identical to Forward(ins[i]). Quantized FC layers run the
-// group as one int16 GEMM; every other layer runs per sample. The
-// returned tensor is owned by the network and overwritten by the next
-// call.
+// group through the int16 output-lane kernel; every other layer runs
+// per sample. The returned tensor is owned by the network and
+// overwritten by the next call.
 func (qn *QuantNetwork) ForwardBatch(ins []*tensor.Tensor) *tensor.Tensor {
 	p := &qn.batch
 	p.rows = nil

@@ -46,48 +46,68 @@ func batchTestMLP() (*Network, []*tensor.Tensor) {
 	return net, ins
 }
 
-// TestForwardBatchMatchesSequential is the batched forward's
-// bit-identity contract: every row of Network.ForwardBatch and
-// QuantNetwork.ForwardBatch equals the per-sample Forward of its input,
-// for an MLP and a conv+fc net, at every group size (ragged quads and
-// multi-panel groups included) and host worker count. The "negzero"
-// case feeds the logit layer all-zero rows against a −0 bias seed,
-// where skipping the zero products would keep −0 and the matvec gives
-// +0.
-func TestForwardBatchMatchesSequential(t *testing.T) {
-	type model struct {
-		name string
-		net  *Network
-		ins  []*tensor.Tensor
+// batchTestModels are TestForwardBatchMatchesSequential's networks,
+// each built fresh by its constructor: the MLP, the MLP with all-zero
+// logit-layer inputs against a −0 bias ("negzero"), and a conv+fc net
+// with two all-zero inputs and a pruned FC row.
+func batchTestModels(t *testing.T) []struct {
+	name  string
+	build func() (*Network, []*tensor.Tensor)
+} {
+	return []struct {
+		name  string
+		build func() (*Network, []*tensor.Tensor)
+	}{
+		{"mlp", batchTestMLP},
+		{"negzero", func() (*Network, []*tensor.Tensor) {
+			net, ins := batchTestMLP()
+			net.Layers[3].(*FullyConnected).bias.W.Fill(-1e3) // relu2 → all zero
+			net.Layers[5].(*FullyConnected).bias.W.Data[3] = float32(math.Copysign(0, -1))
+			return net, ins
+		}},
+		{"conv", func() (*Network, []*tensor.Tensor) {
+			net, ins := quantTestNet(t)
+			for _, in := range ins[3:5] {
+				in.Zero()
+			}
+			fc := net.Layers[len(net.Layers)-1].(*FullyConnected)
+			clear(fc.weight.W.Data[2*fc.in : 3*fc.in])
+			return net, ins
+		}},
 	}
-	mlp, mlpIns := batchTestMLP()
-	neg, negIns := batchTestMLP()
-	neg.Layers[3].(*FullyConnected).bias.W.Fill(-1e3) // relu2 → all zero
-	neg.Layers[5].(*FullyConnected).bias.W.Data[3] = float32(math.Copysign(0, -1))
-	conv, convIns := quantTestNet(t)
-	for _, in := range convIns[3:5] {
-		in.Zero()
-	}
-	fc := conv.Layers[len(conv.Layers)-1].(*FullyConnected)
-	clear(fc.weight.W.Data[2*fc.in : 3*fc.in])
-	models := []model{{"mlp", mlp, mlpIns}, {"negzero", neg, negIns}, {"conv", conv, convIns}}
+}
 
-	for _, m := range models {
-		qn := QuantizeNetwork(m.net, m.ins[:4], CalibConfig{Method: fixed.CalibMaxAbs})
+// TestForwardBatchMatchesSequential is the frozen forward's
+// bit-identity contract. A frozen network's Forward and every row of
+// its ForwardBatch equal the Forward of an unfrozen twin — the same
+// weights running MatVecAcc, the independent reference — and every
+// row of QuantNetwork.ForwardBatch equals the per-sample quantized
+// Forward, for an MLP and a conv+fc net, at group sizes 1 to 9 and 16
+// (ragged and whole four-row blocks) and every host worker count. The
+// "negzero" case feeds the logit layer all-zero rows against a −0 bias
+// seed, where skipping the zero products would keep −0 and the matvec
+// gives +0.
+func TestForwardBatchMatchesSequential(t *testing.T) {
+	for _, m := range batchTestModels(t) {
+		ref, ins := m.build()
+		net, _ := m.build()
+		net.Freeze()
+		qn := QuantizeNetwork(net, ins[:4], CalibConfig{Method: fixed.CalibMaxAbs})
 		for _, w := range []string{"1", "2", "7"} {
 			t.Run(m.name+"/workers="+w, func(t *testing.T) {
 				t.Setenv(parallel.EnvWorkers, w)
 				var wantF, wantQ [][]float32
-				for _, in := range m.ins {
-					wantF = append(wantF, append([]float32(nil), m.net.Forward(in, false).Data...))
+				for i, in := range ins {
+					wantF = append(wantF, append([]float32(nil), ref.Forward(in, false).Data...))
 					wantQ = append(wantQ, append([]float32(nil), qn.Forward(in).Data...))
+					checkRow(t, fmt.Sprintf("frozen Forward of input %d", i), net.Forward(in, false).Data, wantF[i])
 				}
-				for _, k := range []int{1, 2, 3, 4, 5, 8, 9, 16} {
+				for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
 					// Slide the window so the all-zero inputs land in
-					// different rows and quads.
-					off := (k * 3) % (len(m.ins) - k + 1)
-					group := m.ins[off : off+k]
-					checkBatchRows(t, fmt.Sprintf("float32 K=%d", k), m.net.ForwardBatch(group), wantF[off:off+k])
+					// different rows and row blocks.
+					off := (k * 3) % (len(ins) - k + 1)
+					group := ins[off : off+k]
+					checkBatchRows(t, fmt.Sprintf("float32 K=%d", k), net.ForwardBatch(group), wantF[off:off+k])
 					checkBatchRows(t, fmt.Sprintf("int16 K=%d", k), qn.ForwardBatch(group), wantQ[off:off+k])
 				}
 			})
@@ -102,27 +122,37 @@ func checkBatchRows(t *testing.T, what string, got *tensor.Tensor, want [][]floa
 	}
 	c := len(want[0])
 	for i, row := range want {
-		for j, v := range row {
-			if g := got.Data[i*c+j]; math.Float32bits(g) != math.Float32bits(v) {
-				t.Fatalf("%s: row %d logit %d = %08x, sequential %08x", what, i, j, math.Float32bits(g), math.Float32bits(v))
-			}
+		checkRow(t, fmt.Sprintf("%s: row %d", what, i), got.Data[i*c:(i+1)*c], row)
+	}
+}
+
+func checkRow(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for j, v := range want {
+		if g := got[j]; math.Float32bits(g) != math.Float32bits(v) {
+			t.Fatalf("%s: logit %d = %08x, reference %08x", what, j, math.Float32bits(g), math.Float32bits(v))
 		}
 	}
 }
 
 // TestForwardBatchNoAllocSteadyState: once a group size has sized the
 // staging, batched passes of any size up to it allocate nothing, on
-// both datapaths.
+// the trainable and frozen float paths and the int16 path.
 func TestForwardBatchNoAllocSteadyState(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "1")
 	net, ins := batchTestMLP()
+	frozen, _ := batchTestMLP()
+	frozen.Freeze()
 	qn := QuantizeNetwork(net, ins[:4], CalibConfig{Method: fixed.CalibMaxAbs})
-	net.ForwardBatch(ins[:8])
-	qn.ForwardBatch(ins[:8])
+	nets := []func(ins []*tensor.Tensor) *tensor.Tensor{net.ForwardBatch, frozen.ForwardBatch, qn.ForwardBatch}
+	for _, f := range nets {
+		f(ins[:8])
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for _, k := range []int{1, 3, 8} {
-			net.ForwardBatch(ins[:k])
-			qn.ForwardBatch(ins[:k])
+			for _, f := range nets {
+				f(ins[:k])
+			}
 		}
 	})
 	if allocs > 0 {

@@ -233,6 +233,7 @@ func (l *Conv2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. The returned tensor is owned by the layer
 // and overwritten by the next Backward call.
 func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	mustTrainable(l.name, l.weight)
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
@@ -288,16 +289,18 @@ type FullyConnected struct {
 	outBuf *tensor.Tensor
 	gradIn *tensor.Tensor
 
-	// Batched forward scratch: the group's output rows, its input rows
-	// packed as the GEMM's B panels, and the transposed outputs the
-	// GEMM accumulates (out × K). W is read in place, never packed.
+	// batchOut holds ForwardBatch's output rows.
 	batchOut tensor.Tensor
-	xPacked  []float32
-	yT       []float32
+	// packed is W in the output-lane panels of tensor.PackFC, set by
+	// Network.Freeze; nil while the layer trains.
+	packed []float32
 
-	curX, curG []float32
+	// The current forward's K input rows and output rows, and the
+	// current backward's output gradient.
+	curX, curY, curG []float32
+	curK             int
 
-	fnFwd, fnFwdBatch, fnBwdA, fnBwdB func(lo, hi int)
+	fnFwd, fnFwdPacked, fnBwdA, fnBwdB func(lo, hi int)
 }
 
 // NewFullyConnected creates a dense layer mapping in features to out.
@@ -315,28 +318,19 @@ func NewFullyConnected(name string, in, out int) *FullyConnected {
 func (l *FullyConnected) initScratch() {
 	l.outBuf = tensor.New(l.out)
 	l.gradIn = tensor.New(l.in)
-	// out = b + W·x, four row sums per sweep; bit-identical to the
-	// per-row dot seeded with the bias.
+	// Outputs [lo, hi) of every row: y = b + W·x, four row sums per
+	// sweep; bit-identical to the per-row dot seeded with the bias.
 	l.fnFwd = func(lo, hi int) {
-		tensor.MatVecAcc(l.outBuf.Data[lo:hi], l.weight.W.Data[lo*l.in:hi*l.in], l.curX, hi-lo, l.in)
+		for i := 0; i < l.curK; i++ {
+			y := l.curY[i*l.out+lo : i*l.out+hi]
+			copy(y, l.bias.W.Data[lo:hi])
+			tensor.MatVecAcc(y, l.weight.W.Data[lo*l.in:hi*l.in], l.curX[i*l.in:(i+1)*l.in], hi-lo, l.in)
+		}
 	}
-	// Outputs [lo, hi) of the group: Yᵀ = b + W·Xᵀ, bias-seeded and
-	// accumulated in place, then scattered into the K output rows.
-	l.fnFwdBatch = func(lo, hi int) {
-		k := l.batchOut.Shape[0]
-		for o := lo; o < hi; o++ {
-			row := l.yT[o*k : (o+1)*k]
-			for i := range row {
-				row[i] = l.bias.W.Data[o]
-			}
-		}
-		tensor.MatMulABTAcc(l.yT, l.weight.W.Data, l.xPacked, l.out, l.in, k, lo, hi)
-		y := l.batchOut.Data
-		for o := lo; o < hi; o++ {
-			for i, v := range l.yT[o*k : (o+1)*k] {
-				y[i*l.out+o] = v
-			}
-		}
+	// Output panels [lo, hi) of every row through the output-lane
+	// kernel, whose per-output add sequence is fnFwd's.
+	l.fnFwdPacked = func(lo, hi int) {
+		tensor.FCForward(l.curY, l.curX, l.packed, l.bias.W.Data, l.curK, l.in, l.out, lo, hi)
 	}
 	// Pass A: per-output-neuron gradients (bias row, weight row) are
 	// disjoint in o.
@@ -393,36 +387,43 @@ func (l *FullyConnected) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		l.lastIn = in
 	}
-	copy(l.outBuf.Data, l.bias.W.Data)
-	l.curX = in.Data
-	parallel.ForChunks(l.out, tensor.GEMMRowGrain, l.fnFwd)
+	l.forward(in.Data, 1, l.outBuf.Data)
 	return l.outBuf
 }
 
 // ForwardBatch is the inference forward of a group: x holds K input
 // rows (shape [K, ...]) and the result K output rows, row i
-// bit-identical to Forward of input row i. The group, K = 1 included,
-// is one GEMM, Yᵀ = b + W·Xᵀ (tensor.MatMulABTAcc, whose per-element
-// add sequence is MatVecAcc's), split over workers by output rows, so
-// W is read once per group instead of once per input. The returned
-// tensor is owned by the layer and overwritten by the next
-// ForwardBatch call.
+// bit-identical to Forward of input row i. The returned tensor is
+// owned by the layer and overwritten by the next ForwardBatch call.
 func (l *FullyConnected) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	k := x.Shape[0]
 	if len(x.Data) != k*l.in {
 		panic(fmt.Sprintf("nn: %s: batch of %d rows has %d inputs, want %d per row", l.name, k, len(x.Data), l.in))
 	}
 	setRows(&l.batchOut, k, l.outBuf.Shape)
-	l.xPacked = grow(l.xPacked, tensor.PackBSize(l.in, k))
-	tensor.PackBT(l.xPacked, x.Data, l.in, k)
-	l.yT = grow(l.yT, l.out*k)
-	parallel.ForChunks(l.out, 4*tensor.GEMMABTRowGrain, l.fnFwdBatch)
+	l.forward(x.Data, k, l.batchOut.Data)
 	return &l.batchOut
+}
+
+// forward writes the k output rows y = b + W·x of the k input rows of
+// x. A frozen layer runs the output-lane kernel (tensor.FCForward) on
+// its packed weights, the group split over workers by 32-output panels
+// and each weight load shared by up to four rows; a trainable one runs
+// MatVecAcc row by row, split by output quads. Both give every output
+// the same add sequence, so they are bit-identical at any k.
+func (l *FullyConnected) forward(x []float32, k int, y []float32) {
+	l.curX, l.curY, l.curK = x, y, k
+	if l.packed != nil {
+		parallel.ForChunks(tensor.FCPanels(l.out), 1, l.fnFwdPacked)
+		return
+	}
+	parallel.ForChunks(l.out, tensor.GEMMRowGrain, l.fnFwd)
 }
 
 // Backward implements Layer. The returned tensor is owned by the layer
 // and overwritten by the next Backward call.
 func (l *FullyConnected) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	mustTrainable(l.name, l.weight)
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
@@ -439,6 +440,7 @@ func (l *FullyConnected) ShareClone() Layer {
 		name: l.name, in: l.in, out: l.out,
 		weight: l.weight.shareClone(),
 		bias:   l.bias.shareClone(),
+		packed: l.packed,
 	}
 	c.initScratch()
 	return c

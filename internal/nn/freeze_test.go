@@ -1,0 +1,94 @@
+package nn
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"learn2scale/internal/tensor"
+)
+
+// mustPanic runs f and fails unless it panics with a message that
+// contains want.
+func mustPanic(t *testing.T, what, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, want) {
+			t.Fatalf("%s: panic %q does not name %q", what, r, want)
+		}
+	}()
+	f()
+}
+
+// TestFreezeRefusesTraining: a frozen net has no gradient or momentum
+// buffers, so Backward and an SGD step panic naming the layer, instead
+// of a nil dereference, and Load refuses to change its weights.
+func TestFreezeRefusesTraining(t *testing.T) {
+	net, ins := batchTestMLP()
+	var ckpt bytes.Buffer
+	if err := net.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	net.Freeze()
+	logits := net.Forward(ins[0], true)
+	grad := tensor.New(logits.Shape...)
+	mustPanic(t, "Network.Backward", "ip3", func() { net.Backward(grad) })
+	tr := &Trainer{Net: net, Config: DefaultSGD()}
+	mustPanic(t, "Trainer.Step", "ip1", func() { tr.Step(ins[:2], []int{0, 1}) })
+	if err := net.Load(&ckpt); err == nil || !strings.Contains(err.Error(), "frozen") {
+		t.Fatalf("Load into a frozen net: err = %v", err)
+	}
+
+	conv, convIns := quantTestNet(t)
+	conv.Freeze()
+	c1 := conv.Layers[0]
+	out := c1.Forward(convIns[0], true)
+	mustPanic(t, "Conv2D.Backward", "conv1", func() { c1.Backward(out) })
+}
+
+// TestFreezeIdempotent: a second Freeze keeps the packed weights and
+// the outputs.
+func TestFreezeIdempotent(t *testing.T) {
+	net, ins := batchTestMLP()
+	net.Freeze()
+	fc := net.Layers[1].(*FullyConnected)
+	packed := &fc.packed[0]
+	want := append([]float32(nil), net.Forward(ins[0], false).Data...)
+	net.Freeze()
+	if &fc.packed[0] != packed {
+		t.Fatal("second Freeze repacked the weights")
+	}
+	checkRow(t, "Forward after a second Freeze", net.Forward(ins[0], false).Data, want)
+}
+
+// TestFreezeReleasesTrainingBuffers: after Freeze no parameter of the
+// net, or of a ShareClone replica made from it, reaches a gradient or
+// momentum buffer; the replica shares the packed weights and computes
+// the same logits.
+func TestFreezeReleasesTrainingBuffers(t *testing.T) {
+	net, ins := batchTestMLP()
+	net.Freeze()
+	rep, ok := net.ShareClone()
+	if !ok {
+		t.Fatal("ShareClone of the frozen MLP failed")
+	}
+	for _, n := range []*Network{net, rep} {
+		for _, p := range n.Params() {
+			if p.G != nil || p.V != nil {
+				t.Errorf("%s: %s still holds G or V after Freeze", n.Name, p.Name)
+			}
+		}
+	}
+	for i, l := range net.Layers {
+		if fc, ok := l.(*FullyConnected); ok && &rep.Layers[i].(*FullyConnected).packed[0] != &fc.packed[0] {
+			t.Errorf("replica %s does not share the packed weights", fc.name)
+		}
+	}
+	want := append([]float32(nil), net.Forward(ins[0], false).Data...)
+	checkRow(t, "replica Forward", rep.Forward(ins[0], false).Data, want)
+}

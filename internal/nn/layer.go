@@ -41,14 +41,25 @@ func newParam(name string, shape ...int) *Param {
 // of p but owning a fresh, zeroed gradient accumulator. Replica
 // networks built from such params can run Forward/Backward
 // concurrently with each other — they only read W — while each
-// accumulates into its private G.
+// accumulates into its private G. The replica of a frozen Param is
+// frozen too: it gets no buffers Freeze released.
 func (p *Param) shareClone() *Param {
-	return &Param{
-		Name:  p.Name,
-		W:     p.W,
-		G:     tensor.New(p.G.Shape...),
-		V:     p.V,
-		Decay: p.Decay,
+	c := &Param{Name: p.Name, W: p.W, V: p.V, Decay: p.Decay}
+	if !p.frozen() {
+		c.G = tensor.New(p.G.Shape...)
+	}
+	return c
+}
+
+// frozen reports whether Network.Freeze released p's gradient and
+// momentum buffers.
+func (p *Param) frozen() bool { return p.G == nil }
+
+// mustTrainable panics, naming the layer, when Network.Freeze has
+// released the gradient buffers a backward pass would accumulate into.
+func mustTrainable(layer string, p *Param) {
+	if p.frozen() {
+		panic("nn: " + layer + ": Backward on a frozen layer (Network.Freeze released its gradients)")
 	}
 }
 

@@ -83,6 +83,32 @@ func (n *Network) ShareClone() (*Network, bool) {
 	return c, true
 }
 
+// Freeze makes the network inference-only, for serving. Each
+// fully-connected layer packs its weights once into the output-lane
+// panels of tensor.PackFC and from then on runs tensor.FCForward in
+// Forward and ForwardBatch: a lone input fills every vector lane, and
+// the outputs stay bit-identical to the MatVecAcc forward they replace,
+// at any group size. Every parameter releases its gradient and momentum
+// buffers, which only training reads, so the net holds its weights and
+// one packed copy of its FC weights instead of three buffers per
+// parameter.
+//
+// A frozen net cannot train: Backward and an SGD step panic, naming the
+// layer, and Load returns an error. Its weights must not change after
+// Freeze, or the packed copies go stale. ShareClone replicas of a
+// frozen net are frozen. Freeze is idempotent.
+func (n *Network) Freeze() {
+	for _, l := range n.Layers {
+		if fc, ok := l.(*FullyConnected); ok && fc.packed == nil {
+			fc.packed = make([]float32, tensor.PackFCSize(fc.out, fc.in))
+			tensor.PackFC(fc.packed, fc.weight.W.Data, fc.out, fc.in)
+		}
+		for _, p := range l.Params() {
+			p.G, p.V = nil, nil
+		}
+	}
+}
+
 // Params returns all trainable parameters in layer order.
 func (n *Network) Params() []*Param {
 	var ps []*Param

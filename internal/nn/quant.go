@@ -186,13 +186,12 @@ func (q *quantConv) Forward(in *tensor.Tensor) *tensor.Tensor {
 	return q.out
 }
 
-// quantFC runs a FullyConnected layer on the int16 GEMM path. Its
-// weights exist only as packed A quads (PackAInt16, out × in); the
-// quantized input rows are packed as the Xᵀ panel (PackBTInt16), so a
-// single input and a group of K both run MatMulPackedInt16, whose
-// exact integer accumulation makes every row's result independent of
-// K. Dequantization then writes output o of row i as
-// acc · inScale · wScale[o] + bias[o].
+// quantFC runs a FullyConnected layer on the int16 fast path. Its
+// weights exist only in the pair-interleaved output-lane panels
+// (tensor.PackFCIndexInt16), so a single input and a group of K both run
+// tensor.FCForwardInt16, whose exact integer accumulation makes every
+// row's result independent of K. Dequantization then writes output o
+// of row i as acc · inScale · wScale[o] + bias[o].
 type quantFC struct {
 	name    string
 	in, out int
@@ -200,12 +199,11 @@ type quantFC struct {
 	qmax    int32 // accumulator-safe clamp: AccQMax(in)
 	inScale float32
 	wScales []float32
-	wPacked []int16 // int16 weights as PackAInt16 quads, out × in
+	wPacked []int16 // int16 weights in output-lane panels, out × in
 	bias    []float32
 
 	qx       []int16 // quantized input rows, K × in
-	xPacked  []int16 // qx as the packed Xᵀ panel
-	y32      []int32 // int32 accumulators, out × K
+	y32      []int32 // int32 accumulators, K × out
 	outBuf   *tensor.Tensor
 	batchOut tensor.Tensor
 
@@ -222,27 +220,28 @@ func newQuantFC(l *FullyConnected, inRange float64) *quantFC {
 	q.qmax = fixed.AccQMax(l.in)
 	q.inScale = fixed.ScaleForQ(inRange, q.qmax)
 	// Per-output-row weight scales; each row is quantized straight
-	// into its slot of the packed quads, and chunks own disjoint quads.
+	// into its slots of the packed panels, and chunks own disjoint
+	// panels.
 	w := l.weight.W.Data
 	q.wScales = make([]float32, l.out)
-	q.wPacked = make([]int16, tensor.PackASizeInt16(l.out, l.in))
-	parallel.ForChunks(l.out, tensor.GEMMRowGrain, func(lo, hi int) {
-		for o := lo; o < hi; o++ {
+	q.wPacked = make([]int16, tensor.PackFCSizeInt16(l.out, l.in))
+	parallel.ForChunks(tensor.FCPanels(l.out), 1, func(lo, hi int) {
+		for o := lo * tensor.FCPanelW; o < min(hi*tensor.FCPanelW, l.out); o++ {
 			row := w[o*l.in : (o+1)*l.in]
 			s := fixed.ScaleForQ(fixed.MaxAbs(row), q.qmax)
 			q.wScales[o] = s
 			for p, v := range row {
-				q.wPacked[tensor.PackAIndexInt16(l.in, o, p)] = fixed.QuantizeValueQ(v, s, q.qmax)
+				q.wPacked[tensor.PackFCIndexInt16(l.in, o, p)] = fixed.QuantizeValueQ(v, s, q.qmax)
 			}
 		}
 	})
 	q.outBuf = tensor.New(l.out)
 	q.fnFwd = func(lo, hi int) {
 		k := q.curK
-		tensor.MatMulPackedInt16(q.y32, q.wPacked, q.xPacked, q.out, q.in, k, lo, hi)
-		for o := lo; o < hi; o++ {
-			for i, v := range q.y32[o*k : (o+1)*k] {
-				q.curY[i*q.out+o] = float32(v)*q.inScale*q.wScales[o] + q.bias[o]
+		tensor.FCForwardInt16(q.y32, q.qx, q.wPacked, k, q.in, q.out, lo, hi)
+		for i := 0; i < k; i++ {
+			for o := lo * tensor.FCPanelW; o < min(hi*tensor.FCPanelW, q.out); o++ {
+				q.curY[i*q.out+o] = float32(q.y32[i*q.out+o])*q.inScale*q.wScales[o] + q.bias[o]
 			}
 		}
 	}
@@ -273,16 +272,15 @@ func (q *quantFC) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	return &q.batchOut
 }
 
-// forward quantizes the k input rows of x, packs them as the Xᵀ panel
-// and runs the packed int16 product into the k output rows of y.
+// forward quantizes the k input rows of x and runs the packed int16
+// product, split over workers by output panels, into the k output
+// rows of y.
 func (q *quantFC) forward(x []float32, k int, y []float32) {
 	q.qx = grow(q.qx, k*q.in)
 	fixed.QuantizeScaledQ(q.qx, x, q.inScale, q.qmax)
-	q.xPacked = grow(q.xPacked, tensor.PackBSizeInt16(q.in, k))
-	tensor.PackBTInt16(q.xPacked, q.qx, q.in, k)
-	q.y32 = grow(q.y32, q.out*k)
+	q.y32 = grow(q.y32, k*q.out)
 	q.curK, q.curY = k, y
-	parallel.ForChunks(q.out, tensor.GEMMRowGrain, q.fnFwd)
+	parallel.ForChunks(tensor.FCPanels(q.out), 1, q.fnFwd)
 }
 
 // QuantizeNetwork builds the int16 inference twin of a trained

@@ -40,6 +40,12 @@ func (n *Network) Save(w io.Writer) error {
 // extra checkpoint entries are an error too, so architecture drift is
 // caught rather than silently ignored.
 func (n *Network) Load(r io.Reader) error {
+	params := n.Params()
+	for _, p := range params {
+		if p.frozen() {
+			return fmt.Errorf("nn: load into frozen network %q (its packed weights would go stale)", n.Name)
+		}
+	}
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
 		return fmt.Errorf("nn: decode checkpoint: %w", err)
@@ -48,7 +54,6 @@ func (n *Network) Load(r io.Reader) error {
 	for _, b := range ck.Params {
 		blobs[b.Name] = b
 	}
-	params := n.Params()
 	if len(params) != len(ck.Params) {
 		return fmt.Errorf("nn: checkpoint has %d params, network has %d", len(ck.Params), len(params))
 	}

@@ -199,6 +199,9 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 // count. The serial path allocates nothing in steady state.
 func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *Network, workers int, lr float64) (float64, int) {
 	for _, p := range params {
+		if p.frozen() {
+			panic(fmt.Sprintf("nn: %s: SGD step on a frozen network (Network.Freeze released its gradient and momentum)", p.Name))
+		}
 		p.G.Zero()
 	}
 	var totalLoss float64

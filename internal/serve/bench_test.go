@@ -99,11 +99,13 @@ func BenchmarkServeBatched(b *testing.B) {
 }
 
 // BenchmarkInferBatch measures one batched forward pass of a served
-// group on the ssmask model at each precision: K = 1 is a group of
-// one request, which still runs the batched pass (a one-row GEMM per
-// FC layer, not the single-input Forward behind Model.Infer), and
-// K = 8 a full batch of the batched serving benchmark. With the logits buffer reused, steady state allocates
-// nothing — CI's bench-smoke job fails if it ever reports otherwise.
+// group on the ssmask model at each precision: K = 1 is a lone request,
+// whose FC layers fill every vector lane of the output-lane kernel,
+// and K = 8 a full batch of the batched serving benchmark, run in
+// blocks of four rows that share each weight load. benchjson holds
+// K = 1 at no more than half the cost of K = 8. With the logits buffer
+// reused, steady state allocates nothing — CI's bench-smoke job fails
+// if it ever reports otherwise.
 func BenchmarkInferBatch(b *testing.B) {
 	b.Setenv(parallel.EnvWorkers, "1")
 	for _, m := range testModels(b) {

@@ -147,8 +147,8 @@ func (m *Model) InputLen() int { return m.inLen }
 // datapath and appends the logits of every input, row after row, to
 // dst (copied out of the network's reused scratch). Row i is
 // bit-identical to Infer(ins[i]): fully-connected layers run the group
-// as one GEMM, every other layer per sample (nn.Network.ForwardBatch,
-// nn.QuantNetwork.ForwardBatch).
+// through the packed output-lane kernel, every other layer per sample
+// (nn.Network.ForwardBatch, nn.QuantNetwork.ForwardBatch).
 func (m *Model) InferBatch(ins []*tensor.Tensor, dst []float32) []float32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -163,8 +163,9 @@ func (m *Model) InferBatch(ins []*tensor.Tensor, dst []float32) []float32 {
 
 // Infer runs one single-input forward pass on the model's datapath
 // and appends the logits to dst (copied out of the network's reused
-// scratch). It does not go through the batched pass, so it is the
-// independent reference InferBatch's rows are checked against.
+// scratch). It runs the same FC kernels as InferBatch, on a group of
+// one; the independent reference for both is the unfrozen network's
+// MatVecAcc forward (nn's TestForwardBatchMatchesSequential).
 func (m *Model) Infer(in *tensor.Tensor, dst []float32) []float32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -423,7 +424,12 @@ func NewModels(cfg Config, spec core.SparseNetConfig, ds *data.Dataset, schemes 
 }
 
 // NewModel wraps one trained model as a servable entry at the given
-// precision, with its own simulator System.
+// precision, with its own simulator System. It freezes tm.Net
+// (nn.Network.Freeze): serving never trains, so the float network
+// packs its FC weights for the output-lane kernel and drops its
+// gradient and momentum buffers. The int16 twin, if any, must be
+// quantized before or after; calibration runs the frozen forward,
+// which is bit-identical to the trainable one.
 func NewModel(cfg Config, tm *core.TrainedModel, prec fixed.Precision, samples []*tensor.Tensor) (*Model, error) {
 	cfg.fill()
 	if prec == fixed.Int16 && tm.QNet == nil {
@@ -437,6 +443,7 @@ func NewModel(cfg Config, tm *core.TrainedModel, prec fixed.Precision, samples [
 	if err != nil {
 		return nil, fmt.Errorf("serve: %s/%s: %w", ModelName(tm.Scheme), prec, err)
 	}
+	tm.Net.Freeze()
 	m := &Model{
 		Key:     ModelKey{Scheme: tm.Scheme, Precision: prec},
 		TM:      tm,

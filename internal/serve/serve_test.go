@@ -461,3 +461,16 @@ func TestDynamicBatchingCoalesces(t *testing.T) {
 	// recordBatch runs after the responses are sent; poll briefly.
 	waitStats(t, s, func(st Stats) bool { return st.BatchMax >= 2 })
 }
+
+// TestNewModelFreezesNet: every served float network is frozen, so no
+// parameter keeps the gradient and momentum buffers serving never
+// reads.
+func TestNewModelFreezesNet(t *testing.T) {
+	for _, m := range testModels(t) {
+		for _, p := range m.TM.Net.Params() {
+			if p.G != nil || p.V != nil {
+				t.Fatalf("%s: %s keeps its training buffers", m.Key, p.Name)
+			}
+		}
+	}
+}

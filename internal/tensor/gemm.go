@@ -29,16 +29,14 @@ import "sync"
 // across randomized shapes including ragged tails, on every kernel
 // path the host can run.
 //
-// MatMulABT and MatMulABTAcc are the exception: like the reference
-// A·Bᵀ they add every product, through their own kernel that reads A
-// unpacked, and so match it for all operands (conv dW packs its Bᵀ
-// operand itself and runs MatMulPacked).
+// The fully-connected forward pass of frozen weights runs its own
+// output-lane kernels (fc.go). Those apply no skip test: like
+// MatVecAcc, they add every product, and so match it for all operands.
 
 const (
-	gemmQuadH   = 4 // packed A rows per microkernel call
-	gemmPanelW  = 8 // packed B columns per microkernel call (one AVX vector)
-	gemmKC      = 512
-	gemmABTRows = 8 // unpacked A rows per MatMulABTAcc kernel call
+	gemmQuadH  = 4 // packed A rows per microkernel call
+	gemmPanelW = 8 // packed B columns per microkernel call (one AVX vector)
+	gemmKC     = 512
 )
 
 // GEMMRowGrain is the output-row quantum call sites should pass to
@@ -48,11 +46,6 @@ const (
 // (rows are independent); off-quad grains just shear full quads into
 // scalar tail rows at chunk seams.
 const GEMMRowGrain = gemmQuadH
-
-// GEMMABTRowGrain is the row quantum call sites should use when
-// splitting MatMulABTAcc over workers: chunks on its multiples run
-// whole kernel blocks. Any grain is correct.
-const GEMMABTRowGrain = gemmABTRows
 
 // PackPanels returns the number of gemmPanelW-wide column panels
 // covering an n-column B operand.
@@ -438,111 +431,6 @@ func MatMulATBRows(c, a, b []float32, m, k, n, lo, hi int) {
 	PackB(pp.b, b, k, n)
 	MatMulPacked(c, pp.a, pp.b, m, k, n, lo, hi)
 	packScratch.Put(pp)
-}
-
-// MatMulABT computes C = A·Bᵀ for A (m×k), B (n×k), C (m×n): C
-// cleared, B packed, then MatMulABTAcc over every row — bit-identical
-// to the reference kernel for all operands.
-func MatMulABT(c, a, b []float32, m, k, n int) {
-	if len(a) != m*k || len(b) != n*k || len(c) != m*n {
-		panic("tensor: MatMulABT dimension mismatch")
-	}
-	clear(c)
-	pp := getPackPair(0, PackBSize(k, n))
-	PackBT(pp.b, b, k, n)
-	MatMulABTAcc(c, a, pp.b, m, k, n, 0, m)
-	packScratch.Put(pp)
-}
-
-// MatMulABTAcc accumulates C += A·Bᵀ into rows [lo, hi) of the
-// caller-seeded C (m×n), for row-major A (m×k) and B (n×k) packed by
-// PackBT (bp). Other rows of C are untouched, so disjoint row ranges
-// (on GEMMABTRowGrain multiples for whole kernel blocks) are safe to
-// split across workers. It is the batched FC forward with A the weight
-// matrix, B the group's K input rows and C the bias-seeded transposed
-// outputs (out × K).
-//
-// A is read in place, never packed: the microkernel broadcasts eight
-// A rows straight from their row streams against one packed B panel,
-// so a large A (a layer's weights) costs no copy; K cache-blocking
-// keeps the active B strip in L1. The ragged last row block runs the
-// same kernel on a zero-padded stack copy of its rows, and a ragged B
-// panel through an 8×8 stack tile, so no shape falls back to a scalar
-// path.
-//
-// Unlike the other packed kernels this one has no skip-zero test:
-// every element receives all k products, zero or not, as a·b one `+=`
-// at a time in ascending k without FMA, starting from its seed. That
-// is exactly the naive accumulate, MatVecAcc's per-row sequence, so
-// the result is bit-identical to it for every operand — including a
-// −0 seed or an Inf/NaN B entry meeting a zero A entry, where a skip
-// would change the bits.
-func MatMulABTAcc(c, a, bp []float32, m, k, n, lo, hi int) {
-	if len(c) != m*n || len(a) != m*k || len(bp) < PackBSize(k, n) {
-		panic("tensor: MatMulABTAcc dimension mismatch")
-	}
-	if lo < 0 || hi > m || lo > hi {
-		panic("tensor: MatMulABTAcc row range out of bounds")
-	}
-	var rows [gemmABTRows * gemmKC]float32
-	var tile [gemmABTRows * gemmPanelW]float32
-	np := PackPanels(n)
-	for pc := 0; pc < k; pc += gemmKC {
-		kcb := min(gemmKC, k-pc)
-		for i := lo; i < hi; i += gemmABTRows {
-			nr := min(gemmABTRows, hi-i)
-			ar, lda := a[i*k+pc:], k
-			if nr < gemmABTRows {
-				for r := 0; r < nr; r++ {
-					copy(rows[r*kcb:(r+1)*kcb], a[(i+r)*k+pc:(i+r)*k+pc+kcb])
-				}
-				clear(rows[nr*kcb : gemmABTRows*kcb])
-				ar, lda = rows[:], kcb
-			}
-			for jp := 0; jp < np; jp++ {
-				j0 := jp * gemmPanelW
-				w := min(gemmPanelW, n-j0)
-				panel := bp[jp*k*gemmPanelW+pc*gemmPanelW:]
-				if nr == gemmABTRows && w == gemmPanelW {
-					kernelRowsABT(c[i*n+j0:], n, ar, lda, panel, kcb)
-					continue
-				}
-				// The round trip through the tile is an exact copy;
-				// padded rows and columns only feed tile lanes that are
-				// never copied back.
-				for r := 0; r < nr; r++ {
-					copy(tile[r*gemmPanelW:r*gemmPanelW+w], c[(i+r)*n+j0:(i+r)*n+j0+w])
-				}
-				kernelRowsABT(tile[:], gemmPanelW, ar, lda, panel, kcb)
-				for r := 0; r < nr; r++ {
-					copy(c[(i+r)*n+j0:(i+r)*n+j0+w], tile[r*gemmPanelW:r*gemmPanelW+w])
-				}
-			}
-		}
-	}
-}
-
-// kernelRowsABT accumulates the 8×8 C tile at c (row stride ldc) with
-// eight unpacked A rows at a (row stride lda, k steps each) times one
-// packed B panel, every product added. The Go body and the AVX body
-// in gemm_amd64.s are bit-identical: per lane, ascending-p `c += a·b`.
-func kernelRowsABT(c []float32, ldc int, a []float32, lda int, bp []float32, k int) {
-	if useAVX {
-		gemmRowsABTAVX(&c[0], ldc, &a[0], lda, &bp[0], k)
-		return
-	}
-	kernelRowsABTGo(c, ldc, a, lda, bp, k)
-}
-
-func kernelRowsABTGo(c []float32, ldc int, a []float32, lda int, bp []float32, k int) {
-	for r := 0; r < gemmABTRows; r++ {
-		cr := c[r*ldc : r*ldc+gemmPanelW]
-		for p, av := range a[r*lda : r*lda+k] {
-			for j, bv := range bp[p*gemmPanelW : p*gemmPanelW+gemmPanelW] {
-				cr[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatVecAcc accumulates y[o] += A[o,:]·x for row-major A (m×k) into

@@ -5,15 +5,10 @@ package tensor
 //go:noescape
 func gemmQuadPanelAVX(c *float32, n int, ap, bp *float32, k int)
 
-// gemmRowsABTAVX is implemented in gemm_amd64.s.
-//
-//go:noescape
-func gemmRowsABTAVX(c *float32, ldc int, a *float32, lda int, bp *float32, k int)
-
 // cpuHasAVX is implemented in gemm_amd64.s.
 func cpuHasAVX() bool
 
-// useAVX gates the assembly microkernel. A variable (not a constant)
+// useAVX gates the float32 assembly kernels. A variable (not a constant)
 // so the bit-identity tests can force the portable path and compare
 // both on the same host.
 var useAVX = cpuHasAVX()

@@ -104,102 +104,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemmRowsABTAVX(c *float32, ldc int, a *float32, lda int, bp *float32, k int)
-//
-// Accumulates the 8×8 tile at rows c, c+ldc, …, c+7·ldc (stride ldc
-// floats) with the product of eight unpacked A rows a, a+lda, …,
-// a+7·lda (k steps each) and the packed B panel bp (k steps of 8
-// lanes). No skip test: every row adds its product at every step.
-// Per lane one running sum, products added in ascending p; VMULPS
-// keeps the A value as the first source, VADDPS the running sum,
-// matching the scalar `c += a*b` of kernelRowsABTGo.
-TEXT ·gemmRowsABTAVX(SB), NOSPLIT, $0-48
-	MOVQ c+0(FP), DI
-	MOVQ ldc+8(FP), SI
-	MOVQ a+16(FP), R8
-	MOVQ lda+24(FP), R11
-	MOVQ bp+32(FP), R9
-	MOVQ k+40(FP), CX
-	SHLQ $2, SI        // C row stride in bytes
-	SHLQ $2, R11       // A row stride in bytes
-	LEAQ (R8)(R11*2), R12
-	ADDQ R11, R12      // R12: A row 3
-	LEAQ (R12)(R11*2), R13
-	ADDQ R11, R13      // R13: A row 6
-
-	// load the C tile: Y0..Y7 hold the eight running-sum rows
-	MOVQ    DI, R10
-	VMOVUPS (R10), Y0
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y1
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y2
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y3
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y4
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y5
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y6
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y7
-
-rloop:
-	TESTQ CX, CX
-	JZ    rdone
-	VMOVUPS      (R9), Y8
-	VBROADCASTSS (R8), Y9
-	VMULPS       Y8, Y9, Y9
-	VADDPS       Y9, Y0, Y0
-	VBROADCASTSS (R8)(R11*1), Y10
-	VMULPS       Y8, Y10, Y10
-	VADDPS       Y10, Y1, Y1
-	VBROADCASTSS (R8)(R11*2), Y11
-	VMULPS       Y8, Y11, Y11
-	VADDPS       Y11, Y2, Y2
-	VBROADCASTSS (R12), Y12
-	VMULPS       Y8, Y12, Y12
-	VADDPS       Y12, Y3, Y3
-	VBROADCASTSS (R8)(R11*4), Y13
-	VMULPS       Y8, Y13, Y13
-	VADDPS       Y13, Y4, Y4
-	VBROADCASTSS (R12)(R11*2), Y14
-	VMULPS       Y8, Y14, Y14
-	VADDPS       Y14, Y5, Y5
-	VBROADCASTSS (R13), Y15
-	VMULPS       Y8, Y15, Y15
-	VADDPS       Y15, Y6, Y6
-	VBROADCASTSS (R12)(R11*4), Y9
-	VMULPS       Y8, Y9, Y9
-	VADDPS       Y9, Y7, Y7
-	ADDQ         $4, R8
-	ADDQ         $4, R12
-	ADDQ         $4, R13
-	ADDQ         $32, R9
-	DECQ         CX
-	JMP          rloop
-
-rdone:
-	MOVQ    DI, R10
-	VMOVUPS Y0, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y1, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y2, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y3, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y4, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y5, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y6, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y7, (R10)
-	VZEROUPPER
-	RET
-
 // func cpuHasAVX() bool
 TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	MOVL $1, AX

@@ -102,36 +102,6 @@ func PackBRangeInt16(dst, b []int16, k, n, loPanel, hiPanel int) {
 	}
 }
 
-// PackBTInt16 packs a transposed int16 B operand: bt is the n×k
-// row-major matrix whose transpose is the logical k×n B. Same
-// destination layout as PackBInt16. The quantized FC layer packs its
-// K quantized input rows this way, as the B operand of its product
-// with the packed weight quads.
-func PackBTInt16(dst, bt []int16, k, n int) {
-	step := gemmPanelW * gemmPairW // int16s per pair step: 16
-	size := PackBSizeInt16(k, n)
-	if len(dst) < size || len(bt) != n*k {
-		panic("tensor: PackBTInt16 size mismatch")
-	}
-	kp2 := PackPairs(k)
-	clear(dst[:size]) // odd-k and ragged-panel padding
-	for j := 0; j < n; j++ {
-		panel := dst[(j/gemmPanelW)*kp2*step:]
-		c := (j % gemmPanelW) * gemmPairW
-		for p, v := range bt[j*k : (j+1)*k] {
-			panel[(p/gemmPairW)*step+c+p%gemmPairW] = v
-		}
-	}
-}
-
-// PackAIndexInt16 returns where a PackAInt16 packing of a k-column A
-// stores element (i, p), so a producer can write A straight into its
-// packed form; a zeroed buffer already holds the padding.
-func PackAIndexInt16(k, i, p int) int {
-	step := gemmQuadH * gemmPairW // int16s per pair step: 8
-	return (i/gemmQuadH)*PackPairs(k)*step + (p/gemmPairW)*step + (i%gemmQuadH)*gemmPairW + p%gemmPairW
-}
-
 // PackAInt16 repacks row-major int16 A (m×k) into pair-interleaved
 // quad-major form (see the package comment for the layout). Ragged
 // quads and odd k are zero-padded; integer zero products are inert.

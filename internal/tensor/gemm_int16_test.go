@@ -145,8 +145,7 @@ func TestInt16AccumulatorExtremes(t *testing.T) {
 }
 
 // TestPackRangesInt16MatchFull checks the int16 range packers are pure
-// tilings of the full packs, and that PackAIndexInt16 places every A
-// element where PackAInt16 does.
+// tilings of the full packs.
 func TestPackRangesInt16MatchFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, kn := range [][2]int{{5, 7}, {9, 16}, {3, 1}, {25, 196}, {13, 40}, {1, 9}} {
@@ -180,69 +179,54 @@ func TestPackRangesInt16MatchFull(t *testing.T) {
 				t.Fatalf("PackARangeInt16 m=%d k=%d: element %d differs", m, k, i)
 			}
 		}
-		byIndex := make([]int16, PackASizeInt16(m, k))
-		for i := 0; i < m; i++ {
-			for p, v := range a[i*k : (i+1)*k] {
-				byIndex[PackAIndexInt16(k, i, p)] = v
-			}
-		}
-		for i := range fullA {
-			if byIndex[i] != fullA[i] {
-				t.Fatalf("PackAIndexInt16 m=%d k=%d: element %d differs", m, k, i)
-			}
-		}
 	}
 }
 
 // TestMatVecAccInt32Exact pins the quantized FC product — weight rows
-// packed as A quads (PackAInt16), K input rows packed as the Xᵀ panel
-// (PackBTInt16), MatMulPackedInt16 over a quad-aligned row split — to
-// the naive int64 dot of every (output, input row) pair. Operands stay
-// within the accumulator-safe range for their depth, as the quantizer
-// clamps them, so the int32 product must equal the int64 dot exactly.
+// packed into output-lane panels (PackFCIndexInt16), K input rows,
+// FCForwardInt16 over a random panel split — to the naive int64 dot of
+// every (output, input row) pair. Operands stay within the
+// accumulator-safe range for their depth, as the quantizer clamps
+// them, so the int32 product must equal the int64 dot exactly.
 func TestMatVecAccInt32Exact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for iter := 0; iter < 80; iter++ {
-		m := 1 + rng.Intn(20)
-		k := 1 + rng.Intn(40)
-		kb := 1 + rng.Intn(17) // input rows: ragged and multi-panel
-		qmax := min(32767, int(math.Sqrt(float64(math.MaxInt32)/float64(k))))
-		draw := func(s []int16) {
-			for i := range s {
-				if rng.Intn(5) == 0 {
-					s[i] = 0
-				} else {
-					s[i] = int16(rng.Intn(2*qmax+1) - qmax)
+	eachKernelPathInt16(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		for iter := 0; iter < 80; iter++ {
+			m := 1 + rng.Intn(70)
+			k := 1 + rng.Intn(40)
+			kb := 1 + rng.Intn(17) // input rows: whole and ragged row blocks
+			qmax := min(32767, int(math.Sqrt(float64(math.MaxInt32)/float64(k))))
+			draw := func(s []int16) {
+				for i := range s {
+					if rng.Intn(5) == 0 {
+						s[i] = 0
+					} else {
+						s[i] = int16(rng.Intn(2*qmax+1) - qmax)
+					}
+				}
+			}
+			a := make([]int16, m*k)
+			x := make([]int16, kb*k)
+			draw(a)
+			draw(x)
+			wp := packFCInt16(a, m, k)
+			got := make([]int32, kb*m)
+			mid := rng.Intn(FCPanels(m) + 1)
+			FCForwardInt16(got, x, wp, kb, k, m, 0, mid)
+			FCForwardInt16(got, x, wp, kb, k, m, mid, FCPanels(m))
+			for o := 0; o < m; o++ {
+				for j := 0; j < kb; j++ {
+					want := int64(0)
+					for p := 0; p < k; p++ {
+						want += int64(a[o*k+p]) * int64(x[j*k+p])
+					}
+					if int64(got[j*m+o]) != want {
+						t.Fatalf("m=%d k=%d rows=%d: output %d row %d = %d, int64 dot %d", m, k, kb, o, j, got[j*m+o], want)
+					}
 				}
 			}
 		}
-		a := make([]int16, m*k)
-		x := make([]int16, kb*k)
-		draw(a)
-		draw(x)
-		ap := make([]int16, PackASizeInt16(m, k))
-		bp := make([]int16, PackBSizeInt16(k, kb))
-		for i := range bp {
-			bp[i] = -1 // PackBTInt16 must overwrite its padding
-		}
-		PackAInt16(ap, a, m, k)
-		PackBTInt16(bp, x, k, kb)
-		got := make([]int32, m*kb)
-		mid := (m / 2 / GEMMRowGrain) * GEMMRowGrain
-		MatMulPackedInt16(got, ap, bp, m, k, kb, 0, mid)
-		MatMulPackedInt16(got, ap, bp, m, k, kb, mid, m)
-		for o := 0; o < m; o++ {
-			for j := 0; j < kb; j++ {
-				want := int64(0)
-				for p := 0; p < k; p++ {
-					want += int64(a[o*k+p]) * int64(x[j*k+p])
-				}
-				if int64(got[o*kb+j]) != want {
-					t.Fatalf("m=%d k=%d rows=%d: output %d row %d = %d, int64 dot %d", m, k, kb, o, j, got[o*kb+j], want)
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestIm2ColInt16MatchesFloat pins the generic im2col instantiations

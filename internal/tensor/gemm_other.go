@@ -9,7 +9,3 @@ var useAVX = false
 func gemmQuadPanelAVX(c *float32, n int, ap, bp *float32, k int) {
 	panic("tensor: AVX kernel unavailable on this architecture")
 }
-
-func gemmRowsABTAVX(c *float32, ldc int, a *float32, lda int, bp *float32, k int) {
-	panic("tensor: AVX kernel unavailable on this architecture")
-}

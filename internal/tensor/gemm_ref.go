@@ -50,18 +50,3 @@ func refMatMulATBRows(c, a, b []float32, m, k, n, lo, hi int) {
 		}
 	}
 }
-
-// refMatMulABT computes C = A·Bᵀ for A (m×k), B (n×k), C (m×n).
-func refMatMulABT(c, a, b []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		for j := 0; j < n; j++ {
-			bj := b[j*k : (j+1)*k]
-			s := float32(0)
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			c[i*n+j] = s
-		}
-	}
-}

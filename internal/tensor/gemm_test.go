@@ -34,14 +34,12 @@ func bitsEqual(a, b []float32) (int, bool) {
 // (m, k, n) shape and fails on the first bit difference.
 func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 	t.Helper()
-	a := make([]float32, m*k)  // A for MatMul/ABT
+	a := make([]float32, m*k)  // A for MatMul
 	at := make([]float32, k*m) // A for ATB forms (k×m)
 	b := make([]float32, k*n)  // B for MatMul/ATB
-	bt := make([]float32, n*k) // B for ABT (n×k)
 	fillGEMM(rng, a)
 	fillGEMM(rng, at)
 	fillGEMM(rng, b)
-	fillGEMM(rng, bt)
 
 	got := make([]float32, m*n)
 	want := make([]float32, m*n)
@@ -91,14 +89,6 @@ func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 		}
 	}
 
-	// ABT on finite data (see the package comment for the skip-zero
-	// equivalence this relies on).
-	MatMulABT(got, a, bt, m, k, n)
-	refMatMulABT(want, a, bt, m, k, n)
-	if i, ok := bitsEqual(got, want); !ok {
-		t.Fatalf("MatMulABT m=%d k=%d n=%d: element %d differs: %x vs %x",
-			m, k, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-	}
 }
 
 // eachKernelPath runs fn once per microkernel implementation available
@@ -316,53 +306,6 @@ func FuzzGEMMBitIdentity(f *testing.F) {
 	})
 }
 
-// FuzzGEMMABTAcc pins the accumulating A·Bᵀ kernel (the batched FC
-// forward) to the naive accumulate on a seeded C, over ragged m/k/n —
-// k past the KC block boundary — and a random row split like a worker
-// fan-out, on every kernel path. Zero A entries meet a −0 seed
-// and an Inf B entry, the two cases where skipping a zero product
-// would change the bits.
-func FuzzGEMMABTAcc(f *testing.F) {
-	f.Add(uint8(8), uint8(196), uint8(17), int64(1))
-	f.Add(uint8(3), uint8(5), uint8(8), int64(2))
-	f.Add(uint8(13), uint8(130), uint8(41), int64(3))
-	f.Fuzz(func(t *testing.T, mm, kk, nn uint8, seed int64) {
-		m := int(mm%20) + 1
-		k := int(kk)*3 + 1
-		n := int(nn%64) + 1
-		eachKernelPath(t, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			a := make([]float32, m*k)
-			b := make([]float32, n*k)
-			c := make([]float32, m*n)
-			fillGEMM(rng, a)
-			fillGEMM(rng, b)
-			fillGEMM(rng, c)
-			c[rng.Intn(len(c))] = float32(math.Copysign(0, -1))
-			b[rng.Intn(len(b))] = float32(math.Inf(1))
-			want := append([]float32(nil), c...)
-			for i := 0; i < m; i++ {
-				for j := 0; j < n; j++ {
-					s := want[i*n+j]
-					for p := 0; p < k; p++ {
-						s += a[i*k+p] * b[j*k+p]
-					}
-					want[i*n+j] = s
-				}
-			}
-			bp := make([]float32, PackBSize(k, n))
-			PackBT(bp, b, k, n)
-			mid := rng.Intn(m + 1)
-			MatMulABTAcc(c, a, bp, m, k, n, 0, mid)
-			MatMulABTAcc(c, a, bp, m, k, n, mid, m)
-			if i, ok := bitsEqual(c, want); !ok {
-				t.Fatalf("MatMulABTAcc m=%d k=%d n=%d split@%d: element %d differs: %x vs %x",
-					m, k, n, mid, i, math.Float32bits(c[i]), math.Float32bits(want[i]))
-			}
-		})
-	})
-}
-
 // TestGEMMRowGrainAlignsTiles documents the contract between the
 // parallel chunk grain and the microkernel quad height.
 func TestGEMMRowGrainAlignsTiles(t *testing.T) {
@@ -427,20 +370,6 @@ func BenchmarkGEMMReference(b *testing.B) {
 			})
 		})
 	}
-}
-
-func BenchmarkGEMMABTBlocked(b *testing.B) {
-	m, k, n := 64, 784, 400
-	benchGEMM(b, m, k, n, func(c, a, bb []float32) {
-		MatMulABT(c, a, bb[:n*k], m, k, n)
-	})
-}
-
-func BenchmarkGEMMABTReference(b *testing.B) {
-	m, k, n := 64, 784, 400
-	benchGEMM(b, m, k, n, func(c, a, bb []float32) {
-		refMatMulABT(c, a, bb[:n*k], m, k, n)
-	})
 }
 
 func BenchmarkGEMMATBBlocked(b *testing.B) {

@@ -124,6 +124,9 @@ func TestMatMulATBAgainstMatMul(t *testing.T) {
 	}
 }
 
+// TestMatMulABTAgainstMatMul checks the A·Bᵀ product of the packed FC
+// kernel (FCForward with a zero bias, B packed by PackFC) against
+// MatMul with B transposed explicitly.
 func TestMatMulABTAgainstMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m, k, n := 3, 4, 5
@@ -144,7 +147,9 @@ func TestMatMulABTAgainstMatMul(t *testing.T) {
 	c1 := make([]float32, m*n)
 	c2 := make([]float32, m*n)
 	MatMul(c1, a, b, m, k, n)
-	MatMulABT(c2, a, bt, m, k, n)
+	bp := make([]float32, PackFCSize(n, k))
+	PackFC(bp, bt, n, k)
+	FCForward(c2, a, bp, make([]float32, n), m, k, n, 0, FCPanels(n))
 	for i := range c1 {
 		if math.Abs(float64(c1[i]-c2[i])) > 1e-4 {
 			t.Fatalf("ABT mismatch at %d: %v vs %v", i, c1[i], c2[i])

@@ -240,6 +240,8 @@ var predicates = []predicate{
 	{name: "dynamic batching beats batch-1 serving",
 		lhs: metric{"BenchmarkServeBatched", "qps"}, rhs: metric{"BenchmarkServeBatch1", "qps"},
 		rule: "%s > %s", holds: func(l, r float64) bool { return l > r }},
+	loneRequest("float32"),
+	loneRequest("int16"),
 }
 
 // int16Speedup: the packed int16 GEMM is at least twice as fast as the
@@ -258,6 +260,16 @@ func overhead(what, bench string) predicate {
 		lhs:  metric{bench, "on-ns/op"},
 		rhs:  metric{bench, "off-ns/op"},
 		rule: "%s ≤ 1.02 × %s + 1", holds: func(l, r float64) bool { return l <= r*1.02+1 }}
+}
+
+// loneRequest: one served request costs at most half a full batch of
+// eight, because its FC layers fill every vector lane of the
+// output-lane kernel instead of one lane in eight.
+func loneRequest(prec string) predicate {
+	return predicate{name: "a lone " + prec + " request costs ≤ ½ a full batch",
+		lhs:  metric{"BenchmarkInferBatch/" + prec + "/K=1", "ns/op"},
+		rhs:  metric{"BenchmarkInferBatch/" + prec + "/K=8", "ns/op"},
+		rule: "%s ≤ 0.5 × %s", holds: func(l, r float64) bool { return l <= 0.5*r }}
 }
 
 // check evaluates p over med and returns its report line, or an error

@@ -92,6 +92,8 @@ var predicateBounds = map[string]struct{ at, past [2]float64 }{
 	"disabled request tracer overhead ≤ 2% + 1 ns":      {at: [2]float64{103, 100}, past: [2]float64{103.01, 100}},
 	"pipelined throughput beats sequential replay":      {at: [2]float64{2.679, 2.678}, past: [2]float64{2.678, 2.678}},
 	"dynamic batching beats batch-1 serving":            {at: [2]float64{1201, 1200}, past: [2]float64{1200, 1200}},
+	"a lone float32 request costs ≤ ½ a full batch":     {at: [2]float64{500, 1000}, past: [2]float64{500.5, 1000}},
+	"a lone int16 request costs ≤ ½ a full batch":       {at: [2]float64{500, 1000}, past: [2]float64{500.5, 1000}},
 }
 
 func TestPredicateBounds(t *testing.T) {
