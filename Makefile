@@ -30,6 +30,7 @@ fuzz:
 	go test -fuzz FuzzFaultedRoute -fuzztime 30s ./internal/fault
 	go test -fuzz FuzzSwitchAllocation -fuzztime 30s ./internal/noc
 	go test -fuzz FuzzPipelineSchedule -fuzztime 30s ./internal/cmp
+	go test -fuzz FuzzGEMMBitIdentity -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 30s ./internal/tensor
@@ -43,6 +44,7 @@ fuzz-smoke:
 	go test -fuzz FuzzFaultedRoute -fuzztime 5s ./internal/fault
 	go test -fuzz FuzzSwitchAllocation -fuzztime 5s ./internal/noc
 	go test -fuzz FuzzPipelineSchedule -fuzztime 5s ./internal/cmp
+	go test -fuzz FuzzGEMMBitIdentity -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 5s ./internal/tensor

@@ -346,9 +346,9 @@ func BenchmarkTrainStepSteadyState(b *testing.B) {
 // scales, packed int16 GEMM, requantize between layers). `make
 // bench-json` records the pair; on AVX2 hosts the int16 path runs the
 // GEMM-bound layers ~1.6-1.7x faster end to end (the GEMM-level ≥2x
-// bar benchjson asserts lives in BenchmarkGEMMInt16Blocked vs
-// BenchmarkGEMMFloat32Blocked in internal/tensor — the end-to-end gap
-// is smaller because im2col, quantize and dequant ride along).
+// bar benchjson asserts lives in BenchmarkGEMMInt16VsFloat32 in
+// internal/tensor — the end-to-end gap is smaller because im2col,
+// quantize and dequant ride along).
 func BenchmarkQuantizedInference(b *testing.B) {
 	build := func() (*nn.Network, *tensor.Tensor) {
 		rng := rand.New(rand.NewSource(11))

@@ -8,9 +8,13 @@ import "sync"
 // gemm_ref.go) on the training/inference hot path. All three product
 // shapes used by the layers — A·B (conv forward), A·Bᵀ (conv dW) and
 // Aᵀ·B (conv dIn) — funnel into one microkernel that multiplies a
-// packed 4-row A quad by a packed 8-column B panel: packing puts both
-// operands in unit-stride order regardless of the original layout, and
-// the transposed forms differ only in how they pack.
+// packed 4-row A quad by a packed 16-column B panel: a 4×16 register
+// tile, two 8-lane vectors per row, so eight independent accumulator
+// chains hide the add latency. Packing puts both operands in
+// unit-stride order regardless of the original layout, and the
+// transposed forms differ only in how they pack. The ragged last
+// panel runs through the same microkernel into a zero-padded stack
+// tile, so only the m % 4 tail rows take the scalar path.
 //
 // Determinism contract: the PR 1 golden tests require results that are
 // byte-identical across worker counts, and the worker split only tiles
@@ -25,18 +29,24 @@ import "sync"
 // K loop must never be reordered, split into partial sums, or fused
 // into multiply-add. The AVX path relies on packed single-precision
 // mul/add being IEEE-exact per lane, i.e. bitwise equal to the scalar
-// ops. gemm_test.go pins bit-identity against the reference kernels
-// across randomized shapes including ragged tails, on every kernel
-// path the host can run.
+// ops; it tests the skip once per block of two k steps and takes a
+// per-step path only for a block with a zero A lane. gemm_test.go pins
+// bit-identity against the reference kernels across randomized shapes
+// including ragged tails, zeros of both signs, infinities and NaNs, on
+// every kernel path the host can run.
 //
 // The fully-connected forward pass of frozen weights runs its own
 // output-lane kernels (fc.go). Those apply no skip test: like
 // MatVecAcc, they add every product, and so match it for all operands.
 
 const (
-	gemmQuadH  = 4 // packed A rows per microkernel call
-	gemmPanelW = 8 // packed B columns per microkernel call (one AVX vector)
+	gemmQuadH  = 4  // packed A rows per microkernel call
+	gemmPanelW = 16 // packed B columns per microkernel call (two AVX vectors)
 	gemmKC     = 512
+	// packKB is the number of B rows a pack walks across all its
+	// panels before moving on: the source rows stay in L1 while each
+	// panel receives one contiguous run of packKB rows.
+	packKB = 16
 )
 
 // GEMMRowGrain is the output-row quantum call sites should pass to
@@ -63,7 +73,7 @@ func PackBSize(k, n int) int { return PackPanels(n) * k * gemmPanelW }
 // A operand.
 func PackASize(m, k int) int { return PackQuads(m) * k * gemmQuadH }
 
-// PackB repacks row-major B (k×n) into panel-major form: 8-column
+// PackB repacks row-major B (k×n) into panel-major form: 16-column
 // panels, each storing its k rows contiguously, with the ragged last
 // panel zero-padded. The packed layout lets the microkernel read B as
 // one forward stream regardless of n.
@@ -77,6 +87,8 @@ func PackB(dst, b []float32, k, n int) {
 // PackBRange packs column panels [loPanel, hiPanel) of B into the
 // matching regions of dst, leaving other panels untouched. Panels are
 // disjoint in dst, so a panel range is safe to split across workers.
+// It walks B in blocks of packKB rows across all full panels, copying
+// each panel row as one fixed-size array.
 func PackBRange(dst, b []float32, k, n, loPanel, hiPanel int) {
 	np := PackPanels(n)
 	if len(dst) < np*k*gemmPanelW || len(b) != k*n {
@@ -85,24 +97,33 @@ func PackBRange(dst, b []float32, k, n, loPanel, hiPanel int) {
 	if loPanel < 0 || hiPanel > np || loPanel > hiPanel {
 		panic("tensor: PackBRange panel range out of bounds")
 	}
-	for jp := loPanel; jp < hiPanel; jp++ {
+	full := min(hiPanel, n/gemmPanelW)
+	for p0 := 0; p0 < k; p0 += packKB {
+		p1 := min(p0+packKB, k)
+		for jp := loPanel; jp < full; jp++ {
+			panel := dst[jp*k*gemmPanelW:]
+			src := b[jp*gemmPanelW:]
+			for p := p0; p < p1; p++ {
+				copyPanelRow((*[gemmPanelW]float32)(panel[p*gemmPanelW:]), (*[gemmPanelW]float32)(src[p*n:]))
+			}
+		}
+	}
+	if jp := max(loPanel, full); jp < hiPanel {
 		j0 := jp * gemmPanelW
-		w := n - j0
-		if w > gemmPanelW {
-			w = gemmPanelW
-		}
 		panel := dst[jp*k*gemmPanelW : (jp+1)*k*gemmPanelW]
-		if w == gemmPanelW {
-			for p := 0; p < k; p++ {
-				copy(panel[p*gemmPanelW:p*gemmPanelW+gemmPanelW], b[p*n+j0:p*n+j0+gemmPanelW])
-			}
-		} else {
-			for p := 0; p < k; p++ {
-				d := panel[p*gemmPanelW : (p+1)*gemmPanelW]
-				copy(d, b[p*n+j0:p*n+j0+w])
-				clear(d[w:])
-			}
+		for p := 0; p < k; p++ {
+			d := panel[p*gemmPanelW : (p+1)*gemmPanelW]
+			clear(d[copy(d, b[p*n+j0:p*n+n]):])
 		}
+	}
+}
+
+// copyPanelRow copies one full panel row in 16-byte pieces, which the
+// compiler moves inline; a single 64-byte array assignment between
+// slices it cannot prove disjoint becomes a runtime.memmove call.
+func copyPanelRow(d, s *[gemmPanelW]float32) {
+	for i := 0; i < gemmPanelW; i += 4 {
+		*(*[4]float32)(d[i:]) = *(*[4]float32)(s[i:])
 	}
 }
 
@@ -236,7 +257,7 @@ func PackATRange(dst, at []float32, m, k, lo, hi int) {
 }
 
 // kernelQuadPanel multiplies one packed A quad (4×k) into one packed B
-// panel (k×8), accumulating into the four C rows starting at c with a
+// panel (k×16), accumulating into the four C rows starting at c with a
 // row stride of n elements. The Go body and the AVX body in
 // gemm_amd64.s are bit-identical: per lane, ascending-p adds into the
 // running C value, rows skipped where the A lane is zero (`!= 0`, so
@@ -250,62 +271,43 @@ func kernelQuadPanel(c []float32, n int, ap, bp []float32, k int) {
 }
 
 func kernelQuadPanelGo(c []float32, n int, ap, bp []float32, k int) {
-	c0 := c[0*n : 0*n+gemmPanelW]
-	c1 := c[1*n : 1*n+gemmPanelW]
-	c2 := c[2*n : 2*n+gemmPanelW]
-	c3 := c[3*n : 3*n+gemmPanelW]
+	var rows [gemmQuadH]*[gemmPanelW]float32
+	for r := range rows {
+		rows[r] = (*[gemmPanelW]float32)(c[r*n:])
+	}
 	for p := 0; p < k; p++ {
-		av := ap[p*gemmQuadH : p*gemmQuadH+gemmQuadH]
-		b8 := bp[p*gemmPanelW : p*gemmPanelW+gemmPanelW]
-		if v := av[0]; v != 0 {
-			for j, bv := range b8 {
-				c0[j] += v * bv
+		av := (*[gemmQuadH]float32)(ap[p*gemmQuadH:])
+		bv := (*[gemmPanelW]float32)(bp[p*gemmPanelW:])
+		for r, v := range av {
+			if v == 0 {
+				continue
 			}
-		}
-		if v := av[1]; v != 0 {
-			for j, bv := range b8 {
-				c1[j] += v * bv
-			}
-		}
-		if v := av[2]; v != 0 {
-			for j, bv := range b8 {
-				c2[j] += v * bv
-			}
-		}
-		if v := av[3]; v != 0 {
-			for j, bv := range b8 {
-				c3[j] += v * bv
+			cr := rows[r]
+			for j, b := range bv {
+				cr[j] += v * b
 			}
 		}
 	}
 }
 
-// scalarRowPacked computes row i of C over columns [j0, n) from the
-// packed operands, with the same skip and accumulation order as the
-// microkernel. Handles tail rows and the ragged last column panel.
-func scalarRowPacked(c []float32, ap, bp []float32, i, k, n, j0 int) {
+// scalarRowPacked computes row i of C from the packed operands, with
+// the same skip and accumulation order as the microkernel: the path of
+// the m % 4 tail rows.
+func scalarRowPacked(c []float32, ap, bp []float32, i, k, n int) {
 	base := (i / gemmQuadH) * gemmQuadH * k
 	lane := i % gemmQuadH
 	ci := c[i*n : (i+1)*n]
-	np := PackPanels(n)
-	for jp := j0 / gemmPanelW; jp < np; jp++ {
-		jlo := jp * gemmPanelW
-		if jlo < j0 {
-			jlo = j0
-		}
-		jhi := jp*gemmPanelW + gemmPanelW
-		if jhi > n {
-			jhi = n
-		}
+	for jp := 0; jp < PackPanels(n); jp++ {
+		cj := ci[jp*gemmPanelW : min(n, (jp+1)*gemmPanelW)]
 		panel := bp[jp*k*gemmPanelW:]
 		for p := 0; p < k; p++ {
 			v := ap[base+p*gemmQuadH+lane]
 			if v == 0 {
 				continue
 			}
-			row := panel[p*gemmPanelW : p*gemmPanelW+gemmPanelW]
-			for j := jlo; j < jhi; j++ {
-				ci[j] += v * row[j-jp*gemmPanelW]
+			row := panel[p*gemmPanelW : p*gemmPanelW+len(cj)]
+			for j, b := range row {
+				cj[j] += v * b
 			}
 		}
 	}
@@ -329,31 +331,35 @@ func MatMulPacked(c, ap, bp []float32, m, k, n int, lo, hi int) {
 	}
 	quadHi := lo + (hi-lo)/gemmQuadH*gemmQuadH
 	npFull := n / gemmPanelW
-	if npFull > 0 {
-		// K cache-blocking: the running sums round-trip through C
-		// between blocks, which is exact, so block size is a free
-		// parameter. Keeps the active B panel strip within reach of L1
-		// for large k.
-		for pc := 0; pc < k; pc += gemmKC {
-			kcb := k - pc
-			if kcb > gemmKC {
-				kcb = gemmKC
-			}
-			for i := lo; i < quadHi; i += gemmQuadH {
-				quad := ap[(i/gemmQuadH)*gemmQuadH*k+pc*gemmQuadH:]
-				for jp := 0; jp < npFull; jp++ {
-					kernelQuadPanel(c[i*n+jp*gemmPanelW:], n, quad, bp[jp*k*gemmPanelW+pc*gemmPanelW:], kcb)
-				}
+	// K cache-blocking: the running sums round-trip through C between
+	// blocks, which is exact, so block size is a free parameter. Keeps
+	// the active B panel strip within reach of L1 for large k.
+	for pc := 0; pc < k && npFull > 0; pc += gemmKC {
+		kcb := min(gemmKC, k-pc)
+		for i := lo; i < quadHi; i += gemmQuadH {
+			quad := ap[(i/gemmQuadH)*gemmQuadH*k+pc*gemmQuadH:]
+			for jp := 0; jp < npFull; jp++ {
+				kernelQuadPanel(c[i*n+jp*gemmPanelW:], n, quad, bp[jp*k*gemmPanelW+pc*gemmPanelW:], kcb)
 			}
 		}
 	}
-	if npFull*gemmPanelW < n {
-		for i := lo; i < quadHi; i++ {
-			scalarRowPacked(c, ap, bp, i, k, n, npFull*gemmPanelW)
+	if j0 := npFull * gemmPanelW; j0 < n && k > 0 {
+		// Ragged last panel: run the full-width microkernel into a
+		// zero stack tile (the rows of C were just cleared) and copy
+		// the live columns back. Padded B columns are zero and their
+		// lanes are discarded, so each live lane's sum is the one the
+		// reference computes, bit for bit.
+		panel := bp[npFull*k*gemmPanelW:]
+		for i := lo; i < quadHi; i += gemmQuadH {
+			var tile [gemmQuadH * gemmPanelW]float32
+			kernelQuadPanel(tile[:], gemmPanelW, ap[(i/gemmQuadH)*gemmQuadH*k:], panel, k)
+			for r := 0; r < gemmQuadH; r++ {
+				copy(c[(i+r)*n+j0:(i+r+1)*n], tile[r*gemmPanelW:])
+			}
 		}
 	}
 	for i := quadHi; i < hi; i++ {
-		scalarRowPacked(c, ap, bp, i, k, n, 0)
+		scalarRowPacked(c, ap, bp, i, k, n)
 	}
 }
 

@@ -10,11 +10,26 @@
 
 #include "textflag.h"
 
+// ROW multiplies the broadcast A lane at off(R8) by the two B vectors
+// Y8, Y9 of one k step and adds the products into row accumulators
+// lo, hi.
+#define ROW(off, lo, hi) \
+	VBROADCASTSS off(R8), Y10; \
+	VMULPS       Y8, Y10, Y11; \
+	VMULPS       Y9, Y10, Y10; \
+	VADDPS       Y11, lo, lo;  \
+	VADDPS       Y10, hi, hi
+
 // func gemmQuadPanelAVX(c *float32, n int, ap, bp *float32, k int)
 //
-// Accumulates the 4×8 tile at rows c, c+n, c+2n, c+3n (stride n
+// Accumulates the 4×16 tile at rows c, c+n, c+2n, c+3n (stride n
 // floats) with the product of the packed A quad ap (k steps of 4
-// lanes) and the packed B panel bp (k steps of 8 lanes).
+// lanes) and the packed B panel bp (k steps of 16 lanes). Y0..Y7 hold
+// the tile, two vectors per row. The zero test runs once per block of
+// two k steps: one VCMPPS over the block's 8 A lanes. A block whose
+// lanes are all nonzero runs both steps densely; otherwise one step
+// runs on the per-step path, which adds only the rows whose lane is
+// nonzero, and the next block starts after it.
 TEXT ·gemmQuadPanelAVX(SB), NOSPLIT, $0-40
 	MOVQ c+0(FP), DI
 	MOVQ n+8(FP), SI
@@ -22,85 +37,91 @@ TEXT ·gemmQuadPanelAVX(SB), NOSPLIT, $0-40
 	MOVQ bp+24(FP), R9
 	MOVQ k+32(FP), CX
 	SHLQ $2, SI        // row stride in bytes
+	LEAQ (DI)(SI*2), R10
 
-	// load the C tile: Y0..Y3 hold the four running-sum rows
-	MOVQ    DI, R10
-	VMOVUPS (R10), Y0
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y1
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y2
-	ADDQ    SI, R10
-	VMOVUPS (R10), Y3
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(SI*1), Y2
+	VMOVUPS 32(DI)(SI*1), Y3
+	VMOVUPS (R10), Y4
+	VMOVUPS 32(R10), Y5
+	VMOVUPS (R10)(SI*1), Y6
+	VMOVUPS 32(R10)(SI*1), Y7
 
-	VXORPS X8, X8, X8  // zero, for the skip test
+	VXORPS Y15, Y15, Y15 // zero, for the skip test
 
-loop:
+block:
+	CMPQ CX, $2
+	JLT  tail
+	VMOVUPS   (R8), Y12       // A lanes of two k steps
+	VCMPPS    $4, Y15, Y12, Y12 // NEQ_UQ: lane != 0, true for NaN
+	VMOVMSKPS Y12, AX
+	CMPL      AX, $0xff
+	JNE       step
+
+	// dense block: both steps, every row contributes
+	VMOVUPS (R9), Y8
+	VMOVUPS 32(R9), Y9
+	ROW(0, Y0, Y1)
+	ROW(4, Y2, Y3)
+	ROW(8, Y4, Y5)
+	ROW(12, Y6, Y7)
+	VMOVUPS 64(R9), Y8
+	VMOVUPS 96(R9), Y9
+	ROW(16, Y0, Y1)
+	ROW(20, Y2, Y3)
+	ROW(24, Y4, Y5)
+	ROW(28, Y6, Y7)
+	ADDQ $32, R8
+	ADDQ $128, R9
+	SUBQ $2, CX
+	JMP  block
+
+tail:
 	TESTQ CX, CX
 	JZ    done
-	VMOVUPS (R9), Y4       // b panel step: 8 columns
-	VMOVUPS (R8), X5       // a quad step: 4 row lanes
-	VCMPPS  $4, X8, X5, X6 // NEQ_UQ: lane != 0, true for NaN
-	VMOVMSKPS X6, AX
-	CMPL    AX, $15
-	JNE     mixed
 
-	// dense step: all four rows contribute
-	VBROADCASTSS (R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y0, Y0
-	VBROADCASTSS 4(R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y1, Y1
-	VBROADCASTSS 8(R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y2, Y2
-	VBROADCASTSS 12(R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y3, Y3
+step:
+	// one k step: only rows whose A lane is nonzero contribute
+	VMOVUPS   (R8), X12
+	VCMPPS    $4, X15, X12, X12
+	VMOVMSKPS X12, AX
+	VMOVUPS   (R9), Y8
+	VMOVUPS   32(R9), Y9
+	TESTL     $1, AX
+	JZ        s1
+	ROW(0, Y0, Y1)
 
-next:
-	ADDQ $16, R8
-	ADDQ $32, R9
-	DECQ CX
-	JMP  loop
-
-mixed:
-	// sparse step: only rows whose A lane is nonzero contribute
-	TESTL $1, AX
-	JZ    m1
-	VBROADCASTSS (R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y0, Y0
-m1:
+s1:
 	TESTL $2, AX
-	JZ    m2
-	VBROADCASTSS 4(R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y1, Y1
-m2:
+	JZ    s2
+	ROW(4, Y2, Y3)
+
+s2:
 	TESTL $4, AX
-	JZ    m3
-	VBROADCASTSS 8(R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y2, Y2
-m3:
+	JZ    s3
+	ROW(8, Y4, Y5)
+
+s3:
 	TESTL $8, AX
-	JZ    next
-	VBROADCASTSS 12(R8), Y5
-	VMULPS       Y4, Y5, Y5
-	VADDPS       Y5, Y3, Y3
-	JMP  next
+	JZ    s4
+	ROW(12, Y6, Y7)
+
+s4:
+	ADDQ $16, R8
+	ADDQ $64, R9
+	DECQ CX
+	JMP  block
 
 done:
-	MOVQ    DI, R10
-	VMOVUPS Y0, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y1, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y2, (R10)
-	ADDQ    SI, R10
-	VMOVUPS Y3, (R10)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(SI*1)
+	VMOVUPS Y3, 32(DI)(SI*1)
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, 32(R10)
+	VMOVUPS Y6, (R10)(SI*1)
+	VMOVUPS Y7, 32(R10)(SI*1)
 	VZEROUPPER
 	RET
 

@@ -5,21 +5,30 @@ import "sync"
 // Packed int16 GEMM kernels for the quantized inference fast path.
 //
 // Same architecture as the float path in gemm.go — 4-row A quads,
-// 8-column B panels, KC cache blocking, one microkernel — but the
-// element type is int16 with int32 accumulators, and both packed
-// layouts interleave *pairs* of k steps so the AVX2 kernel can use
-// VPMADDWD: one instruction multiplies 16 int16 values and sums
-// adjacent product pairs into 8 int32 lanes, twice the
-// multiply-accumulate density of the float32 VMULPS/VADDPS pair.
+// column panels, KC cache blocking, one microkernel, the ragged last
+// panel through a zero stack tile — but the element type is int16 with
+// int32 accumulators, and both packed layouts interleave *pairs* of k
+// steps so the AVX2 kernel can use VPMADDWD: one instruction
+// multiplies 16 int16 values and sums adjacent product pairs into 8
+// int32 lanes, twice the multiply-accumulate density of the float32
+// VMULPS/VADDPS pair.
 //
 // Layouts (kp2 = ceil(k/2) pair steps, odd k zero-padded):
 //
-//	packed B panel: panel[p2*16 + c*2 + s] = B[2·p2+s][j0+c]
-//	  — per pair step one 16-lane ymm where 32-bit lane c holds the
+//	packed B panel: panel[p2*32 + c*2 + s] = B[2·p2+s][j0+c]
+//	  — per pair step two 16-lane ymm where 32-bit lane c holds the
 //	    k-adjacent pair for column j0+c, exactly VPMADDWD's shape.
 //	packed A quad:  quad[p2*8 + r*2 + s] = A[i0+r][2·p2+s]
 //	  — per pair step each row's k-pair is one aligned 32-bit unit,
 //	    broadcastable with VPBROADCASTD.
+//
+// Producing these layouts element by element costs as many moves as
+// the float32 packs for half the bytes, so on amd64 the full pair steps
+// of full panels and quads are packed with SSE2, part of the amd64
+// baseline: PUNPCKLWL/PUNPCKHWL interleave two B rows, and a 4×4
+// transpose of 32-bit units lays out four A rows (packPairSteps,
+// packQuadPairs). Their portable Go bodies run elsewhere, and the pack
+// tests hold both to the layouts above.
 //
 // Determinism contract: stronger than the float path's. Products fit
 // int32 exactly (|q| ≤ 32767 so |a·b + a·b| < 2³¹) and int32 addition
@@ -63,41 +72,73 @@ func PackBInt16(dst, b []int16, k, n int) {
 // PackBRangeInt16 packs column panels [loPanel, hiPanel) of B into the
 // matching regions of dst, leaving other panels untouched. Panels are
 // disjoint in dst, so a panel range is safe to split across workers.
+// Like PackBRange it walks B in blocks of rows across all full panels;
+// packPairSteps interleaves each block's full pair steps.
 func PackBRangeInt16(dst, b []int16, k, n, loPanel, hiPanel int) {
 	np, kp2 := PackPanels(n), PackPairs(k)
-	step := gemmPanelW * gemmPairW // int16s per pair step: 16
+	const step = gemmPanelW * gemmPairW // int16s per pair step: 32
 	if len(dst) < np*kp2*step || len(b) != k*n {
 		panic("tensor: PackBRangeInt16 size mismatch")
 	}
 	if loPanel < 0 || hiPanel > np || loPanel > hiPanel {
 		panic("tensor: PackBRangeInt16 panel range out of bounds")
 	}
-	for jp := loPanel; jp < hiPanel; jp++ {
-		j0 := jp * gemmPanelW
-		w := n - j0
-		if w > gemmPanelW {
-			w = gemmPanelW
+	full := min(hiPanel, n/gemmPanelW)
+	pairs := k / gemmPairW // pair steps with both rows live
+	for q0 := 0; q0 < pairs; q0 += packKB / gemmPairW {
+		steps := min(packKB/gemmPairW, pairs-q0)
+		for jp := loPanel; jp < full; jp++ {
+			packPairSteps(dst[jp*kp2*step+q0*step:], b[2*q0*n+jp*gemmPanelW:], n, steps)
 		}
+	}
+	for jp := loPanel; jp < hiPanel; jp++ {
+		// The odd last row of every panel, and every step of the
+		// ragged last panel, go element by element.
+		p2 := pairs
+		if jp >= full {
+			p2 = 0
+		}
+		j0 := jp * gemmPanelW
+		w := min(gemmPanelW, n-j0)
 		panel := dst[jp*kp2*step : (jp+1)*kp2*step]
-		for p2 := 0; p2 < kp2; p2++ {
+		for ; p2 < kp2; p2++ {
 			d := panel[p2*step : (p2+1)*step]
-			r0 := b[(2*p2)*n:]
-			hasOdd := 2*p2+1 < k
-			var r1 []int16
-			if hasOdd {
-				r1 = b[(2*p2+1)*n:]
-			}
-			for c := 0; c < w; c++ {
-				d[c*gemmPairW] = r0[j0+c]
-				if hasOdd {
-					d[c*gemmPairW+1] = r1[j0+c]
-				} else {
-					d[c*gemmPairW+1] = 0
+			clear(d)
+			for s := 0; s < gemmPairW && 2*p2+s < k; s++ {
+				row := b[(2*p2+s)*n+j0 : (2*p2+s)*n+j0+w]
+				for c, v := range row {
+					d[c*gemmPairW+s] = v
 				}
 			}
-			if w < gemmPanelW {
-				clear(d[w*gemmPairW:])
-			}
+		}
+	}
+}
+
+// packPairStepsGo writes steps pair steps of one full B panel: step s
+// interleaves rows 2s and 2s+1 of src (row stride n) column by column
+// into d[s*32:], the layout of the package comment. The portable body
+// of packPairSteps, which runs SSE2 on amd64.
+func packPairStepsGo(d, src []int16, n, steps int) {
+	for s := 0; s < steps; s++ {
+		r0 := (*[gemmPanelW]int16)(src[2*s*n:])
+		r1 := (*[gemmPanelW]int16)(src[(2*s+1)*n:])
+		ds := (*[gemmPanelW * gemmPairW]int16)(d[s*gemmPanelW*gemmPairW:])
+		for c := range r0 {
+			ds[2*c], ds[2*c+1] = r0[c], r1[c]
+		}
+	}
+}
+
+// packQuadPairsGo writes the first pairs pair steps of one full A
+// quad: step p2 holds the k pair (2·p2, 2·p2+1) of each of the four
+// rows of src (row stride k) in d[p2*8:], the layout of the package
+// comment. The portable body of packQuadPairs, which runs SSE2 on
+// amd64.
+func packQuadPairsGo(d, src []int16, k, pairs int) {
+	for p2 := 0; p2 < pairs; p2++ {
+		ds := (*[gemmQuadH * gemmPairW]int16)(d[p2*gemmQuadH*gemmPairW:])
+		for r := 0; r < gemmQuadH; r++ {
+			ds[r*gemmPairW], ds[r*gemmPairW+1] = src[r*k+2*p2], src[r*k+2*p2+1]
 		}
 	}
 }
@@ -117,7 +158,7 @@ func PackAInt16(dst, a []int16, m, k int) {
 // GEMMRowGrain boundaries are safe to split across workers.
 func PackARangeInt16(dst, a []int16, m, k, lo, hi int) {
 	kp2 := PackPairs(k)
-	step := gemmQuadH * gemmPairW // int16s per pair step: 8
+	const step = gemmQuadH * gemmPairW // int16s per pair step: 8
 	if len(dst) < PackASizeInt16(m, k) || len(a) != m*k {
 		panic("tensor: PackARangeInt16 size mismatch")
 	}
@@ -126,24 +167,28 @@ func PackARangeInt16(dst, a []int16, m, k, lo, hi int) {
 	}
 	for i0 := lo; i0 < hi; i0 += gemmQuadH {
 		quad := dst[(i0/gemmQuadH)*kp2*step : (i0/gemmQuadH+1)*kp2*step]
-		rows := hi - i0
-		if rows > gemmQuadH {
-			rows = gemmQuadH
-		}
-		if rows < gemmQuadH || k%gemmPairW != 0 {
+		rows := min(gemmQuadH, hi-i0)
+		if rows < gemmQuadH {
 			clear(quad)
-		}
-		for r := 0; r < rows; r++ {
-			src := a[(i0+r)*k : (i0+r+1)*k]
-			for p, v := range src {
-				quad[(p/gemmPairW)*step+r*gemmPairW+p%gemmPairW] = v
+			for r := 0; r < rows; r++ {
+				src := a[(i0+r)*k : (i0+r+1)*k]
+				for p, v := range src {
+					quad[(p/gemmPairW)*step+r*gemmPairW+p%gemmPairW] = v
+				}
 			}
+			continue
+		}
+		packQuadPairs(quad, a[i0*k:], k, k/gemmPairW)
+		if kEven := k &^ 1; kEven < k {
+			r := a[i0*k+kEven:]
+			d := (*[step]int16)(quad[kEven*gemmQuadH:])
+			*d = [step]int16{r[0], 0, r[k], 0, r[2*k], 0, r[3*k], 0}
 		}
 	}
 }
 
 // kernelQuadPanelInt16 multiplies one packed A quad (4×k) into one
-// packed B panel (k×8) over kp2 pair steps, accumulating into the four
+// packed B panel (k×16) over kp2 pair steps, accumulating into the four
 // int32 C rows starting at c with a row stride of n elements.
 func kernelQuadPanelInt16(c []int32, n int, ap, bp []int16, kp2 int) {
 	if useAVX2 {
@@ -154,46 +199,33 @@ func kernelQuadPanelInt16(c []int32, n int, ap, bp []int16, kp2 int) {
 }
 
 func kernelQuadPanelInt16Go(c []int32, n int, ap, bp []int16, kp2 int) {
-	c0 := c[0*n : 0*n+gemmPanelW]
-	c1 := c[1*n : 1*n+gemmPanelW]
-	c2 := c[2*n : 2*n+gemmPanelW]
-	c3 := c[3*n : 3*n+gemmPanelW]
+	var rows [gemmQuadH]*[gemmPanelW]int32
+	for r := range rows {
+		rows[r] = (*[gemmPanelW]int32)(c[r*n:])
+	}
 	for p2 := 0; p2 < kp2; p2++ {
-		a8 := ap[p2*gemmQuadH*gemmPairW : p2*gemmQuadH*gemmPairW+gemmQuadH*gemmPairW]
-		b16 := bp[p2*gemmPanelW*gemmPairW : p2*gemmPanelW*gemmPairW+gemmPanelW*gemmPairW]
-		a00, a01 := int32(a8[0]), int32(a8[1])
-		a10, a11 := int32(a8[2]), int32(a8[3])
-		a20, a21 := int32(a8[4]), int32(a8[5])
-		a30, a31 := int32(a8[6]), int32(a8[7])
-		for j := 0; j < gemmPanelW; j++ {
-			b0, b1 := int32(b16[j*gemmPairW]), int32(b16[j*gemmPairW+1])
-			c0[j] += a00*b0 + a01*b1
-			c1[j] += a10*b0 + a11*b1
-			c2[j] += a20*b0 + a21*b1
-			c3[j] += a30*b0 + a31*b1
+		av := (*[gemmQuadH * gemmPairW]int16)(ap[p2*gemmQuadH*gemmPairW:])
+		bv := (*[gemmPanelW * gemmPairW]int16)(bp[p2*gemmPanelW*gemmPairW:])
+		for r, cr := range rows {
+			a0, a1 := int32(av[r*gemmPairW]), int32(av[r*gemmPairW+1])
+			for j := range cr {
+				cr[j] += a0*int32(bv[j*gemmPairW]) + a1*int32(bv[j*gemmPairW+1])
+			}
 		}
 	}
 }
 
-// scalarRowPackedInt16 computes row i of C over columns [j0, n) from
-// the packed operands: the tail path for ragged quads and panels.
-func scalarRowPackedInt16(c []int32, ap, bp []int16, i, k, n, j0 int) {
+// scalarRowPackedInt16 computes row i of C from the packed operands:
+// the path of the m % 4 tail rows.
+func scalarRowPackedInt16(c []int32, ap, bp []int16, i, k, n int) {
 	kp2 := PackPairs(k)
 	aStep := gemmQuadH * gemmPairW
 	bStep := gemmPanelW * gemmPairW
 	base := (i / gemmQuadH) * kp2 * aStep
 	lane := i % gemmQuadH
 	ci := c[i*n : (i+1)*n]
-	np := PackPanels(n)
-	for jp := j0 / gemmPanelW; jp < np; jp++ {
-		jlo := jp * gemmPanelW
-		if jlo < j0 {
-			jlo = j0
-		}
-		jhi := jp*gemmPanelW + gemmPanelW
-		if jhi > n {
-			jhi = n
-		}
+	for jp := 0; jp < PackPanels(n); jp++ {
+		cj := ci[jp*gemmPanelW : min(n, (jp+1)*gemmPanelW)]
 		panel := bp[jp*kp2*bStep:]
 		for p2 := 0; p2 < kp2; p2++ {
 			a0 := int32(ap[base+p2*aStep+lane*gemmPairW])
@@ -201,10 +233,9 @@ func scalarRowPackedInt16(c []int32, ap, bp []int16, i, k, n, j0 int) {
 			if a0 == 0 && a1 == 0 {
 				continue
 			}
-			row := panel[p2*bStep : (p2+1)*bStep]
-			for j := jlo; j < jhi; j++ {
-				jc := (j - jp*gemmPanelW) * gemmPairW
-				ci[j] += a0*int32(row[jc]) + a1*int32(row[jc+1])
+			row := panel[p2*bStep : p2*bStep+len(cj)*gemmPairW]
+			for j := range cj {
+				cj[j] += a0*int32(row[j*gemmPairW]) + a1*int32(row[j*gemmPairW+1])
 			}
 		}
 	}
@@ -231,47 +262,35 @@ func MatMulPackedInt16(c []int32, ap, bp []int16, m, k, n int, lo, hi int) {
 	bStep := gemmPanelW * gemmPairW
 	quadHi := lo + (hi-lo)/gemmQuadH*gemmQuadH
 	npFull := n / gemmPanelW
-	if npFull > 0 {
-		// KC blocking in pair units. Integer accumulation is exact, so
-		// the round-trip through C between blocks is free; the block
-		// keeps the active B strip in L1 for large k.
-		kcPairs := gemmKC / gemmPairW
-		for pc := 0; pc < kp2; pc += kcPairs {
-			kcb := kp2 - pc
-			if kcb > kcPairs {
-				kcb = kcPairs
-			}
-			for i := lo; i < quadHi; i += gemmQuadH {
-				quad := ap[(i/gemmQuadH)*kp2*aStep+pc*aStep:]
-				for jp := 0; jp < npFull; jp++ {
-					kernelQuadPanelInt16(c[i*n+jp*gemmPanelW:], n, quad, bp[jp*kp2*bStep+pc*bStep:], kcb)
-				}
+	// KC blocking in pair units. Integer accumulation is exact, so the
+	// round-trip through C between blocks is free; the block keeps the
+	// active B strip in L1 for large k.
+	const kcPairs = gemmKC / gemmPairW
+	for pc := 0; pc < kp2 && npFull > 0; pc += kcPairs {
+		kcb := min(kcPairs, kp2-pc)
+		for i := lo; i < quadHi; i += gemmQuadH {
+			quad := ap[(i/gemmQuadH)*kp2*aStep+pc*aStep:]
+			for jp := 0; jp < npFull; jp++ {
+				kernelQuadPanelInt16(c[i*n+jp*gemmPanelW:], n, quad, bp[jp*kp2*bStep+pc*bStep:], kcb)
 			}
 		}
 	}
-	if j0 := npFull * gemmPanelW; j0 < n {
-		// Ragged last panel: run the full-width microkernel into a
-		// stack tile and copy the live columns back. Padded B columns
-		// are zero, so the extra lanes compute inert zeros; integer
-		// accumulation makes the round-trip through the tile exact.
-		w := n - j0
+	if j0 := npFull * gemmPanelW; j0 < n && kp2 > 0 {
+		// Ragged last panel: run the full-width microkernel into a zero
+		// stack tile (the rows of C were just cleared) and copy the live
+		// columns back. Padded B columns are zero, so the extra lanes
+		// compute inert zeros.
 		panel := bp[npFull*kp2*bStep:]
-		var tile [gemmQuadH * gemmPanelW]int32
 		for i := lo; i < quadHi; i += gemmQuadH {
-			quad := ap[(i/gemmQuadH)*kp2*aStep:]
+			var tile [gemmQuadH * gemmPanelW]int32
+			kernelQuadPanelInt16(tile[:], gemmPanelW, ap[(i/gemmQuadH)*kp2*aStep:], panel, kp2)
 			for r := 0; r < gemmQuadH; r++ {
-				dst := tile[r*gemmPanelW : (r+1)*gemmPanelW]
-				copy(dst, c[(i+r)*n+j0:(i+r+1)*n])
-				clear(dst[w:])
-			}
-			kernelQuadPanelInt16(tile[:], gemmPanelW, quad, panel, kp2)
-			for r := 0; r < gemmQuadH; r++ {
-				copy(c[(i+r)*n+j0:(i+r+1)*n], tile[r*gemmPanelW:r*gemmPanelW+w])
+				copy(c[(i+r)*n+j0:(i+r+1)*n], tile[r*gemmPanelW:])
 			}
 		}
 	}
 	for i := quadHi; i < hi; i++ {
-		scalarRowPackedInt16(c, ap, bp, i, k, n, 0)
+		scalarRowPackedInt16(c, ap, bp, i, k, n)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"learn2scale/internal/benchpair"
 )
 
 // fillInt16 fills a slice with quantized-range values: a mix of zeros,
@@ -144,16 +146,47 @@ func TestInt16AccumulatorExtremes(t *testing.T) {
 	})
 }
 
+// packBInt16Ref is the packed int16 B layout by its definition:
+// panel[p2*32 + c*2 + s] = B[2·p2+s][j0+c], zero past k and n.
+func packBInt16Ref(b []int16, k, n int) []int16 {
+	kp2 := PackPairs(k)
+	out := make([]int16, PackBSizeInt16(k, n))
+	for jp := 0; jp < PackPanels(n); jp++ {
+		for p2 := 0; p2 < kp2; p2++ {
+			for c := 0; c < gemmPanelW; c++ {
+				for s := 0; s < gemmPairW; s++ {
+					if p, j := 2*p2+s, jp*gemmPanelW+c; p < k && j < n {
+						out[((jp*kp2+p2)*gemmPanelW+c)*gemmPairW+s] = b[p*n+j]
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // TestPackRangesInt16MatchFull checks the int16 range packers are pure
-// tilings of the full packs.
+// tilings of the full packs, and that both packs, and the portable
+// bodies of their amd64 assembly, write the layouts their definitions
+// give.
 func TestPackRangesInt16MatchFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, kn := range [][2]int{{5, 7}, {9, 16}, {3, 1}, {25, 196}, {13, 40}, {1, 9}} {
+	for _, kn := range [][2]int{{5, 7}, {9, 16}, {3, 1}, {25, 196}, {13, 40}, {1, 9}, {40, 33}} {
 		k, n := kn[0], kn[1]
 		b := make([]int16, k*n)
 		fillInt16(rng, b)
 		full := make([]int16, PackBSizeInt16(k, n))
 		PackBInt16(full, b, k, n)
+		ref := packBInt16Ref(b, k, n)
+		portable := append([]int16(nil), full...)
+		for jp := 0; jp < n/gemmPanelW; jp++ {
+			packPairStepsGo(portable[jp*PackPairs(k)*gemmPanelW*gemmPairW:], b[jp*gemmPanelW:], n, k/gemmPairW)
+		}
+		for i := range ref {
+			if full[i] != ref[i] || portable[i] != ref[i] {
+				t.Fatalf("PackBInt16 k=%d n=%d: element %d = %d (portable interleave %d), layout says %d", k, n, i, full[i], portable[i], ref[i])
+			}
+		}
 		split := make([]int16, PackBSizeInt16(k, n))
 		np := PackPanels(n)
 		mid := np / 2
@@ -174,12 +207,39 @@ func TestPackRangesInt16MatchFull(t *testing.T) {
 		midRow := (m / 2 / GEMMRowGrain) * GEMMRowGrain
 		PackARangeInt16(splitA, a, m, k, 0, midRow)
 		PackARangeInt16(splitA, a, m, k, midRow, m)
+		refA := packAInt16Ref(a, m, k)
+		portableA := append([]int16(nil), fullA...)
+		for q := 0; q < m/gemmQuadH; q++ {
+			packQuadPairsGo(portableA[q*PackPairs(k)*gemmQuadH*gemmPairW:], a[q*gemmQuadH*k:], k, k/gemmPairW)
+		}
 		for i := range fullA {
 			if splitA[i] != fullA[i] {
 				t.Fatalf("PackARangeInt16 m=%d k=%d: element %d differs", m, k, i)
 			}
+			if fullA[i] != refA[i] || portableA[i] != refA[i] {
+				t.Fatalf("PackAInt16 m=%d k=%d: element %d = %d (portable %d), layout says %d", m, k, i, fullA[i], portableA[i], refA[i])
+			}
 		}
 	}
+}
+
+// packAInt16Ref is the packed int16 A layout by its definition:
+// quad[p2*8 + r*2 + s] = A[i0+r][2·p2+s], zero past m and k.
+func packAInt16Ref(a []int16, m, k int) []int16 {
+	kp2 := PackPairs(k)
+	out := make([]int16, PackASizeInt16(m, k))
+	for q := 0; q < PackQuads(m); q++ {
+		for p2 := 0; p2 < kp2; p2++ {
+			for r := 0; r < gemmQuadH; r++ {
+				for s := 0; s < gemmPairW; s++ {
+					if i, p := q*gemmQuadH+r, 2*p2+s; i < m && p < k {
+						out[((q*kp2+p2)*gemmQuadH+r)*gemmPairW+s] = a[i*k+p]
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TestMatVecAccInt32Exact pins the quantized FC product — weight rows
@@ -285,37 +345,82 @@ var alexShapes = []struct {
 }
 
 func BenchmarkGEMMInt16Blocked(b *testing.B) {
-	shapes := append([]struct {
-		name    string
-		m, k, n int
-	}{{"Square256", 256, 256, 256}}, alexShapes...)
-	for _, s := range shapes {
+	b.Run("Square256", func(b *testing.B) {
+		const n = 256
+		rng := rand.New(rand.NewSource(5))
+		a := make([]int16, n*n)
+		bb := make([]int16, n*n)
+		c := make([]int32, n*n)
+		fillInt16(rng, a)
+		fillInt16(rng, bb)
+		b.SetBytes(int64(2 * n * n * n))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MatMulInt16(c, a, bb, n, n, n)
+		}
+	})
+}
+
+// BenchmarkGEMMInt16VsFloat32 measures both sides of benchjson's
+// int16 ≥ 2x float32 predicate together: every iteration runs one
+// float32 MatMul and one MatMulInt16 of the same shape, packing
+// included, and the f32-ns/op and i16-ns/op metrics are each side's
+// median call.
+func BenchmarkGEMMInt16VsFloat32(b *testing.B) {
+	for _, s := range alexShapes {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
-			a := make([]int16, s.m*s.k)
-			bb := make([]int16, s.k*s.n)
-			c := make([]int32, s.m*s.n)
-			fillInt16(rng, a)
-			fillInt16(rng, bb)
-			b.SetBytes(int64(2 * s.m * s.k * s.n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				MatMulInt16(c, a, bb, s.m, s.k, s.n)
-			}
+			af := make([]float32, s.m*s.k)
+			bf := make([]float32, s.k*s.n)
+			cf := make([]float32, s.m*s.n)
+			fillDense(rng, af)
+			fillDense(rng, bf)
+			ai := make([]int16, s.m*s.k)
+			bi := make([]int16, s.k*s.n)
+			ci := make([]int32, s.m*s.n)
+			fillInt16(rng, ai)
+			fillInt16(rng, bi)
+			benchpair.Alternate(b, [2]string{"f32-ns/op", "i16-ns/op"}, [2]func(){
+				func() { MatMul(cf, af, bf, s.m, s.k, s.n) },
+				func() { MatMulInt16(ci, ai, bi, s.m, s.k, s.n) },
+			})
 		})
 	}
 }
 
-// BenchmarkGEMMFloat32Blocked is the float32 packed-path twin of the
-// AlexNet-shaped int16 benchmarks above: CI divides the two ns/op
-// figures to assert the ≥2x quantized speedup.
-func BenchmarkGEMMFloat32Blocked(b *testing.B) {
+// BenchmarkPackAlexConv times each operand pack alone on the AlexConv
+// shapes: the A operand (weights, m×k) and the B operand (im2col
+// columns, k×n) at both precisions.
+func BenchmarkPackAlexConv(b *testing.B) {
 	for _, s := range alexShapes {
-		b.Run(s.name, func(b *testing.B) {
-			benchGEMM(b, s.m, s.k, s.n, func(c, a, bb []float32) {
-				MatMul(c, a, bb, s.m, s.k, s.n)
+		rng := rand.New(rand.NewSource(5))
+		af := make([]float32, s.m*s.k)
+		bf := make([]float32, s.k*s.n)
+		fillDense(rng, af)
+		fillDense(rng, bf)
+		ai := make([]int16, s.m*s.k)
+		bi := make([]int16, s.k*s.n)
+		fillInt16(rng, ai)
+		fillInt16(rng, bi)
+		ap := make([]float32, PackASize(s.m, s.k))
+		bp := make([]float32, PackBSize(s.k, s.n))
+		api := make([]int16, PackASizeInt16(s.m, s.k))
+		bpi := make([]int16, PackBSizeInt16(s.k, s.n))
+		for _, c := range []struct {
+			name string
+			pack func()
+		}{
+			{"PackA", func() { PackA(ap, af, s.m, s.k) }},
+			{"PackAInt16", func() { PackAInt16(api, ai, s.m, s.k) }},
+			{"PackB", func() { PackB(bp, bf, s.k, s.n) }},
+			{"PackBInt16", func() { PackBInt16(bpi, bi, s.k, s.n) }},
+		} {
+			b.Run(s.name+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.pack()
+				}
 			})
-		})
+		}
 	}
 }

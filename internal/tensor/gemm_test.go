@@ -6,17 +6,48 @@ import (
 	"testing"
 )
 
-// fillGEMM fills a slice with a mix of normal values, exact zeros (to
-// exercise the skip-zero paths), and denormal-scale values.
+// fillGEMM fills a slice with a mix of normal values, exact zeros of
+// both signs (to exercise the skip-zero paths: −0 == 0, so it is
+// skipped too), and denormal-scale values.
 func fillGEMM(rng *rand.Rand, s []float32) {
 	for i := range s {
 		switch rng.Intn(8) {
 		case 0:
 			s[i] = 0
+			if rng.Intn(2) == 0 {
+				s[i] = float32(math.Copysign(0, -1))
+			}
 		case 1:
 			s[i] = float32(rng.NormFloat64() * 1e-20)
 		default:
 			s[i] = float32(rng.NormFloat64())
+		}
+	}
+}
+
+// mulNoFold multiplies at run time, so the product is the one the
+// hardware computes, not a compile-time constant.
+//
+//go:noinline
+func mulNoFold(a, b float32) float32 { return a * b }
+
+// hostNaN is the NaN the host's float unit produces for Inf·0.
+var hostNaN = mulNoFold(float32(math.Inf(1)), 0)
+
+// addSpecials puts infinities and NaNs into a row-major matrix with
+// cols columns: about one row in eight gets a ±Inf, and about one in
+// eight gets a NaN, at most one per row. Where a zero A lane meets
+// them in B, a kernel that loses the skip test computes 0·Inf or 0·NaN
+// and turns a finite sum into NaN. Every NaN carries the payload the
+// host generates for Inf·0, so no sum can meet two NaN payloads, whose
+// survivor would depend on the operand order the compiler picks.
+func addSpecials(rng *rand.Rand, s []float32, cols int) {
+	for r := 0; r+cols <= len(s); r += cols {
+		if rng.Intn(8) == 0 {
+			s[r+rng.Intn(cols)] = float32(math.Inf(1 - 2*rng.Intn(2)))
+		}
+		if rng.Intn(8) == 0 {
+			s[r+rng.Intn(cols)] = hostNaN
 		}
 	}
 }
@@ -31,7 +62,8 @@ func bitsEqual(a, b []float32) (int, bool) {
 }
 
 // checkShape runs every blocked kernel against its reference for one
-// (m, k, n) shape and fails on the first bit difference.
+// (m, k, n) shape and fails on the first bit difference. Operands carry
+// zeros of both signs, infinities and NaNs (addSpecials).
 func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 	t.Helper()
 	a := make([]float32, m*k)  // A for MatMul
@@ -40,6 +72,9 @@ func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 	fillGEMM(rng, a)
 	fillGEMM(rng, at)
 	fillGEMM(rng, b)
+	addSpecials(rng, a, k)
+	addSpecials(rng, at, m)
+	addSpecials(rng, b, n)
 
 	got := make([]float32, m*n)
 	want := make([]float32, m*n)
@@ -113,12 +148,16 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 	eachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		// Deliberate edge shapes: tile-aligned, one-off ragged tails,
-		// and degenerate single rows/columns.
+		// and degenerate single rows/columns. The last six cross the
+		// gemmKC block once and twice at n = 16q, 16q+1 and 16q+9
+		// (CaffeNet's conv column counts are 8q+1).
 		shapes := [][3]int{
 			{1, 1, 1}, {1, 7, 1}, {4, 4, 8}, {8, 16, 16},
 			{5, 9, 6}, {3, 5, 2}, {4, 1, 9}, {7, 13, 11},
 			{16, 25, 196}, {9, 25, 196}, {12, 75, 64}, {1, 400, 10},
 			{8, 600, 24}, {4, 1030, 16},
+			{8, 513, 48}, {9, 513, 49}, {8, 513, 57},
+			{9, 1030, 48}, {8, 1030, 49}, {9, 1030, 57},
 		}
 		for _, s := range shapes {
 			checkShape(t, rng, s[0], s[1], s[2])
@@ -298,7 +337,7 @@ func FuzzGEMMBitIdentity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mm, kk, nn uint8, seed int64) {
 		m := int(mm%32) + 1
 		k := int(kk%32) + 1
-		n := int(nn%64) + 1
+		n := int(nn) + 1 // up to 16 panels of 16, plus a ragged one
 		eachKernelPath(t, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			checkShape(t, rng, m, k, n)

@@ -245,11 +245,13 @@ var predicates = []predicate{
 }
 
 // int16Speedup: the packed int16 GEMM is at least twice as fast as the
-// packed float32 GEMM on one of CaffeNet's im2col shapes.
+// packed float32 GEMM on one of CaffeNet's im2col shapes. Both sides
+// come from one benchmark that alternates the two calls.
 func int16Speedup(shape string) predicate {
+	const bench = "BenchmarkGEMMInt16VsFloat32/"
 	return predicate{name: "int16 GEMM ≥ 2× float32 on " + shape,
-		lhs:  metric{"BenchmarkGEMMFloat32Blocked/" + shape, "ns/op"},
-		rhs:  metric{"BenchmarkGEMMInt16Blocked/" + shape, "ns/op"},
+		lhs:  metric{bench + shape, "f32-ns/op"},
+		rhs:  metric{bench + shape, "i16-ns/op"},
 		rule: "%s ≥ 2 × %s", holds: func(l, r float64) bool { return l >= 2*r }}
 }
 
