@@ -137,12 +137,13 @@ func faultFor(m topology.Mesh, kind, pick int) *fault.Config {
 	}
 }
 
-// randomSwitchCase draws a small network and one to three staggered
-// bursts from rng.
+// randomSwitchCase draws a small network, with every VC count up to
+// maxVCs so all widths of the slot tables and occupancy masks are
+// exercised, and one to three staggered bursts from rng.
 func randomSwitchCase(rng *rand.Rand) switchCase {
 	m := topology.NewMesh(1+rng.Intn(4), 1+rng.Intn(4))
 	cfg := DefaultConfig(m)
-	cfg.VCs = 1 + rng.Intn(4)
+	cfg.VCs = 1 + rng.Intn(maxVCs)
 	cfg.BufDepth = 1 + rng.Intn(8)
 	cfg.Planes = 1 + rng.Intn(2)
 	cfg.Stages = 1 + rng.Intn(4)
@@ -166,10 +167,10 @@ func randomSwitchCase(rng *rand.Rand) switchCase {
 	return c
 }
 
-// TestSwitchAllocationMatchesDenseScan: the request-mask allocator with
-// its empty-router skip must reproduce the dense scan it replaced bit
-// for bit over random networks, fault scenarios and overlapping
-// sessions.
+// TestSwitchAllocationMatchesDenseScan: the request-mask allocator,
+// with its empty-router skip, occupancy masks and cached head routes,
+// must reproduce the dense scan it replaced bit for bit over random
+// networks, fault scenarios and overlapping sessions.
 func TestSwitchAllocationMatchesDenseScan(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -197,8 +198,8 @@ func TestSwitchAllocationMatchesDenseScan(t *testing.T) {
 }
 
 // FuzzSwitchAllocation drives the same differential check from raw
-// bytes: shape picks the network (mesh, VCs, buffer depth, planes,
-// stages, packet length, fault scenario) and every 4 bytes of msgs are
+// bytes: shape picks the network (mesh, VCs up to maxVCs, buffer
+// depth, planes, stages, packet length, fault scenario) and every 4 bytes of msgs are
 // one message (source, destination, size, injection time), dealt
 // round-robin into up to three session groups.
 func FuzzSwitchAllocation(f *testing.F) {
@@ -213,7 +214,7 @@ func FuzzSwitchAllocation(f *testing.F) {
 		}
 		m := topology.NewMesh(1+b(0)%4, 1+b(1)%4)
 		cfg := DefaultConfig(m)
-		cfg.VCs = 1 + b(2)%4
+		cfg.VCs = 1 + b(2)%maxVCs
 		cfg.BufDepth = 1 + b(3)%8
 		cfg.Planes = 1 + b(4)%2
 		cfg.Stages = 1 + b(5)%4

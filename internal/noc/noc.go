@@ -32,9 +32,13 @@ const (
 	numPorts
 )
 
-// maxVCs bounds Config.VCs so a router's numPorts·VCs input VCs fit the
-// 64-bit request masks of switch allocation.
-const maxVCs = 64 / numPorts
+// maxVCs bounds Config.VCs so a router's numPorts·VCs input VCs, at
+// most maxSlots, fit the 64-bit occupancy and request masks of switch
+// allocation.
+const (
+	maxVCs   = 64 / numPorts
+	maxSlots = numPorts * maxVCs
+)
 
 // Config describes the simulated network. The zero value is not
 // usable; start from DefaultConfig.

@@ -292,3 +292,58 @@ func TestSessionRecyclesArenas(t *testing.T) {
 		t.Fatalf("session of %d sequential groups holds %d packet arenas, want 1", 3*len(bursts), arenas)
 	}
 }
+
+// TestSessionReuseAfterAbandon: Begin on a simulator whose last session
+// was abandoned with flits still in the network must clear every piece
+// of router state — VC buffers and owners, occupancy masks, cached head
+// routes, credits and round-robin pointers — so the next burst runs
+// exactly as on a fresh simulator: same Result, loop iterations and
+// per-link loads. Each fault kind leaves different state behind (up*/
+// down* routes cache "down" hops, drops leave retransmissions queued).
+func TestSessionReuseAfterAbandon(t *testing.T) {
+	m := topology.NewMesh(4, 4)
+	bursts := burstPatterns(m.Nodes())
+	for kind := 0; kind < 4; kind++ {
+		cfg := DefaultConfig(m)
+		cfg.Fault = faultFor(m, kind, 5)
+		sim := MustNew(cfg)
+		ses := sim.Begin()
+		for k, msgs := range bursts {
+			if _, err := ses.Inject(msgs, int64(10*k), int64(k), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := ses.Next(); err != nil {
+			t.Fatal(err)
+		}
+		var buffered int64
+		for p := range sim.planes {
+			buffered += sim.planes[p].buffered
+		}
+		if buffered == 0 {
+			t.Fatalf("fault kind %d: network drained at the first resolution; nothing left in flight to abandon", kind)
+		}
+
+		fresh := MustNew(cfg)
+		for k, msgs := range bursts {
+			want, wantLost, err := runIsolated(fresh, msgs, int64(k), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotLost, err := runIsolated(sim, msgs, int64(k), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || !reflect.DeepEqual(gotLost, wantLost) {
+				t.Fatalf("fault kind %d burst %d after an abandoned session:\ngot   %+v %v\nfresh %+v %v",
+					kind, k, got, gotLost, want, wantLost)
+			}
+			if g, w := sim.LoopIters(), fresh.LoopIters(); g != w {
+				t.Fatalf("fault kind %d burst %d: %d loop iterations, fresh %d", kind, k, g, w)
+			}
+			if g, w := sim.LinkUtilization(), fresh.LinkUtilization(); !reflect.DeepEqual(g, w) {
+				t.Fatalf("fault kind %d burst %d: link stats differ:\ngot   %v\nfresh %v", kind, k, g, w)
+			}
+		}
+	}
+}

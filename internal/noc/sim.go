@@ -8,6 +8,7 @@ import (
 	"learn2scale/internal/fault"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/timeline"
+	"learn2scale/internal/topology"
 )
 
 // sortInjQueue orders one node's injection FIFO by (time, packet id)
@@ -63,13 +64,26 @@ type flit struct {
 }
 
 // vcState is one virtual-channel buffer of a router input port,
-// implemented as a fixed ring of BufDepth slots.
+// implemented as a fixed ring of BufDepth slots cut from its plane's
+// flit slab.
 type vcState struct {
 	buf     []flit
 	head, n int
+	// ready is the front flit's readyAt while n > 0, so the request
+	// pass of switch allocation reads no flit.
+	ready   int64
 	owner   int // unique id (packet.uid) occupying this buffer, -1 if free
 	outPort int // assigned output port for the resident packet, -1 if none
 	outVC   int // assigned downstream VC
+
+	// route is the output port the resident packet takes from this
+	// router, and routeDown whether that hop is an up*/down* "down"
+	// move. Both are set when the head flit is buffered and route is
+	// -1 once the tail has left: a head's route is a pure function of
+	// (router, packet) until the head is granted, and from that grant
+	// on route equals outPort.
+	route     int
+	routeDown bool
 
 	// vcAllocAt is the cycle the resident head flit was routed and won
 	// its downstream VC; it feeds the Depart event's VC-stall/switch-
@@ -79,29 +93,67 @@ type vcState struct {
 
 func (v *vcState) front() *flit { return &v.buf[v.head] }
 
-func (v *vcState) push(f flit) {
-	if v.n == len(v.buf) {
-		panic("noc: VC buffer overflow (credit protocol violated)")
-	}
-	v.buf[(v.head+v.n)%len(v.buf)] = f
-	v.n++
-}
-
-func (v *vcState) pop() flit {
-	f := v.buf[v.head]
-	v.head = (v.head + 1) % len(v.buf)
-	v.n--
-	return f
-}
-
 // router is one mesh router of a single physical-channel plane.
 type router struct {
-	in [numPorts][]vcState
+	// vc holds the input VCs by slot ip·VCs+v, cut from the plane's
+	// VC slab.
+	vc []vcState
+	// busy has bit slot set while that input VC holds a flit.
+	busy uint64
 	// credits[op][vc]: free buffer slots at the downstream input VC
 	// reached through output port op. The local output has no credits;
 	// ejection is limited to one flit per cycle by arbitration itself.
-	credits [numPorts][]int
+	credits [numPorts][maxVCs]int32
 	rrPtr   [numPorts]int // round-robin arbitration pointer per output
+}
+
+// clear restores r to its initial state: every VC empty and free,
+// every credit at depth, every arbitration pointer at slot 0.
+func (r *router) clear(depth int) {
+	for i := range r.vc {
+		r.vc[i] = vcState{buf: r.vc[i].buf, owner: -1, outPort: -1, route: -1}
+	}
+	r.busy = 0
+	for op := range r.credits {
+		for v := range r.credits[op] {
+			r.credits[op][v] = int32(depth)
+		}
+	}
+	r.rrPtr = [numPorts]int{}
+}
+
+// push appends f to input VC slot.
+func (r *router) push(slot int, f flit) {
+	vc := &r.vc[slot]
+	depth := len(vc.buf)
+	if vc.n == depth {
+		panic("noc: VC buffer overflow (credit protocol violated)")
+	}
+	i := vc.head + vc.n
+	if i >= depth {
+		i -= depth
+	}
+	vc.buf[i] = f
+	if vc.n == 0 {
+		vc.ready = f.readyAt
+		r.busy |= 1 << uint(slot)
+	}
+	vc.n++
+}
+
+// pop removes and returns the front flit of input VC slot.
+func (r *router) pop(slot int) flit {
+	vc := &r.vc[slot]
+	f := vc.buf[vc.head]
+	if vc.head++; vc.head == len(vc.buf) {
+		vc.head = 0
+	}
+	if vc.n--; vc.n == 0 {
+		r.busy &^= 1 << uint(slot)
+	} else {
+		vc.ready = vc.buf[vc.head].readyAt
+	}
+	return f
 }
 
 // tlInterval is one open link busy interval [start, end) being merged;
@@ -113,8 +165,8 @@ type tlInterval struct {
 // arrival is a flit committed to move into a router buffer at the end
 // of the current cycle.
 type arrival struct {
-	node, port, vc int
-	f              flit
+	node, slot int // router and input slot ip·VCs+v the flit enters
+	f          flit
 }
 
 // injEntry is a packet waiting in a node's network interface.
@@ -165,6 +217,18 @@ type groupState struct {
 type Simulator struct {
 	cfg    Config
 	planes []plane
+
+	// Lookup tables built once by New. nbr[node][op] is the node
+	// reached through output port op, -1 for Local and off-mesh
+	// ports; xy[cur·Nodes+dst] is the XY routing port from cur toward
+	// dst. slotPort and slotVC split a router input slot ip·VCs+v, and
+	// portSlots[ip] has the bits of port ip's slots.
+	nbr       [][numPorts]int
+	xy        []int8
+	slotPort  [maxSlots]uint8
+	slotVC    [maxSlots]uint8
+	portSlots [numPorts]uint64
+	nSlots    int // numPorts·VCs
 	// linkLoad[node][op-1] counts flit traversals of the link leaving
 	// node through output port op (E/W/N/S), summed over planes, for
 	// the most recent session (RunBurst is a one-group session).
@@ -228,7 +292,12 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg}
+	s := &Simulator{cfg: cfg, nbr: neighborTable(cfg.Mesh), xy: xyTable(cfg.Mesh), nSlots: numPorts * cfg.VCs}
+	for slot := 0; slot < s.nSlots; slot++ {
+		ip, v := slot/cfg.VCs, slot%cfg.VCs
+		s.slotPort[slot], s.slotVC[slot] = uint8(ip), uint8(v)
+		s.portSlots[ip] |= 1 << uint(slot)
+	}
 	cfg.Timeline.SetPlatform(cfg.TimelinePlatform())
 	if r := cfg.Obs; r != nil {
 		s.latHist = r.Histogram("noc.packet_latency_cycles", obs.Stable, LatencyBuckets)
@@ -248,10 +317,10 @@ func New(cfg Config) (*Simulator, error) {
 			s.routes = rt
 		}
 		if len(f.FlakyLinks) > 0 {
-			s.flaky = dirLinkSet(cfg, f.FlakyLinks)
+			s.flaky = dirLinkSet(s.nbr, f.FlakyLinks)
 		}
 		if len(f.SlowLinks) > 0 && f.SlowExtraCycles > 0 {
-			s.slow = dirLinkSet(cfg, f.SlowLinks)
+			s.slow = dirLinkSet(s.nbr, f.SlowLinks)
 		}
 		if r := cfg.Obs; r != nil {
 			s.retransC = r.Counter("noc.retransmits", obs.Stable)
@@ -265,21 +334,69 @@ func New(cfg Config) (*Simulator, error) {
 
 // dirLinkSet expands an undirected link list into a per-(node, output
 // direction) lookup table covering both directions of each link.
-func dirLinkSet(cfg Config, links []fault.Link) [][4]bool {
+func dirLinkSet(nbr [][numPorts]int, links []fault.Link) [][4]bool {
 	in := make(map[fault.Link]bool, len(links))
 	for _, l := range links {
 		in[l] = true
 	}
-	set := make([][4]bool, cfg.Mesh.Nodes())
-	s := Simulator{cfg: cfg}
+	set := make([][4]bool, len(nbr))
 	for id := range set {
 		for op := PortEast; op <= PortSouth; op++ {
-			if nb := s.neighbor(id, op); nb >= 0 && in[fault.LinkBetween(id, nb)] {
+			if nb := nbr[id][op]; nb >= 0 && in[fault.LinkBetween(id, nb)] {
 				set[id][op-1] = true
 			}
 		}
 	}
 	return set
+}
+
+// neighborTable returns, for every node of m and output port, the node
+// that port leads to, or -1 for the Local port and off-mesh ports.
+func neighborTable(m topology.Mesh) [][numPorts]int {
+	t := make([][numPorts]int, m.Nodes())
+	for id := range t {
+		c := m.Coord(id)
+		t[id] = [numPorts]int{-1, -1, -1, -1, -1}
+		if c.X+1 < m.W {
+			t[id][PortEast] = id + 1
+		}
+		if c.X > 0 {
+			t[id][PortWest] = id - 1
+		}
+		if c.Y > 0 {
+			t[id][PortNorth] = id - m.W
+		}
+		if c.Y+1 < m.H {
+			t[id][PortSouth] = id + m.W
+		}
+	}
+	return t
+}
+
+// xyTable returns the dimension-ordered (X first) output port from
+// every node of m toward every node, indexed cur·Nodes+dst.
+func xyTable(m topology.Mesh) []int8 {
+	n := m.Nodes()
+	t := make([]int8, n*n)
+	for cur := 0; cur < n; cur++ {
+		cc := m.Coord(cur)
+		for dst := 0; dst < n; dst++ {
+			cd := m.Coord(dst)
+			op := PortLocal
+			switch {
+			case cc.X < cd.X:
+				op = PortEast
+			case cc.X > cd.X:
+				op = PortWest
+			case cc.Y < cd.Y:
+				op = PortSouth
+			case cc.Y > cd.Y:
+				op = PortNorth
+			}
+			t[cur*n+dst] = int8(op)
+		}
+	}
+	return t
 }
 
 // MustNew is New that panics on config error (for tests and internal use).
@@ -301,18 +418,16 @@ func (s *Simulator) newPlane() plane {
 		injVC:     make([]int, n),
 		occ:       make([]int64, n),
 	}
+	depth := s.cfg.BufDepth
+	vcs := make([]vcState, n*s.nSlots)
+	flits := make([]flit, len(vcs)*depth)
+	for i := range vcs {
+		vcs[i].buf = flits[i*depth : (i+1)*depth : (i+1)*depth]
+	}
 	for i := range pl.routers {
 		r := &pl.routers[i]
-		for p := 0; p < numPorts; p++ {
-			r.in[p] = make([]vcState, s.cfg.VCs)
-			for v := range r.in[p] {
-				r.in[p][v] = vcState{buf: make([]flit, s.cfg.BufDepth), owner: -1, outPort: -1}
-			}
-			r.credits[p] = make([]int, s.cfg.VCs)
-			for v := range r.credits[p] {
-				r.credits[p][v] = s.cfg.BufDepth
-			}
-		}
+		r.vc = vcs[i*s.nSlots : (i+1)*s.nSlots : (i+1)*s.nSlots]
+		r.clear(depth)
 		pl.injVC[i] = -1
 	}
 	return pl
@@ -341,18 +456,7 @@ func (s *Simulator) reset() {
 	for p := range s.planes {
 		pl := &s.planes[p]
 		for i := range pl.routers {
-			r := &pl.routers[i]
-			for prt := 0; prt < numPorts; prt++ {
-				for v := range r.in[prt] {
-					vc := &r.in[prt][v]
-					vc.head, vc.n = 0, 0
-					vc.owner, vc.outPort, vc.outVC = -1, -1, 0
-				}
-				for v := range r.credits[prt] {
-					r.credits[prt][v] = s.cfg.BufDepth
-				}
-				r.rrPtr[prt] = 0
-			}
+			pl.routers[i].clear(s.cfg.BufDepth)
 			pl.nodeQueue[i] = pl.nodeQueue[i][:0]
 			pl.nodeHead[i] = 0
 			pl.injSeq[i] = 0
@@ -405,63 +509,8 @@ func (s *Simulator) fastForwardTarget(now int64) (int64, bool) {
 // outside Result.
 func (s *Simulator) LoopIters() int64 { return s.loopIters }
 
-// neighbor returns the node reached through output port op of node id,
-// or -1 if op is Local or leads off-mesh.
-func (s *Simulator) neighbor(id, op int) int {
-	c := s.cfg.Mesh.Coord(id)
-	switch op {
-	case PortEast:
-		if c.X+1 < s.cfg.Mesh.W {
-			return id + 1
-		}
-	case PortWest:
-		if c.X > 0 {
-			return id - 1
-		}
-	case PortNorth:
-		if c.Y > 0 {
-			return id - s.cfg.Mesh.W
-		}
-	case PortSouth:
-		if c.Y+1 < s.cfg.Mesh.H {
-			return id + s.cfg.Mesh.W
-		}
-	}
-	return -1
-}
-
 // opposite maps an output port to the input port it feeds downstream.
-func opposite(op int) int {
-	switch op {
-	case PortEast:
-		return PortWest
-	case PortWest:
-		return PortEast
-	case PortNorth:
-		return PortSouth
-	case PortSouth:
-		return PortNorth
-	}
-	panic("noc: opposite of local port")
-}
-
-// routeXY returns the output port a packet at node cur takes toward dst
-// under dimension-ordered routing (X first).
-func (s *Simulator) routeXY(cur, dst int) int {
-	cc := s.cfg.Mesh.Coord(cur)
-	cd := s.cfg.Mesh.Coord(dst)
-	switch {
-	case cc.X < cd.X:
-		return PortEast
-	case cc.X > cd.X:
-		return PortWest
-	case cc.Y < cd.Y:
-		return PortSouth
-	case cc.Y > cd.Y:
-		return PortNorth
-	}
-	return PortLocal
-}
+var opposite = [numPorts]int{-1, PortWest, PortEast, PortSouth, PortNorth}
 
 // routePort returns the output port a packet at node cur takes, and
 // whether that hop is a "down" move under up*/down* routing. Without
@@ -470,7 +519,7 @@ func (s *Simulator) routeXY(cur, dst int) int {
 // deadlock-free routing functions can deadlock.
 func (s *Simulator) routePort(cur int, p *packet) (op int, isDown bool) {
 	if s.routes == nil {
-		return s.routeXY(cur, p.dst), false
+		return int(s.xy[cur*len(s.nbr)+p.dst]), false
 	}
 	if cur == p.dst {
 		return PortLocal, false
@@ -725,7 +774,7 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 	}
 
 	// Injection: one flit per node per cycle from the NI into the
-	// local input port.
+	// local input port, whose slots are the local VCs.
 	for node := range pl.nodeQueue {
 		h := pl.nodeHead[node]
 		if h >= len(pl.nodeQueue[node]) {
@@ -744,21 +793,14 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 			pl.injSeq[node] = 0
 		}
 		v := pl.injVC[node]
-		vc := &pl.routers[node].in[PortLocal][v]
-		if vc.n >= s.cfg.BufDepth {
+		if pl.routers[node].vc[v].n >= s.cfg.BufDepth {
 			continue
 		}
 		g := &s.groups[e.p.group]
 		if g.sec != nil && pl.injSeq[node] == 0 {
 			g.sec.Inject(now-g.base, e.p.injectTime-g.base, e.p.id, e.p.attempt, e.p.src, e.p.dst, e.p.nflits)
 		}
-		vc.push(flit{pkt: e.p, seq: pl.injSeq[node], readyAt: now + int64(s.cfg.Stages-1)})
-		pl.occ[node]++
-		pl.buffered++
-		if pl.occ[node] > g.res.MaxRouterOccupancy {
-			g.res.MaxRouterOccupancy = pl.occ[node]
-		}
-		g.res.BufferWrites++
+		s.bufferFlit(pl, g, node, v, flit{pkt: e.p, seq: pl.injSeq[node], readyAt: now + int64(s.cfg.Stages-1)})
 		pl.injSeq[node]++
 		if pl.injSeq[node] == e.p.nflits {
 			pl.nodeHead[node]++
@@ -769,79 +811,79 @@ func (s *Simulator) stepPlane(pl *plane, pi int, now int64) {
 
 	// Commit link arrivals.
 	for _, a := range pending {
-		vc := &pl.routers[a.node].in[a.port][a.vc]
-		if vc.owner != a.f.pkt.uid {
+		if pl.routers[a.node].vc[a.slot].owner != a.f.pkt.uid {
 			panic("noc: flit arrived at VC owned by another packet")
 		}
 		g := &s.groups[a.f.pkt.group]
 		if g.sec != nil && a.f.seq == 0 {
-			g.sec.Arrive(now+1-g.base, a.f.pkt.id, a.f.pkt.attempt, a.node, a.port, a.vc, pi)
+			g.sec.Arrive(now+1-g.base, a.f.pkt.id, a.f.pkt.attempt, a.node,
+				int(s.slotPort[a.slot]), int(s.slotVC[a.slot]), pi)
 		}
-		vc.push(a.f)
-		pl.occ[a.node]++
-		pl.buffered++
-		if pl.occ[a.node] > g.res.MaxRouterOccupancy {
-			g.res.MaxRouterOccupancy = pl.occ[a.node]
-		}
-		g.res.BufferWrites++
+		s.bufferFlit(pl, g, a.node, a.slot, a.f)
 	}
 	pl.pending = pending[:0]
 }
 
+// bufferFlit writes f into input VC slot of router node, on behalf of
+// f's group g. A head flit is routed here, once: its output port and
+// "down" flag stay cached on the VC until its tail leaves.
+func (s *Simulator) bufferFlit(pl *plane, g *groupState, node, slot int, f flit) {
+	r := &pl.routers[node]
+	if f.seq == 0 {
+		vc := &r.vc[slot]
+		vc.route, vc.routeDown = s.routePort(node, f.pkt)
+	}
+	r.push(slot, f)
+	pl.occ[node]++
+	pl.buffered++
+	if pl.occ[node] > g.res.MaxRouterOccupancy {
+		g.res.MaxRouterOccupancy = pl.occ[node]
+	}
+	g.res.BufferWrites++
+}
+
 // arbitrate runs switch allocation for router rid. Every input VC
-// whose front flit is ready requests exactly one output — its assigned
-// port, or the routed port of an unrouted head — so one pass fills a
-// per-output request mask over slots ip·VCs+v, and each output then
-// visits only its requesters in round-robin order from rrPtr. This
-// grants exactly what the dense scan (arbitrateDense) grants, in the
-// same order: during switch allocation a VC's front flit changes only
-// when popped, which marks its input port used, and a head's route is a
-// pure function of (router, packet) until that head is granted.
+// whose front flit is ready requests exactly one output — the route
+// cached when its packet's head was buffered — so one pass over the
+// router's non-empty VCs (the busy mask) fills a per-output request
+// mask over slots ip·VCs+v, and each output then visits only its
+// requesters in round-robin order from rrPtr. This grants exactly what
+// the dense scan (arbitrateDense) grants, in the same order: during
+// switch allocation a VC's front flit changes only when popped, which
+// marks its input port used, and a head's route is a pure function of
+// (router, packet) until that head is granted.
 func (s *Simulator) arbitrate(pl *plane, pi, rid int, now int64, pending []arrival) []arrival {
 	r := &pl.routers[rid]
-	vcs := s.cfg.VCs
 	var req [numPorts]uint64
 	var down uint64 // slots whose routed hop is an up*/down* "down" move
-	for ip := 0; ip < numPorts; ip++ {
-		for v := range r.in[ip] {
-			vc := &r.in[ip][v]
-			if vc.n == 0 {
-				continue
-			}
-			f := vc.front()
-			if f.readyAt > now {
-				continue
-			}
-			slot := uint(ip*vcs + v)
-			op := vc.outPort
-			if op == -1 {
-				if f.seq != 0 {
-					panic("noc: body flit in unrouted VC")
-				}
-				var isDown bool
-				if op, isDown = s.routePort(rid, f.pkt); isDown {
-					down |= 1 << slot
-				}
-			}
-			req[op] |= 1 << slot
+	for m := r.busy; m != 0; m &= m - 1 {
+		slot := bits.TrailingZeros64(m)
+		vc := &r.vc[slot]
+		if vc.ready > now {
+			continue
+		}
+		bit := uint64(1) << uint(slot)
+		req[vc.route] |= bit
+		if vc.routeDown {
+			down |= bit
 		}
 	}
-	var usedIn [numPorts]bool
+	var used uint64 // slots of the input ports that already won an output
 	for op := 0; op < numPorts; op++ {
-		if req[op] == 0 {
+		want := req[op] &^ used
+		if want == 0 {
 			continue
 		}
 		below := uint64(1)<<uint(r.rrPtr[op]) - 1
 	scan:
-		for _, m := range [2]uint64{req[op] &^ below, req[op] & below} {
+		for _, m := range [2]uint64{want &^ below, want & below} {
 			for ; m != 0; m &= m - 1 {
 				slot := bits.TrailingZeros64(m)
-				ip, v := slot/vcs, slot%vcs
-				if usedIn[ip] || !s.allocate(pl, rid, op, &r.in[ip][v], down>>uint(slot)&1 != 0, now) {
+				if !s.allocate(pl, rid, op, &r.vc[slot], down>>uint(slot)&1 != 0, now) {
 					continue
 				}
-				usedIn[ip] = true
-				pending = s.grant(pl, pi, rid, ip, v, op, now, pending)
+				used |= s.portSlots[s.slotPort[slot]]
+				pending = s.grant(pl, pi, rid, slot, op, now, pending)
 				break scan
 			}
 		}
@@ -860,11 +902,11 @@ func (s *Simulator) arbitrateDense(pl *plane, pi, rid int, now int64, pending []
 	for op := 0; op < numPorts; op++ {
 		for k := 0; k < nCand; k++ {
 			slot := (r.rrPtr[op] + k) % nCand
-			ip, v := slot/s.cfg.VCs, slot%s.cfg.VCs
+			ip := slot / s.cfg.VCs
 			if usedIn[ip] {
 				continue
 			}
-			vc := &r.in[ip][v]
+			vc := &r.vc[slot]
 			if vc.n == 0 || vc.front().readyAt > now {
 				continue
 			}
@@ -879,7 +921,7 @@ func (s *Simulator) arbitrateDense(pl *plane, pi, rid int, now int64, pending []
 				continue
 			}
 			usedIn[ip] = true
-			pending = s.grant(pl, pi, rid, ip, v, op, now, pending)
+			pending = s.grant(pl, pi, rid, slot, op, now, pending)
 			break
 		}
 	}
@@ -895,7 +937,7 @@ func (s *Simulator) allocate(pl *plane, rid, op int, vc *vcState, wantDown bool,
 	if vc.outPort == -1 {
 		dvc := 0
 		if op != PortLocal {
-			if dvc = s.allocVC(pl, s.neighbor(rid, op), opposite(op), vc.front().pkt.uid); dvc == -1 {
+			if dvc = s.allocVC(pl, s.nbr[rid][op], opposite[op], vc.front().pkt.uid); dvc == -1 {
 				return false // no free downstream VC yet
 			}
 		}
@@ -910,37 +952,37 @@ func (s *Simulator) allocate(pl *plane, rid, op int, vc *vcState, wantDown bool,
 	return op == PortLocal || pl.routers[rid].credits[op][vc.outVC] != 0
 }
 
-// grant pops the front flit of input VC v of port ip at router rid and
-// sends it through output op: round-robin pointer advance, credit
-// return upstream, then ejection (with retransmission of a corrupt
-// tail) or link traversal (with slow-link delay and fault drop) into
-// pending.
-func (s *Simulator) grant(pl *plane, pi, rid, ip, v, op int, now int64, pending []arrival) []arrival {
+// grant pops the front flit of input VC slot at router rid and sends
+// it through output op: round-robin pointer advance, credit return
+// upstream, then ejection (with retransmission of a corrupt tail) or
+// link traversal (with slow-link delay and fault drop) into pending.
+func (s *Simulator) grant(pl *plane, pi, rid, slot, op int, now int64, pending []arrival) []arrival {
 	r := &pl.routers[rid]
-	vc := &r.in[ip][v]
-	f := *vc.front()
+	vc := &r.vc[slot]
+	f := r.pop(slot)
 	g := &s.groups[f.pkt.group]
 	if g.sec != nil && f.seq == 0 {
 		g.sec.Depart(now-g.base, vc.vcAllocAt-g.base, f.pkt.id, f.pkt.attempt, rid, op, pi)
 	}
-	vc.pop()
 	pl.occ[rid]--
 	pl.buffered--
 	g.res.BufferReads++
 	g.res.SwitchTraversals++
-	r.rrPtr[op] = (ip*s.cfg.VCs + v + 1) % (numPorts * s.cfg.VCs)
+	if r.rrPtr[op] = slot + 1; r.rrPtr[op] == s.nSlots {
+		r.rrPtr[op] = 0
+	}
 
 	// Credit return to the upstream hop (local injection reads buffer
 	// occupancy directly instead).
-	if ip != PortLocal {
-		up := s.neighbor(rid, ip)
-		pl.routers[up].credits[opposite(ip)][v]++
+	if ip := int(s.slotPort[slot]); ip != PortLocal {
+		pl.routers[s.nbr[rid][ip]].credits[opposite[ip]][s.slotVC[slot]]++
 	}
 	isTail := f.seq == f.pkt.nflits-1
 	outVC := vc.outVC
 	if isTail {
 		vc.outPort = -1
 		vc.owner = -1
+		vc.route = -1
 	}
 	if op == PortLocal {
 		f.pkt.ejected++
@@ -963,7 +1005,6 @@ func (s *Simulator) grant(pl *plane, pi, rid, ip, v, op int, now int64, pending 
 		}
 		return pending
 	}
-	dn := s.neighbor(rid, op)
 	r.credits[op][outVC]--
 	g.res.LinkTraversals++
 	s.linkLoad[rid][op-1]++
@@ -982,7 +1023,7 @@ func (s *Simulator) grant(pl *plane, pi, rid, ip, v, op int, now int64, pending 
 			g.res.DroppedFlits++
 		}
 	}
-	return append(pending, arrival{dn, opposite(op), outVC, f})
+	return append(pending, arrival{s.nbr[rid][op], opposite[op]*s.cfg.VCs + outVC, f})
 }
 
 // allocVC finds (or confirms) a VC at node/port for the packet with
@@ -990,7 +1031,7 @@ func (s *Simulator) grant(pl *plane, pi, rid, ip, v, op int, now int64, pending 
 // otherwise a free, empty VC is claimed. Returns -1 if none is
 // available.
 func (s *Simulator) allocVC(pl *plane, node, port, uid int) int {
-	vcs := pl.routers[node].in[port]
+	vcs := pl.routers[node].vc[port*s.cfg.VCs : (port+1)*s.cfg.VCs]
 	for v := range vcs {
 		if vcs[v].owner == uid {
 			return v

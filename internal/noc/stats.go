@@ -48,7 +48,7 @@ func (s *Simulator) LinkUtilization() LinkStats {
 			if n == 0 {
 				continue
 			}
-			ls.Loads = append(ls.Loads, LinkLoad{From: node, To: s.neighbor(node, op), Flits: n})
+			ls.Loads = append(ls.Loads, LinkLoad{From: node, To: s.nbr[node][op], Flits: n})
 			ls.Total += n
 			if n > ls.Max {
 				ls.Max = n

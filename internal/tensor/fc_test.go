@@ -77,10 +77,12 @@ func TestFCForwardBitIdentical(t *testing.T) {
 	})
 }
 
-// FuzzGEMMABTAcc pins the accumulating A·Bᵀ kernel of the FC forward —
-// FCForward, C = bias + X·Wᵀ with W packed into output-lane panels — to
-// MatVecAcc bit for bit, over fuzzed request counts, depths from 1 up
-// and ragged output counts, on every kernel path.
+// FuzzGEMMABTAcc pins the float32 output-lane FC kernel, FCForward
+// (C = bias + X·Wᵀ with W packed into output-lane panels), to MatVecAcc
+// bit for bit, over fuzzed request counts, depths from 1 up and ragged
+// output counts, on every kernel path. The name is older than
+// FCForward; the committed seed corpus under testdata/fuzz is filed
+// under it.
 func FuzzGEMMABTAcc(f *testing.F) {
 	f.Add(uint8(8), uint8(196), uint8(17), int64(1))
 	f.Add(uint8(3), uint8(5), uint8(8), int64(2))
