@@ -407,10 +407,7 @@ func BenchmarkFig6bOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := microSparseNet(0)
 		ds := cfg.Data(cfg.Seed)
-		m, err := core.Train(core.SSMask, cfg.Spec, ds, core.TrainOptions{
-			Cores: 16, Lambda: cfg.Lambda, ThresholdRel: cfg.ThresholdRel,
-			SGD: cfg.SGD, Seed: cfg.Seed,
-		})
+		m, err := core.Train(core.SSMask, cfg.Spec, ds, cfg.TrainOptions(core.SSMask, 16))
 		if err != nil {
 			b.Fatal(err)
 		}

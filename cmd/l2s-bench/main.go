@@ -138,10 +138,9 @@ func main() {
 	add("fig6b", func() (string, error) {
 		lenet := core.Table4Nets(p)[1]
 		ds := lenet.Data(lenet.Seed)
-		m, err := core.Train(core.SSMask, lenet.Spec, ds, core.TrainOptions{
-			Cores: *cores, Lambda: lenet.Lambda, ThresholdRel: lenet.ThresholdRel,
-			SGD: lenet.SGD, Seed: lenet.Seed, Log: logw,
-		})
+		opt := lenet.TrainOptions(core.SSMask, *cores)
+		opt.Log = logw
+		m, err := core.Train(core.SSMask, lenet.Spec, ds, opt)
 		if err != nil {
 			return "", err
 		}

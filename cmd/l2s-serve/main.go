@@ -103,18 +103,8 @@ func main() {
 	}
 	tl := cli.TimelineSink()
 
-	nets := core.Table4Nets(core.Quick)
-	var spec core.SparseNetConfig
-	switch *netName {
-	case "mlp":
-		spec = nets[0]
-	case "lenet":
-		spec = nets[1]
-	case "convnet":
-		spec = nets[2]
-	case "caffenet":
-		spec = nets[3]
-	default:
+	spec, ok := core.NetByName(core.Table4Nets(core.Quick), *netName)
+	if !ok {
 		log.Fatalf("unknown network %q (want mlp|lenet|convnet|caffenet)", *netName)
 	}
 	schemes, err := parseSchemes(*schemesCSV)

@@ -290,44 +290,26 @@ func buildPlan(spec netzoo.NetSpec, netName, schemeName string, cores, epochs, t
 	default:
 		log.Fatalf("unknown scheme %q", schemeName)
 	}
-	nets := core.Table4Nets(core.Quick)
-	var cfg core.SparseNetConfig
-	switch netName {
-	case "mlp":
-		cfg = nets[0]
-	case "lenet":
-		cfg = nets[1]
-	case "convnet":
-		cfg = nets[2]
-	case "caffenet":
-		cfg = nets[3]
-	default:
+	cfg, ok := core.NetByName(core.Table4Nets(core.Quick), netName)
+	if !ok {
 		log.Fatalf("-scheme needs a trainable network (mlp|lenet|convnet|caffenet), got %q", netName)
 	}
 	var ds *data.Dataset
-	switch netName {
-	case "mlp", "lenet":
+	switch cfg.Name {
+	case "MLP", "LeNet":
 		ds = data.MNISTLike(train, test, seed)
-	case "convnet":
+	case "ConvNet":
 		ds = data.CIFARLike(train, test, seed)
-	case "caffenet":
+	default:
 		ds = cfg.Data(seed)
 	}
-	sgd := cfg.SGD
+	opt := cfg.TrainOptions(scheme, cores)
 	if epochs > 0 {
-		sgd.Epochs = epochs
+		opt.SGD.Epochs = epochs
 	}
-	l := cfg.Lambda
-	if scheme == core.SS && cfg.LambdaSS != 0 {
-		l = cfg.LambdaSS
-	}
-	opt := core.TrainOptions{
-		Cores: cores, Lambda: l, ThresholdRel: cfg.ThresholdRel,
-		SGD: sgd, Seed: seed, Obs: reg,
-	}
+	opt.Seed, opt.Obs = seed, reg
 	if verbose {
 		opt.Log = os.Stderr
-		opt.SGD.Log = os.Stderr
 	}
 	m, err := core.Train(scheme, cfg.Spec, ds, opt)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"learn2scale/internal/core"
 	"learn2scale/internal/data"
 	"learn2scale/internal/fixed"
-	"learn2scale/internal/netzoo"
 	"learn2scale/internal/nn"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
@@ -71,54 +70,35 @@ func main() {
 		log.Fatalf("unknown scheme %q", *schemeName)
 	}
 
-	var spec netzoo.NetSpec
-	var ds *data.Dataset
-	var cfg core.SparseNetConfig
-	nets := core.Table4Nets(core.Quick)
-	switch *netName {
-	case "mlp":
-		cfg = nets[0]
-	case "lenet":
-		cfg = nets[1]
-	case "convnet":
-		cfg = nets[2]
-	case "caffenet":
-		cfg = nets[3]
-	default:
+	cfg, ok := core.NetByName(core.Table4Nets(core.Quick), *netName)
+	if !ok {
 		log.Fatalf("unknown network %q", *netName)
 	}
-	spec = cfg.Spec
-	switch *netName {
-	case "mlp", "lenet":
+	spec := cfg.Spec
+	var ds *data.Dataset
+	switch cfg.Name {
+	case "MLP", "LeNet":
 		ds = data.MNISTLike(*train, *test, *seed)
-	case "convnet":
+	case "ConvNet":
 		ds = data.CIFARLike(*train, *test, *seed)
-	case "caffenet":
+	default:
 		ds = cfg.Data(*seed)
 	}
 
-	sgd := cfg.SGD
+	opt := cfg.TrainOptions(scheme, *cores)
 	if *epochs > 0 {
-		sgd.Epochs = *epochs
-	}
-	l := cfg.Lambda
-	if scheme == core.SS && cfg.LambdaSS != 0 {
-		l = cfg.LambdaSS
+		opt.SGD.Epochs = *epochs
 	}
 	if *lambda > 0 {
-		l = *lambda
+		opt.Lambda = *lambda
 	}
-	opt := core.TrainOptions{
-		Cores: *cores, Lambda: l, ThresholdRel: cfg.ThresholdRel,
-		SGD: sgd, Seed: *seed, Obs: reg,
-	}
+	opt.Seed, opt.Obs = *seed, reg
 	if !*quiet {
 		opt.Log = os.Stderr
-		opt.SGD.Log = os.Stderr
 	}
 
 	fmt.Printf("training %s with %s on %d cores (lambda=%g, epochs=%d)\n",
-		spec.Name, scheme, *cores, l, sgd.Epochs)
+		spec.Name, scheme, *cores, opt.Lambda, opt.SGD.Epochs)
 	m, err := core.Train(scheme, spec, ds, opt)
 	if err != nil {
 		log.Fatal(err)

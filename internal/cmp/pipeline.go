@@ -20,11 +20,6 @@ type PipelineOptions struct {
 	// Batches is the number of inferences streamed through the pipeline
 	// (≥ 1; 0 means 1).
 	Batches int
-	// Cuts and CoresPerStage, when non-nil, override the MAC-balanced
-	// stage boundaries (see partition.NewPipelinePlanCustom) — the knob
-	// the schedule fuzzer turns.
-	Cuts          []int
-	CoresPerStage []int
 	// Place maps global stage-major core c to mesh node Place[c]
 	// (nil = identity), exactly like RunPlanPlaced's placement.
 	Place partition.Placement
@@ -160,44 +155,45 @@ func (s *System) RunPipeline(p *partition.Plan, opt PipelineOptions) (PipelineRe
 	if p.Cores != s.cfg.Cores {
 		return PipelineReport{}, fmt.Errorf("cmp: plan for %d cores on a %d-core system", p.Cores, s.cfg.Cores)
 	}
-	if opt.Batches < 1 {
-		opt.Batches = 1
-	}
-	if opt.Depth < 1 && opt.Cuts == nil {
+	if opt.Depth < 1 {
 		opt.Depth = 1
 	}
 	if opt.Place != nil && (len(opt.Place) != p.Cores || !opt.Place.Valid()) {
 		return PipelineReport{}, fmt.Errorf("cmp: invalid placement %v for %d cores", opt.Place, p.Cores)
 	}
-	var pp *partition.PipelinePlan
-	var err error
-	if opt.Cuts != nil {
-		pp, err = partition.NewPipelinePlanCustom(p, opt.Cuts, opt.CoresPerStage)
-	} else {
-		pp, err = partition.NewPipelinePlan(p, opt.Depth)
-	}
+	pp, err := partition.NewPipelinePlan(p, opt.Depth)
 	if err != nil {
 		return PipelineReport{}, err
+	}
+	return s.runPipeline(pp, opt.Batches, opt.Place)
+}
+
+// runPipeline is RunPipeline on a given stage plan, whose base plan
+// and placement the caller has checked against the system.
+func (s *System) runPipeline(pp *partition.PipelinePlan, batches int, place partition.Placement) (PipelineReport, error) {
+	p := pp.Base
+	if batches < 1 {
+		batches = 1
 	}
 	// A depth-1 single-batch run is a RunPlan run; it keeps that span
 	// name so RunPlan's stable flight records do not change (span
 	// invocation counts are stable metrics).
 	spanName := "sim/runpipeline"
-	if len(pp.Stages) == 1 && opt.Batches == 1 {
+	if len(pp.Stages) == 1 && batches == 1 {
 		spanName = "sim/runplan"
 	}
 	rtm := s.cfg.Obs.Span(spanName).Start()
 	defer rtm.Stop()
 
-	r := &pipelineRun{sys: s, pp: pp, place: opt.Place, faultOn: s.cfg.Fault.Active()}
+	r := &pipelineRun{sys: s, pp: pp, place: place, faultOn: s.cfg.Fault.Active()}
 	if r.faultOn {
 		r.inv = make([]int, p.Cores)
 		for c := 0; c < p.Cores; c++ {
-			r.inv[nodeOf(opt.Place, c)] = c
+			r.inv[nodeOf(place, c)] = c
 		}
 	}
 
-	B, L, depth := opt.Batches, len(p.Layers), len(pp.Stages)
+	B, L, depth := batches, len(p.Layers), len(pp.Stages)
 
 	// Sections register serially up front, batch-major in layer order.
 	// With one batch the labels are the plain per-layer ones (the

@@ -93,10 +93,11 @@ func FuzzPipelineSchedule(f *testing.F) {
 			cfg.Fault = fc
 		}
 
-		sys := MustNew(cfg)
-		rep, err := sys.RunPipeline(plan, PipelineOptions{
-			Batches: batches, Cuts: cuts, CoresPerStage: coresPerStage,
-		})
+		pp, err := partition.NewPipelinePlanCustom(plan, cuts, coresPerStage)
+		if err != nil {
+			t.Fatalf("cuts %v cores %v: %v", cuts, coresPerStage, err)
+		}
+		rep, err := MustNew(cfg).runPipeline(pp, batches, nil)
 		if err != nil {
 			t.Fatalf("cuts %v cores %v batches %d: %v", cuts, coresPerStage, batches, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"learn2scale/internal/cmp"
-	"learn2scale/internal/data"
 	"learn2scale/internal/fixed"
 	"learn2scale/internal/netzoo"
 	"learn2scale/internal/nn"
@@ -97,12 +96,12 @@ type MaskAblationRow struct {
 // learned communication patterns. All shapes share λ and training
 // budget, so differences isolate the strength-shape choice.
 func MaskAblation(cores int, lambda float64, log io.Writer) ([]MaskAblationRow, error) {
-	spec := netzoo.MLP()
-	ds := data.MNISTLike(200, 80, 11)
+	cfg := Table4Nets(Quick)[0] // MLP
+	ds := cfg.Data(cfg.Seed)
 	mesh := topology.ForCores(cores)
 	dist := mesh.DistanceMatrix()
 
-	base, err := Train(Baseline, spec, ds, tinySparseOpt(cores, 0))
+	base, err := Train(Baseline, cfg.Spec, ds, cfg.TrainOptions(Baseline, cores))
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +120,11 @@ func MaskAblation(cores int, lambda float64, log io.Writer) ([]MaskAblationRow, 
 		if log != nil {
 			fmt.Fprintf(log, "== mask ablation: %s\n", shape)
 		}
-		m, err := trainWithStrength(spec, ds, StrengthFor(shape, mesh), tinySparseOpt(cores, lambda))
+		// Train(SSMask, ...) with this shape's strengths in place of
+		// the default distance mask.
+		opt := cfg.TrainOptions(SSMask, cores)
+		opt.Lambda = lambda
+		m, err := trainCustom(SSMask, cfg.Spec, ds, StrengthFor(shape, mesh), opt)
 		if err != nil {
 			return MaskAblationRow{}, err
 		}
@@ -146,21 +149,6 @@ func MaskAblation(cores int, lambda float64, log io.Writer) ([]MaskAblationRow, 
 		}
 		return row, nil
 	})
-}
-
-func tinySparseOpt(cores int, lambda float64) TrainOptions {
-	opt := DefaultTrainOptions(cores)
-	opt.Lambda = lambda
-	opt.SGD.Epochs = 8
-	opt.SGD.LearningRate = 0.03
-	opt.Seed = 11
-	return opt
-}
-
-// trainWithStrength is Train(SSMask, ...) with an explicit strength
-// matrix instead of the default distance mask.
-func trainWithStrength(spec netzoo.NetSpec, ds *data.Dataset, strength [][]float64, opt TrainOptions) (*TrainedModel, error) {
-	return trainCustom(SSMask, spec, ds, strength, opt)
 }
 
 // MaskAblationTable formats the ablation rows.
@@ -266,17 +254,12 @@ func PlacementAblation(cores int, log io.Writer) ([]PlacementRow, error) {
 	}
 	var rows []PlacementRow
 	for _, scheme := range []Scheme{SS, SSMask} {
-		lambda := cfg.Lambda
-		if scheme == SS && cfg.LambdaSS != 0 {
-			lambda = cfg.LambdaSS
-		}
 		if log != nil {
 			fmt.Fprintf(log, "== placement ablation: training %s\n", scheme)
 		}
-		m, err := Train(scheme, cfg.Spec, ds, TrainOptions{
-			Cores: cores, Lambda: lambda, ThresholdRel: cfg.ThresholdRel,
-			SGD: cfg.SGD, Seed: cfg.Seed, Log: log,
-		})
+		topt := cfg.TrainOptions(scheme, cores)
+		topt.Log = log
+		m, err := Train(scheme, cfg.Spec, ds, topt)
 		if err != nil {
 			return nil, err
 		}
@@ -342,10 +325,9 @@ func UnstructuredAblation(cores int, log io.Writer) ([]UnstructuredRow, error) {
 	ds := cfg.Data(cfg.Seed)
 
 	// Structured: the SS_Mask pipeline.
-	m, err := Train(SSMask, cfg.Spec, ds, TrainOptions{
-		Cores: cores, Lambda: cfg.Lambda, ThresholdRel: cfg.ThresholdRel,
-		SGD: cfg.SGD, Seed: cfg.Seed, Log: log,
-	})
+	opt := cfg.TrainOptions(SSMask, cores)
+	opt.Log = log
+	m, err := Train(SSMask, cfg.Spec, ds, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -353,9 +335,9 @@ func UnstructuredAblation(cores int, log io.Writer) ([]UnstructuredRow, error) {
 
 	// Unstructured: baseline training, then magnitude pruning of the
 	// same layers to the same sparsity.
-	base, err := Train(Baseline, cfg.Spec, ds, TrainOptions{
-		Cores: cores, SGD: cfg.SGD, Seed: cfg.Seed, Log: log,
-	})
+	opt = cfg.TrainOptions(Baseline, cores)
+	opt.Log = log
+	base, err := Train(Baseline, cfg.Spec, ds, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -444,9 +426,9 @@ func QuantAblation(nets []SparseNetConfig, cores int, log io.Writer) ([]QuantRow
 		if log != nil {
 			fmt.Fprintf(log, "== quant: training %s baseline\n", cfg.Name)
 		}
-		m, err := Train(Baseline, cfg.Spec, ds, TrainOptions{
-			Cores: cores, SGD: cfg.SGD, Seed: cfg.Seed, Log: log,
-		})
+		opt := cfg.TrainOptions(Baseline, cores)
+		opt.Log = log
+		m, err := Train(Baseline, cfg.Spec, ds, opt)
 		if err != nil {
 			return QuantRow{}, err
 		}

@@ -133,10 +133,12 @@ func TestQuantAblationTinyNet(t *testing.T) {
 	// l2s-bench -exp quant.
 	cfg := SparseNetConfig{
 		Name: "tiny", Spec: tinySpec(),
-		Data:   func(int64) *data.Dataset { return tinyData() },
-		SGD:    tinyTrainOptions(4).SGD,
-		Seed:   3,
-		Lambda: 0.01, ThresholdRel: 0.3,
+		Data: func(int64) *data.Dataset { return tinyData() },
+		Recipe: Recipe{
+			SGD:    tinyTrainOptions(4).SGD,
+			Seed:   3,
+			Lambda: 0.01, ThresholdRel: 0.3,
+		},
 	}
 	rows, err := QuantAblation([]SparseNetConfig{cfg}, 4, nil)
 	if err != nil {

@@ -350,10 +350,12 @@ func TestFigCharts(t *testing.T) {
 func TestEvalSparseNetMicro(t *testing.T) {
 	cfg := SparseNetConfig{
 		Name: "tiny", Spec: tinySpec(),
-		Data:   func(int64) *data.Dataset { return tinyData() },
-		Lambda: 0.03, LambdaSS: 0.02, ThresholdRel: 0.3,
-		SGD:  tinyTrainOptions(4).SGD,
-		Seed: 3,
+		Data: func(int64) *data.Dataset { return tinyData() },
+		Recipe: Recipe{
+			Lambda: 0.03, LambdaSS: 0.02, ThresholdRel: 0.3,
+			SGD:  tinyTrainOptions(4).SGD,
+			Seed: 3,
+		},
 	}
 	rows, err := Table4([]SparseNetConfig{cfg}, 4, nil)
 	if err != nil {

@@ -3,13 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"learn2scale/internal/cmp"
 	"learn2scale/internal/data"
 	"learn2scale/internal/fault"
-	"learn2scale/internal/netzoo"
 	"learn2scale/internal/nn"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/partition"
@@ -128,15 +126,13 @@ func zeroCoreOutputs(l nn.Layer, lp partition.LayerPartition, d int) {
 	clear(params[1].W.Data[r.Lo:r.Hi])
 }
 
-// FaultOptions configures the fault-robustness sweep: the ConvNet
-// ImageNet10 family trained under all four schemes, then simulated on
-// the mesh across a grid of transient fault rates.
+// FaultOptions configures the fault-robustness sweep: the shared
+// sweep network trained under all four schemes, then simulated on the
+// mesh across a grid of transient fault rates. Obs receives one gauge
+// per (scheme, rate) cell — accuracy, cycles, retransmits, lost
+// transfers.
 type FaultOptions struct {
-	Kernels [3]int
-	ImgSize int
-	Cores   int
-	Train   int
-	Test    int
+	SweepNetwork
 
 	// Rates are the per-flit drop probabilities to sweep, ascending and
 	// starting at 0 so the fault-free row anchors the table. Decisions
@@ -149,57 +145,25 @@ type FaultOptions struct {
 	// RetryBudget overrides the per-packet retransmission budget of the
 	// swept scenarios; 0 keeps fault.DefaultRetryBudget.
 	RetryBudget int
-
-	// Group-Lasso strengths for the sparsified schemes (SS uses
-	// LambdaSS when nonzero, else Lambda; SS_Mask uses Lambda).
-	Lambda       float64
-	LambdaSS     float64
-	ThresholdRel float64
-
-	SGD  nn.SGDConfig
-	Seed int64
-	// Log receives progress lines when non-nil; a nil Log runs the
-	// sweep cells concurrently.
-	Log io.Writer
-	// Obs, when non-nil, receives one stable gauge per (scheme, rate)
-	// cell — accuracy, cycles, retransmits, lost transfers — under
-	// names fixed by the grid position, so a sweep leaves a
-	// deterministic flight record at every worker count.
-	Obs *obs.Registry
 }
 
 // DefaultFaultOptions returns the headline fault sweep: the mid-size
 // ConvNet on the paper's 16-core mesh, rates spanning no faults to a
 // clearly lossy network.
 func DefaultFaultOptions() FaultOptions {
-	sgd := nn.DefaultSGD()
-	sgd.Epochs = 10
-	sgd.LearningRate = 0.005
 	return FaultOptions{
-		Kernels:      [3]int{16, 32, 64},
-		ImgSize:      16,
-		Cores:        16,
-		Train:        120,
-		Test:         200,
+		SweepNetwork: defaultSweepNetwork(),
 		Rates:        []float64{0, 0.01, 0.02, 0.05, 0.1},
 		FaultSeed:    5,
 		RetryBudget:  4,
-		Lambda:       0.02,
-		LambdaSS:     0.016,
-		ThresholdRel: 0.3,
-		SGD:          sgd,
-		Seed:         7,
 	}
 }
 
-// QuickFaultOptions shrinks the sweep for smoke tests: smaller images,
-// fewer examples and epochs, three rates. Kernel counts stay at the
-// default so the 16-way structural grouping remains well-formed.
+// QuickFaultOptions shrinks the sweep for smoke tests: the quick sweep
+// network and three rates.
 func QuickFaultOptions() FaultOptions {
 	o := DefaultFaultOptions()
-	o.ImgSize = 12
-	o.Train, o.Test = 120, 48
-	o.SGD.Epochs = 5
+	o.SweepNetwork = quickSweepNetwork()
 	o.Rates = []float64{0, 0.02, 0.1}
 	return o
 }
@@ -248,33 +212,7 @@ func FaultSweep(opt FaultOptions) ([]FaultRow, error) {
 	if len(opt.Rates) == 0 {
 		return nil, fmt.Errorf("core: fault sweep needs at least one rate")
 	}
-	ds := data.ImageNet10Like(opt.ImgSize, opt.Train, opt.Test, opt.Seed)
-	schemes := []Scheme{Baseline, StructureLevel, SS, SSMask}
-
-	models, err := sweep(len(schemes), opt.Log == nil, func(i int) (*TrainedModel, error) {
-		scheme := schemes[i]
-		groups := 1
-		if scheme == StructureLevel {
-			groups = opt.Cores
-		}
-		spec := netzoo.ConvNetI10(opt.Kernels, groups, opt.ImgSize)
-		lambda := opt.Lambda
-		if scheme == SS && opt.LambdaSS != 0 {
-			lambda = opt.LambdaSS
-		}
-		topt := TrainOptions{
-			Cores: opt.Cores, Lambda: lambda, ThresholdRel: opt.ThresholdRel,
-			SGD: opt.SGD, Seed: opt.Seed, Log: opt.Log,
-		}
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, "== faults: training %s (%s)\n", scheme, spec.Name)
-		}
-		m, err := Train(scheme, spec, ds, topt)
-		if err != nil {
-			return nil, fmt.Errorf("core: faults/%v: %w", scheme, err)
-		}
-		return m, nil
-	})
+	models, ds, err := opt.trainSchemes("faults")
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +223,7 @@ func FaultSweep(opt FaultOptions) ([]FaultRow, error) {
 	// system (detached registry) so cells are free to run concurrently;
 	// results land in grid order regardless.
 	nr := len(opt.Rates)
-	rows, err := sweep(len(schemes)*nr, opt.Log == nil, func(idx int) (FaultRow, error) {
+	rows, err := sweep(len(models)*nr, opt.Log == nil, func(idx int) (FaultRow, error) {
 		si, ri := idx/nr, idx%nr
 		m, rate := models[si], opt.Rates[ri]
 		cfg := cmp.DefaultConfig(opt.Cores)

@@ -2,27 +2,18 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"learn2scale/internal/cmp"
-	"learn2scale/internal/data"
-	"learn2scale/internal/netzoo"
-	"learn2scale/internal/nn"
 	"learn2scale/internal/obs"
 )
 
 // PipelineSweepOptions configures the pipelined-inference sweep: the
-// four schemes trained once, then each simulated through the stage
-// scheduler at every depth in Depths with Batches inferences in
-// flight.
+// shared sweep network trained under the four schemes once, then each
+// simulated through the stage scheduler at every depth in Depths with
+// Batches inferences in flight. Obs receives one gauge per (scheme,
+// depth) cell.
 type PipelineSweepOptions struct {
-	// Network: ConvNet-I10 with these kernel counts on ImgSize inputs
-	// (the fault sweep's network, so the two experiments compare).
-	Kernels [3]int
-	ImgSize int
-	Cores   int
-
-	Train, Test int
+	SweepNetwork
 
 	// Depths are the pipeline depths to sweep. Depth 1 is the barrier
 	// schedule replayed Batches times and anchors the speedup column.
@@ -31,54 +22,25 @@ type PipelineSweepOptions struct {
 	// to comfortably exceed the deepest pipeline so the steady-state
 	// throughput sample dominates fill and drain.
 	Batches int
-
-	// Group-Lasso strengths for the sparsified schemes (SS uses
-	// LambdaSS when nonzero, else Lambda; SS_Mask uses Lambda).
-	Lambda       float64
-	LambdaSS     float64
-	ThresholdRel float64
-
-	SGD  nn.SGDConfig
-	Seed int64
-	// Log receives progress lines when non-nil; a nil Log runs the
-	// sweep cells concurrently.
-	Log io.Writer
-	// Obs, when non-nil, receives one stable gauge per (scheme, depth)
-	// cell under names fixed by the grid position.
-	Obs *obs.Registry
 }
 
 // DefaultPipelineSweepOptions returns the headline pipeline sweep:
 // the mid-size ConvNet on the paper's 16-core mesh at depths 1–4.
 func DefaultPipelineSweepOptions() PipelineSweepOptions {
-	sgd := nn.DefaultSGD()
-	sgd.Epochs = 10
-	sgd.LearningRate = 0.005
 	return PipelineSweepOptions{
-		Kernels:      [3]int{16, 32, 64},
-		ImgSize:      16,
-		Cores:        16,
-		Train:        120,
-		Test:         200,
+		SweepNetwork: defaultSweepNetwork(),
 		Depths:       []int{1, 2, 3, 4},
 		Batches:      12,
-		Lambda:       0.02,
-		LambdaSS:     0.016,
-		ThresholdRel: 0.3,
-		SGD:          sgd,
-		Seed:         7,
 	}
 }
 
 // QuickPipelineSweepOptions shrinks the sweep for smoke tests.
 func QuickPipelineSweepOptions() PipelineSweepOptions {
-	o := DefaultPipelineSweepOptions()
-	o.ImgSize = 12
-	o.Train, o.Test = 120, 48
-	o.SGD.Epochs = 5
-	o.Depths = []int{1, 2, 4}
-	o.Batches = 8
-	return o
+	return PipelineSweepOptions{
+		SweepNetwork: quickSweepNetwork(),
+		Depths:       []int{1, 2, 4},
+		Batches:      8,
+	}
 }
 
 // PipelineRow is one cell of the pipeline sweep: one scheme run
@@ -127,40 +89,14 @@ func PipelineSweep(opt PipelineSweepOptions) ([]PipelineRow, error) {
 	if batches <= 0 {
 		batches = 8
 	}
-	ds := data.ImageNet10Like(opt.ImgSize, opt.Train, opt.Test, opt.Seed)
-	schemes := []Scheme{Baseline, StructureLevel, SS, SSMask}
-
-	models, err := sweep(len(schemes), opt.Log == nil, func(i int) (*TrainedModel, error) {
-		scheme := schemes[i]
-		groups := 1
-		if scheme == StructureLevel {
-			groups = opt.Cores
-		}
-		spec := netzoo.ConvNetI10(opt.Kernels, groups, opt.ImgSize)
-		lambda := opt.Lambda
-		if scheme == SS && opt.LambdaSS != 0 {
-			lambda = opt.LambdaSS
-		}
-		topt := TrainOptions{
-			Cores: opt.Cores, Lambda: lambda, ThresholdRel: opt.ThresholdRel,
-			SGD: opt.SGD, Seed: opt.Seed, Log: opt.Log,
-		}
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, "== pipeline: training %s (%s)\n", scheme, spec.Name)
-		}
-		m, err := Train(scheme, spec, ds, topt)
-		if err != nil {
-			return nil, fmt.Errorf("core: pipeline/%v: %w", scheme, err)
-		}
-		return m, nil
-	})
+	models, _, err := opt.trainSchemes("pipeline")
 	if err != nil {
 		return nil, err
 	}
 
 	// The speedup anchor: one barrier run per scheme, measuring the
 	// sequential replay throughput the pipeline is compared against.
-	replay := make([]float64, len(schemes))
+	replay := make([]float64, len(models))
 	for i, m := range models {
 		sys, err := cmp.New(cmp.DefaultConfig(opt.Cores))
 		if err != nil {
@@ -176,7 +112,7 @@ func PipelineSweep(opt PipelineSweepOptions) ([]PipelineRow, error) {
 	// One cell per (scheme, depth). Each cell builds its own system so
 	// cells are free to run concurrently; results land in grid order.
 	nd := len(opt.Depths)
-	rows, err := sweep(len(schemes)*nd, opt.Log == nil, func(idx int) (PipelineRow, error) {
+	rows, err := sweep(len(models)*nd, opt.Log == nil, func(idx int) (PipelineRow, error) {
 		si, di := idx/nd, idx%nd
 		m, depth := models[si], opt.Depths[di]
 		sys, err := cmp.New(cmp.DefaultConfig(opt.Cores))

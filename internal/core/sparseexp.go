@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"learn2scale/internal/cmp"
 	"learn2scale/internal/data"
@@ -13,21 +14,23 @@ import (
 
 // SparseNetConfig describes one benchmark network of the sparsified-
 // parallelization experiments (Table IV / Table VI): its architecture,
-// dataset generator and training hyperparameters.
+// dataset generator and training recipe.
 type SparseNetConfig struct {
 	Name string
 	Spec netzoo.NetSpec
 	Data func(seed int64) *data.Dataset
-	// Lambda is the group-Lasso strength for SS_Mask. LambdaSS, when
-	// nonzero, overrides it for the SS scheme: with uniform strengths
-	// the same pressure spreads over every block (nothing dies, all
-	// weights shrink), so SS typically needs a gentler λ than SS_Mask,
-	// whose pressure concentrates on the few distant blocks.
-	Lambda       float64
-	LambdaSS     float64
-	ThresholdRel float64
-	SGD          nn.SGDConfig
-	Seed         int64
+	Recipe
+}
+
+// NetByName returns the network of nets whose Name equals name in any
+// letter case.
+func NetByName(nets []SparseNetConfig, name string) (SparseNetConfig, bool) {
+	for _, n := range nets {
+		if strings.EqualFold(n.Name, name) {
+			return n, true
+		}
+	}
+	return SparseNetConfig{}, false
 }
 
 // Profile selects the scale of the training-based experiments.
@@ -58,29 +61,30 @@ func Table4Nets(p Profile) []SparseNetConfig {
 		{
 			Name: "MLP", Spec: netzoo.MLP(),
 			Data:   func(seed int64) *data.Dataset { return data.MNISTLike(train, test, seed) },
-			Lambda: 0.006, ThresholdRel: 0.3, SGD: sgd, Seed: 11,
+			Recipe: Recipe{Lambda: 0.006, ThresholdRel: 0.3, SGD: sgd, Seed: 11},
 		},
 		{
 			Name: "LeNet", Spec: netzoo.LeNet(),
 			Data:   func(seed int64) *data.Dataset { return data.MNISTLike(train, test, seed) },
-			Lambda: 0.03, LambdaSS: 0.015, ThresholdRel: 0.3, SGD: convSGD, Seed: 12,
+			Recipe: Recipe{Lambda: 0.03, LambdaSS: 0.015, ThresholdRel: 0.3, SGD: convSGD, Seed: 12},
 		},
 		{
 			Name: "ConvNet", Spec: netzoo.ConvNet(),
 			Data:   func(seed int64) *data.Dataset { return data.CIFARLike(train, test, seed) },
-			Lambda: 0.02, LambdaSS: 0.016, ThresholdRel: 0.3, SGD: convSGD, Seed: 13,
+			Recipe: Recipe{Lambda: 0.02, LambdaSS: 0.016, ThresholdRel: 0.3, SGD: convSGD, Seed: 13},
 		},
 	}
 	caffeSGD := convSGD
 	caffeSGD.LearningRate = 0.002
 	caffeSGD.Epochs += 2
+	caffe := Recipe{Lambda: 0.04, LambdaSS: 0.015, ThresholdRel: 0.3, SGD: caffeSGD, Seed: 14}
 	if p == Quick {
 		nets = append(nets, SparseNetConfig{
 			Name: "CaffeNet", Spec: caffeNetTiny(),
 			Data: func(seed int64) *data.Dataset {
 				return data.ImageNet10Like(24, train*3/4, test/2, seed)
 			},
-			Lambda: 0.04, LambdaSS: 0.015, ThresholdRel: 0.3, SGD: caffeSGD, Seed: 14,
+			Recipe: caffe,
 		})
 	} else {
 		nets = append(nets, SparseNetConfig{
@@ -88,7 +92,7 @@ func Table4Nets(p Profile) []SparseNetConfig {
 			Data: func(seed int64) *data.Dataset {
 				return data.ImageNet10Like(32, train/2, test/2, seed)
 			},
-			Lambda: 0.04, LambdaSS: 0.015, ThresholdRel: 0.3, SGD: caffeSGD, Seed: 14,
+			Recipe: caffe,
 		})
 	}
 	return nets
@@ -168,14 +172,8 @@ func EvalSparseNet(cfg SparseNetConfig, cores int, log io.Writer) ([]SparseRow, 
 	}
 	outs, err := sweep(len(schemes), log == nil, func(i int) (outcome, error) {
 		scheme := schemes[i]
-		lambda := cfg.Lambda
-		if scheme == SS && cfg.LambdaSS != 0 {
-			lambda = cfg.LambdaSS
-		}
-		opt := TrainOptions{
-			Cores: cores, Lambda: lambda, ThresholdRel: cfg.ThresholdRel,
-			SGD: cfg.SGD, Seed: cfg.Seed, Log: log,
-		}
+		opt := cfg.TrainOptions(scheme, cores)
+		opt.Log = log
 		if log != nil {
 			fmt.Fprintf(log, "== %s: training %s on %d cores\n", cfg.Name, scheme, cores)
 		}

@@ -97,6 +97,38 @@ type TrainOptions struct {
 	Obs *obs.Registry
 }
 
+// Recipe is how one benchmark network trains: the group-Lasso
+// strengths, the prune threshold, the optimizer and the seed. Its
+// TrainOptions method is the one place the per-scheme strength is
+// chosen.
+type Recipe struct {
+	// Lambda is the group-Lasso strength λ_g for SS_Mask. LambdaSS,
+	// when nonzero, overrides it for the SS scheme: with uniform
+	// strengths the same pressure spreads over every block (nothing
+	// dies, all weights shrink), so SS typically needs a gentler λ
+	// than SS_Mask, whose pressure concentrates on the few distant
+	// blocks.
+	Lambda       float64
+	LambdaSS     float64
+	ThresholdRel float64
+	SGD          nn.SGDConfig
+	Seed         int64
+}
+
+// TrainOptions returns the options that train scheme on cores under
+// the recipe: SS at LambdaSS when it is set, every other scheme at
+// Lambda. Baseline and StructureLevel read neither λ nor ThresholdRel.
+func (r Recipe) TrainOptions(scheme Scheme, cores int) TrainOptions {
+	lambda := r.Lambda
+	if scheme == SS && r.LambdaSS != 0 {
+		lambda = r.LambdaSS
+	}
+	return TrainOptions{
+		Cores: cores, Lambda: lambda, ThresholdRel: r.ThresholdRel,
+		SGD: r.SGD, Seed: r.Seed,
+	}
+}
+
 // DefaultTrainOptions returns a configuration suitable for the
 // reduced-scale networks in this repository.
 func DefaultTrainOptions(cores int) TrainOptions {

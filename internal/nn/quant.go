@@ -49,9 +49,7 @@ type QuantNetwork struct {
 }
 
 // floatFallback wraps a layer with no quantized implementation; it
-// runs the float Forward in inference mode. The wrapped layer is
-// shared with the source network (quantized and float inference may
-// not run concurrently on the same pair).
+// runs the float Forward in inference mode.
 type floatFallback struct{ l Layer }
 
 func (f floatFallback) Name() string { return f.l.Name() }
@@ -289,7 +287,9 @@ func (q *quantFC) forward(x []float32, k int, y []float32) {
 // quantized layer gets a per-tensor input scale from its calibrator
 // and per-output-channel weight scales from the weights themselves.
 // Layers with no quantized implementation fall back to their float
-// Forward (shared with net — do not run both concurrently).
+// Forward on a ShareClone replica with its own activation buffers, so
+// the twin and net may run concurrently. Dropout, a pass-through at
+// inference, has no replica and is shared.
 func QuantizeNetwork(net *Network, calib []*tensor.Tensor, cfg CalibConfig) *QuantNetwork {
 	calibs := make([]*fixed.Calibrator, len(net.Layers))
 	for i, l := range net.Layers {
@@ -316,6 +316,9 @@ func QuantizeNetwork(net *Network, calib []*tensor.Tensor, cfg CalibConfig) *Qua
 		case *FullyConnected:
 			qn.layers = append(qn.layers, newQuantFC(t, calibs[i].Range()))
 		default:
+			if sc, ok := l.(ShareCloner); ok {
+				l = sc.ShareClone()
+			}
 			qn.layers = append(qn.layers, floatFallback{l})
 		}
 	}

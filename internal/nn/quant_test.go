@@ -1,8 +1,10 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"learn2scale/internal/fixed"
@@ -76,6 +78,78 @@ func TestQuantNetworkDeterministic(t *testing.T) {
 				t.Fatalf("run %d logit %d: %x vs %x", r, i,
 					math.Float32bits(got[i]), math.Float32bits(first[i]))
 			}
+		}
+	}
+}
+
+// TestQuantAndFloatForwardConcurrently runs the float network and its
+// int16 twin on separate goroutines over the same inputs and checks
+// each against its serial logits. The twin's ReLU, pooling, LRN and
+// Flatten run on private replicas, so under -race this also proves the
+// two paths share no activation buffer; Dropout is an inference
+// pass-through and stays shared.
+func TestQuantAndFloatForwardConcurrently(t *testing.T) {
+	net := NewNetwork("quant-concurrent").Add(
+		NewConv2D("conv1", 2, 8, 8, 8, 3, 1, 1, 1),
+		NewReLU("relu1"),
+		NewLRN("norm1", 8, 8, 8, 5, 1e-4, 0.75, 1),
+		NewMaxPool2D("pool1", 8, 8, 8, 2, 2),
+		NewConv2D("conv2", 8, 4, 4, 8, 3, 1, 1, 2),
+		NewReLU("relu2"),
+		NewAvgPool2D("pool2", 8, 4, 4, 2, 2),
+		NewFlatten("flat"),
+		NewDropout("drop", 0.5, rand.New(rand.NewSource(1))),
+		NewFullyConnected("fc", 8*2*2, 5),
+	)
+	rng := rand.New(rand.NewSource(42))
+	net.Init(rng)
+	ins := make([]*tensor.Tensor, 12)
+	for i := range ins {
+		ins[i] = tensor.New(2, 8, 8)
+		ins[i].RandN(rng, 1)
+	}
+	qn := QuantizeNetwork(net, ins[:4], CalibConfig{Method: fixed.CalibMaxAbs})
+	wantF := make([][]float32, len(ins))
+	wantQ := make([][]float32, len(ins))
+	for i, in := range ins {
+		wantF[i] = append([]float32(nil), net.Forward(in, false).Data...)
+		wantQ[i] = append([]float32(nil), qn.Forward(in).Data...)
+	}
+	check := func(path string, i int, got, want []float32) error {
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				return fmt.Errorf("%s input %d logit %d: concurrent %g, serial %g", path, i, j, got[j], want[j])
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 4 && errs[0] == nil; r++ {
+			for i, in := range ins {
+				if errs[0] = check("float", i, net.Forward(in, false).Data, wantF[i]); errs[0] != nil {
+					return
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for r := 0; r < 4 && errs[1] == nil; r++ {
+			for i, in := range ins {
+				if errs[1] = check("int16", i, qn.Forward(in).Data, wantQ[i]); errs[1] != nil {
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

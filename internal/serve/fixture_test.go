@@ -33,7 +33,7 @@ func fixtureSpec() core.SparseNetConfig {
 	sgd.LearningRate = 0.03
 	return core.SparseNetConfig{
 		Name: "MLP", Spec: netzoo.MLP(),
-		Lambda: 0.03, ThresholdRel: 0.3, SGD: sgd, Seed: 3,
+		Recipe: core.Recipe{Lambda: 0.03, ThresholdRel: 0.3, SGD: sgd, Seed: 3},
 	}
 }
 

@@ -63,14 +63,14 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 		depthTrack = fmt.Sprintf("queue depth (sampled: %d/%d reqs — undercounts)", len(log.Reqs), served)
 	}
 
-	var extra []timeline.ExtraEvent
+	var extra []timeline.TraceEvent
 	pid := timeline.PidServe
 	extra = append(extra,
-		timeline.ExtraEvent{Name: "process_name", Ph: "M", Pid: pid,
+		timeline.TraceEvent{Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": "serve plane (wall µs)"}},
-		timeline.ExtraEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
+		timeline.TraceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: map[string]any{"name": depthTrack}},
-		timeline.ExtraEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 1,
+		timeline.TraceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 1,
 			Args: map[string]any{"name": "batch windows"}},
 	)
 
@@ -97,7 +97,7 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 	depth := 0
 	for _, st := range steps {
 		depth += st.delta
-		extra = append(extra, timeline.ExtraEvent{Name: depthTrack, Cat: "serve",
+		extra = append(extra, timeline.TraceEvent{Name: depthTrack, Cat: "serve",
 			Ph: "C", TS: st.ts / 1e3, Pid: pid, Tid: 0,
 			Args: map[string]any{"depth": depth}})
 	}
@@ -121,7 +121,7 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 		b := &log.Batches[i]
 		ts := b.StartNS / 1e3
 		batchTS[b.ID] = ts
-		extra = append(extra, timeline.ExtraEvent{
+		extra = append(extra, timeline.TraceEvent{
 			Name: fmt.Sprintf("batch %d %s/%s ×%d", b.ID, b.Model, b.Precision, b.Size),
 			Cat:  "serve", Ph: "X", TS: ts, Dur: b.SimNS / 1e3, Pid: pid, Tid: 1,
 			Args: map[string]any{
@@ -132,9 +132,9 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 			sec := secs[b.SecLo]
 			id := fmt.Sprintf("serve.batch.%d", b.ID)
 			extra = append(extra,
-				timeline.ExtraEvent{Name: "sim", Cat: "serve", Ph: "s",
+				timeline.TraceEvent{Name: "sim", Cat: "serve", Ph: "s",
 					TS: ts, Pid: pid, Tid: 1, ID: id},
-				timeline.ExtraEvent{Name: "sim", Cat: "serve", Ph: "f", BP: "e",
+				timeline.TraceEvent{Name: "sim", Cat: "serve", Ph: "f", BP: "e",
 					TS: sec.Start, Pid: timeline.PidStages, Tid: sec.Stage, ID: id})
 		}
 	}
@@ -155,14 +155,14 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 			if !perReq {
 				name = fmt.Sprintf("req lane %d", tid-2)
 			}
-			extra = append(extra, timeline.ExtraEvent{Name: "thread_name", Ph: "M",
+			extra = append(extra, timeline.TraceEvent{Name: "thread_name", Ph: "M",
 				Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
 		}
 		cum := r.AdmitNS
 		for ph, d := range r.Phases() {
 			ts := cum / 1e3
 			dur := (cum+d)/1e3 - ts
-			ev := timeline.ExtraEvent{
+			ev := timeline.TraceEvent{
 				Name: fmt.Sprintf("req %d %s", r.ID, Phase(ph)),
 				Cat:  "serve", Ph: "X", TS: ts, Dur: dur, Pid: pid, Tid: tid,
 				Args: map[string]any{
@@ -182,9 +182,9 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 				if wts, ok := batchTS[r.Batch]; ok {
 					id := fmt.Sprintf("serve.req.%d", r.ID)
 					extra = append(extra,
-						timeline.ExtraEvent{Name: "batch", Cat: "serve", Ph: "s",
+						timeline.TraceEvent{Name: "batch", Cat: "serve", Ph: "s",
 							TS: ts, Pid: pid, Tid: tid, ID: id},
-						timeline.ExtraEvent{Name: "batch", Cat: "serve", Ph: "f", BP: "e",
+						timeline.TraceEvent{Name: "batch", Cat: "serve", Ph: "f", BP: "e",
 							TS: wts, Pid: pid, Tid: 1, ID: id})
 				}
 			}

@@ -391,18 +391,11 @@ func NewModels(cfg Config, spec core.SparseNetConfig, ds *data.Dataset, schemes 
 	cfg.fill()
 	var out []*Model
 	for _, scheme := range schemes {
-		sgd := spec.SGD
+		opt := spec.TrainOptions(scheme, cores)
 		if epochs > 0 {
-			sgd.Epochs = epochs
+			opt.SGD.Epochs = epochs
 		}
-		lambda := spec.Lambda
-		if scheme == core.SS && spec.LambdaSS != 0 {
-			lambda = spec.LambdaSS
-		}
-		opt := core.TrainOptions{
-			Cores: cores, Lambda: lambda, ThresholdRel: spec.ThresholdRel,
-			SGD: sgd, Seed: seed, Obs: cfg.Obs, Log: cfg.Log,
-		}
+		opt.Seed, opt.Obs, opt.Log = seed, cfg.Obs, cfg.Log
 		tm, err := core.Train(scheme, spec.Spec, ds, opt)
 		if err != nil {
 			return nil, fmt.Errorf("serve: train %s: %w", ModelName(scheme), err)

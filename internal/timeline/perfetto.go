@@ -21,8 +21,8 @@ const (
 	PidStages = 4
 	// PidServe is reserved for the serving layer's wall-clock "serve
 	// plane" (internal/serve.WriteServePerfetto): queue depth, batch
-	// windows and per-request lifecycle slices, rendered as ExtraEvents
-	// alongside the simulated-cycle tracks.
+	// windows and per-request lifecycle slices, passed to
+	// WritePerfettoExtra alongside the simulated-cycle tracks.
 	PidServe = 5
 )
 
@@ -30,10 +30,12 @@ const (
 // through direction dir (1..4).
 func LinkTid(node, dir int) int { return node*4 + dir - 1 }
 
-// pfEvent is one Chrome trace-event. Timestamps are in microseconds;
-// the export maps 1 simulated cycle to 1 µs so Perfetto's time ruler
-// reads directly as cycles.
-type pfEvent struct {
+// TraceEvent is one Chrome trace-event. Timestamps are in
+// microseconds; the export maps 1 simulated cycle to 1 µs so Perfetto's
+// time ruler reads directly as cycles. Higher layers (the serving
+// plane) pass their own events to WritePerfettoExtra to render their
+// processes next to the simulated-cycle tracks.
+type TraceEvent struct {
 	Name string         `json:"name,omitempty"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -44,26 +46,6 @@ type pfEvent struct {
 	ID   string         `json:"id,omitempty"`
 	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
-}
-
-// ExtraEvent is one caller-supplied Chrome trace-event merged into a
-// WritePerfettoExtra export: the hook higher layers (the serving
-// plane) use to render their own processes next to the simulated-cycle
-// tracks. Fields mirror the trace-event format; TS/Dur are in
-// microseconds on the same ruler as the simulated cycles. Metadata
-// events (Ph "M") are emitted in the header block; everything else is
-// merged into the global timestamp sort.
-type ExtraEvent struct {
-	Name string
-	Cat  string
-	Ph   string
-	TS   int64
-	Dur  int64
-	Pid  int
-	Tid  int
-	ID   string
-	BP   string
-	Args map[string]any
 }
 
 // WritePerfetto renders the timeline as Chrome trace-event JSON,
@@ -88,11 +70,11 @@ func (t *Sink) WritePerfetto(w io.Writer, tool string, meta map[string]string) e
 }
 
 // WritePerfettoExtra is WritePerfetto with caller-supplied events
-// merged in: extra metadata joins the header block, extra data events
-// join the stable timestamp sort. Safe on a nil sink when extra is the
-// only content (the sim-track processes are still declared so the
-// export stays obscheck-valid).
-func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]string, extra []ExtraEvent) error {
+// merged in: extra metadata events (Ph "M") join the header block,
+// extra data events join the stable timestamp sort. Safe on a nil sink
+// when extra is the only content (the sim-track processes are still
+// declared so the export stays obscheck-valid).
+func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]string, extra []TraceEvent) error {
 	t.resolveStarts()
 	secs := t.Sections()
 	plat := t.Platform()
@@ -105,7 +87,7 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 		}
 	}
 
-	var evs []pfEvent
+	var evs []TraceEvent
 	namedRouter := map[int]bool{}
 	namedLink := map[int]bool{}
 	namedCore := map[int]bool{}
@@ -115,7 +97,7 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 			return
 		}
 		named[tid] = true
-		evs = append(evs, pfEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+		evs = append(evs, TraceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": name}})
 	}
 	router := func(node int) {
@@ -129,7 +111,7 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 	for _, sec := range secs {
 		if pipelined {
 			thread(PidStages, sec.Stage, namedStage, fmt.Sprintf("stage %d", sec.Stage))
-			evs = append(evs, pfEvent{Name: sec.Label, Cat: "stage", Ph: "X",
+			evs = append(evs, TraceEvent{Name: sec.Label, Cat: "stage", Ph: "X",
 				TS: sec.Start, Dur: sec.span(), Pid: PidStages, Tid: sec.Stage,
 				Args: map[string]any{"batch": sec.Batch, "comm": sec.Comm}})
 		}
@@ -153,7 +135,7 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 				}
 				router(h.Node)
 				ts := sec.Start + h.Arrive
-				evs = append(evs, pfEvent{Name: name, Cat: "hop", Ph: "X",
+				evs = append(evs, TraceEvent{Name: name, Cat: "hop", Ph: "X",
 					TS: ts, Dur: h.Depart - h.Arrive, Pid: PidRouters, Tid: h.Node,
 					Args: map[string]any{
 						"section": sec.Label, "src": c.Src, "dst": c.Dst,
@@ -161,19 +143,19 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 					}})
 				switch {
 				case i == 0 && i != last:
-					evs = append(evs, pfEvent{Name: name, Cat: "hop", Ph: "s",
+					evs = append(evs, TraceEvent{Name: name, Cat: "hop", Ph: "s",
 						TS: ts, Pid: PidRouters, Tid: h.Node, ID: id})
 				case i != last:
-					evs = append(evs, pfEvent{Name: name, Cat: "hop", Ph: "t",
+					evs = append(evs, TraceEvent{Name: name, Cat: "hop", Ph: "t",
 						TS: ts, Pid: PidRouters, Tid: h.Node, ID: id})
 				case i == last && i != 0:
-					evs = append(evs, pfEvent{Name: name, Cat: "hop", Ph: "f", BP: "e",
+					evs = append(evs, TraceEvent{Name: name, Cat: "hop", Ph: "f", BP: "e",
 						TS: ts, Pid: PidRouters, Tid: h.Node, ID: id})
 				}
 			}
 			if c.Outcome == Delivered {
 				h := c.Hops[last]
-				evs = append(evs, pfEvent{Name: "eject " + name, Cat: "eject", Ph: "X",
+				evs = append(evs, TraceEvent{Name: "eject " + name, Cat: "eject", Ph: "X",
 					TS: sec.Start + h.Depart, Dur: c.Eject - h.Depart,
 					Pid: PidRouters, Tid: h.Node,
 					Args: map[string]any{"section": sec.Label, "flits": c.Flits}})
@@ -184,13 +166,13 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 			switch e.Kind {
 			case KindRetx:
 				router(int(e.Node))
-				evs = append(evs, pfEvent{Name: fmt.Sprintf("retx pkt %d", e.Packet),
+				evs = append(evs, TraceEvent{Name: fmt.Sprintf("retx pkt %d", e.Packet),
 					Cat: "fault", Ph: "i", TS: sec.Start + e.Cycle,
 					Pid: PidRouters, Tid: int(e.Node),
 					Args: map[string]any{"section": sec.Label, "attempt": e.Attempt, "reinject": e.Queued}})
 			case KindLost:
 				router(int(e.Node))
-				evs = append(evs, pfEvent{Name: fmt.Sprintf("lost %d→%d", e.Src, e.Dst),
+				evs = append(evs, TraceEvent{Name: fmt.Sprintf("lost %d→%d", e.Src, e.Dst),
 					Cat: "fault", Ph: "i", TS: sec.Start + e.Cycle,
 					Pid: PidRouters, Tid: int(e.Node),
 					Args: map[string]any{"section": sec.Label, "pkt": e.Packet}})
@@ -200,31 +182,29 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 				thread(PidLinks, tid, namedLink,
 					fmt.Sprintf("%d→%d %s", node, plat.Neighbor(node, dir), DirNames[dir]))
 				evs = append(evs,
-					pfEvent{Name: "busy", Cat: "link", Ph: "B", TS: sec.Start + e.Cycle,
+					TraceEvent{Name: "busy", Cat: "link", Ph: "B", TS: sec.Start + e.Cycle,
 						Pid: PidLinks, Tid: tid,
 						Args: map[string]any{"section": sec.Label, "plane": e.Plane}},
-					pfEvent{Name: "busy", Cat: "link", Ph: "E", TS: sec.Start + e.End,
+					TraceEvent{Name: "busy", Cat: "link", Ph: "E", TS: sec.Start + e.End,
 						Pid: PidLinks, Tid: tid})
 			case KindCompute:
 				core := int(e.Node)
 				thread(PidCores, core, namedCore, fmt.Sprintf("core %d", core))
 				evs = append(evs,
-					pfEvent{Name: sec.Label, Cat: "compute", Ph: "B", TS: sec.Start + e.Cycle,
+					TraceEvent{Name: sec.Label, Cat: "compute", Ph: "B", TS: sec.Start + e.Cycle,
 						Pid: PidCores, Tid: core},
-					pfEvent{Name: sec.Label, Cat: "compute", Ph: "E", TS: sec.Start + e.End,
+					TraceEvent{Name: sec.Label, Cat: "compute", Ph: "E", TS: sec.Start + e.End,
 						Pid: PidCores, Tid: core})
 			}
 		}
 	}
 
-	var extraMeta []pfEvent
+	var extraMeta []TraceEvent
 	for _, e := range extra {
-		pe := pfEvent{Name: e.Name, Cat: e.Cat, Ph: e.Ph, TS: e.TS, Dur: e.Dur,
-			Pid: e.Pid, Tid: e.Tid, ID: e.ID, BP: e.BP, Args: e.Args}
 		if e.Ph == "M" {
-			extraMeta = append(extraMeta, pe)
+			extraMeta = append(extraMeta, e)
 		} else {
-			evs = append(evs, pe)
+			evs = append(evs, e)
 		}
 	}
 
@@ -235,13 +215,13 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 		return evs[i].TS < evs[j].TS
 	})
 
-	head := []pfEvent{
+	head := []TraceEvent{
 		{Name: "process_name", Ph: "M", Pid: PidRouters, Args: map[string]any{"name": "routers"}},
 		{Name: "process_name", Ph: "M", Pid: PidLinks, Args: map[string]any{"name": "links"}},
 		{Name: "process_name", Ph: "M", Pid: PidCores, Args: map[string]any{"name": "cores"}},
 	}
 	if pipelined {
-		head = append(head, pfEvent{Name: "process_name", Ph: "M", Pid: PidStages,
+		head = append(head, TraceEvent{Name: "process_name", Ph: "M", Pid: PidStages,
 			Args: map[string]any{"name": "pipeline stages"}})
 	}
 	head = append(head, extraMeta...)

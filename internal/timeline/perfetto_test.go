@@ -10,7 +10,7 @@ import (
 type pfTrace struct {
 	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData"`
-	TraceEvents     []pfEvent      `json:"traceEvents"`
+	TraceEvents     []TraceEvent   `json:"traceEvents"`
 }
 
 func TestWritePerfettoStructure(t *testing.T) {

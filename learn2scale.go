@@ -191,8 +191,8 @@ type Compare = cmp.Compare
 func NewCompare(baseline, proposal Report) Compare { return cmp.NewCompare(baseline, proposal) }
 
 // PipelineOptions configures System.RunPipeline / SimulatePipeline:
-// the stage count (Depth) or explicit stage boundaries (Cuts +
-// CoresPerStage), the number of in-flight inferences (Batches), and
+// the stage count (Depth; the stages are MAC-balanced by
+// NewPipelinePlan), the number of in-flight inferences (Batches), and
 // an optional core placement.
 type PipelineOptions = cmp.PipelineOptions
 
@@ -466,7 +466,9 @@ func Fig6b(m *TrainedModel) string { return core.Fig6b(m) }
 
 // FaultOptions configures FaultSweep, the graceful-degradation
 // experiment: all four schemes simulated across a transient fault-rate
-// grid, with undelivered transfers zero-filled at evaluation.
+// grid, with undelivered transfers zero-filled at evaluation. The
+// network, its training recipe, Log and Obs come from the embedded
+// core.SweepNetwork, which PipelineSweepOptions shares.
 type FaultOptions = core.FaultOptions
 
 // DefaultFaultOptions returns the headline fault sweep on the 16-core
@@ -489,7 +491,9 @@ func FaultSweepTable(rows []FaultRow) Table { return core.FaultSweepTable(rows) 
 
 // PipelineSweepOptions configures PipelineSweep, the pipelined-
 // inference experiment: all four schemes run through the stage
-// scheduler across a pipeline-depth grid.
+// scheduler across a pipeline-depth grid. It embeds the same
+// core.SweepNetwork as FaultOptions, so the two sweeps train the same
+// models.
 type PipelineSweepOptions = core.PipelineSweepOptions
 
 // DefaultPipelineSweepOptions returns the headline pipeline sweep on
