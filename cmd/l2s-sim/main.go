@@ -101,23 +101,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var spec netzoo.NetSpec
-	switch *netName {
-	case "mlp":
-		spec = netzoo.MLP()
-	case "lenet":
-		spec = netzoo.LeNet()
-	case "convnet":
-		spec = netzoo.ConvNet()
-	case "alexnet":
-		spec = netzoo.AlexNet()
-	case "caffenet":
-		spec = netzoo.CaffeNet()
-	case "vgg19":
-		spec = netzoo.VGG19()
-	case "resnet18":
-		spec = netzoo.ResNet18()
-	default:
+	spec, ok := netzoo.ByName(*netName)
+	if !ok {
 		log.Fatalf("unknown network %q", *netName)
 	}
 
@@ -294,15 +279,7 @@ func buildPlan(spec netzoo.NetSpec, netName, schemeName string, cores, epochs, t
 	if !ok {
 		log.Fatalf("-scheme needs a trainable network (mlp|lenet|convnet|caffenet), got %q", netName)
 	}
-	var ds *data.Dataset
-	switch cfg.Name {
-	case "MLP", "LeNet":
-		ds = data.MNISTLike(train, test, seed)
-	case "ConvNet":
-		ds = data.CIFARLike(train, test, seed)
-	default:
-		ds = cfg.Data(seed)
-	}
+	ds := cfg.SizedData(train, test, seed)
 	opt := cfg.TrainOptions(scheme, cores)
 	if epochs > 0 {
 		opt.SGD.Epochs = epochs

@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"learn2scale/internal/core"
-	"learn2scale/internal/data"
 	"learn2scale/internal/fixed"
 	"learn2scale/internal/nn"
 	"learn2scale/internal/obs"
@@ -75,15 +74,7 @@ func main() {
 		log.Fatalf("unknown network %q", *netName)
 	}
 	spec := cfg.Spec
-	var ds *data.Dataset
-	switch cfg.Name {
-	case "MLP", "LeNet":
-		ds = data.MNISTLike(*train, *test, *seed)
-	case "ConvNet":
-		ds = data.CIFARLike(*train, *test, *seed)
-	default:
-		ds = cfg.Data(*seed)
-	}
+	ds := cfg.SizedData(*train, *test, *seed)
 
 	opt := cfg.TrainOptions(scheme, *cores)
 	if *epochs > 0 {

@@ -63,3 +63,27 @@ func TestNetByName(t *testing.T) {
 		}
 	}
 }
+
+// TestSizedData: MLP and LeNet train on MNIST-like and ConvNet on
+// CIFAR-like data at the requested sizes; CaffeNet keeps its recipe's
+// own dataset whatever the sizes asked.
+func TestSizedData(t *testing.T) {
+	for _, n := range Table4Nets(Quick) {
+		ds := n.SizedData(12, 5, 3)
+		if n.Name == "CaffeNet" {
+			want := n.Data(3)
+			if ds.Name != want.Name || len(ds.TrainX) != len(want.TrainX) || len(ds.TestX) != len(want.TestX) {
+				t.Errorf("CaffeNet: %s %d/%d, want its recipe's %s %d/%d",
+					ds.Name, len(ds.TrainX), len(ds.TestX), want.Name, len(want.TrainX), len(want.TestX))
+			}
+			continue
+		}
+		if len(ds.TrainX) != 12 || len(ds.TestX) != 5 {
+			t.Errorf("%s: %d train / %d test examples, want 12 / 5", n.Name, len(ds.TrainX), len(ds.TestX))
+		}
+		if !reflect.DeepEqual(ds.InShape, []int{n.Spec.InC, n.Spec.InH, n.Spec.InW}) {
+			t.Errorf("%s: dataset shape %v does not fit the net's input %d×%d×%d",
+				n.Name, ds.InShape, n.Spec.InC, n.Spec.InH, n.Spec.InW)
+		}
+	}
+}

@@ -33,6 +33,20 @@ func NetByName(nets []SparseNetConfig, name string) (SparseNetConfig, bool) {
 	return SparseNetConfig{}, false
 }
 
+// SizedData returns the dataset l2s-train and l2s-sim train the network
+// on: MLP and LeNet on train/test MNIST-like examples, ConvNet on
+// CIFAR-like ones, and any other network on its recipe's own Data,
+// whose sizes are fixed.
+func (c SparseNetConfig) SizedData(train, test int, seed int64) *data.Dataset {
+	switch c.Name {
+	case "MLP", "LeNet":
+		return data.MNISTLike(train, test, seed)
+	case "ConvNet":
+		return data.CIFARLike(train, test, seed)
+	}
+	return c.Data(seed)
+}
+
 // Profile selects the scale of the training-based experiments.
 type Profile int
 

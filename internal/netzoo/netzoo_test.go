@@ -281,3 +281,21 @@ func TestResNet18PartitionableTraffic(t *testing.T) {
 		t.Errorf("ResNet18 MACs = %d, want ~1.8G", total)
 	}
 }
+
+// TestByName resolves every zoo network in any letter case and rejects
+// names that are not in the zoo.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"mlp": "MLP", "MLP": "MLP", "LeNet": "LeNet", "CONVNET": "ConvNet",
+		"alexnet": "AlexNet", "CaffeNet": "CaffeNet", "vgg19": "VGG19", "ResNet18": "ResNet18",
+	} {
+		if got, ok := ByName(name); !ok || got.Name != want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", name, got.Name, ok, want)
+		}
+	}
+	for _, name := range []string{"", "mlp2", "caffenet-mid"} {
+		if got, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) = %q, want not found", name, got.Name)
+		}
+	}
+}

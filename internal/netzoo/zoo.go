@@ -1,6 +1,34 @@
 package netzoo
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
+
+// zoo lists the named networks ByName resolves.
+var zoo = []struct {
+	name string
+	spec func() NetSpec
+}{
+	{"mlp", MLP},
+	{"lenet", LeNet},
+	{"convnet", ConvNet},
+	{"alexnet", AlexNet},
+	{"caffenet", CaffeNet},
+	{"vgg19", VGG19},
+	{"resnet18", ResNet18},
+}
+
+// ByName returns the zoo network called name, in any letter case:
+// mlp, lenet, convnet, alexnet, caffenet, vgg19 or resnet18.
+func ByName(name string) (NetSpec, bool) {
+	for _, n := range zoo {
+		if strings.EqualFold(n.name, name) {
+			return n.spec(), true
+		}
+	}
+	return NetSpec{}, false
+}
 
 // MLP returns the paper's MLP: three fully-connected layers of
 // 512/304/10 neurons on 28×28 MNIST input.

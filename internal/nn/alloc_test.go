@@ -69,7 +69,9 @@ func TestStepMatchesFit(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	lossB, _ := trB.runBatch(idx, inputs, labels, trB.Net.Params(), nil, 1, trB.Config.LearningRate)
+	params := trB.Net.Params()
+	startTraining(params)
+	lossB, _ := trB.runBatch(idx, inputs, labels, params, nil, 1, trB.Config.LearningRate)
 
 	if lossA != lossB {
 		t.Fatalf("Step loss %v != runBatch loss %v", lossA, lossB)

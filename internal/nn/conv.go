@@ -20,7 +20,9 @@ import (
 // The layer owns all of its forward/backward buffers and packed-GEMM
 // scratch, so steady-state training steps perform no heap allocation;
 // the tensors returned by Forward/Backward are reused on the next call
-// and must be cloned by callers that retain them across steps.
+// and must be cloned by callers that retain them across steps. The
+// backward-only buffers are allocated on the first Backward, so a layer
+// that only runs inference never holds them.
 type Conv2D struct {
 	name   string
 	geom   tensor.ConvGeom
@@ -41,13 +43,15 @@ type Conv2D struct {
 
 	// persistent activations/gradients, reused every step
 	out     *tensor.Tensor
-	gradIn  *tensor.Tensor
 	lastIn  *tensor.Tensor
 	lastCol [][]float32 // per-group im2col matrices, reused across steps
 
 	// packed-GEMM operand scratch (see internal/tensor), reused per group
-	wPackedA   []float32 // forward A: W (OutCg×rows)
-	bPacked    []float32 // forward B: col (rows×cols)
+	wPackedA []float32 // forward A: W (OutCg×rows)
+	bPacked  []float32 // forward B: col (rows×cols)
+
+	// backward-only buffers, nil until the first Backward
+	gradIn     *tensor.Tensor
 	goPackedA  []float32 // dW A: dOut (OutCg×cols)
 	colTPacked []float32 // dW B: colᵀ (cols×rows)
 	wPackedAT  []float32 // dIn A: Wᵀ (rows×OutCg)
@@ -57,14 +61,14 @@ type Conv2D struct {
 
 	// operands of the current group, set before each parallel dispatch
 	// and read by the prebuilt bodies below
-	curIn, curOut, curCol, curGo, curGi, curGW []float32
-	curBias                                    int
+	curIn, curOut, curCol, curW, curGo, curGi, curGW, curGB []float32
+	curBias                                                 int
 
 	// prebuilt parallel bodies: a closure built at the call site would
 	// escape into the worker pool and allocate every step
-	fnIm2Col, fnPackCol, fnFwd func(lo, hi int)
-	fnPackColT, fnDW           func(lo, hi int)
-	fnPackGo, fnDIn, fnCol2Im  func(lo, hi int)
+	fnIm2Col, fnPackCol, fnPackW, fnFwd func(lo, hi int)
+	fnPackGoA, fnPackColT, fnDW         func(lo, hi int)
+	fnPackWT, fnPackGo, fnDIn, fnCol2Im func(lo, hi int)
 }
 
 // NewConv2D creates a convolution layer. inC/outC must be divisible by
@@ -89,7 +93,7 @@ func NewConv2D(name string, inC, inH, inW, outC, k, stride, pad, groups int) *Co
 	return l
 }
 
-// initScratch sizes the persistent buffers and builds the reusable
+// initScratch sizes the forward buffers and builds the reusable
 // parallel bodies. Called from the constructor and from ShareClone so
 // every replica owns private scratch.
 func (l *Conv2D) initScratch() {
@@ -107,19 +111,12 @@ func (l *Conv2D) initScratch() {
 	l.inShape = []int{g.InC, g.InH, g.InW}
 	l.goShape = []int{g.OutC, g.OutH, g.OutW}
 	l.out = tensor.New(g.OutC, g.OutH, g.OutW)
-	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
 	l.lastCol = make([][]float32, l.groups)
 	for i := range l.lastCol {
 		l.lastCol[i] = make([]float32, l.rows*l.cols)
 	}
 	l.wPackedA = make([]float32, tensor.PackASize(gg.OutC, l.rows))
 	l.bPacked = make([]float32, tensor.PackBSize(l.rows, l.cols))
-	l.goPackedA = make([]float32, tensor.PackASize(gg.OutC, l.cols))
-	l.colTPacked = make([]float32, tensor.PackBSize(l.cols, l.rows))
-	l.wPackedAT = make([]float32, tensor.PackASize(l.rows, gg.OutC))
-	l.goPackedB = make([]float32, tensor.PackBSize(gg.OutC, l.cols))
-	l.gradW = make([]float32, gg.OutC*l.rows)
-	l.gradCol = make([]float32, l.rows*l.cols)
 
 	// Each input channel owns a contiguous row band of the patch
 	// matrix, so channels expand (and scatter back) independently.
@@ -147,6 +144,17 @@ func (l *Conv2D) initScratch() {
 	l.fnPackGo = func(lo, hi int) {
 		tensor.PackBRange(l.goPackedB, l.curGo, l.gg.OutC, l.cols, lo, hi)
 	}
+	// Row quads are disjoint in a packed A operand. Packing only
+	// copies, so the split cannot change a byte.
+	l.fnPackW = func(lo, hi int) {
+		tensor.PackARange(l.wPackedA, l.curW, l.gg.OutC, l.rows, lo, hi)
+	}
+	l.fnPackGoA = func(lo, hi int) {
+		tensor.PackARange(l.goPackedA, l.curGo, l.gg.OutC, l.cols, lo, hi)
+	}
+	l.fnPackWT = func(lo, hi int) {
+		tensor.PackATRange(l.wPackedAT, l.curW, l.rows, l.gg.OutC, lo, hi)
+	}
 	// Output channels are independent GEMM rows; chunking on the quad
 	// grain changes nothing about each row's accumulation order.
 	l.fnFwd = func(lo, hi int) {
@@ -172,7 +180,7 @@ func (l *Conv2D) initScratch() {
 			for _, v := range l.curGo[oc*l.cols : (oc+1)*l.cols] {
 				s += v
 			}
-			l.bias.G.Data[l.curBias+oc] += s
+			l.curGB[l.curBias+oc] += s
 		}
 	}
 	// dIn patch rows are disjoint; each keeps MatMulATB's exact
@@ -222,7 +230,8 @@ func (l *Conv2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 		l.curCol = l.lastCol[g]
 		parallel.ForChunks(gg.InC, 1, l.fnIm2Col)
 		parallel.ForChunks(tensor.PackPanels(l.cols), 1, l.fnPackCol)
-		tensor.PackA(l.wPackedA, l.weight.W.Data[g*gg.OutC*l.rows:(g+1)*gg.OutC*l.rows], gg.OutC, l.rows)
+		l.curW = l.weight.W.Data[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
+		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnPackW)
 		l.curOut = l.out.Data[g*gg.OutC*l.cols : (g+1)*gg.OutC*l.cols]
 		l.curBias = g * gg.OutC
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnFwd)
@@ -233,25 +242,30 @@ func (l *Conv2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. The returned tensor is owned by the layer
 // and overwritten by the next Backward call.
 func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	mustTrainable(l.name, l.weight)
+	gw, gb := l.weight.Grad().Data, l.bias.Grad().Data
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
 	mustShape(l.name, "gradOut", gradOut.Shape, l.goShape)
+	if l.gradIn == nil {
+		l.initBackward()
+	}
 	gg := l.gg
+	l.curGB = gb
 	for g := 0; g < l.groups; g++ {
 		l.curGo = gradOut.Data[g*gg.OutC*l.cols : (g+1)*gg.OutC*l.cols]
 		l.curCol = l.lastCol[g]
-		l.curGW = l.weight.G.Data[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
+		l.curW = l.weight.W.Data[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
+		l.curGW = gw[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
 		l.curBias = g * gg.OutC
 
-		tensor.PackA(l.goPackedA, l.curGo, gg.OutC, l.cols)
+		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnPackGoA)
 		parallel.ForChunks(tensor.PackPanels(l.rows), 1, l.fnPackColT)
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnDW)
 
 		// dIn = col2im(Wᵀ · dOut): the GEMM tiles over disjoint patch
 		// rows, the scatter over disjoint input channels.
-		tensor.PackAT(l.wPackedAT, l.weight.W.Data[g*gg.OutC*l.rows:(g+1)*gg.OutC*l.rows], l.rows, gg.OutC)
+		parallel.ForChunks(l.rows, tensor.GEMMRowGrain, l.fnPackWT)
 		parallel.ForChunks(tensor.PackPanels(l.cols), 1, l.fnPackGo)
 		parallel.ForChunks(l.rows, tensor.GEMMRowGrain, l.fnDIn)
 		l.curGi = l.gradIn.Data[g*gg.InC*l.chanSize : (g+1)*gg.InC*l.chanSize]
@@ -260,9 +274,21 @@ func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return l.gradIn
 }
 
+// initBackward allocates the buffers only Backward uses.
+func (l *Conv2D) initBackward() {
+	g, gg := l.geom, l.gg
+	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
+	l.goPackedA = make([]float32, tensor.PackASize(gg.OutC, l.cols))
+	l.colTPacked = make([]float32, tensor.PackBSize(l.cols, l.rows))
+	l.wPackedAT = make([]float32, tensor.PackASize(l.rows, gg.OutC))
+	l.goPackedB = make([]float32, tensor.PackBSize(gg.OutC, l.cols))
+	l.gradW = make([]float32, gg.OutC*l.rows)
+	l.gradCol = make([]float32, l.rows*l.cols)
+}
+
 // ShareClone implements ShareCloner: the replica shares weight values
-// and momentum but owns private gradient accumulators, activation
-// buffers and packed scratch.
+// but owns private gradient accumulators, activation buffers and
+// packed scratch.
 func (l *Conv2D) ShareClone() Layer {
 	c := &Conv2D{
 		name:   l.name,
@@ -277,7 +303,7 @@ func (l *Conv2D) ShareClone() Layer {
 
 // FullyConnected is a dense layer: out = W·x + b. Like Conv2D it owns
 // its forward/backward buffers, so the returned tensors are reused on
-// the next call.
+// the next call; gradIn is allocated on the first Backward.
 type FullyConnected struct {
 	name    string
 	in, out int
@@ -317,7 +343,6 @@ func NewFullyConnected(name string, in, out int) *FullyConnected {
 
 func (l *FullyConnected) initScratch() {
 	l.outBuf = tensor.New(l.out)
-	l.gradIn = tensor.New(l.in)
 	// Outputs [lo, hi) of every row: y = b + W·x, four row sums per
 	// sweep; bit-identical to the per-row dot seeded with the bias.
 	l.fnFwd = func(lo, hi int) {
@@ -336,10 +361,10 @@ func (l *FullyConnected) initScratch() {
 	// disjoint in o.
 	l.fnBwdA = func(lo, hi int) {
 		x := l.lastIn.Data
-		gw := l.weight.G.Data
+		gw, gb := l.weight.G.Data, l.bias.G.Data
 		for o := lo; o < hi; o++ {
 			g := l.curG[o]
-			l.bias.G.Data[o] += g
+			gb[o] += g
 			if g == 0 {
 				continue
 			}
@@ -423,12 +448,18 @@ func (l *FullyConnected) forward(x []float32, k int, y []float32) {
 // Backward implements Layer. The returned tensor is owned by the layer
 // and overwritten by the next Backward call.
 func (l *FullyConnected) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	mustTrainable(l.name, l.weight)
+	// Allocate, or refuse on a frozen layer, the gradients fnBwdA
+	// accumulates into.
+	l.weight.Grad()
+	l.bias.Grad()
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
 	l.curG = gradOut.Data
 	parallel.ForChunks(l.out, 1, l.fnBwdA)
+	if l.gradIn == nil {
+		l.gradIn = tensor.New(l.in)
+	}
 	l.gradIn.Zero()
 	parallel.ForChunks(l.in, 256, l.fnBwdB)
 	return l.gradIn

@@ -25,23 +25,30 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 	f()
 }
 
-// TestFreezeRefusesTraining: a frozen net has no gradient or momentum
-// buffers, so Backward and an SGD step panic naming the layer, instead
-// of a nil dereference, and Load refuses to change its weights.
+// TestFreezeRefusesTraining: a frozen net cannot train, whether it
+// trained before Freeze or never did: Backward and an SGD step panic
+// naming the parameter, instead of a nil dereference or a silent
+// allocation, and Load refuses to change its weights.
 func TestFreezeRefusesTraining(t *testing.T) {
-	net, ins := batchTestMLP()
-	var ckpt bytes.Buffer
-	if err := net.Save(&ckpt); err != nil {
-		t.Fatal(err)
-	}
-	net.Freeze()
-	logits := net.Forward(ins[0], true)
-	grad := tensor.New(logits.Shape...)
-	mustPanic(t, "Network.Backward", "ip3", func() { net.Backward(grad) })
-	tr := &Trainer{Net: net, Config: DefaultSGD()}
-	mustPanic(t, "Trainer.Step", "ip1", func() { tr.Step(ins[:2], []int{0, 1}) })
-	if err := net.Load(&ckpt); err == nil || !strings.Contains(err.Error(), "frozen") {
-		t.Fatalf("Load into a frozen net: err = %v", err)
+	for _, trained := range []bool{false, true} {
+		net, ins := batchTestMLP()
+		if trained {
+			(&Trainer{Net: net, Config: DefaultSGD()}).Step(ins[:2], []int{0, 1})
+		}
+		var ckpt bytes.Buffer
+		if err := net.Save(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		net.Freeze()
+		logits := net.Forward(ins[0], true)
+		grad := tensor.New(logits.Shape...)
+		mustPanic(t, "Network.Backward", "ip3", func() { net.Backward(grad) })
+		tr := &Trainer{Net: net, Config: DefaultSGD()}
+		mustPanic(t, "Trainer.Step", "ip1", func() { tr.Step(ins[:2], []int{0, 1}) })
+		mustPanic(t, "Trainer.Fit", "ip1", func() { tr.Fit(ins[:2], []int{0, 1}) })
+		if err := net.Load(&ckpt); err == nil || !strings.Contains(err.Error(), "frozen") {
+			t.Fatalf("Load into a frozen net (trained %v): err = %v", trained, err)
+		}
 	}
 
 	conv, convIns := quantTestNet(t)
@@ -66,12 +73,13 @@ func TestFreezeIdempotent(t *testing.T) {
 	checkRow(t, "Forward after a second Freeze", net.Forward(ins[0], false).Data, want)
 }
 
-// TestFreezeReleasesTrainingBuffers: after Freeze no parameter of the
-// net, or of a ShareClone replica made from it, reaches a gradient or
-// momentum buffer; the replica shares the packed weights and computes
-// the same logits.
+// TestFreezeReleasesTrainingBuffers: after Freeze no parameter of a
+// net that trained, or of a ShareClone replica made from it, reaches a
+// gradient or momentum buffer; the replica shares the packed weights
+// and computes the same logits.
 func TestFreezeReleasesTrainingBuffers(t *testing.T) {
 	net, ins := batchTestMLP()
+	(&Trainer{Net: net, Config: DefaultSGD()}).Step(ins[:2], []int{0, 1})
 	net.Freeze()
 	rep, ok := net.ShareClone()
 	if !ok {

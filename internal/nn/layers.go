@@ -74,7 +74,9 @@ func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // ShareClone implements ShareCloner.
 func (l *ReLU) ShareClone() Layer { return &ReLU{name: l.name} }
 
-// MaxPool2D is channelwise max pooling over CHW inputs.
+// MaxPool2D is channelwise max pooling over CHW inputs. The argmax
+// record is allocated on the first Forward(train) and the input
+// gradient on the first Backward, so inference never holds them.
 type MaxPool2D struct {
 	name    string
 	geom    tensor.ConvGeom
@@ -92,8 +94,6 @@ func NewMaxPool2D(name string, inC, inH, inW, k, stride int) *MaxPool2D {
 	l := &MaxPool2D{name: name, geom: g}
 	l.inShape = []int{g.InC, g.InH, g.InW}
 	l.out = tensor.New(g.InC, g.OutH, g.OutW)
-	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
-	l.arg = make([]int32, l.out.Len())
 	return l
 }
 
@@ -117,6 +117,9 @@ func (l *MaxPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	mustShape(l.name, "input", in.Shape, l.inShape)
 	var arg []int32
 	if train {
+		if l.arg == nil {
+			l.arg = make([]int32, l.out.Len())
+		}
 		arg = l.arg
 		l.lastArg = arg
 	}
@@ -129,6 +132,9 @@ func (l *MaxPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if l.lastArg == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
+	}
+	if l.gradIn == nil {
+		l.gradIn = tensor.New(l.inShape...)
 	}
 	l.gradIn.Zero()
 	gi := l.gradIn.Data

@@ -60,10 +60,10 @@ func (n *Network) Init(rng *rand.Rand) {
 }
 
 // ShareClone returns a replica network for data-parallel gradient
-// evaluation: every layer shares its parameter values (and momentum)
-// with the receiver but owns fresh gradient accumulators and private
-// scratch, so replicas may run Forward(train)+Backward concurrently
-// while nobody updates the shared weights. Returns false when any
+// evaluation: every layer shares its parameter values with the
+// receiver but owns fresh gradient accumulators and private scratch,
+// so replicas may run Forward(train)+Backward concurrently while
+// nobody updates the shared weights. Returns false when any
 // layer cannot be replicated (e.g. Dropout, whose RNG stream is
 // inherently sequential); callers then fall back to serial evaluation.
 func (n *Network) ShareClone() (*Network, bool) {
@@ -88,15 +88,15 @@ func (n *Network) ShareClone() (*Network, bool) {
 // panels of tensor.PackFC and from then on runs tensor.FCForward in
 // Forward and ForwardBatch: a lone input fills every vector lane, and
 // the outputs stay bit-identical to the MatVecAcc forward they replace,
-// at any group size. Every parameter releases its gradient and momentum
-// buffers, which only training reads, so the net holds its weights and
-// one packed copy of its FC weights instead of three buffers per
-// parameter.
+// at any group size. Every parameter is marked frozen and drops any
+// gradient and momentum a past training run left behind, so the net
+// holds its weights and one packed copy of its FC weights.
 //
 // A frozen net cannot train: Backward and an SGD step panic, naming the
-// layer, and Load returns an error. Its weights must not change after
-// Freeze, or the packed copies go stale. ShareClone replicas of a
-// frozen net are frozen. Freeze is idempotent.
+// parameter, and Load returns an error. This holds whether or not the
+// net ever trained. Its weights must not change after Freeze, or the
+// packed copies go stale. ShareClone replicas of a frozen net are
+// frozen. Freeze is idempotent.
 func (n *Network) Freeze() {
 	for _, l := range n.Layers {
 		if fc, ok := l.(*FullyConnected); ok && fc.packed == nil {
@@ -104,7 +104,7 @@ func (n *Network) Freeze() {
 			tensor.PackFC(fc.packed, fc.weight.W.Data, fc.out, fc.in)
 		}
 		for _, p := range l.Params() {
-			p.G, p.V = nil, nil
+			p.frozen, p.G, p.V = true, nil, nil
 		}
 	}
 }

@@ -27,7 +27,7 @@ func numericalGrad(net *Network, in *tensor.Tensor, label int, w []float32, i in
 func checkGradients(t *testing.T, net *Network, in *tensor.Tensor, label int, tol float64) {
 	t.Helper()
 	for _, p := range net.Params() {
-		p.G.Zero()
+		p.Grad().Zero()
 	}
 	logits := net.Forward(in, true)
 	grad := tensor.New(logits.Shape...)

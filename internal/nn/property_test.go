@@ -151,14 +151,13 @@ func TestQuickZeroGradNoChange(t *testing.T) {
 	net.Init(rng)
 	before := net.Params()[0].W.Clone()
 	for _, p := range net.Params() {
-		p.G.Zero()
-		for i := range p.V.Data {
-			p.V.Data[i] = 0
-		}
+		g := p.Grad()
+		g.Zero()
 		// Hand-rolled momentum step with zero gradient.
+		v := make([]float32, p.W.Len())
 		for i := range p.W.Data {
-			p.V.Data[i] = 0.9*p.V.Data[i] - 0.05*p.G.Data[i]
-			p.W.Data[i] += p.V.Data[i]
+			v[i] = 0.9*v[i] - 0.05*g.Data[i]
+			p.W.Data[i] += v[i]
 		}
 	}
 	for i := range before.Data {

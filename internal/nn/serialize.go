@@ -42,7 +42,7 @@ func (n *Network) Save(w io.Writer) error {
 func (n *Network) Load(r io.Reader) error {
 	params := n.Params()
 	for _, p := range params {
-		if p.frozen() {
+		if p.frozen {
 			return fmt.Errorf("nn: load into frozen network %q (its packed weights would go stale)", n.Name)
 		}
 	}

@@ -72,7 +72,9 @@ type EpochStats struct {
 	LearnRate float64
 }
 
-// Trainer runs SGD with momentum over a labelled dataset.
+// Trainer runs SGD with momentum over a labelled dataset. The momentum
+// lives on each Param, not in the Trainer, so Trainers run one after
+// another on one net (pre-train, sparsify, fine-tune) carry it over.
 type Trainer struct {
 	Net    *Network
 	Config SGDConfig
@@ -94,7 +96,8 @@ type Trainer struct {
 }
 
 // Fit trains the network on (inputs, labels) and returns the stats of
-// the final epoch.
+// the final epoch. It allocates any gradient and momentum the net does
+// not hold yet; momentum left by an earlier Trainer carries over.
 func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	if len(inputs) != len(labels) {
 		panic("nn: Fit input/label count mismatch")
@@ -115,10 +118,11 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 		order[i] = i
 	}
 	params := t.Net.Params()
+	startTraining(params)
 
 	// Replica pool for data-parallel gradient evaluation. Pool size
 	// matches MapReduce's fold window so acquisition in mapf can never
-	// deadlock; replicas share W/V with t.Net and own private G.
+	// deadlock; replicas share W with t.Net and own private G.
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = parallel.Workers()
@@ -196,12 +200,10 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 // accumulate per-example gradients (in parallel when replicas is
 // non-nil), average, add decay and regularizer terms, and apply the
 // momentum step. Returns the batch's total data loss and correct
-// count. The serial path allocates nothing in steady state.
+// count. The serial path allocates nothing in steady state. Every
+// param's G and V must be allocated (startTraining).
 func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *Network, workers int, lr float64) (float64, int) {
 	for _, p := range params {
-		if p.frozen() {
-			panic(fmt.Sprintf("nn: %s: SGD step on a frozen network (Network.Freeze released its gradient and momentum)", p.Name))
-		}
 		p.G.Zero()
 	}
 	var totalLoss float64
@@ -257,7 +259,8 @@ func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, p
 // Step applies one mini-batch update over the whole provided slice
 // (serially, at the configured learning rate, with no shuffling or
 // epoch bookkeeping) and returns the total data loss and correct
-// count. After a warm-up call, steady-state Steps perform zero heap
+// count. The first call allocates the net's gradients and momentum;
+// after a warm-up call, steady-state Steps perform zero heap
 // allocations — the property the benchmark suite pins.
 func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 	if len(inputs) != len(labels) {
@@ -269,6 +272,7 @@ func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 	if t.stepParams == nil {
 		t.stepParams = t.Net.Params()
 	}
+	startTraining(t.stepParams)
 	if len(t.stepIdx) != len(inputs) {
 		t.stepIdx = make([]int, len(inputs))
 		for i := range t.stepIdx {
@@ -276,6 +280,19 @@ func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 		}
 	}
 	return t.runBatch(t.stepIdx, inputs, labels, t.stepParams, nil, 1, t.Config.LearningRate)
+}
+
+// startTraining allocates every param's gradient and momentum, so
+// runBatch and the replica fold only ever see allocated buffers. Fit
+// calls it before cloning its replica pool. On a frozen net it panics,
+// naming the first param.
+func startTraining(params []*Param) {
+	for _, p := range params {
+		p.Grad()
+		if p.V == nil {
+			p.V = tensor.New(p.W.Shape...)
+		}
+	}
 }
 
 // exampleResult carries one example's gradients (inside the replica's

@@ -229,7 +229,7 @@ func (g *GroupLasso) AddGrad() {
 		lg := lg
 		n := lg.Cores()
 		w := lg.Param.W.Data
-		gr := lg.Param.G.Data
+		gr := lg.Param.Grad().Data
 		// Blocks partition the weight tensor, so each gradient element
 		// gets exactly one accumulation: block order cannot matter.
 		parallel.For(n*n, func(b int) {

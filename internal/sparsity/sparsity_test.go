@@ -121,7 +121,7 @@ func TestPenaltyAndGradDirection(t *testing.T) {
 		t.Fatalf("penalty = %v", pen)
 	}
 	// A small step along −grad must reduce the penalty.
-	p.G.Zero()
+	p.Grad().Zero()
 	gl.AddGrad()
 	p.W.AXPY(-0.1, p.G)
 	if after := gl.Penalty(); after >= pen {
@@ -136,7 +136,7 @@ func TestZeroStrengthBlocksUntouched(t *testing.T) {
 	st := UniformStrength(4)
 	st[1][2] = 0 // exempt one block
 	gl := NewGroupLasso([]LayerGroups{lg}, st, 0.05)
-	p.G.Zero()
+	p.Grad().Zero()
 	gl.AddGrad()
 	found := false
 	lg.forSpans(1, 2, func(lo, hi int) {
@@ -361,7 +361,7 @@ func BenchmarkGroupLassoAddGrad(b *testing.B) {
 	gl := NewGroupLasso([]LayerGroups{lg}, UniformStrength(16), 0.01)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fc.Weight().G.Zero()
+		fc.Weight().Grad().Zero()
 		gl.AddGrad()
 	}
 }
