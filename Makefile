@@ -34,6 +34,7 @@ fuzz:
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 30s ./internal/tensor
+	go test -fuzz FuzzIm2ColPacked -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
 
 # Quick fuzz pass for CI: a few seconds per target on top of the seed
@@ -48,6 +49,7 @@ fuzz-smoke:
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 5s ./internal/tensor
+	go test -fuzz FuzzIm2ColPacked -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 
 # One benchmark per paper table/figure plus the per-package benches.

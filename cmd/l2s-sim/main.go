@@ -264,15 +264,9 @@ func buildPlan(spec netzoo.NetSpec, netName, schemeName string, cores, epochs, t
 	if schemeName == "none" {
 		return partition.NewPlan(spec, cores), nil, nil
 	}
-	var scheme core.Scheme
-	switch schemeName {
-	case "baseline":
-		scheme = core.Baseline
-	case "ss":
-		scheme = core.SS
-	case "ssmask":
-		scheme = core.SSMask
-	default:
+	// The struct scheme is served but not offered here.
+	scheme, ok := core.ParseScheme(schemeName)
+	if !ok || scheme == core.StructureLevel {
 		log.Fatalf("unknown scheme %q", schemeName)
 	}
 	cfg, ok := core.NetByName(core.Table4Nets(core.Quick), netName)

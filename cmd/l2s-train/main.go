@@ -57,15 +57,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var scheme core.Scheme
-	switch *schemeName {
-	case "baseline":
-		scheme = core.Baseline
-	case "ss":
-		scheme = core.SS
-	case "ssmask":
-		scheme = core.SSMask
-	default:
+	// The struct scheme is served but not offered here.
+	scheme, ok := core.ParseScheme(*schemeName)
+	if !ok || scheme == core.StructureLevel {
 		log.Fatalf("unknown scheme %q", *schemeName)
 	}
 

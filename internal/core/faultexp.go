@@ -181,20 +181,6 @@ type FaultRow struct {
 	FailedTransfers int
 }
 
-func schemeSlug(s Scheme) string {
-	switch s {
-	case Baseline:
-		return "baseline"
-	case StructureLevel:
-		return "structure"
-	case SS:
-		return "ss"
-	case SSMask:
-		return "ssmask"
-	}
-	return fmt.Sprintf("scheme%d", int(s))
-}
-
 // FaultSweep trains the four schemes once and simulates each across
 // opt.Rates, evaluating the accuracy the model retains after the
 // network's undelivered transfers are zero-filled (graceful
@@ -254,7 +240,7 @@ func FaultSweep(opt FaultOptions) ([]FaultRow, error) {
 		if r := opt.Obs; r != nil {
 			// Names are fixed by grid position (not by outcome), so the
 			// metric set is identical across worker counts and runs.
-			pfx := fmt.Sprintf("faults.%s.rate%02d.", schemeSlug(m.Scheme), ri)
+			pfx := fmt.Sprintf("faults.%s.rate%02d.", m.Scheme.slug(), ri)
 			r.Gauge(pfx+"rate", obs.Stable).Set(rate)
 			r.Gauge(pfx+"accuracy", obs.Stable).Set(acc)
 			r.Gauge(pfx+"total_cycles", obs.Stable).Set(float64(row.TotalCycles))

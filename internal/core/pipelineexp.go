@@ -143,7 +143,7 @@ func PipelineSweep(opt PipelineSweepOptions) ([]PipelineRow, error) {
 		if r := opt.Obs; r != nil {
 			// Names are fixed by grid position (not by outcome), so the
 			// metric set is identical across worker counts and runs.
-			pfx := fmt.Sprintf("pipeline.%s.d%02d.", schemeSlug(m.Scheme), di)
+			pfx := fmt.Sprintf("pipeline.%s.d%02d.", m.Scheme.slug(), di)
 			r.Gauge(pfx+"depth", obs.Stable).Set(float64(depth))
 			r.Gauge(pfx+"total_cycles", obs.Stable).Set(float64(row.TotalCycles))
 			r.Gauge(pfx+"fill_cycles", obs.Stable).Set(float64(row.FillCycles))

@@ -87,3 +87,38 @@ func TestSizedData(t *testing.T) {
 		}
 	}
 }
+
+// TestSchemeNames pins each scheme's flag/wire name, its record slug
+// and its display name, and that ParseScheme reads back exactly the
+// names Name prints.
+func TestSchemeNames(t *testing.T) {
+	for _, tc := range []struct {
+		scheme           Scheme
+		name, slug, text string
+	}{
+		{Baseline, "baseline", "baseline", "Baseline"},
+		{StructureLevel, "struct", "structure", "Structure-level"},
+		{SS, "ss", "ss", "SS"},
+		{SSMask, "ssmask", "ssmask", "SS_Mask"},
+		{Scheme(7), "scheme7", "scheme7", "Scheme(7)"},
+	} {
+		if got := tc.scheme.Name(); got != tc.name {
+			t.Errorf("%d: Name() = %q, want %q", int(tc.scheme), got, tc.name)
+		}
+		if got := tc.scheme.slug(); got != tc.slug {
+			t.Errorf("%d: slug() = %q, want %q", int(tc.scheme), got, tc.slug)
+		}
+		if got := tc.scheme.String(); got != tc.text {
+			t.Errorf("%d: String() = %q, want %q", int(tc.scheme), got, tc.text)
+		}
+		got, ok := ParseScheme(tc.name)
+		if wantOK := tc.scheme <= SSMask; ok != wantOK || (ok && got != tc.scheme) {
+			t.Errorf("ParseScheme(%q) = %v, %v", tc.name, got, ok)
+		}
+	}
+	for _, bad := range []string{"", "structure", "SS", "SSMask", "Baseline", "ss_mask", "none"} {
+		if s, ok := ParseScheme(bad); ok {
+			t.Errorf("ParseScheme(%q) accepted it as %v", bad, s)
+		}
+	}
+}

@@ -45,6 +45,44 @@ const (
 	SSMask
 )
 
+// schemeNames holds each scheme's lowercase names: name is how the
+// -scheme flags and the serving API spell it, slug how experiment
+// records spell it in metric names.
+var schemeNames = [...]struct{ name, slug string }{
+	Baseline:       {"baseline", "baseline"},
+	StructureLevel: {"struct", "structure"},
+	SS:             {"ss", "ss"},
+	SSMask:         {"ssmask", "ssmask"},
+}
+
+// Name returns the scheme's lowercase name, the one ParseScheme reads:
+// baseline, struct, ss or ssmask.
+func (s Scheme) Name() string {
+	if s >= 0 && int(s) < len(schemeNames) {
+		return schemeNames[s].name
+	}
+	return fmt.Sprintf("scheme%d", int(s))
+}
+
+// slug returns the scheme's name in experiment metric names.
+func (s Scheme) slug() string {
+	if s >= 0 && int(s) < len(schemeNames) {
+		return schemeNames[s].slug
+	}
+	return fmt.Sprintf("scheme%d", int(s))
+}
+
+// ParseScheme returns the scheme whose Name is name, and false when
+// there is none. Names are case-sensitive.
+func ParseScheme(name string) (Scheme, bool) {
+	for s, n := range schemeNames {
+		if n.name == name {
+			return Scheme(s), true
+		}
+	}
+	return 0, false
+}
+
 func (s Scheme) String() string {
 	switch s {
 	case Baseline:

@@ -33,7 +33,7 @@ type Conv2D struct {
 
 	// static per-group geometry, precomputed once
 	gg       tensor.ConvGeom // per-group geometry (channels divided)
-	g1       tensor.ConvGeom // per-channel im2col geometry (InC = 1)
+	g1       tensor.ConvGeom // per-channel im2col geometry (InC = 1), backward only
 	rows     int             // patch-matrix rows: InCg·KH·KW
 	cols     int             // patch-matrix cols: OutH·OutW
 	chanRows int             // im2col rows owned by one input channel
@@ -42,13 +42,12 @@ type Conv2D struct {
 	goShape  []int           // expected gradOut shape
 
 	// persistent activations/gradients, reused every step
-	out     *tensor.Tensor
-	lastIn  *tensor.Tensor
-	lastCol [][]float32 // per-group im2col matrices, reused across steps
+	out    *tensor.Tensor
+	lastIn *tensor.Tensor
 
 	// packed-GEMM operand scratch (see internal/tensor), reused per group
 	wPackedA []float32 // forward A: W (OutCg×rows)
-	bPacked  []float32 // forward B: col (rows×cols)
+	bPacked  []float32 // forward B: the patch matrix (rows×cols), packed straight from the input
 
 	// backward-only buffers, nil until the first Backward
 	gradIn     *tensor.Tensor
@@ -57,18 +56,18 @@ type Conv2D struct {
 	wPackedAT  []float32 // dIn A: Wᵀ (rows×OutCg)
 	goPackedB  []float32 // dIn B: dOut (OutCg×cols)
 	gradW      []float32 // one-group weight-gradient scratch
-	gradCol    []float32 // one-group patch-gradient matrix
+	gradCol    []float32 // one group's patch matrix for dW, then its gradient for dIn
 
 	// operands of the current group, set before each parallel dispatch
 	// and read by the prebuilt bodies below
-	curIn, curOut, curCol, curW, curGo, curGi, curGW, curGB []float32
-	curBias                                                 int
+	curIn, curOut, curW, curGo, curGi, curGW, curGB []float32
+	curBias                                         int
 
 	// prebuilt parallel bodies: a closure built at the call site would
 	// escape into the worker pool and allocate every step
-	fnIm2Col, fnPackCol, fnPackW, fnFwd func(lo, hi int)
-	fnPackGoA, fnPackColT, fnDW         func(lo, hi int)
-	fnPackWT, fnPackGo, fnDIn, fnCol2Im func(lo, hi int)
+	fnPackIn, fnPackW, fnFwd              func(lo, hi int)
+	fnIm2Col, fnPackGoA, fnPackColT, fnDW func(lo, hi int)
+	fnPackWT, fnPackGo, fnDIn, fnCol2Im   func(lo, hi int)
 }
 
 // NewConv2D creates a convolution layer. inC/outC must be divisible by
@@ -111,18 +110,21 @@ func (l *Conv2D) initScratch() {
 	l.inShape = []int{g.InC, g.InH, g.InW}
 	l.goShape = []int{g.OutC, g.OutH, g.OutW}
 	l.out = tensor.New(g.OutC, g.OutH, g.OutW)
-	l.lastCol = make([][]float32, l.groups)
-	for i := range l.lastCol {
-		l.lastCol[i] = make([]float32, l.rows*l.cols)
-	}
 	l.wPackedA = make([]float32, tensor.PackASize(gg.OutC, l.rows))
 	l.bPacked = make([]float32, tensor.PackBSize(l.rows, l.cols))
 
-	// Each input channel owns a contiguous row band of the patch
-	// matrix, so channels expand (and scatter back) independently.
+	// The forward B operand: each column panel of the group's patch
+	// matrix is gathered from the input straight into its packed slot,
+	// and panels are disjoint in the packed destination.
+	l.fnPackIn = func(lo, hi int) {
+		tensor.Im2ColPacked(l.bPacked, l.curIn, l.gg, lo, hi)
+	}
+	// Backward rebuilds the patch matrix dW needs. Each input channel
+	// owns a contiguous row band of it, so channels expand (and scatter
+	// back) independently.
 	l.fnIm2Col = func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			tensor.Im2Col(l.curCol[c*l.chanRows*l.cols:(c+1)*l.chanRows*l.cols], l.curIn[c*l.chanSize:(c+1)*l.chanSize], l.g1)
+			tensor.Im2Col(l.gradCol[c*l.chanRows*l.cols:(c+1)*l.chanRows*l.cols], l.curIn[c*l.chanSize:(c+1)*l.chanSize], l.g1)
 		}
 	}
 	l.fnCol2Im = func(lo, hi int) {
@@ -135,11 +137,8 @@ func (l *Conv2D) initScratch() {
 		}
 	}
 	// Column panels are disjoint in the packed destination.
-	l.fnPackCol = func(lo, hi int) {
-		tensor.PackBRange(l.bPacked, l.curCol, l.rows, l.cols, lo, hi)
-	}
 	l.fnPackColT = func(lo, hi int) {
-		tensor.PackBTRange(l.colTPacked, l.curCol, l.cols, l.rows, lo, hi)
+		tensor.PackBTRange(l.colTPacked, l.gradCol, l.cols, l.rows, lo, hi)
 	}
 	l.fnPackGo = func(lo, hi int) {
 		tensor.PackBRange(l.goPackedB, l.curGo, l.gg.OutC, l.cols, lo, hi)
@@ -227,9 +226,7 @@ func (l *Conv2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	gg := l.gg
 	for g := 0; g < l.groups; g++ {
 		l.curIn = in.Data[g*gg.InC*l.chanSize : (g+1)*gg.InC*l.chanSize]
-		l.curCol = l.lastCol[g]
-		parallel.ForChunks(gg.InC, 1, l.fnIm2Col)
-		parallel.ForChunks(tensor.PackPanels(l.cols), 1, l.fnPackCol)
+		parallel.ForChunks(tensor.PackPanels(l.cols), 1, l.fnPackIn)
 		l.curW = l.weight.W.Data[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnPackW)
 		l.curOut = l.out.Data[g*gg.OutC*l.cols : (g+1)*gg.OutC*l.cols]
@@ -254,11 +251,14 @@ func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	l.curGB = gb
 	for g := 0; g < l.groups; g++ {
 		l.curGo = gradOut.Data[g*gg.OutC*l.cols : (g+1)*gg.OutC*l.cols]
-		l.curCol = l.lastCol[g]
+		l.curIn = l.lastIn.Data[g*gg.InC*l.chanSize : (g+1)*gg.InC*l.chanSize]
 		l.curW = l.weight.W.Data[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
 		l.curGW = gw[g*gg.OutC*l.rows : (g+1)*gg.OutC*l.rows]
 		l.curBias = g * gg.OutC
 
+		// dW = dOut · colᵀ, the patch matrix rebuilt from the input into
+		// gradCol, which dIn overwrites below.
+		parallel.ForChunks(gg.InC, 1, l.fnIm2Col)
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnPackGoA)
 		parallel.ForChunks(tensor.PackPanels(l.rows), 1, l.fnPackColT)
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnDW)

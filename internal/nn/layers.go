@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"learn2scale/internal/parallel"
 	"learn2scale/internal/tensor"
 )
 
@@ -18,16 +19,42 @@ func ensureBuf(buf *tensor.Tensor, shape []int) *tensor.Tensor {
 	return tensor.New(shape...)
 }
 
-// ReLU applies max(0, x) elementwise.
+// reluGrain is the element count of one parallel ReLU chunk: large
+// enough that the small activations of an MLP stay one chunk, which
+// ForChunks runs inline on the caller.
+const reluGrain = 16384
+
+// poolChunkOutputs is the output count a parallel pooling chunk aims
+// for; chunks hold whole channels.
+const poolChunkOutputs = 4096
+
+// poolGrain returns the channels per parallel chunk of a pooling
+// layer with the given geometry.
+func poolGrain(g tensor.ConvGeom) int {
+	return max(1, poolChunkOutputs/(g.OutH*g.OutW))
+}
+
+// ReLU applies max(0, x) elementwise: x where x > 0, else +0 (NaN and
+// −0 included), branch-free (tensor.ReLU) and split over workers in
+// chunks of reluGrain elements.
 type ReLU struct {
 	name   string
 	lastIn *tensor.Tensor
 	out    *tensor.Tensor
 	gradIn *tensor.Tensor
+
+	// operands of the current pass, read by the prebuilt bodies
+	curIn, curOut, curGo []float32
+	fnFwd, fnBwd         func(lo, hi int)
 }
 
 // NewReLU creates a ReLU activation layer.
-func NewReLU(name string) *ReLU { return &ReLU{name: name} }
+func NewReLU(name string) *ReLU {
+	l := &ReLU{name: name}
+	l.fnFwd = func(lo, hi int) { tensor.ReLU(l.curOut[lo:hi], l.curIn[lo:hi]) }
+	l.fnBwd = func(lo, hi int) { tensor.ReLUGrad(l.curOut[lo:hi], l.curGo[lo:hi], l.curIn[lo:hi]) }
+	return l
+}
 
 // Name implements Layer.
 func (l *ReLU) Name() string { return l.name }
@@ -45,14 +72,8 @@ func (l *ReLU) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 		l.lastIn = in
 	}
 	l.out = ensureBuf(l.out, in.Shape)
-	out := l.out.Data
-	for i, v := range in.Data {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
+	l.curIn, l.curOut = in.Data, l.out.Data
+	parallel.ForChunks(len(in.Data), reluGrain, l.fnFwd)
 	return l.out
 }
 
@@ -60,40 +81,58 @@ func (l *ReLU) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 // and overwritten by the next Backward call.
 func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	l.gradIn = ensureBuf(l.gradIn, gradOut.Shape)
-	gi := l.gradIn.Data
-	for i, v := range l.lastIn.Data {
-		if v > 0 {
-			gi[i] = gradOut.Data[i]
-		} else {
-			gi[i] = 0
-		}
-	}
+	l.curIn, l.curOut, l.curGo = l.lastIn.Data, l.gradIn.Data, gradOut.Data
+	parallel.ForChunks(len(l.curIn), reluGrain, l.fnBwd)
 	return l.gradIn
 }
 
 // ShareClone implements ShareCloner.
-func (l *ReLU) ShareClone() Layer { return &ReLU{name: l.name} }
+func (l *ReLU) ShareClone() Layer { return NewReLU(l.name) }
 
-// MaxPool2D is channelwise max pooling over CHW inputs. The argmax
-// record is allocated on the first Forward(train) and the input
-// gradient on the first Backward, so inference never holds them.
+// MaxPool2D is channelwise max pooling over CHW inputs, split over
+// workers by whole channels (tensor.MaxPoolChannels forward, the
+// argmax scatter backward). The argmax record is allocated on the
+// first Forward(train) and the input gradient on the first Backward,
+// so inference never holds them.
 type MaxPool2D struct {
 	name    string
 	geom    tensor.ConvGeom
 	inShape []int
+	grain   int // channels per parallel chunk
 
 	out     *tensor.Tensor
 	gradIn  *tensor.Tensor
 	arg     []int32
 	lastArg []int32
+
+	// operands of the current pass, read by the prebuilt bodies
+	curIn, curGo []float32
+	curArg       []int32
+	fnFwd, fnBwd func(lo, hi int)
 }
 
 // NewMaxPool2D creates a pooling layer with a k×k window.
 func NewMaxPool2D(name string, inC, inH, inW, k, stride int) *MaxPool2D {
 	g := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: k, KW: k, Stride: stride}.Infer()
-	l := &MaxPool2D{name: name, geom: g}
+	l := &MaxPool2D{name: name, geom: g, grain: poolGrain(g)}
 	l.inShape = []int{g.InC, g.InH, g.InW}
 	l.out = tensor.New(g.InC, g.OutH, g.OutW)
+	l.fnFwd = func(lo, hi int) {
+		tensor.MaxPoolChannels(l.out.Data, l.curArg, l.curIn, l.geom, lo, hi)
+	}
+	// Every window of channel c lies in channel c, so each chunk
+	// scatters into its own channels of gradIn, in the serial order.
+	l.fnBwd = func(lo, hi int) {
+		g := l.geom
+		in, out := g.InH*g.InW, g.OutH*g.OutW
+		gi := l.gradIn.Data
+		clear(gi[lo*in : hi*in])
+		for oi := lo * out; oi < hi*out; oi++ {
+			if ii := l.lastArg[oi]; ii >= 0 {
+				gi[ii] += l.curGo[oi]
+			}
+		}
+	}
 	return l
 }
 
@@ -115,15 +154,16 @@ func (l *MaxPool2D) OutShape(in []int) []int {
 // and overwritten by the next Forward call.
 func (l *MaxPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	mustShape(l.name, "input", in.Shape, l.inShape)
-	var arg []int32
+	l.curArg = nil
 	if train {
 		if l.arg == nil {
 			l.arg = make([]int32, l.out.Len())
 		}
-		arg = l.arg
-		l.lastArg = arg
+		l.curArg = l.arg
+		l.lastArg = l.arg
 	}
-	tensor.MaxPool(l.out.Data, arg, in.Data, l.geom)
+	l.curIn = in.Data
+	parallel.ForChunks(l.geom.InC, l.grain, l.fnFwd)
 	return l.out
 }
 
@@ -136,13 +176,8 @@ func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if l.gradIn == nil {
 		l.gradIn = tensor.New(l.inShape...)
 	}
-	l.gradIn.Zero()
-	gi := l.gradIn.Data
-	for oi, ii := range l.lastArg {
-		if ii >= 0 {
-			gi[ii] += gradOut.Data[oi]
-		}
-	}
+	l.curGo = gradOut.Data
+	parallel.ForChunks(l.geom.InC, l.grain, l.fnBwd)
 	return l.gradIn
 }
 
@@ -152,23 +187,31 @@ func (l *MaxPool2D) ShareClone() Layer {
 }
 
 // AvgPool2D is channelwise average pooling over CHW inputs (Caffe's
-// cifar10-quick uses it for its later pooling stages).
+// cifar10-quick uses it for its later pooling stages), split over
+// workers by whole channels in both directions.
 type AvgPool2D struct {
 	name    string
 	geom    tensor.ConvGeom
 	inShape []int
+	grain   int // channels per parallel chunk
 
 	out    *tensor.Tensor
 	gradIn *tensor.Tensor
+
+	// operands of the current pass, read by the prebuilt bodies
+	curIn, curGo []float32
+	fnFwd, fnBwd func(lo, hi int)
 }
 
 // NewAvgPool2D creates an average-pooling layer with a k×k window.
 func NewAvgPool2D(name string, inC, inH, inW, k, stride int) *AvgPool2D {
 	g := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: k, KW: k, Stride: stride}.Infer()
-	l := &AvgPool2D{name: name, geom: g}
+	l := &AvgPool2D{name: name, geom: g, grain: poolGrain(g)}
 	l.inShape = []int{g.InC, g.InH, g.InW}
 	l.out = tensor.New(g.InC, g.OutH, g.OutW)
 	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
+	l.fnFwd = l.forwardChannels
+	l.fnBwd = l.backwardChannels
 	return l
 }
 
@@ -190,9 +233,16 @@ func (l *AvgPool2D) OutShape(in []int) []int {
 // and overwritten by the next Forward call.
 func (l *AvgPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	mustShape(l.name, "input", in.Shape, l.inShape)
-	out := l.out.Data
+	l.curIn = in.Data
+	parallel.ForChunks(l.geom.InC, l.grain, l.fnFwd)
+	return l.out
+}
+
+// forwardChannels averages the windows of channels [lo, hi).
+func (l *AvgPool2D) forwardChannels(lo, hi int) {
+	out, in := l.out.Data, l.curIn
 	g := l.geom
-	for c := 0; c < g.InC; c++ {
+	for c := lo; c < hi; c++ {
 		for oh := 0; oh < g.OutH; oh++ {
 			for ow := 0; ow < g.OutW; ow++ {
 				sum := float32(0)
@@ -207,7 +257,7 @@ func (l *AvgPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 						if iw >= g.InW {
 							continue
 						}
-						sum += in.Data[(c*g.InH+ih)*g.InW+iw]
+						sum += in[(c*g.InH+ih)*g.InW+iw]
 						n++
 					}
 				}
@@ -215,17 +265,24 @@ func (l *AvgPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
-	return l.out
 }
 
 // Backward implements Layer: the gradient of each output spreads
 // uniformly over its pooling window. The returned tensor is owned by
 // the layer and overwritten by the next Backward call.
 func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.curGo = gradOut.Data
+	parallel.ForChunks(l.geom.InC, l.grain, l.fnBwd)
+	return l.gradIn
+}
+
+// backwardChannels spreads the output gradients of channels [lo, hi)
+// over their windows; every window of channel c lies in channel c.
+func (l *AvgPool2D) backwardChannels(lo, hi int) {
 	g := l.geom
-	l.gradIn.Zero()
 	gi := l.gradIn.Data
-	for c := 0; c < g.InC; c++ {
+	clear(gi[lo*g.InH*g.InW : hi*g.InH*g.InW])
+	for c := lo; c < hi; c++ {
 		for oh := 0; oh < g.OutH; oh++ {
 			for ow := 0; ow < g.OutW; ow++ {
 				n := 0
@@ -238,7 +295,7 @@ func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 						}
 					}
 				}
-				share := gradOut.Data[(c*g.OutH+oh)*g.OutW+ow] / float32(n)
+				share := l.curGo[(c*g.OutH+oh)*g.OutW+ow] / float32(n)
 				for kh := 0; kh < g.KH; kh++ {
 					ih := oh*g.Stride + kh
 					if ih >= g.InH {
@@ -255,7 +312,6 @@ func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return l.gradIn
 }
 
 // ShareClone implements ShareCloner (the layer is stateless between

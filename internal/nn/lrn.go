@@ -14,15 +14,24 @@ import (
 // internal/netzoo omit it (standard practice in modern AlexNet
 // re-implementations — it changes accuracy by well under a point and
 // carries no weights, so it never affects partitioning or traffic).
+//
+// Like the other layers it owns its buffers: the output and the two
+// denominator records are allocated at construction and the input
+// gradient on the first Backward, so steady-state passes allocate
+// nothing. The returned tensors are overwritten by the next call.
 type LRN struct {
-	name          string
-	c, h, w       int
-	size          int // window size n (channels)
-	alpha, beta   float64
-	k             float64
-	lastIn        *tensor.Tensor
-	lastDenomPowB []float32 // (k + α/n·Σx²)^β per element
-	lastDenom     []float32 // (k + α/n·Σx²) per element
+	name        string
+	c, h, w     int
+	inShape     []int
+	size        int // window size n (channels)
+	alpha, beta float64
+	k           float64
+
+	lastIn   *tensor.Tensor
+	out      *tensor.Tensor
+	gradIn   *tensor.Tensor
+	denomPow []float32 // (k + α/n·Σx²)^β per element, from the last Forward
+	denom    []float32 // (k + α/n·Σx²) per element, from the last Forward
 }
 
 // NewLRN creates a normalization layer with AlexNet's standard
@@ -40,16 +49,22 @@ func NewLRN(name string, c, h, w, size int, alpha, beta, k float64) *LRN {
 	if k == 0 {
 		k = 2
 	}
-	return &LRN{name: name, c: c, h: h, w: w, size: size, alpha: alpha, beta: beta, k: k}
+	return &LRN{
+		name: name, c: c, h: h, w: w, inShape: []int{c, h, w},
+		size: size, alpha: alpha, beta: beta, k: k,
+		out:      tensor.New(c, h, w),
+		denomPow: make([]float32, c*h*w),
+		denom:    make([]float32, c*h*w),
+	}
 }
 
 // Name implements Layer.
 func (l *LRN) Name() string { return l.name }
 
 // ShareClone implements ShareCloner: the replica carries the same
-// normalization constants and keeps its own forward scratch.
+// normalization constants and owns its own buffers.
 func (l *LRN) ShareClone() Layer {
-	return &LRN{name: l.name, c: l.c, h: l.h, w: l.w, size: l.size, alpha: l.alpha, beta: l.beta, k: l.k}
+	return NewLRN(l.name, l.c, l.h, l.w, l.size, l.alpha, l.beta, l.k)
 }
 
 // Params implements Layer.
@@ -58,13 +73,12 @@ func (l *LRN) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *LRN) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer.
+// Forward implements Layer. The returned tensor is owned by the layer
+// and overwritten by the next Forward call.
 func (l *LRN) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	mustShape(l.name, "input", in.Shape, []int{l.c, l.h, l.w})
-	out := tensor.New(l.c, l.h, l.w)
+	mustShape(l.name, "input", in.Shape, l.inShape)
+	out, denom, denomPow := l.out, l.denom, l.denomPow
 	hw := l.h * l.w
-	denom := make([]float32, in.Len())
-	denomPow := make([]float32, in.Len())
 	half := l.size / 2
 	scale := l.alpha / float64(l.size)
 	for p := 0; p < hw; p++ {
@@ -91,8 +105,6 @@ func (l *LRN) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	if train {
 		l.lastIn = in
-		l.lastDenom = denom
-		l.lastDenomPowB = denomPow
 	}
 	return out
 }
@@ -100,12 +112,19 @@ func (l *LRN) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. With d = k + α/n·Σx² and y_c = x_c·d_c^−β:
 //
 //	∂y_c/∂x_j = δ_cj·d_c^−β − 2αβ/n · x_c·x_j · d_c^−(β+1)   (j in window of c)
+//
+// It reads the denominators the last Forward recorded, so that Forward
+// must be the Forward(train) being differentiated. The returned tensor
+// is owned by the layer and overwritten by the next Backward call.
 func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
 	in := l.lastIn.Data
-	gradIn := tensor.New(l.c, l.h, l.w)
+	if l.gradIn == nil {
+		l.gradIn = tensor.New(l.c, l.h, l.w)
+	}
+	gradIn := l.gradIn
 	hw := l.h * l.w
 	half := l.size / 2
 	coef := 2 * l.alpha * l.beta / float64(l.size)
@@ -113,7 +132,7 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		for j := 0; j < l.c; j++ {
 			idxJ := j*hw + p
 			// Direct term.
-			g := float64(gradOut.Data[idxJ]) / float64(l.lastDenomPowB[idxJ])
+			g := float64(gradOut.Data[idxJ]) / float64(l.denomPow[idxJ])
 			// Cross terms: every c whose window contains j.
 			lo, hi := j-half, j+half
 			if lo < 0 {
@@ -124,9 +143,9 @@ func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			}
 			for c := lo; c <= hi; c++ {
 				idxC := c*hw + p
-				dC := float64(l.lastDenom[idxC])
+				dC := float64(l.denom[idxC])
 				g -= coef * float64(gradOut.Data[idxC]) * float64(in[idxC]) * float64(in[idxJ]) /
-					(float64(l.lastDenomPowB[idxC]) * dC)
+					(float64(l.denomPow[idxC]) * dC)
 			}
 			gradIn.Data[idxJ] = float32(g)
 		}

@@ -12,12 +12,12 @@ import (
 //
 // QuantizeNetwork turns a trained float network into a QuantNetwork:
 // conv and FC layers run on the packed int16 GEMM fast path (int16
-// im2col → VPMADDWD-style kernels → int32 accumulators), every other
-// layer falls back to its float Forward. Between the two worlds the
-// activations requantize: each quantized layer owns one per-tensor
-// input scale from a calibration pass over a held-out batch, and
-// per-output-channel weight scales, so its int32 accumulator
-// dequantizes as acc · (inScale · wScale[oc]) + bias.
+// patches packed from the input → VPMADDWD-style kernels → int32
+// accumulators), every other layer falls back to its float Forward.
+// Between the two worlds the activations requantize: each quantized
+// layer owns one per-tensor input scale from a calibration pass over a
+// held-out batch, and per-output-channel weight scales, so its int32
+// accumulator dequantizes as acc · (inScale · wScale[oc]) + bias.
 //
 // It is the repo's one 16-bit datapath: every quantizer rounds half to
 // even (see internal/fixed/quant.go and DESIGN.md §10).
@@ -58,19 +58,20 @@ func (f floatFallback) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // quantConv runs a Conv2D layer on the int16 GEMM path: quantize the
-// input once, im2col in int16 per group, packed integer GEMM, then
-// dequantize per output channel and add the float bias. Mirrors
-// Conv2D's scratch-owning, prebuilt-parallel-body structure so the
-// steady state allocates nothing.
+// input once, gather each group's int16 patch matrix straight into the
+// packed B panels, packed integer GEMM, then dequantize per output
+// channel and add the float bias. Mirrors Conv2D's scratch-owning,
+// prebuilt-parallel-body structure so the steady state allocates
+// nothing.
 type quantConv struct {
 	name   string
 	geom   tensor.ConvGeom
-	gg, g1 tensor.ConvGeom
+	gg     tensor.ConvGeom
 	groups int
 
-	rows, cols         int
-	chanRows, chanSize int
-	inShape            []int
+	rows, cols int
+	chanSize   int
+	inShape    []int
 
 	qmax    int32 // accumulator-safe clamp: AccQMax(rows)
 	inScale float32
@@ -79,8 +80,7 @@ type quantConv struct {
 	bias    []float32
 
 	qin     []int16 // quantized input, len InC·InH·InW
-	qcol    []int16 // one group's int16 patch matrix
-	bPacked []int16 // packed B for the current group
+	bPacked []int16 // packed B: the current group's patch matrix
 	out32   []int32 // one group's int32 accumulators, OutCg × cols
 	out     *tensor.Tensor
 
@@ -90,7 +90,7 @@ type quantConv struct {
 	curW    []int16
 	curBias int
 
-	fnQuant, fnIm2Col, fnPackCol, fnFwd func(lo, hi int)
+	fnQuant, fnPackIn, fnFwd func(lo, hi int)
 }
 
 func newQuantConv(l *Conv2D, inRange float64) *quantConv {
@@ -99,11 +99,9 @@ func newQuantConv(l *Conv2D, inRange float64) *quantConv {
 		name:     l.name,
 		geom:     g,
 		gg:       l.gg,
-		g1:       l.g1,
 		groups:   l.groups,
 		rows:     l.rows,
 		cols:     l.cols,
-		chanRows: l.chanRows,
 		chanSize: l.chanSize,
 		inShape:  l.inShape,
 	}
@@ -134,7 +132,6 @@ func newQuantConv(l *Conv2D, inRange float64) *quantConv {
 	q.bias = l.bias.W.Data
 
 	q.qin = make([]int16, g.InC*g.InH*g.InW)
-	q.qcol = make([]int16, q.rows*q.cols)
 	q.bPacked = make([]int16, tensor.PackBSizeInt16(q.rows, q.cols))
 	q.out32 = make([]int32, q.gg.OutC*q.cols)
 	q.out = tensor.New(g.OutC, g.OutH, g.OutW)
@@ -142,13 +139,8 @@ func newQuantConv(l *Conv2D, inRange float64) *quantConv {
 	q.fnQuant = func(lo, hi int) {
 		fixed.QuantizeScaledQ(q.qin[lo:hi], q.curInF[lo:hi], q.inScale, q.qmax)
 	}
-	q.fnIm2Col = func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			tensor.Im2ColInt16(q.qcol[c*q.chanRows*q.cols:(c+1)*q.chanRows*q.cols], q.curQIn[c*q.chanSize:(c+1)*q.chanSize], q.g1)
-		}
-	}
-	q.fnPackCol = func(lo, hi int) {
-		tensor.PackBRangeInt16(q.bPacked, q.qcol, q.rows, q.cols, lo, hi)
+	q.fnPackIn = func(lo, hi int) {
+		tensor.Im2ColPackedInt16(q.bPacked, q.curQIn, q.gg, lo, hi)
 	}
 	q.fnFwd = func(lo, hi int) {
 		tensor.MatMulPackedInt16(q.out32, q.curW, q.bPacked, q.gg.OutC, q.rows, q.cols, lo, hi)
@@ -174,8 +166,7 @@ func (q *quantConv) Forward(in *tensor.Tensor) *tensor.Tensor {
 	gg := q.gg
 	for grp := 0; grp < q.groups; grp++ {
 		q.curQIn = q.qin[grp*gg.InC*q.chanSize : (grp+1)*gg.InC*q.chanSize]
-		parallel.ForChunks(gg.InC, 1, q.fnIm2Col)
-		parallel.ForChunks(tensor.PackPanels(q.cols), 1, q.fnPackCol)
+		parallel.ForChunks(tensor.PackPanels(q.cols), 1, q.fnPackIn)
 		q.curW = q.wPacked[grp]
 		q.curOut = q.out.Data[grp*gg.OutC*q.cols : (grp+1)*gg.OutC*q.cols]
 		q.curBias = grp * gg.OutC

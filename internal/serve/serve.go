@@ -71,32 +71,14 @@ func (k ModelKey) String() string {
 	return ModelName(k.Scheme) + "/" + k.Precision.String()
 }
 
-// ModelName returns the scheme's lowercase request-wire name.
-func ModelName(s core.Scheme) string {
-	switch s {
-	case core.Baseline:
-		return "baseline"
-	case core.StructureLevel:
-		return "struct"
-	case core.SS:
-		return "ss"
-	case core.SSMask:
-		return "ssmask"
-	}
-	return fmt.Sprintf("scheme%d", int(s))
-}
+// ModelName returns the scheme's lowercase request-wire name
+// (core.Scheme.Name).
+func ModelName(s core.Scheme) string { return s.Name() }
 
 // ParseModelName parses a request-wire scheme name.
 func ParseModelName(s string) (core.Scheme, error) {
-	switch s {
-	case "baseline":
-		return core.Baseline, nil
-	case "struct":
-		return core.StructureLevel, nil
-	case "ss":
-		return core.SS, nil
-	case "ssmask":
-		return core.SSMask, nil
+	if scheme, ok := core.ParseScheme(s); ok {
+		return scheme, nil
 	}
 	return 0, fmt.Errorf("serve: unknown model %q (want baseline|struct|ss|ssmask)", s)
 }

@@ -300,35 +300,170 @@ func ConvRef(output, input, weights, bias []float32, g ConvGeom) {
 // channels, output is C×OutH×OutW. argmax (same length as output, may
 // be nil) records the flat input index of each selected maximum for use
 // in the backward pass.
+//
+// Each window keeps its first strict maximum in row-major tap order: a
+// NaN never wins, a tie keeps the earlier tap (so −0 before +0 gives
+// −0), and a window with no value above −Inf gives −Inf with argmax −1.
+// This is the scalar reference loop; MaxPoolChannels computes the same
+// bytes faster.
 func MaxPool(output []float32, argmax []int32, input []float32, g ConvGeom) {
 	for c := 0; c < g.InC; c++ {
 		for oh := 0; oh < g.OutH; oh++ {
 			for ow := 0; ow < g.OutW; ow++ {
-				best := float32(math.Inf(-1))
-				bestIdx := int32(-1)
-				for kh := 0; kh < g.KH; kh++ {
-					ih := oh*g.Stride - g.Pad + kh
-					if ih < 0 || ih >= g.InH {
-						continue
-					}
-					for kw := 0; kw < g.KW; kw++ {
-						iw := ow*g.Stride - g.Pad + kw
-						if iw < 0 || iw >= g.InW {
-							continue
-						}
-						idx := int32((c*g.InH+ih)*g.InW + iw)
-						if v := input[idx]; v > best {
-							best = v
-							bestIdx = idx
-						}
-					}
-				}
-				oi := (c*g.OutH+oh)*g.OutW + ow
-				output[oi] = best
-				if argmax != nil {
-					argmax[oi] = bestIdx
-				}
+				maxPoolWindow(output, argmax, input, g, c, oh, ow)
 			}
 		}
 	}
+}
+
+// maxPoolWindow pools one window with bounds checks on every tap.
+func maxPoolWindow(output []float32, argmax []int32, input []float32, g ConvGeom, c, oh, ow int) {
+	best := float32(math.Inf(-1))
+	bestIdx := int32(-1)
+	for kh := 0; kh < g.KH; kh++ {
+		ih := oh*g.Stride - g.Pad + kh
+		if ih < 0 || ih >= g.InH {
+			continue
+		}
+		for kw := 0; kw < g.KW; kw++ {
+			iw := ow*g.Stride - g.Pad + kw
+			if iw < 0 || iw >= g.InW {
+				continue
+			}
+			idx := int32((c*g.InH+ih)*g.InW + iw)
+			if v := input[idx]; v > best {
+				best = v
+				bestIdx = idx
+			}
+		}
+	}
+	oi := (c*g.OutH+oh)*g.OutW + ow
+	output[oi] = best
+	if argmax != nil {
+		argmax[oi] = bestIdx
+	}
+}
+
+// MaxPoolChannels pools channels [lo, hi) of input, writing exactly
+// the output (and argmax, when non-nil) bytes MaxPool writes for them.
+// Channels are disjoint in output and argmax, so a channel range is
+// safe to split across workers.
+//
+// Windows that lie wholly inside the input compare integer order keys
+// (poolKey) instead of floats, so the running maximum and its index
+// update without a branch and with no bounds test per tap; windows
+// that touch the border or the padding take MaxPool's scalar loop.
+func MaxPoolChannels(output []float32, argmax []int32, input []float32, g ConvGeom, lo, hi int) {
+	if len(input) != g.InC*g.InH*g.InW || len(output) != g.InC*g.OutH*g.OutW ||
+		(argmax != nil && len(argmax) != len(output)) {
+		panic("tensor: MaxPoolChannels size mismatch")
+	}
+	if lo < 0 || hi > g.InC || lo > hi {
+		panic("tensor: MaxPoolChannels channel range out of bounds")
+	}
+	// Interior output rows [ohLo, ohHi) and columns [owLo, owHi): every
+	// tap of their windows is inside the input.
+	ohLo, ohHi := interiorRange(g.OutH, g.InH, g.KH, g.Stride, g.Pad)
+	owLo, owHi := interiorRange(g.OutW, g.InW, g.KW, g.Stride, g.Pad)
+	for c := lo; c < hi; c++ {
+		for oh := 0; oh < g.OutH; oh++ {
+			if oh < ohLo || oh >= ohHi {
+				for ow := 0; ow < g.OutW; ow++ {
+					maxPoolWindow(output, argmax, input, g, c, oh, ow)
+				}
+				continue
+			}
+			for ow := 0; ow < owLo; ow++ {
+				maxPoolWindow(output, argmax, input, g, c, oh, ow)
+			}
+			maxPoolInterior(output, argmax, input, g, c, oh, owLo, owHi)
+			for ow := owHi; ow < g.OutW; ow++ {
+				maxPoolWindow(output, argmax, input, g, c, oh, ow)
+			}
+		}
+	}
+}
+
+// maxPoolInterior pools windows [owLo, owHi) of output row oh of
+// channel c, all wholly inside the input.
+func maxPoolInterior(output []float32, argmax []int32, input []float32, g ConvGeom, c, oh, owLo, owHi int) {
+	row := (c*g.OutH + oh) * g.OutW
+	origin := (c*g.InH+oh*g.Stride-g.Pad)*g.InW - g.Pad // window (oh, 0)'s first tap
+	for ow := owLo; ow < owHi; ow++ {
+		first := origin + ow*g.Stride
+		idx := -1
+		if off := windowKeyMax(input[first:], g.KH, g.KW, g.InW); off >= 0 {
+			idx = first + off
+			if v := input[idx]; v != v {
+				// A positive NaN won: pool the window by float compare.
+				maxPoolWindow(output, argmax, input, g, c, oh, ow)
+				continue
+			}
+		}
+		if idx >= 0 {
+			output[row+ow] = input[idx]
+		} else {
+			output[row+ow] = float32(math.Inf(-1))
+		}
+		if argmax != nil {
+			argmax[row+ow] = int32(idx)
+		}
+	}
+}
+
+// windowKeyMax returns the offset in win of the tap of its kh×kw
+// window (row stride inW) that MaxPool selects, or −1 when no tap's
+// key exceeds poolKey(−Inf).
+//
+// Each tap folds into one running max of the int64
+// poolKey(v)<<31 | (span−off), span = kh·inW: the larger key wins, and
+// among equal keys the smaller offset, which in row-major tap order is
+// MaxPool's first strict maximum. The running value starts at
+// poolKey(−Inf) with a low word above every tap's, so a window with no
+// key above −Inf's keeps it. The max is taken with a sign mask, not a
+// branch: the compiler emits no conditional move for a loop-carried
+// select, and a branch on pooled data is a coin toss. The 31-bit shift
+// keeps every difference of two running values inside int64.
+//
+// poolKey puts a positive NaN above +Inf, where it wins; the caller
+// pools such a window again by float compare.
+func windowKeyMax(win []float32, kh, kw, inW int) int {
+	span := int64(kh * inW)
+	none := int64(poolKeyNegInf)<<31 | (span + 1)
+	best := none
+	for y := 0; y < kh; y++ {
+		low := span - int64(y*inW)
+		for _, v := range win[y*inW : y*inW+kw] {
+			c := int64(poolKey(v))<<31 | low
+			best ^= (best ^ c) & ((best - c) >> 63)
+			low--
+		}
+	}
+	if best == none {
+		return -1
+	}
+	return int(span - best&(1<<31-1))
+}
+
+// interiorRange returns the output positions [lo, hi) along one axis
+// whose k taps all lie in [0, in).
+func interiorRange(out, in, k, stride, pad int) (lo, hi int) {
+	lo = min((pad+stride-1)/stride, out)
+	if in-k+pad >= 0 {
+		hi = min((in-k+pad)/stride+1, out)
+	}
+	return lo, max(hi, lo)
+}
+
+// poolKeyNegInf is poolKey(−Inf).
+const poolKeyNegInf = -0x7f800000
+
+// poolKey maps a float32 to an int32 whose order is the float order on
+// non-NaN values with −0 and +0 equal: sign-magnitude bits to two's
+// complement. Negative NaNs land below poolKey(−Inf), positive NaNs
+// above poolKey(+Inf).
+func poolKey(v float32) int32 {
+	b := int32(math.Float32bits(v))
+	s := b >> 31
+	return (b&math.MaxInt32 ^ s) - s
 }
