@@ -35,6 +35,7 @@ fuzz:
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 30s ./internal/tensor
+	go test -fuzz FuzzFCWeightGrad -fuzztime 30s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
 
 # Quick fuzz pass for CI: a few seconds per target on top of the seed
@@ -50,6 +51,7 @@ fuzz-smoke:
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 5s ./internal/tensor
+	go test -fuzz FuzzFCWeightGrad -fuzztime 5s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 
 # One benchmark per paper table/figure plus the per-package benches.

@@ -49,7 +49,8 @@ type Conv2D struct {
 	wPackedA []float32 // forward A: W (OutCg×rows)
 	bPacked  []float32 // forward B: the patch matrix (rows×cols), packed straight from the input
 
-	// backward-only buffers, nil until the first Backward
+	// backward-only buffers, nil until the first Backward (gradIn,
+	// wPackedAT and goPackedB until the first that returns dIn)
 	gradIn     *tensor.Tensor
 	goPackedA  []float32 // dW A: dOut (OutCg×cols)
 	colTPacked []float32 // dW B: colᵀ (cols×rows)
@@ -239,13 +240,23 @@ func (l *Conv2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer. The returned tensor is owned by the layer
 // and overwritten by the next Backward call.
 func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return l.backward(gradOut, -1, true)
+}
+
+// backward accumulates the parameter gradients and, when wantIn is
+// set, returns dIn; else it skips the dIn GEMM and col2im and returns
+// nil. The example row e does not matter to a conv layer.
+func (l *Conv2D) backward(gradOut *tensor.Tensor, _ int, wantIn bool) *tensor.Tensor {
 	gw, gb := l.weight.Grad().Data, l.bias.Grad().Data
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
 	mustShape(l.name, "gradOut", gradOut.Shape, l.goShape)
-	if l.gradIn == nil {
+	if l.gradW == nil {
 		l.initBackward()
+	}
+	if wantIn && l.gradIn == nil {
+		l.initBackwardIn()
 	}
 	gg := l.gg
 	l.curGB = gb
@@ -262,6 +273,9 @@ func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnPackGoA)
 		parallel.ForChunks(tensor.PackPanels(l.rows), 1, l.fnPackColT)
 		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, l.fnDW)
+		if !wantIn {
+			continue
+		}
 
 		// dIn = col2im(Wᵀ · dOut): the GEMM tiles over disjoint patch
 		// rows, the scatter over disjoint input channels.
@@ -271,19 +285,28 @@ func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		l.curGi = l.gradIn.Data[g*gg.InC*l.chanSize : (g+1)*gg.InC*l.chanSize]
 		parallel.ForChunks(gg.InC, 1, l.fnCol2Im)
 	}
+	if !wantIn {
+		return nil
+	}
 	return l.gradIn
 }
 
-// initBackward allocates the buffers only Backward uses.
+// initBackward allocates the buffers the weight gradient uses.
 func (l *Conv2D) initBackward() {
-	g, gg := l.geom, l.gg
-	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
+	gg := l.gg
 	l.goPackedA = make([]float32, tensor.PackASize(gg.OutC, l.cols))
 	l.colTPacked = make([]float32, tensor.PackBSize(l.cols, l.rows))
-	l.wPackedAT = make([]float32, tensor.PackASize(l.rows, gg.OutC))
-	l.goPackedB = make([]float32, tensor.PackBSize(gg.OutC, l.cols))
 	l.gradW = make([]float32, gg.OutC*l.rows)
 	l.gradCol = make([]float32, l.rows*l.cols)
+}
+
+// initBackwardIn allocates the buffers only the input gradient uses;
+// a net's first conv layer never needs them in training.
+func (l *Conv2D) initBackwardIn() {
+	g, gg := l.geom, l.gg
+	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
+	l.wPackedAT = make([]float32, tensor.PackASize(l.rows, gg.OutC))
+	l.goPackedB = make([]float32, tensor.PackBSize(gg.OutC, l.cols))
 }
 
 // ShareClone implements ShareCloner: the replica shares weight values
@@ -294,8 +317,8 @@ func (l *Conv2D) ShareClone() Layer {
 		name:   l.name,
 		geom:   l.geom,
 		groups: l.groups,
-		weight: l.weight.shareClone(),
-		bias:   l.bias.shareClone(),
+		weight: l.weight.shareClone(true),
+		bias:   l.bias.shareClone(true),
 	}
 	c.initScratch()
 	return c
@@ -303,7 +326,12 @@ func (l *Conv2D) ShareClone() Layer {
 
 // FullyConnected is a dense layer: out = W·x + b. Like Conv2D it owns
 // its forward/backward buffers, so the returned tensors are reused on
-// the next call; gradIn is allocated on the first Backward.
+// the next call; gradIn is allocated on the first Backward that needs
+// it.
+//
+// Its weight gradient is not accumulated example by example. Backward
+// records the example's input row and output gradient in the layer's
+// batch (fcBatch), and the batch's end adds them into G with one GEMM.
 type FullyConnected struct {
 	name    string
 	in, out int
@@ -314,6 +342,10 @@ type FullyConnected struct {
 	lastIn *tensor.Tensor
 	outBuf *tensor.Tensor
 	gradIn *tensor.Tensor
+
+	// batch holds the rows of the open trainer batch; the layer and
+	// its ShareClone replicas share it.
+	batch *fcBatch
 
 	// batchOut holds ForwardBatch's output rows.
 	batchOut tensor.Tensor
@@ -326,7 +358,22 @@ type FullyConnected struct {
 	curX, curY, curG []float32
 	curK             int
 
-	fnFwd, fnFwdPacked, fnBwdA, fnBwdB func(lo, hi int)
+	fnFwd, fnFwdPacked, fnGrad, fnBwdIn func(lo, hi int)
+}
+
+// fcBatch is one FC layer's record of a trainer batch of k examples:
+// example e's input row is row e of x, packed straight into the GEMM's
+// B operand (tensor.PackBRow), and its output gradient is row e of g.
+// Examples write disjoint rows, so replicas fill one fcBatch
+// concurrently. The weight gradient of the batch is then
+// G[o][i] += Σₑ g[e][o]·x[e][i] with e ascending: one accumulating GEMM
+// whose inner dimension is the batch, giving every element of G the
+// adds, in the order, that accumulating example by example gives it.
+type fcBatch struct {
+	k  int       // examples in the open batch; 0 when none is open
+	x  []float32 // k input rows, packed as a k×in B operand
+	g  []float32 // k output-gradient rows, row-major k×out
+	gp []float32 // g packed as the out×k A operand, at flush
 }
 
 // NewFullyConnected creates a dense layer mapping in features to out.
@@ -335,6 +382,7 @@ func NewFullyConnected(name string, in, out int) *FullyConnected {
 		name: name, in: in, out: out,
 		weight: newParam(name+".weight", out, in),
 		bias:   newParam(name+".bias", out),
+		batch:  new(fcBatch),
 	}
 	l.weight.Decay = true
 	l.initScratch()
@@ -357,27 +405,24 @@ func (l *FullyConnected) initScratch() {
 	l.fnFwdPacked = func(lo, hi int) {
 		tensor.FCForward(l.curY, l.curX, l.packed, l.bias.W.Data, l.curK, l.in, l.out, lo, hi)
 	}
-	// Pass A: per-output-neuron gradients (bias row, weight row) are
-	// disjoint in o.
-	l.fnBwdA = func(lo, hi int) {
-		x := l.lastIn.Data
-		gw, gb := l.weight.G.Data, l.bias.G.Data
-		for o := lo; o < hi; o++ {
-			g := l.curG[o]
-			gb[o] += g
-			if g == 0 {
-				continue
-			}
-			grow := gw[o*l.in : (o+1)*l.in]
-			for i := range grow {
-				grow[i] += g * x[i]
+	// The batch's gradients of outputs [lo, hi): the A quads of those
+	// outputs, the GEMM rows they feed, and their bias sums in example
+	// order are all disjoint in o.
+	l.fnGrad = func(lo, hi int) {
+		b := l.batch
+		tensor.PackATRange(b.gp, b.g, l.out, b.k, lo, hi)
+		tensor.MatMulPackedAcc(l.weight.G.Data, b.gp, b.x, l.out, b.k, l.in, lo, hi)
+		gb := l.bias.G.Data
+		for e := 0; e < b.k; e++ {
+			for o, v := range b.g[e*l.out+lo : e*l.out+hi] {
+				gb[lo+o] += v
 			}
 		}
 	}
-	// Pass B: dIn is disjoint in i; each element accumulates over o in
+	// dIn is disjoint in i; each element accumulates over o in
 	// ascending order regardless of chunking, matching the serial loop
 	// bit for bit.
-	l.fnBwdB = func(lo, hi int) {
+	l.fnBwdIn = func(lo, hi int) {
 		tensor.MatVecTAcc(l.gradIn.Data, l.weight.W.Data, l.curG, l.in, lo, hi)
 	}
 }
@@ -445,32 +490,82 @@ func (l *FullyConnected) forward(x []float32, k int, y []float32) {
 	parallel.ForChunks(l.out, tensor.GEMMRowGrain, l.fnFwd)
 }
 
-// Backward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Backward call.
+// Backward implements Layer: it adds this example's weight and bias
+// gradients into G, as a batch of one, and returns dIn. The returned
+// tensor is owned by the layer and overwritten by the next Backward
+// call.
 func (l *FullyConnected) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	// Allocate, or refuse on a frozen layer, the gradients fnBwdA
-	// accumulates into.
-	l.weight.Grad()
-	l.bias.Grad()
+	return l.backward(gradOut, -1, true)
+}
+
+// backward records the example in row e of the open trainer batch, or,
+// for e < 0, in a batch of one that it adds into G at once. It returns
+// dIn when wantIn is set, else nil.
+func (l *FullyConnected) backward(gradOut *tensor.Tensor, e int, wantIn bool) *tensor.Tensor {
+	single := e < 0
+	if single {
+		// Allocate, or refuse on a frozen layer, the gradients the
+		// flush accumulates into.
+		l.weight.Grad()
+		l.bias.Grad()
+	}
 	if l.lastIn == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
-	l.curG = gradOut.Data
-	parallel.ForChunks(l.out, 1, l.fnBwdA)
+	if len(gradOut.Data) != l.out {
+		panic(fmt.Sprintf("nn: %s: gradOut length %d, want %d", l.name, len(gradOut.Data), l.out))
+	}
+	if single {
+		l.beginBatch(1)
+		e = 0
+	}
+	b := l.batch
+	tensor.PackBRow(b.x, l.lastIn.Data, b.k, e)
+	copy(b.g[e*l.out:(e+1)*l.out], gradOut.Data)
+	if single {
+		l.flushBatch()
+	}
+	if !wantIn {
+		return nil
+	}
 	if l.gradIn == nil {
 		l.gradIn = tensor.New(l.in)
 	}
 	l.gradIn.Zero()
-	parallel.ForChunks(l.in, 256, l.fnBwdB)
+	l.curG = gradOut.Data
+	parallel.ForChunks(l.in, 256, l.fnBwdIn)
 	return l.gradIn
 }
 
-// ShareClone implements ShareCloner.
+// beginBatch opens a batch of k examples, sizing the shared rows; a
+// steady mix of batch sizes allocates nothing.
+func (l *FullyConnected) beginBatch(k int) {
+	b := l.batch
+	b.k = k
+	b.x = grow(b.x, tensor.PackBSize(k, l.in))
+	b.g = grow(b.g, k*l.out)
+	b.gp = grow(b.gp, tensor.PackASize(l.out, k))
+}
+
+// flushBatch adds the open batch's weight gradient into G with one
+// GEMM, split over output quads, and its bias gradient, summed in
+// example order, then closes the batch.
+func (l *FullyConnected) flushBatch() {
+	l.weight.Grad()
+	l.bias.Grad()
+	parallel.ForChunks(l.out, tensor.GEMMRowGrain, l.fnGrad)
+	l.batch.k = 0
+}
+
+// ShareClone implements ShareCloner. The replica shares the weights,
+// the packed weights and the batch rows; it holds no gradient, because
+// its examples reach G through the batch.
 func (l *FullyConnected) ShareClone() Layer {
 	c := &FullyConnected{
 		name: l.name, in: l.in, out: l.out,
-		weight: l.weight.shareClone(),
-		bias:   l.bias.shareClone(),
+		weight: l.weight.shareClone(false),
+		bias:   l.bias.shareClone(false),
+		batch:  l.batch,
 		packed: l.packed,
 	}
 	c.initScratch()

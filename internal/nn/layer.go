@@ -6,10 +6,14 @@
 // path matching the Diannao-class accelerator cores modelled in
 // internal/nna.
 //
-// The stack processes one example at a time and accumulates gradients
-// over a mini-batch. That trades throughput for simplicity; the
-// networks in this reproduction are intentionally small enough that
-// this is not a bottleneck.
+// Forward and backward passes process one example at a time; a
+// trainer runs a mini-batch's examples concurrently on weight-sharing
+// replicas. Conv layers accumulate their gradients example by example
+// and fold them in example order. An FC layer records each example's
+// input row and output gradient in batch matrices and adds its weight
+// gradient with one GEMM per mini-batch, whose inner dimension runs
+// over the examples in order, so every element gets the adds the
+// per-example loop would give it.
 //
 // Training state exists only where training happens. A parameter's
 // gradient and momentum, and the backward-only scratch of conv, pooling
@@ -56,15 +60,16 @@ func (p *Param) Grad() *tensor.Tensor {
 	return p.G
 }
 
-// shareClone returns a Param aliasing the value tensor of p but owning
-// a fresh, zeroed gradient accumulator. Replica networks built from
-// such params can run Forward/Backward concurrently with each other —
-// they only read W — while each accumulates into its private G. The
-// momentum is not shared: only the Trainer's step on the original
-// reads it. The replica of a frozen Param is frozen too and gets no G.
-func (p *Param) shareClone() *Param {
+// shareClone returns a Param aliasing the value tensor of p, owning a
+// fresh, zeroed gradient accumulator when grad is set. Replica networks
+// built from such params can run Forward/Backward concurrently with
+// each other — they only read W — while each accumulates into its
+// private G. The momentum is not shared: only the Trainer's step on the
+// original reads it. The replica of a frozen Param is frozen too and
+// gets no G.
+func (p *Param) shareClone(grad bool) *Param {
 	c := &Param{Name: p.Name, W: p.W, Decay: p.Decay, frozen: p.frozen}
-	if !p.frozen {
+	if grad && !p.frozen {
 		c.G = tensor.New(p.W.Shape...)
 	}
 	return c

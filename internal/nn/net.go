@@ -61,9 +61,13 @@ func (n *Network) Init(rng *rand.Rand) {
 
 // ShareClone returns a replica network for data-parallel gradient
 // evaluation: every layer shares its parameter values with the
-// receiver but owns fresh gradient accumulators and private scratch,
-// so replicas may run Forward(train)+Backward concurrently while
-// nobody updates the shared weights. Returns false when any
+// receiver and owns private scratch. A conv layer owns fresh gradient
+// accumulators; an FC layer shares the receiver's batch rows, through
+// which the Trainer's batch adds its examples into the receiver's G.
+// So replicas may run Forward(train) and the Trainer's backward pass
+// concurrently while nobody updates the shared weights; a direct
+// Backward on an FC replica uses the shared rows and is not safe
+// concurrently with another. Returns false when any
 // layer cannot be replicated (e.g. Dropout, whose RNG stream is
 // inherently sequential); callers then fall back to serial evaluation.
 func (n *Network) ShareClone() (*Network, bool) {
@@ -89,8 +93,9 @@ func (n *Network) ShareClone() (*Network, bool) {
 // Forward and ForwardBatch: a lone input fills every vector lane, and
 // the outputs stay bit-identical to the MatVecAcc forward they replace,
 // at any group size. Every parameter is marked frozen and drops any
-// gradient and momentum a past training run left behind, so the net
-// holds its weights and one packed copy of its FC weights.
+// gradient and momentum a past training run left behind, and every FC
+// layer its batch rows, so the net holds its weights and one packed
+// copy of its FC weights.
 //
 // A frozen net cannot train: Backward and an SGD step panic, naming the
 // parameter, and Load returns an error. This holds whether or not the
@@ -99,9 +104,12 @@ func (n *Network) ShareClone() (*Network, bool) {
 // frozen. Freeze is idempotent.
 func (n *Network) Freeze() {
 	for _, l := range n.Layers {
-		if fc, ok := l.(*FullyConnected); ok && fc.packed == nil {
-			fc.packed = make([]float32, tensor.PackFCSize(fc.out, fc.in))
-			tensor.PackFC(fc.packed, fc.weight.W.Data, fc.out, fc.in)
+		if fc, ok := l.(*FullyConnected); ok {
+			if fc.packed == nil {
+				fc.packed = make([]float32, tensor.PackFCSize(fc.out, fc.in))
+				tensor.PackFC(fc.packed, fc.weight.W.Data, fc.out, fc.in)
+			}
+			*fc.batch = fcBatch{}
 		}
 		for _, p := range l.Params() {
 			p.frozen, p.G, p.V = true, nil, nil
@@ -157,19 +165,73 @@ func (n *Network) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates dLoss/dLogits through the network, accumulating
-// parameter gradients.
+// parameter gradients. No one reads the input gradient of the net, so
+// the pass stops at the first layer that holds params, which adds its
+// param gradients and computes no input gradient.
 func (n *Network) Backward(gradLogits *tensor.Tensor) {
-	g := gradLogits
-	if n.bwdSpans == nil {
-		for i := len(n.Layers) - 1; i >= 0; i-- {
+	n.backward(gradLogits, -1)
+}
+
+// gradLayer is a layer whose backward pass the network drives itself:
+// for example e of the open trainer batch (e < 0: outside one), and
+// with no input gradient when wantIn is false. Conv2D and
+// FullyConnected implement it.
+type gradLayer interface {
+	backward(gradOut *tensor.Tensor, e int, wantIn bool) *tensor.Tensor
+}
+
+// backward is Backward for example e of the open trainer batch, or
+// outside one for e < 0.
+func (n *Network) backward(g *tensor.Tensor, e int) {
+	first := n.firstParamLayer()
+	for i := len(n.Layers) - 1; i >= first; i-- {
+		var tm obs.Timing
+		if n.bwdSpans != nil {
+			tm = n.bwdSpans[i].Start()
+		}
+		if gl, ok := n.Layers[i].(gradLayer); ok {
+			g = gl.backward(g, e, i > first)
+		} else {
 			g = n.Layers[i].Backward(g)
 		}
-		return
-	}
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		tm := n.bwdSpans[i].Start()
-		g = n.Layers[i].Backward(g)
 		tm.Stop()
+	}
+	// The layers below have no gradient to propagate. Their spans
+	// still count the pass, so a record's span counts do not depend
+	// on where the pass stops.
+	for i := first - 1; i >= 0 && n.bwdSpans != nil; i-- {
+		n.bwdSpans[i].Start().Stop()
+	}
+}
+
+// firstParamLayer returns the index of the first layer that holds
+// params, or len(n.Layers) when none does.
+func (n *Network) firstParamLayer() int {
+	for i, l := range n.Layers {
+		if _, ok := l.(gradLayer); ok || len(l.Params()) > 0 {
+			return i
+		}
+	}
+	return len(n.Layers)
+}
+
+// beginBatch opens a trainer batch of k examples in every FC layer;
+// the net's ShareClone replicas record into the same batch.
+func (n *Network) beginBatch(k int) {
+	for _, l := range n.Layers {
+		if fc, ok := l.(*FullyConnected); ok {
+			fc.beginBatch(k)
+		}
+	}
+}
+
+// flushBatch adds the open batch's FC weight and bias gradients into
+// G and closes the batch.
+func (n *Network) flushBatch() {
+	for _, l := range n.Layers {
+		if fc, ok := l.(*FullyConnected); ok {
+			fc.flushBatch()
+		}
 	}
 }
 

@@ -93,6 +93,8 @@ type Trainer struct {
 	// nothing.
 	stepIdx    []int
 	stepParams []*Param
+	// sgd is the parallel update pass, bound to the current param list.
+	sgd sgdPass
 }
 
 // Fit trains the network on (inputs, labels) and returns the stats of
@@ -122,7 +124,8 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 
 	// Replica pool for data-parallel gradient evaluation. Pool size
 	// matches MapReduce's fold window so acquisition in mapf can never
-	// deadlock; replicas share W with t.Net and own private G.
+	// deadlock; replicas share W with t.Net, and conv replicas own a
+	// private G.
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = parallel.Workers()
@@ -198,14 +201,16 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 
 // runBatch performs one mini-batch SGD update: zero gradients,
 // accumulate per-example gradients (in parallel when replicas is
-// non-nil), average, add decay and regularizer terms, and apply the
-// momentum step. Returns the batch's total data loss and correct
-// count. The serial path allocates nothing in steady state. Every
-// param's G and V must be allocated (startTraining).
+// non-nil) and each FC layer's batch GEMM, average, add decay and
+// regularizer terms, and apply the momentum step. Returns the batch's
+// total data loss and correct count. The serial path allocates nothing
+// in steady state. Every param's G and V must be allocated
+// (startTraining).
 func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *Network, workers int, lr float64) (float64, int) {
 	for _, p := range params {
 		p.G.Zero()
 	}
+	t.Net.beginBatch(len(batch))
 	var totalLoss float64
 	var correct int
 	if replicas != nil {
@@ -215,45 +220,114 @@ func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, p
 		// batchParallel's fold association so the epoch loss is
 		// bit-identical at every worker count.
 		batchLoss := 0.0
-		for _, idx := range batch {
+		for e, idx := range batch {
 			logits := t.Net.Forward(inputs[idx], true)
 			grad := t.Net.lossGradBuf(logits.Shape)
 			batchLoss += SoftmaxCrossEntropy(logits, labels[idx], grad)
 			if argmax(logits.Data) == labels[idx] {
 				correct++
 			}
-			t.Net.Backward(grad)
+			t.Net.backward(grad, e)
 		}
 		totalLoss = batchLoss
 	}
-	// Mean gradient over the batch.
-	inv := float32(1.0 / float64(len(batch)))
-	for _, p := range params {
-		p.G.Scale(inv)
-	}
-	if t.Config.WeightDecay > 0 {
-		for _, p := range params {
-			if p.Decay {
-				p.G.AXPY(float32(t.Config.WeightDecay), p.W)
-			}
-		}
-	}
+	t.Net.flushBatch()
+	t.sgd.bind(params)
+	t.sgd.scale = float32(1.0 / float64(len(batch)))
+	t.sgd.decay, t.sgd.decayOn = float32(t.Config.WeightDecay), t.Config.WeightDecay > 0
+	t.sgd.run(t.sgd.fnGrad)
 	if t.Reg != nil {
 		t.Reg.AddGrad()
 	}
-	// Momentum update: v = μv − lr·g; w += v.
-	mu := float32(t.Config.Momentum)
-	step := float32(-lr)
-	for _, p := range params {
-		for i := range p.V.Data {
-			p.V.Data[i] = mu*p.V.Data[i] + step*p.G.Data[i]
-			p.W.Data[i] += p.V.Data[i]
-		}
-	}
+	t.sgd.mu = float32(t.Config.Momentum)
+	t.sgd.step = float32(-lr)
+	t.sgd.run(t.sgd.fnStep)
 	if t.AfterStep != nil {
 		t.AfterStep()
 	}
 	return totalLoss, correct
+}
+
+// sgdGrain is the element count of one parallel chunk of an SGD pass.
+const sgdGrain = 16384
+
+// sgdPass runs the SGD update over every element of a param list, as
+// one index space split over workers in chunks of sgdGrain, through
+// bodies built once per list. Each element's arithmetic is the serial
+// update's, with every product rounded before its add (no fused
+// multiply-add), so the split changes no bit.
+type sgdPass struct {
+	params []*Param
+	starts []int // starts[i] is params[i]'s first index; the last entry is the total
+
+	scale, decay, mu, step float32
+	decayOn                bool
+	fnGrad, fnStep         func(lo, hi int)
+}
+
+// bind points the pass at params, rebuilding its index table when the
+// list changes.
+func (s *sgdPass) bind(params []*Param) {
+	if len(s.params) == len(params) && (len(params) == 0 || &s.params[0] == &params[0]) {
+		return
+	}
+	s.params = params
+	s.starts = make([]int, len(params)+1)
+	for i, p := range params {
+		s.starts[i+1] = s.starts[i] + len(p.W.Data)
+	}
+	s.fnGrad, s.fnStep = s.gradRange, s.stepRange
+}
+
+// run splits one pass over the whole index space.
+func (s *sgdPass) run(body func(lo, hi int)) {
+	parallel.ForChunks(s.starts[len(s.params)], sgdGrain, body)
+}
+
+// span returns params[i]'s part of [lo, hi) as a range of its own
+// elements, and whether it is empty.
+func (s *sgdPass) span(lo, hi, i int) (a, b int, empty bool) {
+	a, b = max(lo, s.starts[i])-s.starts[i], min(hi, s.starts[i+1])-s.starts[i]
+	return a, b, a >= b
+}
+
+// gradRange turns the summed gradient of elements [lo, hi) into the
+// step's gradient: the batch mean, plus the weight decay λ·W on a
+// decaying param.
+func (s *sgdPass) gradRange(lo, hi int) {
+	for i, p := range s.params {
+		a, b, empty := s.span(lo, hi, i)
+		if empty {
+			continue
+		}
+		g := p.G.Data[a:b]
+		if !p.Decay || !s.decayOn {
+			for j := range g {
+				g[j] *= s.scale
+			}
+			continue
+		}
+		w := p.W.Data[a:b]
+		for j := range g {
+			g[j] = float32(g[j]*s.scale) + float32(s.decay*w[j])
+		}
+	}
+}
+
+// stepRange applies the momentum update to elements [lo, hi):
+// v = μv − lr·g; w += v.
+func (s *sgdPass) stepRange(lo, hi int) {
+	for i, p := range s.params {
+		a, b, empty := s.span(lo, hi, i)
+		if empty {
+			continue
+		}
+		g, v, w := p.G.Data[a:b], p.V.Data[a:b], p.W.Data[a:b]
+		for j := range v {
+			v[j] = float32(s.mu*v[j]) + float32(s.step*g[j])
+			w[j] += v[j]
+		}
+	}
 }
 
 // Step applies one mini-batch update over the whole provided slice
@@ -309,32 +383,41 @@ type batchTotals struct {
 }
 
 // batchParallel evaluates the batch's per-example gradients on replica
-// networks and folds them into params' G in example order, making the
-// result bit-identical to the serial loop at every worker count: each
-// gradient element receives exactly one addition per example, in the
-// same sequence the serial path performs it.
+// networks. FC layers record each example in their shared batch rows,
+// at the example's position in the batch. Conv gradients are each
+// example's partial sums in the replica's private G, folded into
+// params' G in example order, making the result bit-identical to the
+// serial loop at every worker count: each gradient element receives
+// exactly one addition per example, in the same sequence the serial
+// path performs it. Params whose replicas hold no G (FC params) are not
+// folded.
 func (t *Trainer) batchParallel(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *Network, workers int) (float64, int) {
 	totals := parallel.MapReduce(len(batch), 1, batchTotals{},
 		func(lo, hi int) exampleResult {
 			rep := <-replicas
 			for _, p := range rep.Params() {
-				p.G.Zero()
+				if p.G != nil {
+					p.G.Zero()
+				}
 			}
 			r := exampleResult{rep: rep}
-			for _, idx := range batch[lo:hi] {
+			for j, idx := range batch[lo:hi] {
 				logits := rep.Forward(inputs[idx], true)
 				grad := rep.lossGradBuf(logits.Shape)
 				r.loss += SoftmaxCrossEntropy(logits, labels[idx], grad)
 				if argmax(logits.Data) == labels[idx] {
 					r.correct++
 				}
-				rep.Backward(grad)
+				rep.backward(grad, lo+j)
 			}
 			return r
 		},
 		func(acc batchTotals, r exampleResult) batchTotals {
 			rp := r.rep.Params()
 			for pi, p := range params {
+				if rp[pi].G == nil {
+					continue
+				}
 				dst, src := p.G.Data, rp[pi].G.Data
 				for i, v := range src {
 					if v != 0 {

@@ -44,6 +44,29 @@ func workersNet() (*Network, []*tensor.Tensor, []int) {
 // replica, each layer split over workers), and requires every epoch
 // record, every step's loss and every weight to be bit-identical.
 func TestTrainingRecordsAcrossWorkers(t *testing.T) {
+	checkTrainingAcrossWorkers(t, workersNet, 4)
+}
+
+// TestFitMLPAcrossWorkers is the same check on a net of FC layers only,
+// whose weight gradients all come from the batch GEMM, with a ragged
+// last batch and inputs that are all zero.
+func TestFitMLPAcrossWorkers(t *testing.T) {
+	checkTrainingAcrossWorkers(t, func() (*Network, []*tensor.Tensor, []int) {
+		net, ins := batchTestMLP()
+		labels := make([]int, len(ins))
+		for i := range labels {
+			labels[i] = i % 7
+		}
+		return net, ins, labels
+	}, 5)
+}
+
+// checkTrainingAcrossWorkers trains the net build returns at 1, 2 and 7
+// workers: two epochs of Fit at the given batch size, then three
+// Steps. Every epoch record, step loss, weight and momentum must be
+// bit-identical to the one-worker run.
+func checkTrainingAcrossWorkers(t *testing.T, build func() (*Network, []*tensor.Tensor, []int), batch int) {
+	t.Helper()
 	type record struct {
 		epochs []EpochStats
 		losses []float64
@@ -52,9 +75,9 @@ func TestTrainingRecordsAcrossWorkers(t *testing.T) {
 	var runs []record
 	for _, workers := range []int{1, 2, 7} {
 		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
-		net, ins, labels := workersNet()
+		net, ins, labels := build()
 		cfg := DefaultSGD()
-		cfg.Epochs, cfg.BatchSize, cfg.Workers = 2, 4, workers
+		cfg.Epochs, cfg.BatchSize, cfg.Workers = 2, batch, workers
 		var rec record
 		tr := &Trainer{Net: net, Config: cfg, AfterEpoch: func(s EpochStats) bool {
 			rec.epochs = append(rec.epochs, s)
@@ -67,6 +90,9 @@ func TestTrainingRecordsAcrossWorkers(t *testing.T) {
 		}
 		for _, p := range net.Params() {
 			for _, v := range p.W.Data {
+				rec.w = append(rec.w, math.Float32bits(v))
+			}
+			for _, v := range p.V.Data {
 				rec.w = append(rec.w, math.Float32bits(v))
 			}
 		}
@@ -86,7 +112,7 @@ func TestTrainingRecordsAcrossWorkers(t *testing.T) {
 		}
 		for j := range r.w {
 			if r.w[j] != runs[0].w[j] {
-				t.Fatalf("workers=%d: weight %d is %08x, workers=1 %08x", workers, j, r.w[j], runs[0].w[j])
+				t.Fatalf("workers=%d: weight or momentum %d is %08x, workers=1 %08x", workers, j, r.w[j], runs[0].w[j])
 			}
 		}
 	}

@@ -50,37 +50,28 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Option configures a single parallel call.
-type Option func(*config)
-
-type config struct {
+// Option configures a single parallel call. It is a plain value, so
+// passing one allocates nothing.
+type Option struct {
 	workers int
 }
 
 // WithWorkers overrides the worker count for one call. n <= 0 keeps
 // the default (Workers()). The result of a MapReduce is bit-identical
 // for every n; only wall-clock time changes.
-func WithWorkers(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.workers = n
+func WithWorkers(n int) Option { return Option{workers: n} }
+
+// resolve returns the worker count of a call: the last positive
+// WithWorkers among opts, else Workers().
+func resolve(opts []Option) int {
+	w := 0
+	for _, o := range opts {
+		if o.workers > 0 {
+			w = o.workers
 		}
 	}
-}
-
-func resolve(opts []Option) int {
-	// Early-out before declaring the config: &c escapes into the
-	// option calls, so hoisting the declaration would heap-allocate on
-	// every option-free hot-path call.
-	if len(opts) == 0 {
-		return Workers()
-	}
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.workers > 0 {
-		return c.workers
+	if w > 0 {
+		return w
 	}
 	return Workers()
 }
@@ -141,7 +132,9 @@ func For(n int, body func(i int), opts ...Option) {
 // ForChunks runs body(lo, hi) over the fixed chunking of [0, n) at the
 // given grain (grain <= 0 means 1). Chunks run concurrently in
 // unspecified order; bodies must write disjoint outputs. With one
-// worker the chunks run inline, ascending.
+// worker the chunks run inline, ascending. A call that starts helpers
+// allocates nothing in steady state: its shared state is a pooled
+// chunkJob, handed to each helper over helperQ.
 func ForChunks(n, grain int, body func(lo, hi int), opts ...Option) {
 	if n <= 0 {
 		return
@@ -168,32 +161,68 @@ func ForChunks(n, grain int, body func(lo, hi int), opts ...Option) {
 		st.stop()
 		return
 	}
-	var next int64
-	run := func(slot int) {
-		st := p.startSlot(slot)
-		for {
-			k := int(atomic.AddInt64(&next, 1)) - 1
-			if k >= chunks {
-				break
-			}
-			lo, hi := chunkBounds(k, grain, n)
-			body(lo, hi)
-			st.chunkDone()
-		}
-		st.stop()
-	}
+	j := jobPool.Get().(*chunkJob)
+	j.body, j.p, j.n, j.grain, j.chunks = body, p, n, grain, chunks
+	j.next.Store(0)
 	budget := helperBudget(w)
-	var wg sync.WaitGroup
 	for i := 1; i < w && tryAcquire(budget); i++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			defer release()
-			run(slot)
-		}(i)
+		j.wg.Add(1)
+		helperQ <- helperTask{j: j, slot: i}
+		go helper()
 	}
-	run(0) // the caller always participates, so progress never depends on the budget
-	wg.Wait()
+	j.run(0) // the caller always participates, so progress never depends on the budget
+	j.wg.Wait()
+	j.body, j.p = nil, nil
+	jobPool.Put(j)
+}
+
+// chunkJob is the state one ForChunks call shares with its helpers.
+type chunkJob struct {
+	next             atomic.Int64
+	wg               sync.WaitGroup
+	body             func(lo, hi int)
+	p                *poolMetrics
+	n, grain, chunks int
+}
+
+var jobPool = sync.Pool{New: func() any { return new(chunkJob) }}
+
+// run claims and runs chunks until none is left.
+func (j *chunkJob) run(slot int) {
+	st := j.p.startSlot(slot)
+	for {
+		k := int(j.next.Add(1)) - 1
+		if k >= j.chunks {
+			break
+		}
+		lo, hi := chunkBounds(k, j.grain, j.n)
+		j.body(lo, hi)
+		st.chunkDone()
+	}
+	st.stop()
+}
+
+// helperTask is one helper's share of a ForChunks call.
+type helperTask struct {
+	j    *chunkJob
+	slot int
+}
+
+// helperQ hands tasks to helper goroutines. Passing the task over a
+// channel, rather than as an argument of the go statement, keeps the
+// goroutine's start from allocating a closure. Every send is followed
+// by starting one helper, which takes one task (any call's), so every
+// queued task has a helper on its way. The buffer lets a call hand out
+// its tasks without waiting for each helper to be scheduled; 64 covers
+// the helpers of any worker count this repository runs, and a fuller
+// queue only makes the sender wait for a started helper to take one.
+var helperQ = make(chan helperTask, 64)
+
+func helper() {
+	t := <-helperQ
+	defer t.j.wg.Done()
+	defer release()
+	t.j.run(t.slot)
 }
 
 // MapReduce maps the fixed chunking of [0, n) at the given grain

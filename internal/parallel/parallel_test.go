@@ -204,3 +204,32 @@ func TestMapReduceWindowBoundsRunahead(t *testing.T) {
 		t.Fatalf("pooled MapReduce = %d, want 500", total)
 	}
 }
+
+// TestForChunksZeroAlloc: a ForChunks call that starts helpers
+// allocates nothing in steady state, with the worker count from an
+// option and from L2S_WORKERS, which is read on every call.
+func TestForChunksZeroAlloc(t *testing.T) {
+	out := make([]int64, 64)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i]++
+		}
+	}
+	two := WithWorkers(2)
+	call := func() { ForChunks(len(out), 4, body, two) }
+	call()
+	if n := testing.AllocsPerRun(100, call); n != 0 {
+		t.Errorf("ForChunks under WithWorkers(2) allocates %.1f objects per call, want 0", n)
+	}
+	t.Setenv(EnvWorkers, "3")
+	env := func() { ForChunks(len(out), 4, body) }
+	env()
+	if n := testing.AllocsPerRun(100, env); n != 0 {
+		t.Errorf("ForChunks under %s=3 allocates %.1f objects per call, want 0", EnvWorkers, n)
+	}
+	for i, v := range out {
+		if v != 204 {
+			t.Fatalf("element %d visited %d times, want 204", i, v)
+		}
+	}
+}

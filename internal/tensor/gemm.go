@@ -256,6 +256,24 @@ func PackATRange(dst, at []float32, m, k, lo, hi int) {
 	}
 }
 
+// PackBRow writes row p of a k×n B operand into its PackB layout in
+// dst, zero-padding the ragged panel: a B operand can be packed one row
+// at a time, in any order, as its rows arrive.
+func PackBRow(dst, row []float32, k, p int) {
+	n := len(row)
+	if len(dst) < PackBSize(k, n) || p < 0 || p >= k {
+		panic("tensor: PackBRow size mismatch")
+	}
+	full := n / gemmPanelW
+	for jp := 0; jp < full; jp++ {
+		copyPanelRow((*[gemmPanelW]float32)(dst[(jp*k+p)*gemmPanelW:]), (*[gemmPanelW]float32)(row[jp*gemmPanelW:]))
+	}
+	if j0 := full * gemmPanelW; j0 < n {
+		d := dst[(full*k+p)*gemmPanelW : (full*k+p+1)*gemmPanelW]
+		clear(d[copy(d, row[j0:]):])
+	}
+}
+
 // kernelQuadPanel multiplies one packed A quad (4×k) into one packed B
 // panel (k×16), accumulating into the four C rows starting at c with a
 // row stride of n elements. The Go body and the AVX body in
@@ -318,17 +336,30 @@ func scalarRowPacked(c []float32, ap, bp []float32, i, k, n int) {
 // untouched. lo must be quad-aligned (use GEMMRowGrain as the
 // parallel.ForChunks grain); hi may be ragged. Row ranges tile
 // bit-identically: callers pack once and fan row chunks across
-// workers.
+// workers. It is MatMulPackedAcc into cleared rows.
 func MatMulPacked(c, ap, bp []float32, m, k, n int, lo, hi int) {
+	checkPacked(c, ap, bp, m, k, n, lo, hi)
+	for i := lo; i < hi; i++ {
+		clear(c[i*n : (i+1)*n])
+	}
+	MatMulPackedAcc(c, ap, bp, m, k, n, lo, hi)
+}
+
+func checkPacked(c, ap, bp []float32, m, k, n int, lo, hi int) {
 	if len(c) != m*n || len(ap) < PackASize(m, k) || len(bp) < PackBSize(k, n) {
 		panic("tensor: MatMulPacked dimension mismatch")
 	}
 	if lo < 0 || hi > m || lo > hi || lo%gemmQuadH != 0 {
 		panic("tensor: MatMulPacked row range out of bounds")
 	}
-	for i := lo; i < hi; i++ {
-		clear(c[i*n : (i+1)*n])
-	}
+}
+
+// MatMulPackedAcc adds rows [lo, hi) of A·B into C: each element's k
+// products join its running value one at a time, in ascending k order,
+// skipping zero A elements, with the same operand rules as
+// MatMulPacked.
+func MatMulPackedAcc(c, ap, bp []float32, m, k, n int, lo, hi int) {
+	checkPacked(c, ap, bp, m, k, n, lo, hi)
 	quadHi := lo + (hi-lo)/gemmQuadH*gemmQuadH
 	npFull := n / gemmPanelW
 	// K cache-blocking: the running sums round-trip through C between
@@ -345,13 +376,16 @@ func MatMulPacked(c, ap, bp []float32, m, k, n int, lo, hi int) {
 	}
 	if j0 := npFull * gemmPanelW; j0 < n && k > 0 {
 		// Ragged last panel: run the full-width microkernel into a
-		// zero stack tile (the rows of C were just cleared) and copy
-		// the live columns back. Padded B columns are zero and their
-		// lanes are discarded, so each live lane's sum is the one the
-		// reference computes, bit for bit.
+		// stack tile loaded with the live columns of C and copy them
+		// back. Padded B columns are zero and their lanes are
+		// discarded, so each live lane's sum is the one the reference
+		// computes, bit for bit.
 		panel := bp[npFull*k*gemmPanelW:]
 		for i := lo; i < quadHi; i += gemmQuadH {
 			var tile [gemmQuadH * gemmPanelW]float32
+			for r := 0; r < gemmQuadH; r++ {
+				copy(tile[r*gemmPanelW:], c[(i+r)*n+j0:(i+r+1)*n])
+			}
 			kernelQuadPanel(tile[:], gemmPanelW, ap[(i/gemmQuadH)*gemmQuadH*k:], panel, k)
 			for r := 0; r < gemmQuadH; r++ {
 				copy(c[(i+r)*n+j0:(i+r+1)*n], tile[r*gemmPanelW:])

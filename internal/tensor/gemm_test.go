@@ -103,6 +103,21 @@ func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 			m, k, n, mid, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 	}
 
+	// Accumulating form, into a C seeded with values and specials of
+	// its own, over the same row split.
+	seed := make([]float32, m*n)
+	fillGEMM(rng, seed)
+	addSpecials(rng, seed, n)
+	copy(want, seed)
+	refMatMulAcc(want, a, b, m, k, n)
+	copy(got, seed)
+	MatMulPackedAcc(got, ap, bp, m, k, n, 0, mid)
+	MatMulPackedAcc(got, ap, bp, m, k, n, mid, m)
+	if i, ok := bitsEqual(got, want); !ok {
+		t.Fatalf("MatMulPackedAcc m=%d k=%d n=%d split@%d: element %d differs: %x vs %x",
+			m, k, n, mid, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+	}
+
 	MatMulATB(got, at, b, m, k, n)
 	refMatMulATBRows(want, at, b, m, k, n, 0, m)
 	if i, ok := bitsEqual(got, want); !ok {
@@ -124,6 +139,23 @@ func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 		}
 	}
 
+}
+
+// refMatMulAcc adds A·B into C with refMatMul's loop: per element, the
+// k products in ascending order, zero A elements skipped.
+func refMatMulAcc(c, a, b []float32, m, k, n int) {
+	for i := 0; i < m; i++ {
+		ci := c[i*n : (i+1)*n]
+		for p := 0; p < k; p++ {
+			av := a[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b[p*n : (p+1)*n] {
+				ci[j] += av * bv
+			}
+		}
+	}
 }
 
 // eachKernelPath runs fn once per microkernel implementation available
@@ -284,6 +316,17 @@ func TestPackRangesMatchFull(t *testing.T) {
 		PackBRange(split, b, k, n, mid, np)
 		if i, ok := bitsEqual(split, full); !ok {
 			t.Fatalf("PackBRange k=%d n=%d: element %d differs", k, n, i)
+		}
+		// Row by row, in any order, over stale contents.
+		rows := make([]float32, PackBSize(k, n))
+		for i := range rows {
+			rows[i] = float32(math.NaN())
+		}
+		for _, p := range rng.Perm(k) {
+			PackBRow(rows, b[p*n:(p+1)*n], k, p)
+		}
+		if i, ok := bitsEqual(rows, full); !ok {
+			t.Fatalf("PackBRow k=%d n=%d: element %d differs", k, n, i)
 		}
 
 		// Transposed packs must produce the same layout from the
