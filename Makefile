@@ -34,6 +34,7 @@ fuzz:
 	go test -fuzz FuzzInt16GEMM -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 30s ./internal/tensor
+	go test -fuzz FuzzPackFC -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCWeightGrad -fuzztime 30s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
@@ -50,6 +51,7 @@ fuzz-smoke:
 	go test -fuzz FuzzInt16GEMM -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 5s ./internal/tensor
+	go test -fuzz FuzzPackFC -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCWeightGrad -fuzztime 5s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve

@@ -85,3 +85,34 @@ func TestStepMatchesFit(t *testing.T) {
 		}
 	}
 }
+
+// fitAllocsPerExample is the bound TestFitParallelAllocsPerExample
+// holds a workers=2 Fit to.
+const fitAllocsPerExample = 4
+
+// TestFitParallelAllocsPerExample bounds what a workers=2 Fit allocates
+// per example once its replica pool is built: the extra allocations of
+// three epochs over one, per example of the two extra epochs. What is
+// left is the parallel batch's per-call state (MapReduce's channels
+// and helpers), shared by the batch's examples; no replica rebuilds
+// its param list per example.
+func TestFitParallelAllocsPerExample(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "2")
+	net, ins := batchTestMLP()
+	labels := make([]int, len(ins))
+	for i := range labels {
+		labels[i] = i % 7
+	}
+	fit := func(epochs int) float64 {
+		cfg := DefaultSGD()
+		cfg.Epochs, cfg.BatchSize, cfg.Workers = epochs, 4, 2
+		tr := &Trainer{Net: net, Config: cfg}
+		return testing.AllocsPerRun(5, func() { tr.Fit(ins, labels) })
+	}
+	one, three := fit(1), fit(3)
+	per := (three - one) / float64(2*len(ins))
+	t.Logf("workers=2 Fit: %.0f allocs at 1 epoch, %.0f at 3: %.2f per example", one, three, per)
+	if per > fitAllocsPerExample {
+		t.Fatalf("workers=2 Fit allocates %.2f objects per example, want <= %d", per, fitAllocsPerExample)
+	}
+}

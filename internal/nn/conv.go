@@ -329,6 +329,16 @@ func (l *Conv2D) ShareClone() Layer {
 // the next call; gradIn is allocated on the first Backward that needs
 // it.
 //
+// Its forward has two kernels that give every output the same add
+// sequence, so they are bit-identical. Wherever a run of forwards
+// shares one version of W, the layer packs W once into the output-lane
+// panels of tensor.PackFC and runs tensor.FCForward: through a trainer
+// batch (packed at its start, on the master and seen by every
+// replica), through one Network.Accuracy pass, and for good after
+// Network.Freeze. An isolated forward of a trainable layer (Predict,
+// calibration) runs tensor.MatVecAcc on W as it is, so a net that
+// never trains holds no second copy of its weights.
+//
 // Its weight gradient is not accumulated example by example. Backward
 // records the example's input row and output gradient in the layer's
 // batch (fcBatch), and the batch's end adds them into G with one GEMM.
@@ -343,22 +353,20 @@ type FullyConnected struct {
 	outBuf *tensor.Tensor
 	gradIn *tensor.Tensor
 
-	// batch holds the rows of the open trainer batch; the layer and
-	// its ShareClone replicas share it.
+	// batch holds the rows of the open trainer batch and the packed
+	// weights; the layer and its ShareClone replicas share it.
 	batch *fcBatch
 
 	// batchOut holds ForwardBatch's output rows.
 	batchOut tensor.Tensor
-	// packed is W in the output-lane panels of tensor.PackFC, set by
-	// Network.Freeze; nil while the layer trains.
-	packed []float32
 
 	// The current forward's K input rows and output rows, and the
 	// current backward's output gradient.
 	curX, curY, curG []float32
 	curK             int
 
-	fnFwd, fnFwdPacked, fnGrad, fnBwdIn func(lo, hi int)
+	packGrain                                   int // panels per parallel chunk of the pack
+	fnFwd, fnFwdPacked, fnPack, fnGrad, fnBwdIn func(lo, hi int)
 }
 
 // fcBatch is one FC layer's record of a trainer batch of k examples:
@@ -369,11 +377,21 @@ type FullyConnected struct {
 // G[o][i] += Σₑ g[e][o]·x[e][i] with e ascending: one accumulating GEMM
 // whose inner dimension is the batch, giving every element of G the
 // adds, in the order, that accumulating example by example gives it.
+//
+// It also holds W packed into output-lane panels (wp), current while
+// packed is set: from a trainer batch's start to its flush, through
+// one Accuracy pass, and for good after Freeze. W cannot change inside
+// any of those, so a pack made at their start is never stale, and no
+// writer of W has to report its writes. The buffer outlives each pass,
+// so the next pack reuses it.
 type fcBatch struct {
 	k  int       // examples in the open batch; 0 when none is open
 	x  []float32 // k input rows, packed as a k×in B operand
 	g  []float32 // k output-gradient rows, row-major k×out
 	gp []float32 // g packed as the out×k A operand, at flush
+
+	wp     []float32 // W in the panels of tensor.PackFC
+	packed bool      // wp holds the current W
 }
 
 // NewFullyConnected creates a dense layer mapping in features to out.
@@ -403,7 +421,11 @@ func (l *FullyConnected) initScratch() {
 	// Output panels [lo, hi) of every row through the output-lane
 	// kernel, whose per-output add sequence is fnFwd's.
 	l.fnFwdPacked = func(lo, hi int) {
-		tensor.FCForward(l.curY, l.curX, l.packed, l.bias.W.Data, l.curK, l.in, l.out, lo, hi)
+		tensor.FCForward(l.curY, l.curX, l.batch.wp, l.bias.W.Data, l.curK, l.in, l.out, lo, hi)
+	}
+	l.packGrain = max(1, fcPackChunk/(tensor.FCPanelW*l.in))
+	l.fnPack = func(lo, hi int) {
+		tensor.PackFCRange(l.batch.wp, l.weight.W.Data, l.out, l.in, lo, hi)
 	}
 	// The batch's gradients of outputs [lo, hi): the A quads of those
 	// outputs, the GEMM rows they feed, and their bias sums in example
@@ -476,14 +498,15 @@ func (l *FullyConnected) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // forward writes the k output rows y = b + W·x of the k input rows of
-// x. A frozen layer runs the output-lane kernel (tensor.FCForward) on
-// its packed weights, the group split over workers by 32-output panels
-// and each weight load shared by up to four rows; a trainable one runs
-// MatVecAcc row by row, split by output quads. Both give every output
-// the same add sequence, so they are bit-identical at any k.
+// x. While the shared panels hold the current W (fcBatch.packed) it
+// runs the output-lane kernel (tensor.FCForward) on them, the group
+// split over workers by 32-output panels and each weight load shared
+// by up to four rows; otherwise it runs MatVecAcc row by row on W,
+// split by output quads. Both give every output the same add sequence,
+// so they are bit-identical at any k.
 func (l *FullyConnected) forward(x []float32, k int, y []float32) {
 	l.curX, l.curY, l.curK = x, y, k
-	if l.packed != nil {
+	if l.batch.packed {
 		parallel.ForChunks(tensor.FCPanels(l.out), 1, l.fnFwdPacked)
 		return
 	}
@@ -557,16 +580,28 @@ func (l *FullyConnected) flushBatch() {
 	l.batch.k = 0
 }
 
-// ShareClone implements ShareCloner. The replica shares the weights,
-// the packed weights and the batch rows; it holds no gradient, because
-// its examples reach G through the batch.
+// fcPackChunk is the float count a parallel chunk of the weight pack
+// aims for; chunks hold whole panels.
+const fcPackChunk = 16384
+
+// pack packs W into the shared panels, split over workers by panel, and
+// marks them current.
+func (l *FullyConnected) pack() {
+	b := l.batch
+	b.wp = grow(b.wp, tensor.PackFCSize(l.out, l.in))
+	parallel.ForChunks(tensor.FCPanels(l.out), l.packGrain, l.fnPack)
+	b.packed = true
+}
+
+// ShareClone implements ShareCloner. The replica shares the weights and
+// the batch, with its rows and packed weights; it holds no gradient,
+// because its examples reach G through the batch.
 func (l *FullyConnected) ShareClone() Layer {
 	c := &FullyConnected{
 		name: l.name, in: l.in, out: l.out,
 		weight: l.weight.shareClone(false),
 		bias:   l.bias.shareClone(false),
 		batch:  l.batch,
-		packed: l.packed,
 	}
 	c.initScratch()
 	return c

@@ -58,17 +58,17 @@ func TestFreezeRefusesTraining(t *testing.T) {
 	mustPanic(t, "Conv2D.Backward", "conv1", func() { c1.Backward(out) })
 }
 
-// TestFreezeIdempotent: a second Freeze keeps the packed weights and
-// the outputs.
+// TestFreezeIdempotent: a second Freeze repacks into the same buffer
+// and keeps the outputs.
 func TestFreezeIdempotent(t *testing.T) {
 	net, ins := batchTestMLP()
 	net.Freeze()
 	fc := net.Layers[1].(*FullyConnected)
-	packed := &fc.packed[0]
+	packed := &fc.batch.wp[0]
 	want := append([]float32(nil), net.Forward(ins[0], false).Data...)
 	net.Freeze()
-	if &fc.packed[0] != packed {
-		t.Fatal("second Freeze repacked the weights")
+	if &fc.batch.wp[0] != packed {
+		t.Fatal("second Freeze reallocated the packed weights")
 	}
 	checkRow(t, "Forward after a second Freeze", net.Forward(ins[0], false).Data, want)
 }
@@ -93,7 +93,7 @@ func TestFreezeReleasesTrainingBuffers(t *testing.T) {
 		}
 	}
 	for i, l := range net.Layers {
-		if fc, ok := l.(*FullyConnected); ok && &rep.Layers[i].(*FullyConnected).packed[0] != &fc.packed[0] {
+		if fc, ok := l.(*FullyConnected); ok && &rep.Layers[i].(*FullyConnected).batch.wp[0] != &fc.batch.wp[0] {
 			t.Errorf("replica %s does not share the packed weights", fc.name)
 		}
 	}

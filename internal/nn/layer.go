@@ -15,6 +15,13 @@
 // over the examples in order, so every element gets the adds the
 // per-example loop would give it.
 //
+// An FC forward runs the output-lane kernel on W packed into panels
+// wherever a run of forwards shares one version of W: a trainer batch,
+// an Accuracy pass, and a frozen net. The pack is made at the start of
+// the run, so it cannot be stale, and no weight version is kept. An
+// isolated forward of a trainable net runs the row-dot kernel on W.
+// Both kernels give every output the same add sequence.
+//
 // Training state exists only where training happens. A parameter's
 // gradient and momentum, and the backward-only scratch of conv, pooling
 // and fully-connected layers, are allocated when a net first trains

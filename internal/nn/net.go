@@ -88,13 +88,15 @@ func (n *Network) ShareClone() (*Network, bool) {
 }
 
 // Freeze makes the network inference-only, for serving. Each
-// fully-connected layer packs its weights once into the output-lane
-// panels of tensor.PackFC and from then on runs tensor.FCForward in
-// Forward and ForwardBatch: a lone input fills every vector lane, and
-// the outputs stay bit-identical to the MatVecAcc forward they replace,
-// at any group size. Every parameter is marked frozen and drops any
-// gradient and momentum a past training run left behind, and every FC
-// layer its batch rows, so the net holds its weights and one packed
+// fully-connected layer packs its weights into the output-lane panels
+// of tensor.PackFC and from then on runs tensor.FCForward in Forward
+// and ForwardBatch: a lone input fills every vector lane, and the
+// outputs stay bit-identical to the MatVecAcc forward, at any group
+// size. The pack reuses the buffer training packed into, and is always
+// made afresh, since an AfterStep projector may have changed W after
+// the last batch's pack. Every parameter is marked frozen and drops
+// any gradient and momentum a past training run left behind, and every
+// FC layer its batch rows, so the net holds its weights and one packed
 // copy of its FC weights.
 //
 // A frozen net cannot train: Backward and an SGD step panic, naming the
@@ -105,11 +107,8 @@ func (n *Network) ShareClone() (*Network, bool) {
 func (n *Network) Freeze() {
 	for _, l := range n.Layers {
 		if fc, ok := l.(*FullyConnected); ok {
-			if fc.packed == nil {
-				fc.packed = make([]float32, tensor.PackFCSize(fc.out, fc.in))
-				tensor.PackFC(fc.packed, fc.weight.W.Data, fc.out, fc.in)
-			}
-			*fc.batch = fcBatch{}
+			*fc.batch = fcBatch{wp: fc.batch.wp}
+			fc.pack()
 		}
 		for _, p := range l.Params() {
 			p.frozen, p.G, p.V = true, nil, nil
@@ -215,22 +214,26 @@ func (n *Network) firstParamLayer() int {
 	return len(n.Layers)
 }
 
-// beginBatch opens a trainer batch of k examples in every FC layer;
-// the net's ShareClone replicas record into the same batch.
+// beginBatch opens a trainer batch of k examples in every FC layer
+// and packs its W for the batch's forwards; the net's ShareClone
+// replicas record into the same batch and read the same pack.
 func (n *Network) beginBatch(k int) {
 	for _, l := range n.Layers {
 		if fc, ok := l.(*FullyConnected); ok {
 			fc.beginBatch(k)
+			fc.pack()
 		}
 	}
 }
 
 // flushBatch adds the open batch's FC weight and bias gradients into
-// G and closes the batch.
+// G and closes the batch, its pack with it: the SGD step that follows
+// changes W.
 func (n *Network) flushBatch() {
 	for _, l := range n.Layers {
 		if fc, ok := l.(*FullyConnected); ok {
 			fc.flushBatch()
+			fc.batch.packed = false
 		}
 	}
 }
@@ -282,9 +285,29 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, label int, grad *tensor.Tensor) 
 	return loss
 }
 
-// Accuracy evaluates classification accuracy over a labelled set.
+// Accuracy evaluates classification accuracy over a labelled set. W
+// is fixed for the whole pass, so each trainable FC layer packs it once
+// at the start and runs every forward on the pack; a frozen layer's
+// pack is current already.
 func (n *Network) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
+	n.packTrainableFC(true)
+	defer n.packTrainableFC(false)
 	return accuracy(n.Predict, inputs, labels)
+}
+
+// packTrainableFC packs the W of every FC layer that can still train
+// (on), or marks those packs stale; a frozen layer's pack is always
+// current, and is neither rewritten nor dropped.
+func (n *Network) packTrainableFC(on bool) {
+	for _, l := range n.Layers {
+		if fc, ok := l.(*FullyConnected); ok && !fc.weight.frozen {
+			if on {
+				fc.pack()
+			} else {
+				fc.batch.packed = false
+			}
+		}
+	}
 }
 
 // accuracy is the top-1 loop shared by the float and quantized

@@ -130,14 +130,14 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	var replicas chan *Network
+	var replicas chan *replica
 	if workers > 1 {
 		if first, ok := t.Net.ShareClone(); ok {
-			replicas = make(chan *Network, workers+2)
-			replicas <- first
+			replicas = make(chan *replica, workers+2)
+			replicas <- newReplica(first)
 			for i := 1; i < cap(replicas); i++ {
 				r, _ := t.Net.ShareClone()
-				replicas <- r
+				replicas <- newReplica(r)
 			}
 		}
 	}
@@ -206,7 +206,7 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 // total data loss and correct count. The serial path allocates nothing
 // in steady state. Every param's G and V must be allocated
 // (startTraining).
-func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *Network, workers int, lr float64) (float64, int) {
+func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *replica, workers int, lr float64) (float64, int) {
 	for _, p := range params {
 		p.G.Zero()
 	}
@@ -369,10 +369,19 @@ func startTraining(params []*Param) {
 	}
 }
 
+// replica is a ShareClone of the trained net in Fit's pool, with its
+// param list, built once with it.
+type replica struct {
+	net    *Network
+	params []*Param
+}
+
+func newReplica(net *Network) *replica { return &replica{net: net, params: net.Params()} }
+
 // exampleResult carries one example's gradients (inside the replica's
 // private G buffers) back to the fold.
 type exampleResult struct {
-	rep     *Network
+	rep     *replica
 	loss    float64
 	correct int
 }
@@ -391,29 +400,30 @@ type batchTotals struct {
 // exactly one addition per example, in the same sequence the serial
 // path performs it. Params whose replicas hold no G (FC params) are not
 // folded.
-func (t *Trainer) batchParallel(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *Network, workers int) (float64, int) {
+func (t *Trainer) batchParallel(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *replica, workers int) (float64, int) {
 	totals := parallel.MapReduce(len(batch), 1, batchTotals{},
 		func(lo, hi int) exampleResult {
 			rep := <-replicas
-			for _, p := range rep.Params() {
+			for _, p := range rep.params {
 				if p.G != nil {
 					p.G.Zero()
 				}
 			}
 			r := exampleResult{rep: rep}
+			net := rep.net
 			for j, idx := range batch[lo:hi] {
-				logits := rep.Forward(inputs[idx], true)
-				grad := rep.lossGradBuf(logits.Shape)
+				logits := net.Forward(inputs[idx], true)
+				grad := net.lossGradBuf(logits.Shape)
 				r.loss += SoftmaxCrossEntropy(logits, labels[idx], grad)
 				if argmax(logits.Data) == labels[idx] {
 					r.correct++
 				}
-				rep.backward(grad, lo+j)
+				net.backward(grad, lo+j)
 			}
 			return r
 		},
 		func(acc batchTotals, r exampleResult) batchTotals {
-			rp := r.rep.Params()
+			rp := r.rep.params
 			for pi, p := range params {
 				if rp[pi].G == nil {
 					continue

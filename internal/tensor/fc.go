@@ -50,15 +50,58 @@ func PackFCSize(n, k int) int { return FCPanels(n) * fcPanelW * k }
 // PackFC packs row-major W (n outputs × k inputs) into the output-lane
 // panels FCForward reads: dst[jp·32k + p·32 + c] = W[32·jp+c][p], with
 // the outputs past n zero.
-func PackFC(dst, w []float32, n, k int) {
+func PackFC(dst, w []float32, n, k int) { PackFCRange(dst, w, n, k, 0, FCPanels(n)) }
+
+// fcPackStep is the input count of one PackFCRange block: a block of
+// fcPackStep inputs × 32 outputs is 1 KB of the panel, so its strided
+// writes stay in L1 while each weight row is read in order.
+const fcPackStep = 8
+
+// PackFCRange is PackFC over panels [lo, hi): it writes only those
+// panels, so disjoint panel ranges are safe to split across workers.
+// Each panel is transposed in blocks of 8 inputs, two weight rows per
+// step; only a ragged last panel is cleared first, for its padding.
+func PackFCRange(dst, w []float32, n, k, lo, hi int) {
 	if len(w) != n*k || len(dst) < PackFCSize(n, k) {
 		panic("tensor: PackFC size mismatch")
 	}
-	clear(dst[:PackFCSize(n, k)])
-	for o := 0; o < n; o++ {
-		panel := dst[(o/fcPanelW)*fcPanelW*k:]
-		for p, v := range w[o*k : (o+1)*k] {
-			panel[p*fcPanelW+o%fcPanelW] = v
+	if lo < 0 || hi > FCPanels(n) || lo > hi {
+		panic("tensor: PackFC panel range out of bounds")
+	}
+	for jp := lo; jp < hi; jp++ {
+		o0 := jp * fcPanelW
+		rows := min(fcPanelW, n-o0)
+		panel := dst[jp*fcPanelW*k : (jp+1)*fcPanelW*k]
+		if rows < fcPanelW {
+			clear(panel)
+		}
+		p0 := 0
+		for ; p0+fcPackStep <= k; p0 += fcPackStep {
+			blk := panel[p0*fcPanelW : (p0+fcPackStep)*fcPanelW]
+			c := 0
+			for ; c+2 <= rows; c += 2 {
+				b := (o0+c)*k + p0
+				r, s := w[b:b+fcPackStep], w[b+k:b+k+fcPackStep]
+				d := blk[c : c+7*fcPanelW+2]
+				d[0*fcPanelW], d[0*fcPanelW+1] = r[0], s[0]
+				d[1*fcPanelW], d[1*fcPanelW+1] = r[1], s[1]
+				d[2*fcPanelW], d[2*fcPanelW+1] = r[2], s[2]
+				d[3*fcPanelW], d[3*fcPanelW+1] = r[3], s[3]
+				d[4*fcPanelW], d[4*fcPanelW+1] = r[4], s[4]
+				d[5*fcPanelW], d[5*fcPanelW+1] = r[5], s[5]
+				d[6*fcPanelW], d[6*fcPanelW+1] = r[6], s[6]
+				d[7*fcPanelW], d[7*fcPanelW+1] = r[7], s[7]
+			}
+			if c < rows {
+				for q, v := range w[(o0+c)*k+p0 : (o0+c)*k+p0+fcPackStep] {
+					blk[q*fcPanelW+c] = v
+				}
+			}
+		}
+		for ; p0 < k; p0++ {
+			for c := 0; c < rows; c++ {
+				panel[p0*fcPanelW+c] = w[(o0+c)*k+p0]
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -163,6 +164,109 @@ func packFCInt16(w []int16, n, k int) []int16 {
 		}
 	}
 	return wp
+}
+
+// refPackFC is the output-lane pack written the plain way, one output
+// row at a time over a cleared buffer: the reference PackFCRange's
+// blocked transpose must reproduce.
+func refPackFC(dst, w []float32, n, k int) {
+	clear(dst[:PackFCSize(n, k)])
+	for o := 0; o < n; o++ {
+		panel := dst[(o/fcPanelW)*fcPanelW*k:]
+		for p, v := range w[o*k : (o+1)*k] {
+			panel[p*fcPanelW+o%fcPanelW] = v
+		}
+	}
+}
+
+// checkPackFCRange packs an n×k W with PackFCRange over a random split
+// of its panels, the ranges run in random order into a buffer filled
+// with a sentinel and a guard tail, and fails on the first bit that
+// differs from refPackFC or the first guard element it touches. W
+// holds ±0, subnormals, infinities and NaN payloads, which a pack must
+// move bit for bit.
+func checkPackFCRange(t *testing.T, rng *rand.Rand, n, k int) {
+	t.Helper()
+	w := make([]float32, n*k)
+	fillGEMM(rng, w)
+	for i := range w {
+		if rng.Intn(16) == 0 {
+			w[i] = fcSpecials[rng.Intn(len(fcSpecials))]
+		}
+	}
+	size := PackFCSize(n, k)
+	want := make([]float32, size)
+	refPackFC(want, w, n, k)
+	const guard = 37
+	sentinel := math.Float32frombits(0x7fa5a5a5)
+	got := make([]float32, size+guard)
+	for i := range got {
+		got[i] = sentinel
+	}
+	np := FCPanels(n)
+	cuts := []int{0, np}
+	for range rng.Intn(4) {
+		cuts = append(cuts, rng.Intn(np+1))
+	}
+	sort.Ints(cuts)
+	for _, r := range rng.Perm(len(cuts) - 1) {
+		PackFCRange(got, w, n, k, cuts[r], cuts[r+1])
+	}
+	if i, ok := bitsEqual(got[:size], want); !ok {
+		t.Fatalf("PackFCRange n=%d k=%d cuts %v: element %d (panel %d, input %d, lane %d) = %08x, refPackFC %08x",
+			n, k, cuts, i, i/(fcPanelW*k), i%(fcPanelW*k)/fcPanelW, i%fcPanelW,
+			math.Float32bits(got[i]), math.Float32bits(want[i]))
+	}
+	for i, v := range got[size:] {
+		if math.Float32bits(v) != math.Float32bits(sentinel) {
+			t.Fatalf("PackFCRange n=%d k=%d wrote %08x past the panels, at %d", n, k, math.Float32bits(v), size+i)
+		}
+	}
+}
+
+// TestPackFCRangeMatchesPackFC pins the blocked pack to refPackFC over
+// random panel splits: output counts below, at and across a panel,
+// odd and even row counts in the last panel, and input counts below,
+// at and across the 8-input block, including the MLP's 784→512.
+func TestPackFCRangeMatchesPackFC(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{1, 2, 10, 31, 32, 33, 64, 65, 304, 512} {
+		for _, k := range []int{1, 2, 7, 8, 9, 15, 16, 17, 100, 784} {
+			checkPackFCRange(t, rng, n, k)
+		}
+	}
+}
+
+// FuzzPackFC pins PackFCRange to refPackFC bit for bit over fuzzed
+// output and input counts and random panel splits.
+func FuzzPackFC(f *testing.F) {
+	f.Add(uint8(0), uint8(0), int64(1))
+	f.Add(uint8(21), uint8(16), int64(2))
+	f.Add(uint8(200), uint8(255), int64(3))
+	f.Fuzz(func(t *testing.T, nn, kk uint8, seed int64) {
+		n := int(nn)*3/2 + 1
+		k := int(kk)*3 + 1
+		checkPackFCRange(t, rand.New(rand.NewSource(seed)), n, k)
+	})
+}
+
+// BenchmarkPackFC compares the blocked pack with refPackFC on the
+// MLP's 784→512 layer.
+func BenchmarkPackFC(b *testing.B) {
+	const k, n = 784, 512
+	w := make([]float32, n*k)
+	fillDense(rand.New(rand.NewSource(5)), w)
+	dst := make([]float32, PackFCSize(n, k))
+	b.Run("refPackFC", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			refPackFC(dst, w, n, k)
+		}
+	})
+	b.Run("PackFC", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PackFC(dst, w, n, k)
+		}
+	})
 }
 
 // BenchmarkFCForward compares, on the MLP's 784→512 layer, one request
