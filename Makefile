@@ -35,6 +35,7 @@ fuzz:
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzPackFC -fuzztime 30s ./internal/tensor
+	go test -fuzz FuzzMatVecTAccRows -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCWeightGrad -fuzztime 30s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
@@ -52,6 +53,7 @@ fuzz-smoke:
 	go test -fuzz FuzzGEMMABTAcc -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCForwardInt16 -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzPackFC -fuzztime 5s ./internal/tensor
+	go test -fuzz FuzzMatVecTAccRows -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCWeightGrad -fuzztime 5s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve

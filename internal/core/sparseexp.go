@@ -115,8 +115,7 @@ func Table4Nets(p Profile) []SparseNetConfig {
 // caffeNetMid is the Default-profile CaffeNet stand-in: the full
 // five-conv/three-fc topology with channels cut 2× and 3×32×32 input,
 // sized so single-core pure-Go training finishes in minutes (see
-// DESIGN.md §2 on scale substitutions; netzoo.CaffeNetReduced keeps
-// the full channel counts for users with more patience).
+// DESIGN.md §2 on scale substitutions).
 func caffeNetMid() netzoo.NetSpec {
 	return netzoo.NetSpec{
 		Name: "CaffeNet-mid", InC: 3, InH: 32, InW: 32,

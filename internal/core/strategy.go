@@ -121,10 +121,13 @@ type TrainOptions struct {
 	Seed           int64
 	// Log receives progress lines when non-nil.
 	Log io.Writer
-	// Workers bounds the host worker threads used for batch-gradient
-	// evaluation during training (see internal/parallel). <= 0 uses
-	// parallel.Workers() (L2S_WORKERS env, else GOMAXPROCS). Trained
-	// weights are bit-identical at every worker count.
+	// Workers bounds the weight-sharing replicas that evaluate the
+	// batch gradients of a net with conv, pooling, LRN or Dropout
+	// layers (nn.SGDConfig.Workers). <= 0 uses parallel.Workers()
+	// (L2S_WORKERS env, else GOMAXPROCS). A net of FC, ReLU and
+	// Flatten layers runs each batch as K rows, split inside each
+	// layer over the process-wide pool. Trained weights are
+	// bit-identical at every worker count.
 	Workers int
 	// Obs, when non-nil, receives per-phase, per-epoch training
 	// metrics (scopes train.pretrain / train.sparsify / train.finetune,

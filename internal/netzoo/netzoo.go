@@ -85,9 +85,6 @@ type LayerShape struct {
 // InActs returns the number of input activation values.
 func (l LayerShape) InActs() int { return l.InC * l.InH * l.InW }
 
-// OutActs returns the number of output activation values.
-func (l LayerShape) OutActs() int { return l.OutC * l.OutH * l.OutW }
-
 // KernelVolume returns the fan-in of one output neuron (respecting
 // conv groups). Zero for pooling layers.
 func (l LayerShape) KernelVolume() int {

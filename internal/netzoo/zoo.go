@@ -155,41 +155,6 @@ func ConvNetI10(kernels [3]int, groups, size int) NetSpec {
 	}
 }
 
-// Reduced variants: same topology, spatial resolution scaled down so
-// pure-Go SGD converges in test-friendly time. Channel counts (and
-// therefore the n×n core-block structure that the sparsity experiments
-// regularize) are preserved exactly.
-
-// LeNetReduced keeps LeNet's topology with fewer conv1 kernels removed —
-// LeNet is already small; this simply returns LeNet.
-func LeNetReduced() NetSpec { return LeNet() }
-
-// ConvNetReduced returns cifar10-quick at 3×32×32 (already small).
-func ConvNetReduced() NetSpec { return ConvNet() }
-
-// CaffeNetReduced returns the CaffeNet topology at 3×48×48 input with
-// FC widths cut to keep the flattened fan-in tractable. Channel counts
-// of the conv stack are unchanged, preserving the block-sparsity
-// structure of every conv layer.
-func CaffeNetReduced() NetSpec {
-	return NetSpec{
-		Name: "CaffeNet-reduced", InC: 3, InH: 48, InW: 48,
-		Layers: []LayerSpec{
-			{Name: "conv1", Kind: Conv, OutC: 96, K: 7, Stride: 2},
-			{Name: "pool1", Kind: Pool, K: 3, Stride: 2},
-			{Name: "conv2", Kind: Conv, OutC: 256, K: 5, Stride: 1, Pad: 2},
-			{Name: "pool2", Kind: Pool, K: 3, Stride: 2},
-			{Name: "conv3", Kind: Conv, OutC: 384, K: 3, Stride: 1, Pad: 1},
-			{Name: "conv4", Kind: Conv, OutC: 384, K: 3, Stride: 1, Pad: 1},
-			{Name: "conv5", Kind: Conv, OutC: 256, K: 3, Stride: 1, Pad: 1},
-			{Name: "pool5", Kind: Pool, K: 3, Stride: 2},
-			{Name: "ip1", Kind: FC, Out: 256},
-			{Name: "ip2", Kind: FC, Out: 128},
-			{Name: "ip3", Kind: FC, Out: 10},
-		},
-	}
-}
-
 // ConvNetI10Reduced returns the Table III variant at 3×32×32 input —
 // small enough to train in tests while keeping the kernel-count ratios
 // that drive the structure-level parallelization comparison.

@@ -34,22 +34,37 @@ func allocNet() (*Trainer, []*tensor.Tensor, []int) {
 	return tr, inputs, labels
 }
 
+// allocMLP is batchTestMLP as a trainer with a labelled batch of five,
+// one whole four-row block and a ragged row.
+func allocMLP() (*Trainer, []*tensor.Tensor, []int) {
+	net, ins := batchTestMLP()
+	cfg := DefaultSGD()
+	cfg.Workers = 1
+	labels := []int{0, 1, 2, 3, 4}
+	return &Trainer{Net: net, Config: cfg}, ins[:len(labels)], labels
+}
+
 // TestTrainStepZeroAlloc pins the scratch-arena property the PR 3
 // benchmarks record: after warm-up, a serial steady-state training
 // step (forward, loss, backward, SGD update) performs zero heap
 // allocations — every layer owns its activation/gradient buffers and
-// packed-GEMM scratch.
+// packed-GEMM scratch — on a conv net, which steps example by example,
+// and on an MLP, which steps as K rows.
 func TestTrainStepZeroAlloc(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "1")
-	tr, inputs, labels := allocNet()
-	for i := 0; i < 3; i++ {
-		tr.Step(inputs, labels) // size lazily-allocated buffers
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		tr.Step(inputs, labels)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state training step allocates %.1f objects/step, want 0", avg)
+	for name, build := range map[string]func() (*Trainer, []*tensor.Tensor, []int){"conv": allocNet, "mlp": allocMLP} {
+		t.Run(name, func(t *testing.T) {
+			tr, inputs, labels := build()
+			for i := 0; i < 3; i++ {
+				tr.Step(inputs, labels) // size lazily-allocated buffers
+			}
+			avg := testing.AllocsPerRun(20, func() {
+				tr.Step(inputs, labels)
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state training step allocates %.1f objects/step, want 0", avg)
+			}
+		})
 	}
 }
 
@@ -71,7 +86,7 @@ func TestStepMatchesFit(t *testing.T) {
 	}
 	params := trB.Net.Params()
 	startTraining(params)
-	lossB, _ := trB.runBatch(idx, inputs, labels, params, nil, 1, trB.Config.LearningRate)
+	lossB, _ := trB.runBatch(idx, inputs, labels, params, trB.Config.LearningRate, trB.batchSerial)
 
 	if lossA != lossB {
 		t.Fatalf("Step loss %v != runBatch loss %v", lossA, lossB)
@@ -86,33 +101,49 @@ func TestStepMatchesFit(t *testing.T) {
 	}
 }
 
-// fitAllocsPerExample is the bound TestFitParallelAllocsPerExample
-// holds a workers=2 Fit to.
-const fitAllocsPerExample = 4
-
 // TestFitParallelAllocsPerExample bounds what a workers=2 Fit allocates
-// per example once its replica pool is built: the extra allocations of
-// three epochs over one, per example of the two extra epochs. What is
-// left is the parallel batch's per-call state (MapReduce's channels
-// and helpers), shared by the batch's examples; no replica rebuilds
-// its param list per example.
+// per example once its set-up is done: the extra allocations of three
+// epochs over one, per example of the two extra epochs. On a conv net
+// what is left is the replica pool's per-batch state (MapReduce's
+// channels and helpers), shared by the batch's examples; no replica
+// rebuilds its param list per example. The MLP runs each batch as K
+// rows, with no pool.
 func TestFitParallelAllocsPerExample(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "2")
-	net, ins := batchTestMLP()
-	labels := make([]int, len(ins))
-	for i := range labels {
-		labels[i] = i % 7
+	mlp := func() (*Network, []*tensor.Tensor, []int) {
+		net, ins := batchTestMLP()
+		labels := make([]int, len(ins))
+		for i := range labels {
+			labels[i] = i % 7
+		}
+		return net, ins, labels
 	}
-	fit := func(epochs int) float64 {
-		cfg := DefaultSGD()
-		cfg.Epochs, cfg.BatchSize, cfg.Workers = epochs, 4, 2
-		tr := &Trainer{Net: net, Config: cfg}
-		return testing.AllocsPerRun(5, func() { tr.Fit(ins, labels) })
-	}
-	one, three := fit(1), fit(3)
-	per := (three - one) / float64(2*len(ins))
-	t.Logf("workers=2 Fit: %.0f allocs at 1 epoch, %.0f at 3: %.2f per example", one, three, per)
-	if per > fitAllocsPerExample {
-		t.Fatalf("workers=2 Fit allocates %.2f objects per example, want <= %d", per, fitAllocsPerExample)
+	for _, tc := range []struct {
+		name     string
+		build    func() (*Network, []*tensor.Tensor, []int)
+		bound    float64
+		replicas bool // trains on the replica pool
+	}{
+		{"mlp", mlp, 0.5, false},
+		{"conv", stateNet, 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.replicas && raceEnabled {
+				t.Skip("the replica pool's per-example dispatch reuses pooled jobs, which the race detector drops at random")
+			}
+			net, ins, labels := tc.build()
+			fit := func(epochs int) float64 {
+				cfg := DefaultSGD()
+				cfg.Epochs, cfg.BatchSize, cfg.Workers = epochs, 4, 2
+				tr := &Trainer{Net: net, Config: cfg}
+				return testing.AllocsPerRun(5, func() { tr.Fit(ins, labels) })
+			}
+			one, three := fit(1), fit(3)
+			per := (three - one) / float64(2*len(ins))
+			t.Logf("workers=2 Fit: %.0f allocs at 1 epoch, %.0f at 3: %.2f per example", one, three, per)
+			if per > tc.bound {
+				t.Fatalf("workers=2 Fit allocates %.2f objects per example, want <= %v", per, tc.bound)
+			}
+		})
 	}
 }

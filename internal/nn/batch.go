@@ -1,15 +1,42 @@
 package nn
 
-import "learn2scale/internal/tensor"
+import (
+	"learn2scale/internal/obs"
+	"learn2scale/internal/tensor"
+)
 
-// Batched inference: a group of K inputs runs through the layer stack
-// together. Fully-connected layers (float and int16) take the whole
-// group in one call — frozen and quantized ones through the output-lane
-// kernel, whose row blocks share each weight load — and every other
-// layer runs its own per-sample Forward on each row, so conv nets batch
-// unchanged. Each row's arithmetic is exactly the single-input
-// Forward's, so batched logits are bit-identical to K sequential
-// forward passes.
+// Batched passes: a group of K inputs runs through the layer stack
+// together. Row layers (fully-connected, ReLU, Flatten) take the whole
+// group in one call — frozen and trained FC layers through the
+// output-lane kernel, whose row blocks share each weight load — and
+// every other layer runs its own per-sample Forward on each row, so
+// conv nets batch unchanged. Each row's arithmetic is exactly the
+// single-input Forward's, so batched logits are bit-identical to K
+// sequential forward passes. A net built only from row layers also
+// trains a mini-batch this way: one forward and one backward per
+// layer (Trainer.batchRows).
+
+// rowLayer is a layer that runs a group of K examples as the rows of
+// one [K, sample...] tensor, each row's arithmetic exactly the
+// single-example pass's. backwardRows takes the K output-gradient rows
+// of a forwardRows(train) call and returns the K input-gradient rows,
+// or nil when wantIn is false; an FC layer records the rows in its
+// open trainer batch.
+type rowLayer interface {
+	forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor
+	backwardRows(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor
+}
+
+// rowNet reports whether every layer of the net is a row layer, so a
+// trainer batch can run as K rows.
+func (n *Network) rowNet() bool {
+	for _, l := range n.Layers {
+		if _, ok := l.(rowLayer); !ok {
+			return false
+		}
+	}
+	return len(n.Layers) > 0
+}
 
 // batchPass carries one batched pass through a layer stack. Between
 // layers the group's activations are the rows of one [K, sample...]
@@ -53,9 +80,10 @@ func (p *batchPass) packed(ins []*tensor.Tensor) *tensor.Tensor {
 	return p.rows
 }
 
-// free returns the staging tensor that does not hold the current rows.
+// free returns the staging tensor whose storage the current rows do
+// not use; the rows may be a view of a staging tensor (Flatten's).
 func (p *batchPass) free() *tensor.Tensor {
-	if p.rows == &p.stage[0] {
+	if p.rows != nil && len(p.rows.Data) > 0 && len(p.stage[0].Data) > 0 && &p.rows.Data[0] == &p.stage[0].Data[0] {
 		return &p.stage[1]
 	}
 	return &p.stage[0]
@@ -98,9 +126,9 @@ func grow[T any](s []T, n int) []T {
 
 // ForwardBatch runs inference on a group of inputs and returns their
 // logits as the rows of one [len(ins), classes] tensor, row i
-// bit-identical to Forward(ins[i], false). Fully-connected layers run
-// the group in one call (FullyConnected.ForwardBatch); every other
-// layer runs its per-sample Forward on each row. With spans attached,
+// bit-identical to Forward(ins[i], false). Row layers run the group in
+// one call; every other layer runs its per-sample Forward on each row.
+// With spans attached,
 // each layer's step over the whole group is one span hit. The returned
 // tensor is owned by the network and overwritten by the next call.
 func (n *Network) ForwardBatch(ins []*tensor.Tensor) *tensor.Tensor {
@@ -119,14 +147,54 @@ func (n *Network) ForwardBatch(ins []*tensor.Tensor) *tensor.Tensor {
 
 func (n *Network) batchStep(l Layer, ins []*tensor.Tensor) {
 	p := &n.batch
-	if fc, ok := l.(*FullyConnected); ok {
-		p.rows = fc.ForwardBatch(p.packed(ins))
+	if rl, ok := l.(rowLayer); ok {
+		p.rows = rl.forwardRows(p.packed(ins), false)
 		return
 	}
 	for i := range ins {
 		p.put(len(ins), i, l.Forward(p.sample(ins, i), false))
 	}
 	p.advance()
+}
+
+// forwardRows is the forward of a row net over the group ins, for
+// training or, with train false, for Accuracy: the inputs gathered
+// into one [K, sample...] tensor and one forwardRows call per layer.
+// Each layer's span takes K hits, as K per-example forwards would give
+// it, so a flight record's span counts do not depend on the path.
+func (n *Network) forwardRows(ins []*tensor.Tensor, train bool) *tensor.Tensor {
+	n.batch.rows = nil
+	x := n.batch.packed(ins)
+	k := int64(len(ins))
+	for i, l := range n.Layers {
+		var tm obs.Timing
+		if n.fwdSpans != nil {
+			tm = n.fwdSpans[i].Start()
+		}
+		x = l.(rowLayer).forwardRows(x, train)
+		tm.StopN(k)
+	}
+	return x
+}
+
+// backwardRows is backward for the K rows of g, the loss gradients of
+// the last forwardRows: one backwardRows call per layer down to the
+// first that holds params, which computes no input gradient. Each
+// layer's span takes K hits, those below the stop included.
+func (n *Network) backwardRows(g *tensor.Tensor) {
+	first := n.firstParamLayer()
+	k := int64(g.Shape[0])
+	for i := len(n.Layers) - 1; i >= first; i-- {
+		var tm obs.Timing
+		if n.bwdSpans != nil {
+			tm = n.bwdSpans[i].Start()
+		}
+		g = n.Layers[i].(rowLayer).backwardRows(g, i > first)
+		tm.StopN(k)
+	}
+	for i := first - 1; i >= 0 && n.bwdSpans != nil; i-- {
+		n.bwdSpans[i].Start().StopN(k)
+	}
 }
 
 // ForwardBatch runs quantized inference on a group of inputs and

@@ -342,6 +342,11 @@ func (l *Conv2D) ShareClone() Layer {
 // Its weight gradient is not accumulated example by example. Backward
 // records the example's input row and output gradient in the layer's
 // batch (fcBatch), and the batch's end adds them into G with one GEMM.
+//
+// It is a row layer: a group of K examples runs as the rows of one
+// [K, in] tensor, forward through one FCForward call and backward as
+// one record of all K rows and one K-row input gradient
+// (tensor.MatVecTAccRows).
 type FullyConnected struct {
 	name    string
 	in, out int
@@ -357,13 +362,15 @@ type FullyConnected struct {
 	// weights; the layer and its ShareClone replicas share it.
 	batch *fcBatch
 
-	// batchOut holds ForwardBatch's output rows.
-	batchOut tensor.Tensor
+	// batchOut holds the output rows of a group, batchGradIn its
+	// input-gradient rows.
+	batchOut, batchGradIn tensor.Tensor
 
 	// The current forward's K input rows and output rows, and the
-	// current backward's output gradient.
-	curX, curY, curG []float32
-	curK             int
+	// current backward's K output-gradient rows and input-gradient
+	// rows.
+	curX, curY, curG, curDIn []float32
+	curK                     int
 
 	packGrain                                   int // panels per parallel chunk of the pack
 	fnFwd, fnFwdPacked, fnPack, fnGrad, fnBwdIn func(lo, hi int)
@@ -441,11 +448,11 @@ func (l *FullyConnected) initScratch() {
 			}
 		}
 	}
-	// dIn is disjoint in i; each element accumulates over o in
-	// ascending order regardless of chunking, matching the serial loop
-	// bit for bit.
+	// dIn is disjoint in i; each element of each row accumulates over
+	// o in ascending order regardless of chunking, matching the serial
+	// loop bit for bit.
 	l.fnBwdIn = func(lo, hi int) {
-		tensor.MatVecTAcc(l.gradIn.Data, l.weight.W.Data, l.curG, l.in, lo, hi)
+		tensor.MatVecTAccRows(l.curDIn, l.weight.W.Data, l.curG, l.curK, l.out, l.in, lo, hi)
 	}
 }
 
@@ -495,6 +502,14 @@ func (l *FullyConnected) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	setRows(&l.batchOut, k, l.outBuf.Shape)
 	l.forward(x.Data, k, l.batchOut.Data)
 	return &l.batchOut
+}
+
+func (l *FullyConnected) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := l.ForwardBatch(x)
+	if train {
+		l.lastIn = x
+	}
+	return y
 }
 
 // forward writes the k output rows y = b + W·x of the k input rows of
@@ -554,10 +569,40 @@ func (l *FullyConnected) backward(gradOut *tensor.Tensor, e int, wantIn bool) *t
 	if l.gradIn == nil {
 		l.gradIn = tensor.New(l.in)
 	}
-	l.gradIn.Zero()
-	l.curG = gradOut.Data
-	parallel.ForChunks(l.in, 256, l.fnBwdIn)
+	l.backwardIn(gradOut.Data, 1, l.gradIn.Data)
 	return l.gradIn
+}
+
+// backwardRows records all K rows of the open trainer batch at once:
+// the K input rows packed as the batch's B operand and the K
+// output-gradient rows, the same x and g that K per-example backward
+// calls fill row by row. It returns the K rows of dIn when wantIn is
+// set, else nil.
+func (l *FullyConnected) backwardRows(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor {
+	b := l.batch
+	if l.lastIn == nil {
+		panic("nn: " + l.name + ": Backward before Forward(train)")
+	}
+	if b.k == 0 || len(gradOut.Data) != b.k*l.out || len(l.lastIn.Data) != b.k*l.in {
+		panic(fmt.Sprintf("nn: %s: %d gradients and %d inputs for a batch of %d rows of %d→%d",
+			l.name, len(gradOut.Data), len(l.lastIn.Data), b.k, l.in, l.out))
+	}
+	tensor.PackB(b.x, l.lastIn.Data, b.k, l.in)
+	copy(b.g, gradOut.Data)
+	if !wantIn {
+		return nil
+	}
+	setRows(&l.batchGradIn, b.k, []int{l.in})
+	l.backwardIn(gradOut.Data, b.k, l.batchGradIn.Data)
+	return &l.batchGradIn
+}
+
+// backwardIn writes the k rows of dIn = Wᵀ·g into dIn, split over
+// workers by input columns.
+func (l *FullyConnected) backwardIn(g []float32, k int, dIn []float32) {
+	clear(dIn)
+	l.curG, l.curK, l.curDIn = g, k, dIn
+	parallel.ForChunks(l.in, 256, l.fnBwdIn)
 }
 
 // beginBatch opens a batch of k examples, sizing the shared rows; a

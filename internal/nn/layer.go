@@ -6,14 +6,19 @@
 // path matching the Diannao-class accelerator cores modelled in
 // internal/nna.
 //
-// Forward and backward passes process one example at a time; a
-// trainer runs a mini-batch's examples concurrently on weight-sharing
-// replicas. Conv layers accumulate their gradients example by example
-// and fold them in example order. An FC layer records each example's
-// input row and output gradient in batch matrices and adds its weight
-// gradient with one GEMM per mini-batch, whose inner dimension runs
-// over the examples in order, so every element gets the adds the
-// per-example loop would give it.
+// A Layer's Forward and Backward process one example at a time. Row
+// layers (FullyConnected, ReLU, Flatten) also run a group of K
+// examples as the rows of one [K, ...] tensor, each row's arithmetic
+// the single example's. A trainer runs the mini-batch of a net built
+// only from row layers as one such K-row pass: one forward and one
+// backward per layer, parallel inside each layer. Any other net trains
+// example by example, the batch's examples running concurrently on
+// weight-sharing replicas; its conv layers accumulate their gradients
+// example by example and fold them in example order. Either way an FC
+// layer records each example's input row and output gradient in batch
+// matrices and adds its weight gradient with one GEMM per mini-batch,
+// whose inner dimension runs over the examples in order, so every
+// element gets the adds the per-example loop would give it.
 //
 // An FC forward runs the output-lane kernel on W packed into panels
 // wherever a run of forwards shares one version of W: a trainer batch,

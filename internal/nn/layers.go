@@ -8,15 +8,16 @@ import (
 	"learn2scale/internal/tensor"
 )
 
-// ensureBuf returns buf when it already matches shape, else a fresh
-// tensor. Stateless layers use it to keep one persistent output and one
-// persistent gradient buffer, allocated on first use and reused on
-// every later step (the shapes settle after the first pass).
-func ensureBuf(buf *tensor.Tensor, shape []int) *tensor.Tensor {
-	if buf != nil && shapeEq(buf.Shape, shape) {
-		return buf
+// fitBuf shapes t as shape, reusing its storage: the data grows only
+// past its capacity, so a layer that runs one example, then a group of
+// K, then one again allocates nothing once each size has run.
+func fitBuf(t *tensor.Tensor, shape []int) {
+	n := 1
+	for _, d := range shape {
+		n *= d
 	}
-	return tensor.New(shape...)
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = grow(t.Data, n)
 }
 
 // reluGrain is the element count of one parallel ReLU chunk: large
@@ -36,12 +37,16 @@ func poolGrain(g tensor.ConvGeom) int {
 
 // ReLU applies max(0, x) elementwise: x where x > 0, else +0 (NaN and
 // −0 included), branch-free (tensor.ReLU) and split over workers in
-// chunks of reluGrain elements.
+// chunks of reluGrain elements. Being elementwise, it is a row layer:
+// a group of K rows runs as one call over all K·n elements.
 type ReLU struct {
 	name   string
 	lastIn *tensor.Tensor
-	out    *tensor.Tensor
-	gradIn *tensor.Tensor
+	// out and gradIn take the shape of each call's operand, reusing
+	// their storage, so one example and a group of K alternate without
+	// reallocating.
+	out    tensor.Tensor
+	gradIn tensor.Tensor
 
 	// operands of the current pass, read by the prebuilt bodies
 	curIn, curOut, curGo []float32
@@ -71,19 +76,25 @@ func (l *ReLU) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		l.lastIn = in
 	}
-	l.out = ensureBuf(l.out, in.Shape)
+	fitBuf(&l.out, in.Shape)
 	l.curIn, l.curOut = in.Data, l.out.Data
 	parallel.ForChunks(len(in.Data), reluGrain, l.fnFwd)
-	return l.out
+	return &l.out
 }
 
 // Backward implements Layer. The returned tensor is owned by the layer
 // and overwritten by the next Backward call.
 func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	l.gradIn = ensureBuf(l.gradIn, gradOut.Shape)
+	fitBuf(&l.gradIn, gradOut.Shape)
 	l.curIn, l.curOut, l.curGo = l.lastIn.Data, l.gradIn.Data, gradOut.Data
 	parallel.ForChunks(len(l.curIn), reluGrain, l.fnBwd)
-	return l.gradIn
+	return &l.gradIn
+}
+
+func (l *ReLU) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor { return l.Forward(x, train) }
+
+func (l *ReLU) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
+	return l.Backward(gradOut)
 }
 
 // ShareClone implements ShareCloner.
@@ -320,13 +331,14 @@ func (l *AvgPool2D) ShareClone() Layer {
 	return NewAvgPool2D(l.name, l.geom.InC, l.geom.InH, l.geom.InW, l.geom.KH, l.geom.Stride)
 }
 
-// Flatten reshapes any input to a rank-1 tensor. Both directions are
-// views sharing the operand's data through persistent headers, so the
-// layer performs no per-call allocation.
+// Flatten reshapes any input to a rank-1 tensor, and as a row layer a
+// group [K, sample...] to [K, n]. Both directions are views sharing
+// the operand's data through persistent headers, so the layer performs
+// no per-call allocation.
 type Flatten struct {
 	name      string
 	lastShape []int
-	flatShape [1]int
+	flatShape [2]int
 	fwdView   tensor.Tensor
 	bwdView   tensor.Tensor
 }
@@ -352,11 +364,22 @@ func (l *Flatten) OutShape(in []int) []int {
 // Forward implements Layer. The returned view is owned by the layer
 // and repointed by the next Forward call.
 func (l *Flatten) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
+	l.flatShape[0] = in.Len()
+	return l.view(in, train, l.flatShape[:1])
+}
+
+func (l *Flatten) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
+	k := x.Shape[0]
+	l.flatShape = [2]int{k, x.Len() / k}
+	return l.view(x, train, l.flatShape[:])
+}
+
+// view points the forward view at in's data with the given shape.
+func (l *Flatten) view(in *tensor.Tensor, train bool, shape []int) *tensor.Tensor {
 	if train {
 		l.lastShape = in.Shape
 	}
-	l.flatShape[0] = in.Len()
-	l.fwdView.Shape = l.flatShape[:]
+	l.fwdView.Shape = shape
 	l.fwdView.Data = in.Data
 	return &l.fwdView
 }
@@ -367,6 +390,10 @@ func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	l.bwdView.Shape = l.lastShape
 	l.bwdView.Data = gradOut.Data
 	return &l.bwdView
+}
+
+func (l *Flatten) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
+	return l.Backward(gradOut)
 }
 
 // ShareClone implements ShareCloner.
@@ -385,8 +412,8 @@ type Dropout struct {
 	p    float64
 	rng  *rand.Rand
 
-	out    *tensor.Tensor
-	gradIn *tensor.Tensor
+	out    tensor.Tensor
+	gradIn tensor.Tensor
 	mask   []bool
 	live   bool // mask holds the most recent training pass
 }
@@ -415,7 +442,7 @@ func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 		return in
 	}
 	scale := float32(1 / (1 - l.p))
-	l.out = ensureBuf(l.out, in.Shape)
+	fitBuf(&l.out, in.Shape)
 	if len(l.mask) != in.Len() {
 		l.mask = make([]bool, in.Len())
 	}
@@ -430,7 +457,7 @@ func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 			out[i] = 0
 		}
 	}
-	return l.out
+	return &l.out
 }
 
 // Backward implements Layer. The returned tensor is owned by the layer
@@ -440,7 +467,7 @@ func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		return gradOut
 	}
 	scale := float32(1 / (1 - l.p))
-	l.gradIn = ensureBuf(l.gradIn, gradOut.Shape)
+	fitBuf(&l.gradIn, gradOut.Shape)
 	gi := l.gradIn.Data
 	for i, keep := range l.mask {
 		if keep {
@@ -449,5 +476,5 @@ func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			gi[i] = 0
 		}
 	}
-	return l.gradIn
+	return &l.gradIn
 }

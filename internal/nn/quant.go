@@ -334,7 +334,7 @@ func (qn *QuantNetwork) Predict(in *tensor.Tensor) int {
 
 // Accuracy evaluates quantized classification accuracy.
 func (qn *QuantNetwork) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
-	return accuracy(qn.Predict, inputs, labels)
+	return accuracy(func(i int) int { return qn.Predict(inputs[i]) }, inputs, labels)
 }
 
 // Scales returns, for diagnostics, each quantized layer's name and

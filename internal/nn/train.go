@@ -34,12 +34,16 @@ type SGDConfig struct {
 	Log io.Writer
 	// Seed drives example shuffling.
 	Seed int64
-	// Workers bounds the host worker threads used to evaluate the
-	// per-example gradients of each mini-batch (see internal/parallel).
-	// <= 0 uses parallel.Workers() (the L2S_WORKERS environment
-	// variable, else GOMAXPROCS). Results are bit-identical at every
-	// worker count: per-example losses and gradients fold in example
-	// order regardless of scheduling.
+	// Workers bounds the weight-sharing replicas that evaluate the
+	// per-example gradients of a mini-batch concurrently, on a net
+	// with conv, pooling, LRN or Dropout layers (see Trainer). <= 0
+	// uses parallel.Workers() (the L2S_WORKERS environment variable,
+	// else GOMAXPROCS). A net built only from row layers (FC, ReLU,
+	// Flatten) runs no replicas and ignores it: its batch is one K-row
+	// pass, split inside each layer over the process-wide pool.
+	// Results are bit-identical at every worker count: per-example
+	// losses and gradients fold in example order regardless of
+	// scheduling.
 	Workers int
 	// Obs, when non-nil, receives per-epoch metrics under ObsScope
 	// (default "train"): stable gauges <scope>.epoch.NN.{loss,acc,
@@ -75,6 +79,14 @@ type EpochStats struct {
 // Trainer runs SGD with momentum over a labelled dataset. The momentum
 // lives on each Param, not in the Trainer, so Trainers run one after
 // another on one net (pre-train, sparsify, fine-tune) carry it over.
+//
+// How a mini-batch's gradients are evaluated depends on the layers. A
+// net built only from row layers (FullyConnected, ReLU, Flatten), such
+// as the MLP, runs the batch as K rows: one forward and one backward
+// per layer, each split over workers inside the layer (batchRows).
+// Any other net runs example by example (batchSerial), concurrently on
+// weight-sharing replicas when Workers allows (batchParallel). Every
+// path gives every loss, gradient and weight the same bits.
 type Trainer struct {
 	Net    *Network
 	Config SGDConfig
@@ -93,13 +105,19 @@ type Trainer struct {
 	// nothing.
 	stepIdx    []int
 	stepParams []*Param
+	stepGrads  gradsFunc
+	// rowIns holds the inputs of the batch batchRows runs.
+	rowIns []*tensor.Tensor
 	// sgd is the parallel update pass, bound to the current param list.
 	sgd sgdPass
 }
 
 // Fit trains the network on (inputs, labels) and returns the stats of
 // the final epoch. It allocates any gradient and momentum the net does
-// not hold yet; momentum left by an earlier Trainer carries over.
+// not hold yet; momentum left by an earlier Trainer carries over, and a
+// gradient left by a direct Backward is cleared. A row net trains each
+// batch as K rows and builds no replicas; any other net trains on a
+// replica pool of Workers (see Trainer).
 func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	if len(inputs) != len(labels) {
 		panic("nn: Fit input/label count mismatch")
@@ -121,26 +139,8 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	}
 	params := t.Net.Params()
 	startTraining(params)
-
-	// Replica pool for data-parallel gradient evaluation. Pool size
-	// matches MapReduce's fold window so acquisition in mapf can never
-	// deadlock; replicas share W with t.Net, and conv replicas own a
-	// private G.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	var replicas chan *replica
-	if workers > 1 {
-		if first, ok := t.Net.ShareClone(); ok {
-			replicas = make(chan *replica, workers+2)
-			replicas <- newReplica(first)
-			for i := 1; i < cap(replicas); i++ {
-				r, _ := t.Net.ShareClone()
-				replicas <- newReplica(r)
-			}
-		}
-	}
+	clearGrads(params)
+	grads := t.batchGrads(params, cfg.Workers)
 
 	scope := cfg.ObsScope
 	if scope == "" {
@@ -161,7 +161,7 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 				end = len(order)
 			}
 			batch := order[start:end]
-			loss, ok := t.runBatch(batch, inputs, labels, params, replicas, workers, lr)
+			loss, ok := t.runBatch(batch, inputs, labels, params, lr, grads)
 			totalLoss += loss
 			correct += ok
 		}
@@ -199,38 +199,49 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	return last
 }
 
-// runBatch performs one mini-batch SGD update: zero gradients,
-// accumulate per-example gradients (in parallel when replicas is
-// non-nil) and each FC layer's batch GEMM, average, add decay and
-// regularizer terms, and apply the momentum step. Returns the batch's
-// total data loss and correct count. The serial path allocates nothing
-// in steady state. Every param's G and V must be allocated
-// (startTraining).
-func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *replica, workers int, lr float64) (float64, int) {
-	for _, p := range params {
-		p.G.Zero()
+// gradsFunc evaluates one mini-batch: it adds the examples' gradients
+// into G and the open FC batch, and returns the batch's total data loss
+// and correct count.
+type gradsFunc func(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int)
+
+// batchGrads picks how Fit evaluates its batches: as K rows on a row
+// net, else on a replica pool when workers (<= 0: parallel.Workers())
+// exceeds one and every layer replicates, else example by example.
+// The pool holds MapReduce's fold window of replicas, so acquisition
+// in mapf can never deadlock; replicas share W with t.Net, and conv
+// replicas own a private G.
+func (t *Trainer) batchGrads(params []*Param, workers int) gradsFunc {
+	if t.Net.rowNet() {
+		return t.batchRows
 	}
-	t.Net.beginBatch(len(batch))
-	var totalLoss float64
-	var correct int
-	if replicas != nil {
-		totalLoss, correct = t.batchParallel(batch, inputs, labels, params, replicas, workers)
-	} else {
-		// Accumulate the batch loss locally and add it once, matching
-		// batchParallel's fold association so the epoch loss is
-		// bit-identical at every worker count.
-		batchLoss := 0.0
-		for e, idx := range batch {
-			logits := t.Net.Forward(inputs[idx], true)
-			grad := t.Net.lossGradBuf(logits.Shape)
-			batchLoss += SoftmaxCrossEntropy(logits, labels[idx], grad)
-			if argmax(logits.Data) == labels[idx] {
-				correct++
+	if workers <= 0 {
+		workers = parallel.Workers()
+	}
+	if workers > 1 {
+		if first, ok := t.Net.ShareClone(); ok {
+			replicas := make(chan *replica, workers+2)
+			replicas <- newReplica(first)
+			for i := 1; i < cap(replicas); i++ {
+				r, _ := t.Net.ShareClone()
+				replicas <- newReplica(r)
 			}
-			t.Net.backward(grad, e)
+			return func(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int) {
+				return t.batchParallel(batch, inputs, labels, params, replicas, workers)
+			}
 		}
-		totalLoss = batchLoss
 	}
+	return t.batchSerial
+}
+
+// runBatch performs one mini-batch SGD update: open the batch in every
+// FC layer, evaluate the examples' gradients (grads), add each FC
+// layer's batch GEMM, average, add decay and regularizer terms, and
+// apply the momentum step, which leaves every G zero for the next
+// batch. Returns the batch's total data loss and correct count. Every
+// param's G and V must be allocated (startTraining), and G zero.
+func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, lr float64, grads gradsFunc) (float64, int) {
+	t.Net.beginBatch(len(batch))
+	totalLoss, correct := grads(batch, inputs, labels)
 	t.Net.flushBatch()
 	t.sgd.bind(params)
 	t.sgd.scale = float32(1.0 / float64(len(batch)))
@@ -246,6 +257,53 @@ func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, p
 		t.AfterStep()
 	}
 	return totalLoss, correct
+}
+
+// batchSerial evaluates the batch example by example on the net. It
+// accumulates the batch loss locally and returns it to be added once,
+// matching batchParallel's fold association, so the epoch loss is
+// bit-identical on every path.
+func (t *Trainer) batchSerial(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int) {
+	batchLoss, correct := 0.0, 0
+	for e, idx := range batch {
+		logits := t.Net.Forward(inputs[idx], true)
+		grad := t.Net.lossGradBuf(logits.Shape)
+		batchLoss += SoftmaxCrossEntropy(logits, labels[idx], grad)
+		if argmax(logits.Data) == labels[idx] {
+			correct++
+		}
+		t.Net.backward(grad, e)
+	}
+	return batchLoss, correct
+}
+
+// batchRows evaluates the batch on a row net as K rows: one forward
+// per layer over the gathered inputs, then each row's loss, gradient
+// and argmax in example order, then one backward per layer, in which
+// each FC layer records all K rows of its batch at once. Per row, every
+// operation is batchSerial's, so the two give the same bits.
+func (t *Trainer) batchRows(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int) {
+	n := t.Net
+	t.rowIns = t.rowIns[:0]
+	for _, idx := range batch {
+		t.rowIns = append(t.rowIns, inputs[idx])
+	}
+	logits := n.forwardRows(t.rowIns, true)
+	k := len(batch)
+	c := len(logits.Data) / k
+	setRows(&n.lossRows, k, logits.Shape[1:])
+	lv, gv := &n.rowView[0], &n.rowView[1]
+	lv.Shape, gv.Shape = logits.Shape[1:], logits.Shape[1:]
+	batchLoss, correct := 0.0, 0
+	for e, idx := range batch {
+		lv.Data, gv.Data = logits.Data[e*c:(e+1)*c], n.lossRows.Data[e*c:(e+1)*c]
+		batchLoss += SoftmaxCrossEntropy(lv, labels[idx], gv)
+		if argmax(lv.Data) == labels[idx] {
+			correct++
+		}
+	}
+	n.backwardRows(&n.lossRows)
+	return batchLoss, correct
 }
 
 // sgdGrain is the element count of one parallel chunk of an SGD pass.
@@ -315,7 +373,8 @@ func (s *sgdPass) gradRange(lo, hi int) {
 }
 
 // stepRange applies the momentum update to elements [lo, hi):
-// v = μv − lr·g; w += v.
+// v = μv − lr·g; w += v. It then clears their g, still in cache, so
+// the next batch starts from zero with no sweep of its own.
 func (s *sgdPass) stepRange(lo, hi int) {
 	for i, p := range s.params {
 		a, b, empty := s.span(lo, hi, i)
@@ -327,14 +386,17 @@ func (s *sgdPass) stepRange(lo, hi int) {
 			v[j] = float32(s.mu*v[j]) + float32(s.step*g[j])
 			w[j] += v[j]
 		}
+		clear(g)
 	}
 }
 
 // Step applies one mini-batch update over the whole provided slice
-// (serially, at the configured learning rate, with no shuffling or
-// epoch bookkeeping) and returns the total data loss and correct
-// count. The first call allocates the net's gradients and momentum;
-// after a warm-up call, steady-state Steps perform zero heap
+// (with no replicas, at the configured learning rate, with no
+// shuffling or epoch bookkeeping) and returns the total data loss and
+// correct count. A row net runs the batch as K rows, any other net
+// example by example. The first call allocates the net's gradients
+// and momentum; each call clears any gradient a direct Backward left.
+// After a warm-up call, steady-state Steps perform zero heap
 // allocations — the property the benchmark suite pins.
 func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 	if len(inputs) != len(labels) {
@@ -345,15 +407,17 @@ func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 	}
 	if t.stepParams == nil {
 		t.stepParams = t.Net.Params()
+		t.stepGrads = t.batchGrads(t.stepParams, 1)
 	}
 	startTraining(t.stepParams)
+	clearGrads(t.stepParams)
 	if len(t.stepIdx) != len(inputs) {
 		t.stepIdx = make([]int, len(inputs))
 		for i := range t.stepIdx {
 			t.stepIdx[i] = i
 		}
 	}
-	return t.runBatch(t.stepIdx, inputs, labels, t.stepParams, nil, 1, t.Config.LearningRate)
+	return t.runBatch(t.stepIdx, inputs, labels, t.stepParams, t.Config.LearningRate, t.stepGrads)
 }
 
 // startTraining allocates every param's gradient and momentum, so
@@ -366,6 +430,14 @@ func startTraining(params []*Param) {
 		if p.V == nil {
 			p.V = tensor.New(p.W.Shape...)
 		}
+	}
+}
+
+// clearGrads zeroes every param's G, so the first batch does not add a
+// gradient a direct Backward left; each SGD step clears G after it.
+func clearGrads(params []*Param) {
+	for _, p := range params {
+		p.G.Zero()
 	}
 }
 

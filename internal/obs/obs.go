@@ -364,12 +364,18 @@ func (s *Span) Start() Timing {
 
 // Stop ends the region, accumulating count and duration. No-op on the
 // zero Timing.
-func (t Timing) Stop() {
+func (t Timing) Stop() { t.StopN(1) }
+
+// StopN ends the region as n hits that together took its duration:
+// one call that does the work of n (a layer running a group of n
+// examples) counts as the n calls it replaces. The maximum records the
+// region's whole duration. No-op on the zero Timing.
+func (t Timing) StopN(n int64) {
 	if t.s == nil {
 		return
 	}
 	d := time.Since(t.t0).Nanoseconds()
-	t.s.count.Add(1)
+	t.s.count.Add(n)
 	t.s.total.Add(d)
 	for {
 		old := t.s.max.Load()

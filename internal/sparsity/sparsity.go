@@ -115,19 +115,6 @@ func (lg LayerGroups) BlockNorm(i, j int) float64 {
 	return math.Sqrt(s)
 }
 
-// BlockNorms returns the full n×n matrix of block norms.
-func (lg LayerGroups) BlockNorms() [][]float64 {
-	n := lg.Cores()
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = make([]float64, n)
-		for j := range out[i] {
-			out[i][j] = lg.BlockNorm(i, j)
-		}
-	}
-	return out
-}
-
 // UniformStrength returns the SS strength matrix: 1 everywhere.
 func UniformStrength(n int) [][]float64 {
 	s := make([][]float64, n)

@@ -560,3 +560,40 @@ func MatVecTAcc(y, a, x []float32, k, lo, hi int) {
 		}
 	}
 }
+
+// matVecTTileW is the column width of one MatVecTAccRows tile: two
+// 8-lane vectors.
+const matVecTTileW = 16
+
+// MatVecTAccRows is MatVecTAcc for rows coefficient vectors at once:
+// for each r < rows, y[r·k+lo : r·k+hi] += Σ_o x[r·m+o]·A[o, lo:hi]
+// for row-major A (m×k), the FC backward input gradient of a group of
+// rows. Row r is bit-identical to MatVecTAcc of its x row into its y
+// row: each element receives, for o ascending, one add of x·A per
+// nonzero coefficient, and nothing for a zero one (NaN is nonzero).
+//
+// With AVX, blocks of four rows run in 4×16 tiles that share each load
+// of A between the four rows and skip a zero coefficient with a blend
+// that keeps the old sum, so no branch depends on the data; columns
+// past the last whole tile, rows past the last whole block, and the
+// portable path run MatVecTAcc row by row.
+func MatVecTAccRows(y, a, x []float32, rows, m, k, lo, hi int) {
+	if len(a) != m*k || len(x) < rows*m || len(y) < rows*k || lo < 0 || hi > k || lo > hi {
+		panic("tensor: MatVecTAccRows dimension mismatch")
+	}
+	r := 0
+	if useAVX && m > 0 {
+		tiles := lo + (hi-lo)/matVecTTileW*matVecTTileW
+		for ; r+4 <= rows; r += 4 {
+			for i := lo; i < tiles; i += matVecTTileW {
+				matVecT4x16AVX(&y[r*k+i], k, &a[i], k, &x[r*m], m, m)
+			}
+			for q := r; q < r+4 && tiles < hi; q++ {
+				MatVecTAcc(y[q*k:(q+1)*k], a, x[q*m:(q+1)*m], k, tiles, hi)
+			}
+		}
+	}
+	for ; r < rows; r++ {
+		MatVecTAcc(y[r*k:(r+1)*k], a, x[r*m:(r+1)*m], k, lo, hi)
+	}
+}

@@ -1,5 +1,6 @@
-// AVX microkernel for the packed GEMM path. See gemm.go for the
-// layout and the determinism contract; this body must stay
+// AVX microkernels for the packed GEMM path and, below it, the K-row
+// FC input gradient (matVecT4x16AVX). See gemm.go for the layout and
+// the determinism contract; the GEMM body must stay
 // bit-identical to kernelQuadPanelGo: per output lane one running sum,
 // products added in ascending p order, A rows skipped on `av != 0`
 // (NEQ_UQ, so NaN lanes are never skipped). Packed-single VMULPS /
@@ -122,6 +123,84 @@ done:
 	VMOVUPS Y5, 32(R10)
 	VMOVUPS Y6, (R10)(SI*1)
 	VMOVUPS Y7, 32(R10)(SI*1)
+	VZEROUPPER
+	RET
+
+// TROW adds the broadcast coefficient at src times the two A vectors
+// Y8, Y9 of one o step into row accumulators lo, hi, unless the
+// coefficient is zero (NEQ_UQ, so NaN is added): the sum is formed
+// always, and the blend keeps the old sum where the mask is clear.
+#define TROW(src, lo, hi) \
+	VBROADCASTSS src, Y10;           \
+	VCMPPS       $4, Y15, Y10, Y11;  \
+	VMULPS       Y8, Y10, Y12;       \
+	VADDPS       Y12, lo, Y12;       \
+	VBLENDVPS    Y11, Y12, lo, lo;   \
+	VMULPS       Y9, Y10, Y13;       \
+	VADDPS       Y13, hi, Y13;       \
+	VBLENDVPS    Y11, Y13, hi, hi
+
+// func matVecT4x16AVX(y *float32, ldy int, a *float32, lda int, x *float32, ldx, m int)
+//
+// Accumulates the 4×16 tile at y (rows at stride ldy floats) with
+// Σ_o x_r[o]·A[o][0:16] for the four coefficient rows at x (stride
+// ldx floats) over the m rows of A at a (stride lda floats), o
+// ascending. Y0..Y7 hold the tile, two vectors per row; each o step
+// loads its 16 A values once for all four rows. Bit-identical per
+// element to MatVecTAcc: the coefficient is the first source of
+// VMULPS and the running sum the first source of VADDPS, as in the
+// scalar `y += g*w`, and a zero coefficient leaves the sum as it was.
+TEXT ·matVecT4x16AVX(SB), NOSPLIT, $0-56
+	MOVQ y+0(FP), DI
+	MOVQ ldy+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ lda+24(FP), R9
+	MOVQ x+32(FP), DX
+	MOVQ ldx+40(FP), R10
+	MOVQ m+48(FP), CX
+	SHLQ $2, R8         // y row stride in bytes
+	SHLQ $2, R9         // A row stride in bytes
+	SHLQ $2, R10        // x row stride in bytes
+	LEAQ (DI)(R8*2), R11 // y row 2
+	LEAQ (DX)(R10*2), R12
+	ADDQ R10, R12       // x row 3
+
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	VMOVUPS (R11), Y4
+	VMOVUPS 32(R11), Y5
+	VMOVUPS (R11)(R8*1), Y6
+	VMOVUPS 32(R11)(R8*1), Y7
+
+	VXORPS Y15, Y15, Y15 // zero, for the skip test
+
+	TESTQ CX, CX
+	JZ    tdone
+
+tloop:
+	VMOVUPS (SI), Y8
+	VMOVUPS 32(SI), Y9
+	TROW((DX), Y0, Y1)
+	TROW((DX)(R10*1), Y2, Y3)
+	TROW((DX)(R10*2), Y4, Y5)
+	TROW((R12), Y6, Y7)
+	ADDQ R9, SI
+	ADDQ $4, DX
+	ADDQ $4, R12
+	DECQ CX
+	JNZ  tloop
+
+tdone:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (R11)
+	VMOVUPS Y5, 32(R11)
+	VMOVUPS Y6, (R11)(R8*1)
+	VMOVUPS Y7, 32(R11)(R8*1)
 	VZEROUPPER
 	RET
 

@@ -9,3 +9,7 @@ var useAVX = false
 func gemmQuadPanelAVX(c *float32, n int, ap, bp *float32, k int) {
 	panic("tensor: AVX kernel unavailable on this architecture")
 }
+
+func matVecT4x16AVX(y *float32, ldy int, a *float32, lda int, x *float32, ldx, m int) {
+	panic("tensor: AVX kernel unavailable on this architecture")
+}
