@@ -18,7 +18,7 @@ test-short:
 	go test -short ./...
 
 # Race-detector pass over the host-parallel runtime (worker pool,
-# replica training, concurrent experiment sweeps).
+# K-row training, concurrent experiment sweeps).
 test-race:
 	go test -race -short ./...
 
@@ -38,6 +38,7 @@ fuzz:
 	go test -fuzz FuzzMatVecTAccRows -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 30s ./internal/tensor
 	go test -fuzz FuzzFCWeightGrad -fuzztime 30s ./internal/nn
+	go test -fuzz FuzzConvRows -fuzztime 30s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 30s ./internal/serve
 
 # Quick fuzz pass for CI: a few seconds per target on top of the seed
@@ -56,6 +57,7 @@ fuzz-smoke:
 	go test -fuzz FuzzMatVecTAccRows -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzIm2ColPacked -fuzztime 5s ./internal/tensor
 	go test -fuzz FuzzFCWeightGrad -fuzztime 5s ./internal/nn
+	go test -fuzz FuzzConvRows -fuzztime 5s ./internal/nn
 	go test -fuzz FuzzServeRequest -fuzztime 5s ./internal/serve
 
 # One benchmark per paper table/figure plus the per-package benches.

@@ -250,7 +250,7 @@ func BenchmarkConvForward(b *testing.B) {
 }
 
 // BenchmarkTrainEpoch measures one SGD epoch of the MLP on MNIST-like
-// data — the end-to-end hot path that replica-based batch parallelism
+// data — the end-to-end hot path that K-row batch parallelism
 // targets. The issue's acceptance bar (≥2× at 4+ host cores) applies
 // to the workers=NumCPU / workers=1 ratio on such hosts.
 func BenchmarkTrainEpoch(b *testing.B) {
@@ -319,9 +319,7 @@ func BenchmarkTrainStepSteadyState(b *testing.B) {
 		nn.NewFullyConnected("fc", 8*6*6, 10),
 	)
 	net.Init(rng)
-	cfg := nn.DefaultSGD()
-	cfg.Workers = 1
-	tr := &nn.Trainer{Net: net, Config: cfg}
+	tr := &nn.Trainer{Net: net, Config: nn.DefaultSGD()}
 	inputs := make([]*tensor.Tensor, 8)
 	labels := make([]int, len(inputs))
 	for i := range inputs {

@@ -121,14 +121,6 @@ type TrainOptions struct {
 	Seed           int64
 	// Log receives progress lines when non-nil.
 	Log io.Writer
-	// Workers bounds the weight-sharing replicas that evaluate the
-	// batch gradients of a net with conv, pooling, LRN or Dropout
-	// layers (nn.SGDConfig.Workers). <= 0 uses parallel.Workers()
-	// (L2S_WORKERS env, else GOMAXPROCS). A net of FC, ReLU and
-	// Flatten layers runs each batch as K rows, split inside each
-	// layer over the process-wide pool. Trained weights are
-	// bit-identical at every worker count.
-	Workers int
 	// Obs, when non-nil, receives per-phase, per-epoch training
 	// metrics (scopes train.pretrain / train.sparsify / train.finetune,
 	// or plain train for unregularized schemes), per-layer forward/
@@ -255,9 +247,6 @@ func trainCustom(scheme Scheme, spec netzoo.NetSpec, ds *data.Dataset, strength 
 	sgd.Seed = opt.Seed
 	sgd.Log = opt.Log
 	sgd.Obs = opt.Obs
-	if sgd.Workers == 0 {
-		sgd.Workers = opt.Workers
-	}
 	net.SetObs(opt.Obs)
 	spEpochs := opt.SparsifyEpochs
 	if spEpochs == 0 {

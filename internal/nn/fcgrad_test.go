@@ -61,11 +61,11 @@ func fillFCGrad(rng *rand.Rand, s []float32, cols int) {
 	}
 }
 
-// checkFCWeightGrad records k examples of an in→out FC layer in a
-// trainer batch, in a random order, flushes it into a G seeded with
-// values of its own, and fails on the first bit that differs from
-// per-example accumulation in example order. It then checks that a
-// direct Backward, a batch of one, does the same for one example.
+// checkFCWeightGrad runs the backward of k rows of an in→out FC layer
+// into a G seeded with values of its own, and fails on the first bit
+// that differs from per-example accumulation in example order. It then
+// checks that a direct Backward, a group of one, does the same for one
+// example.
 func checkFCWeightGrad(t *testing.T, rng *rand.Rand, k, in, out int) {
 	t.Helper()
 	l := NewFullyConnected("fc", in, out)
@@ -83,19 +83,15 @@ func checkFCWeightGrad(t *testing.T, rng *rand.Rand, k, in, out int) {
 		perExampleFCGrad(wantW, wantB, x[e*in:(e+1)*in], g[e*out:(e+1)*out])
 	}
 
-	l.beginBatch(k)
-	for _, e := range rng.Perm(k) {
-		l.lastIn = &tensor.Tensor{Shape: []int{in}, Data: x[e*in : (e+1)*in]}
-		if dIn := l.backward(&tensor.Tensor{Shape: []int{out}, Data: g[e*out : (e+1)*out]}, e, false); dIn != nil {
-			t.Fatal("backward without wantIn returned an input gradient")
-		}
+	l.lastIn = &tensor.Tensor{Shape: []int{k, in}, Data: x}
+	if dIn := l.backwardRows(&tensor.Tensor{Shape: []int{k, out}, Data: g}, false); dIn != nil {
+		t.Fatal("backward without wantIn returned an input gradient")
 	}
-	l.flushBatch()
 	compareFCGrad(t, "batch", k, in, out, gw, gb, wantW, wantB)
 
 	e := rng.Intn(k)
 	perExampleFCGrad(wantW, wantB, x[e*in:(e+1)*in], g[e*out:(e+1)*out])
-	l.lastIn = &tensor.Tensor{Shape: []int{in}, Data: x[e*in : (e+1)*in]}
+	l.lastIn = &tensor.Tensor{Shape: []int{1, in}, Data: x[e*in : (e+1)*in]}
 	l.Backward(&tensor.Tensor{Shape: []int{out}, Data: g[e*out : (e+1)*out]})
 	compareFCGrad(t, "Backward", k, in, out, gw, gb, wantW, wantB)
 }

@@ -20,14 +20,21 @@ type scopeProbe struct {
 	packed []bool
 }
 
-func (p *scopeProbe) Name() string                             { return "probe" }
-func (p *scopeProbe) Params() []*Param                         { return nil }
-func (p *scopeProbe) OutShape(in []int) []int                  { return in }
-func (p *scopeProbe) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
+func (p *scopeProbe) Name() string                                         { return "probe" }
+func (p *scopeProbe) Params() []*Param                                     { return nil }
+func (p *scopeProbe) OutShape(in []int) []int                              { return in }
+func (p *scopeProbe) Backward(g *tensor.Tensor) *tensor.Tensor             { return g }
+func (p *scopeProbe) backwardRows(g *tensor.Tensor, _ bool) *tensor.Tensor { return g }
 func (p *scopeProbe) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	p.rows = append(p.rows, append([]float32(nil), in.Data...))
-	p.packed = append(p.packed, p.fc.batch.packed)
-	return in
+	return p.forwardRows(in, train)
+}
+func (p *scopeProbe) forwardRows(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	n := len(x.Data) / x.Shape[0]
+	for i := 0; i < x.Shape[0]; i++ {
+		p.rows = append(p.rows, append([]float32(nil), x.Data[i*n:(i+1)*n]...))
+		p.packed = append(p.packed, p.fc.packed)
+	}
+	return x
 }
 
 // fillSpecial fills s with normal values mixed with ±0, subnormals and
@@ -64,9 +71,9 @@ var hostNaN = mulNoFold(float32(math.Inf(1)), 0)
 
 // TestFCForwardPackedScopes: an FC layer's outputs are bit-identical
 // on all four forward paths: MatVecAcc on W (a trainable layer outside
-// any scope), the pack of an open trainer batch on the master and on a
-// replica, the pack of a Network.Accuracy pass, and the pack of a
-// frozen net; at K = 1 (Forward) and K = 16 (ForwardBatch). The shapes
+// any scope), the pack of a trainer batch, the pack of a
+// Network.Accuracy pass, and the pack of a frozen net; at K = 1
+// (Forward) and K = 16 (one group of rows). The shapes
 // have ragged last panels and odd input counts; W, the bias and the
 // inputs hold ±0, a −0 bias, subnormals and ±Inf, and an input row at
 // most one NaN.
@@ -98,31 +105,29 @@ func TestFCForwardPackedScopes(t *testing.T) {
 			for i, x := range xs {
 				want[i] = append([]float32(nil), net.Forward(x, false).Data...)
 			}
-			if fc.batch.packed {
+			if fc.packed {
 				t.Fatal("a trainable layer outside any scope runs on a pack")
 			}
 			// each runs l over the inputs one at a time and as one group.
 			each := func(what string, l *FullyConnected, packed bool) {
 				t.Helper()
-				if l.batch.packed != packed {
-					t.Fatalf("%s: packed = %v, want %v", what, l.batch.packed, packed)
+				if l.packed != packed {
+					t.Fatalf("%s: packed = %v, want %v", what, l.packed, packed)
 				}
 				for i, x := range xs {
 					checkRow(t, what+" K=1 input "+strconv.Itoa(i), l.Forward(x, true).Data, want[i])
 				}
-				got := l.ForwardBatch(group)
+				got := l.forwardRows(group, false)
 				for i := range xs {
 					checkRow(t, what+" K=16 row "+strconv.Itoa(i), got.Data[i*out:(i+1)*out], want[i])
 				}
 			}
 			each("MatVecAcc", fc, false)
 
-			rep := fc.ShareClone().(*FullyConnected)
-			net.beginBatch(k)
-			each("trainer batch, master", fc, true)
-			each("trainer batch, replica", rep, true)
-			net.flushBatch()
-			if fc.batch.packed {
+			net.packTrainableFC(true)
+			each("trainer batch", fc, true)
+			net.packTrainableFC(false)
+			if fc.packed {
 				t.Fatal("the pack outlives its trainer batch")
 			}
 
@@ -134,8 +139,8 @@ func TestFCForwardPackedScopes(t *testing.T) {
 				}
 				checkRow(t, "Accuracy input "+strconv.Itoa(i), row, want[i])
 			}
-			if len(probe.rows) != k || fc.batch.packed {
-				t.Fatalf("Accuracy: %d forwards, packed after = %v", len(probe.rows), fc.batch.packed)
+			if len(probe.rows) != k || fc.packed {
+				t.Fatalf("Accuracy: %d forwards, packed after = %v", len(probe.rows), fc.packed)
 			}
 
 			net.Freeze()
@@ -168,8 +173,8 @@ func projectBlocks(net *Network) func() {
 // step and the AfterStep projector before it left. A batch's loss on
 // net A must equal, bit for bit, the loss of the same examples on a
 // net B loaded (Save/Load) with A's weights as the batch began: for a
-// second Step, and for the second batch of one Fit, serial and on
-// replicas. Freeze, too, packs the W the last step left.
+// second Step, and for the second batch of one Fit at one and two
+// workers. Freeze, too, packs the W the last step left.
 func TestEachBatchSeesTheLastStep(t *testing.T) {
 	load := func(t *testing.T, ckpt []byte) *Trainer {
 		net, _ := batchTestMLP()
@@ -223,7 +228,7 @@ func TestEachBatchSeesTheLastStep(t *testing.T) {
 			t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
 			a, _ := batchTestMLP()
 			cfg := DefaultSGD()
-			cfg.Epochs, cfg.BatchSize, cfg.Workers = 2, 2, workers
+			cfg.Epochs, cfg.BatchSize = 2, 2
 			var ckpt []byte
 			var epochs []EpochStats
 			ta := &Trainer{Net: a, Config: cfg, AfterStep: projectBlocks(a), AfterEpoch: func(s EpochStats) bool {

@@ -64,39 +64,33 @@ func TestFreezeIdempotent(t *testing.T) {
 	net, ins := batchTestMLP()
 	net.Freeze()
 	fc := net.Layers[1].(*FullyConnected)
-	packed := &fc.batch.wp[0]
+	packed := &fc.wp[0]
 	want := append([]float32(nil), net.Forward(ins[0], false).Data...)
 	net.Freeze()
-	if &fc.batch.wp[0] != packed {
+	if &fc.wp[0] != packed {
 		t.Fatal("second Freeze reallocated the packed weights")
 	}
 	checkRow(t, "Forward after a second Freeze", net.Forward(ins[0], false).Data, want)
 }
 
 // TestFreezeReleasesTrainingBuffers: after Freeze no parameter of a
-// net that trained, or of a ShareClone replica made from it, reaches a
-// gradient or momentum buffer; the replica shares the packed weights
-// and computes the same logits.
+// net that trained reaches a gradient or momentum buffer, and no FC
+// layer holds its backward operands; the frozen net computes the
+// logits it computed before.
 func TestFreezeReleasesTrainingBuffers(t *testing.T) {
 	net, ins := batchTestMLP()
 	(&Trainer{Net: net, Config: DefaultSGD()}).Step(ins[:2], []int{0, 1})
-	net.Freeze()
-	rep, ok := net.ShareClone()
-	if !ok {
-		t.Fatal("ShareClone of the frozen MLP failed")
-	}
-	for _, n := range []*Network{net, rep} {
-		for _, p := range n.Params() {
-			if p.G != nil || p.V != nil {
-				t.Errorf("%s: %s still holds G or V after Freeze", n.Name, p.Name)
-			}
-		}
-	}
-	for i, l := range net.Layers {
-		if fc, ok := l.(*FullyConnected); ok && &rep.Layers[i].(*FullyConnected).batch.wp[0] != &fc.batch.wp[0] {
-			t.Errorf("replica %s does not share the packed weights", fc.name)
-		}
-	}
 	want := append([]float32(nil), net.Forward(ins[0], false).Data...)
-	checkRow(t, "replica Forward", rep.Forward(ins[0], false).Data, want)
+	net.Freeze()
+	for _, p := range net.Params() {
+		if p.G != nil || p.V != nil {
+			t.Errorf("%s still holds G or V after Freeze", p.Name)
+		}
+	}
+	for _, l := range net.Layers {
+		if fc, ok := l.(*FullyConnected); ok && (fc.xp != nil || fc.gp != nil) {
+			t.Errorf("%s still holds its backward operands after Freeze", fc.name)
+		}
+	}
+	checkRow(t, "frozen Forward", net.Forward(ins[0], false).Data, want)
 }

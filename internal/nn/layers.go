@@ -8,18 +8,6 @@ import (
 	"learn2scale/internal/tensor"
 )
 
-// fitBuf shapes t as shape, reusing its storage: the data grows only
-// past its capacity, so a layer that runs one example, then a group of
-// K, then one again allocates nothing once each size has run.
-func fitBuf(t *tensor.Tensor, shape []int) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	t.Shape = append(t.Shape[:0], shape...)
-	t.Data = grow(t.Data, n)
-}
-
 // reluGrain is the element count of one parallel ReLU chunk: large
 // enough that the small activations of an MLP stay one chunk, which
 // ForChunks runs inline on the caller.
@@ -37,16 +25,16 @@ func poolGrain(g tensor.ConvGeom) int {
 
 // ReLU applies max(0, x) elementwise: x where x > 0, else +0 (NaN and
 // −0 included), branch-free (tensor.ReLU) and split over workers in
-// chunks of reluGrain elements. Being elementwise, it is a row layer:
-// a group of K rows runs as one call over all K·n elements.
+// chunks of reluGrain elements across all K rows of a group.
 type ReLU struct {
 	name   string
 	lastIn *tensor.Tensor
 	// out and gradIn take the shape of each call's operand, reusing
-	// their storage, so one example and a group of K alternate without
+	// their storage, so groups of different sizes alternate without
 	// reallocating.
 	out    tensor.Tensor
 	gradIn tensor.Tensor
+	one    oneRow
 
 	// operands of the current pass, read by the prebuilt bodies
 	curIn, curOut, curGo []float32
@@ -61,6 +49,10 @@ func NewReLU(name string) *ReLU {
 	return l
 }
 
+// clone returns a layer of the same configuration with buffers of its
+// own, for a quantized twin's float fallback.
+func (l *ReLU) clone() Layer { return NewReLU(l.name) }
+
 // Name implements Layer.
 func (l *ReLU) Name() string { return l.name }
 
@@ -70,53 +62,52 @@ func (l *ReLU) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Forward call.
+// Forward implements Layer.
 func (l *ReLU) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.one.forward(l, in, train)
+}
+
+// Backward implements Layer.
+func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
+
+func (l *ReLU) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
-		l.lastIn = in
+		l.lastIn = x
 	}
-	fitBuf(&l.out, in.Shape)
-	l.curIn, l.curOut = in.Data, l.out.Data
-	parallel.ForChunks(len(in.Data), reluGrain, l.fnFwd)
+	setRows(&l.out, x.Shape[0], x.Shape[1:])
+	l.curIn, l.curOut = x.Data, l.out.Data
+	parallel.ForChunks(len(x.Data), reluGrain, l.fnFwd)
 	return &l.out
 }
 
-// Backward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Backward call.
-func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	fitBuf(&l.gradIn, gradOut.Shape)
+func (l *ReLU) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
+	setRows(&l.gradIn, gradOut.Shape[0], gradOut.Shape[1:])
 	l.curIn, l.curOut, l.curGo = l.lastIn.Data, l.gradIn.Data, gradOut.Data
 	parallel.ForChunks(len(l.curIn), reluGrain, l.fnBwd)
 	return &l.gradIn
 }
 
-func (l *ReLU) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor { return l.Forward(x, train) }
-
-func (l *ReLU) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
-	return l.Backward(gradOut)
-}
-
-// ShareClone implements ShareCloner.
-func (l *ReLU) ShareClone() Layer { return NewReLU(l.name) }
-
-// MaxPool2D is channelwise max pooling over CHW inputs, split over
-// workers by whole channels (tensor.MaxPoolChannels forward, the
-// argmax scatter backward). The argmax record is allocated on the
-// first Forward(train) and the input gradient on the first Backward,
-// so inference never holds them.
+// MaxPool2D is channelwise max pooling over CHW inputs. A group of K
+// samples pools as K·C channels, split over workers by whole channels
+// (tensor.MaxPoolChannels forward, the argmax scatter backward). The
+// argmax record is allocated on the first Forward(train) and the input
+// gradient on the first Backward, so inference never holds them.
 type MaxPool2D struct {
-	name    string
-	geom    tensor.ConvGeom
-	inShape []int
-	grain   int // channels per parallel chunk
+	name     string
+	geom     tensor.ConvGeom
+	inShape  []int
+	outShape []int
+	grain    int // channels per parallel chunk
 
-	out     *tensor.Tensor
-	gradIn  *tensor.Tensor
+	out     tensor.Tensor
+	gradIn  tensor.Tensor
 	arg     []int32
-	lastArg []int32
+	lastArg []int32 // the argmax of the last Forward(train)
+	one     oneRow
 
-	// operands of the current pass, read by the prebuilt bodies
+	// operands of the current pass, read by the prebuilt bodies: kg is
+	// the pooling geometry over the pass's K·C channels
+	kg           tensor.ConvGeom
 	curIn, curGo []float32
 	curArg       []int32
 	fnFwd, fnBwd func(lo, hi int)
@@ -127,9 +118,9 @@ func NewMaxPool2D(name string, inC, inH, inW, k, stride int) *MaxPool2D {
 	g := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: k, KW: k, Stride: stride}.Infer()
 	l := &MaxPool2D{name: name, geom: g, grain: poolGrain(g)}
 	l.inShape = []int{g.InC, g.InH, g.InW}
-	l.out = tensor.New(g.InC, g.OutH, g.OutW)
+	l.outShape = []int{g.InC, g.OutH, g.OutW}
 	l.fnFwd = func(lo, hi int) {
-		tensor.MaxPoolChannels(l.out.Data, l.curArg, l.curIn, l.geom, lo, hi)
+		tensor.MaxPoolChannels(l.out.Data, l.curArg, l.curIn, l.kg, lo, hi)
 	}
 	// Every window of channel c lies in channel c, so each chunk
 	// scatters into its own channels of gradIn, in the serial order.
@@ -147,6 +138,12 @@ func NewMaxPool2D(name string, inC, inH, inW, k, stride int) *MaxPool2D {
 	return l
 }
 
+// clone returns a layer of the same configuration with buffers of its
+// own, for a quantized twin's float fallback.
+func (l *MaxPool2D) clone() Layer {
+	return NewMaxPool2D(l.name, l.geom.InC, l.geom.InH, l.geom.InW, l.geom.KH, l.geom.Stride)
+}
+
 // Name implements Layer.
 func (l *MaxPool2D) Name() string { return l.name }
 
@@ -161,53 +158,56 @@ func (l *MaxPool2D) OutShape(in []int) []int {
 	return []int{l.geom.InC, l.geom.OutH, l.geom.OutW}
 }
 
-// Forward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Forward call.
+// Forward implements Layer.
 func (l *MaxPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	mustShape(l.name, "input", in.Shape, l.inShape)
-	l.curArg = nil
-	if train {
-		if l.arg == nil {
-			l.arg = make([]int32, l.out.Len())
-		}
-		l.curArg = l.arg
-		l.lastArg = l.arg
-	}
-	l.curIn = in.Data
-	parallel.ForChunks(l.geom.InC, l.grain, l.fnFwd)
-	return l.out
+	return l.one.forward(l, in, train)
 }
 
-// Backward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Backward call.
+// Backward implements Layer.
 func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return l.one.backward(l, gradOut)
+}
+
+func (l *MaxPool2D) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
+	k := checkRows(l.name, "input", x, l.inShape)
+	setRows(&l.out, k, l.outShape)
+	l.curArg = nil
+	if train {
+		l.arg = grow(l.arg, len(l.out.Data))
+		l.curArg, l.lastArg = l.arg, l.arg
+	}
+	l.kg = l.geom
+	l.kg.InC *= k
+	l.curIn = x.Data
+	parallel.ForChunks(l.kg.InC, l.grain, l.fnFwd)
+	return &l.out
+}
+
+func (l *MaxPool2D) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
 	if l.lastArg == nil {
 		panic("nn: " + l.name + ": Backward before Forward(train)")
 	}
-	if l.gradIn == nil {
-		l.gradIn = tensor.New(l.inShape...)
-	}
+	k := checkRows(l.name, "gradOut", gradOut, l.outShape)
+	setRows(&l.gradIn, k, l.inShape)
 	l.curGo = gradOut.Data
-	parallel.ForChunks(l.geom.InC, l.grain, l.fnBwd)
-	return l.gradIn
-}
-
-// ShareClone implements ShareCloner.
-func (l *MaxPool2D) ShareClone() Layer {
-	return NewMaxPool2D(l.name, l.geom.InC, l.geom.InH, l.geom.InW, l.geom.KH, l.geom.Stride)
+	parallel.ForChunks(k*l.geom.InC, l.grain, l.fnBwd)
+	return &l.gradIn
 }
 
 // AvgPool2D is channelwise average pooling over CHW inputs (Caffe's
-// cifar10-quick uses it for its later pooling stages), split over
-// workers by whole channels in both directions.
+// cifar10-quick uses it for its later pooling stages). A group of K
+// samples pools as K·C channels, split over workers by whole channels
+// in both directions.
 type AvgPool2D struct {
-	name    string
-	geom    tensor.ConvGeom
-	inShape []int
-	grain   int // channels per parallel chunk
+	name     string
+	geom     tensor.ConvGeom
+	inShape  []int
+	outShape []int
+	grain    int // channels per parallel chunk
 
-	out    *tensor.Tensor
-	gradIn *tensor.Tensor
+	out    tensor.Tensor
+	gradIn tensor.Tensor
+	one    oneRow
 
 	// operands of the current pass, read by the prebuilt bodies
 	curIn, curGo []float32
@@ -219,11 +219,16 @@ func NewAvgPool2D(name string, inC, inH, inW, k, stride int) *AvgPool2D {
 	g := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: k, KW: k, Stride: stride}.Infer()
 	l := &AvgPool2D{name: name, geom: g, grain: poolGrain(g)}
 	l.inShape = []int{g.InC, g.InH, g.InW}
-	l.out = tensor.New(g.InC, g.OutH, g.OutW)
-	l.gradIn = tensor.New(g.InC, g.InH, g.InW)
+	l.outShape = []int{g.InC, g.OutH, g.OutW}
 	l.fnFwd = l.forwardChannels
 	l.fnBwd = l.backwardChannels
 	return l
+}
+
+// clone returns a layer of the same configuration with buffers of its
+// own, for a quantized twin's float fallback.
+func (l *AvgPool2D) clone() Layer {
+	return NewAvgPool2D(l.name, l.geom.InC, l.geom.InH, l.geom.InW, l.geom.KH, l.geom.Stride)
 }
 
 // Name implements Layer.
@@ -240,16 +245,26 @@ func (l *AvgPool2D) OutShape(in []int) []int {
 	return []int{l.geom.InC, l.geom.OutH, l.geom.OutW}
 }
 
-// Forward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Forward call.
+// Forward implements Layer.
 func (l *AvgPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	mustShape(l.name, "input", in.Shape, l.inShape)
-	l.curIn = in.Data
-	parallel.ForChunks(l.geom.InC, l.grain, l.fnFwd)
-	return l.out
+	return l.one.forward(l, in, train)
 }
 
-// forwardChannels averages the windows of channels [lo, hi).
+// Backward implements Layer.
+func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	return l.one.backward(l, gradOut)
+}
+
+func (l *AvgPool2D) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
+	k := checkRows(l.name, "input", x, l.inShape)
+	setRows(&l.out, k, l.outShape)
+	l.curIn = x.Data
+	parallel.ForChunks(k*l.geom.InC, l.grain, l.fnFwd)
+	return &l.out
+}
+
+// forwardChannels averages the windows of channels [lo, hi) of the
+// group's K·C.
 func (l *AvgPool2D) forwardChannels(lo, hi int) {
 	out, in := l.out.Data, l.curIn
 	g := l.geom
@@ -278,17 +293,19 @@ func (l *AvgPool2D) forwardChannels(lo, hi int) {
 	}
 }
 
-// Backward implements Layer: the gradient of each output spreads
-// uniformly over its pooling window. The returned tensor is owned by
-// the layer and overwritten by the next Backward call.
-func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+// backwardRows spreads the gradient of each output uniformly over its
+// pooling window.
+func (l *AvgPool2D) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
+	k := checkRows(l.name, "gradOut", gradOut, l.outShape)
+	setRows(&l.gradIn, k, l.inShape)
 	l.curGo = gradOut.Data
-	parallel.ForChunks(l.geom.InC, l.grain, l.fnBwd)
-	return l.gradIn
+	parallel.ForChunks(k*l.geom.InC, l.grain, l.fnBwd)
+	return &l.gradIn
 }
 
 // backwardChannels spreads the output gradients of channels [lo, hi)
-// over their windows; every window of channel c lies in channel c.
+// of the group's K·C over their windows; every window of channel c
+// lies in channel c.
 func (l *AvgPool2D) backwardChannels(lo, hi int) {
 	g := l.geom
 	gi := l.gradIn.Data
@@ -325,26 +342,24 @@ func (l *AvgPool2D) backwardChannels(lo, hi int) {
 	}
 }
 
-// ShareClone implements ShareCloner (the layer is stateless between
-// Forward and Backward except for geometry).
-func (l *AvgPool2D) ShareClone() Layer {
-	return NewAvgPool2D(l.name, l.geom.InC, l.geom.InH, l.geom.InW, l.geom.KH, l.geom.Stride)
-}
-
-// Flatten reshapes any input to a rank-1 tensor, and as a row layer a
-// group [K, sample...] to [K, n]. Both directions are views sharing
-// the operand's data through persistent headers, so the layer performs
-// no per-call allocation.
+// Flatten reshapes a group [K, sample...] to [K, n]. Both directions
+// are views sharing the operand's data through persistent headers, so
+// the layer performs no per-call allocation.
 type Flatten struct {
 	name      string
 	lastShape []int
 	flatShape [2]int
 	fwdView   tensor.Tensor
 	bwdView   tensor.Tensor
+	one       oneRow
 }
 
 // NewFlatten creates a flattening layer.
 func NewFlatten(name string) *Flatten { return &Flatten{name: name} }
+
+// clone returns a layer of the same configuration with buffers of its
+// own, for a quantized twin's float fallback.
+func (l *Flatten) clone() Layer { return NewFlatten(l.name) }
 
 // Name implements Layer.
 func (l *Flatten) Name() string { return l.name }
@@ -361,52 +376,35 @@ func (l *Flatten) OutShape(in []int) []int {
 	return []int{n}
 }
 
-// Forward implements Layer. The returned view is owned by the layer
-// and repointed by the next Forward call.
+// Forward implements Layer.
 func (l *Flatten) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	l.flatShape[0] = in.Len()
-	return l.view(in, train, l.flatShape[:1])
+	return l.one.forward(l, in, train)
 }
+
+// Backward implements Layer.
+func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
 
 func (l *Flatten) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		l.lastShape = x.Shape
+	}
 	k := x.Shape[0]
 	l.flatShape = [2]int{k, x.Len() / k}
-	return l.view(x, train, l.flatShape[:])
-}
-
-// view points the forward view at in's data with the given shape.
-func (l *Flatten) view(in *tensor.Tensor, train bool, shape []int) *tensor.Tensor {
-	if train {
-		l.lastShape = in.Shape
-	}
-	l.fwdView.Shape = shape
-	l.fwdView.Data = in.Data
+	l.fwdView.Shape = l.flatShape[:]
+	l.fwdView.Data = x.Data
 	return &l.fwdView
 }
 
-// Backward implements Layer. The returned view is owned by the layer
-// and repointed by the next Backward call.
-func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (l *Flatten) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
 	l.bwdView.Shape = l.lastShape
 	l.bwdView.Data = gradOut.Data
 	return &l.bwdView
 }
 
-func (l *Flatten) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
-	return l.Backward(gradOut)
-}
-
-// ShareClone implements ShareCloner.
-func (l *Flatten) ShareClone() Layer { return &Flatten{name: l.name} }
-
-// Dropout intentionally does NOT implement ShareCloner: its RNG draws
-// are a sequential stream, so replicating the layer would change which
-// units drop for which example depending on scheduling. Networks
-// containing Dropout train on the serial batch path instead.
-
 // Dropout zeroes activations with probability p during training and
 // scales the survivors by 1/(1-p) (inverted dropout), so inference is a
-// pass-through.
+// pass-through. A training group draws its mask in row order, each row
+// in element order: the draws K one-row passes make in turn.
 type Dropout struct {
 	name string
 	p    float64
@@ -416,6 +414,7 @@ type Dropout struct {
 	gradIn tensor.Tensor
 	mask   []bool
 	live   bool // mask holds the most recent training pass
+	one    oneRow
 }
 
 // NewDropout creates a dropout layer with drop probability p in [0, 1).
@@ -435,20 +434,26 @@ func (l *Dropout) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (l *Dropout) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Forward implements Layer. During training the returned tensor is
-// owned by the layer and overwritten by the next Forward call.
+// Forward implements Layer.
 func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
+	return l.one.forward(l, in, train)
+}
+
+// Backward implements Layer.
+func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
+
+// forwardRows returns x itself unless training; a training pass's
+// output is owned by the layer and overwritten by the next one.
+func (l *Dropout) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !train || l.p == 0 {
-		return in
+		return x
 	}
 	scale := float32(1 / (1 - l.p))
-	fitBuf(&l.out, in.Shape)
-	if len(l.mask) != in.Len() {
-		l.mask = make([]bool, in.Len())
-	}
+	setRows(&l.out, x.Shape[0], x.Shape[1:])
+	l.mask = grow(l.mask, len(x.Data))
 	l.live = true
 	out := l.out.Data
-	for i, v := range in.Data {
+	for i, v := range x.Data {
 		if l.rng.Float64() >= l.p {
 			l.mask[i] = true
 			out[i] = v * scale
@@ -460,14 +465,12 @@ func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return &l.out
 }
 
-// Backward implements Layer. The returned tensor is owned by the layer
-// and overwritten by the next Backward call.
-func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (l *Dropout) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
 	if !l.live {
 		return gradOut
 	}
 	scale := float32(1 / (1 - l.p))
-	fitBuf(&l.gradIn, gradOut.Shape)
+	setRows(&l.gradIn, gradOut.Shape[0], gradOut.Shape[1:])
 	gi := l.gradIn.Data
 	for i, keep := range l.mask {
 		if keep {

@@ -20,27 +20,14 @@ type Network struct {
 	// hot loops span-free.
 	fwdSpans, bwdSpans []*obs.Span
 
-	// lossGrad is the trainer's SoftmaxCrossEntropy gradient scratch,
-	// one per network so replicas running concurrently never share it.
-	lossGrad *tensor.Tensor
-
-	// batch is ForwardBatch's staging, and the gathered inputs of a
-	// trainer batch that runs as K rows.
-	batch batchPass
-	// lossRows holds the K rows of a K-row batch's loss gradients;
+	// rows holds the gathered inputs of a ForwardBatch, an Accuracy
+	// group or a trainer batch.
+	rows tensor.Tensor
+	// lossRows holds the K rows of a trainer batch's loss gradients;
 	// rowView is one row of the logits and one of lossRows.
 	lossRows tensor.Tensor
 	rowView  [2]tensor.Tensor
-}
-
-// lossGradBuf returns a persistent buffer of the given shape for the
-// per-example loss gradient; SoftmaxCrossEntropy overwrites every
-// element, so reuse across examples is safe.
-func (n *Network) lossGradBuf(shape []int) *tensor.Tensor {
-	if n.lossGrad == nil || !shapeEq(n.lossGrad.Shape, shape) {
-		n.lossGrad = tensor.New(shape...)
-	}
-	return n.lossGrad
+	one      oneRow
 }
 
 // NewNetwork creates an empty network.
@@ -64,34 +51,6 @@ func (n *Network) Init(rng *rand.Rand) {
 	}
 }
 
-// ShareClone returns a replica network for data-parallel gradient
-// evaluation: every layer shares its parameter values with the
-// receiver and owns private scratch. A conv layer owns fresh gradient
-// accumulators; an FC layer shares the receiver's batch rows, through
-// which the Trainer's batch adds its examples into the receiver's G.
-// So replicas may run Forward(train) and the Trainer's backward pass
-// concurrently while nobody updates the shared weights; a direct
-// Backward on an FC replica uses the shared rows and is not safe
-// concurrently with another. Returns false when any
-// layer cannot be replicated (e.g. Dropout, whose RNG stream is
-// inherently sequential); callers then fall back to serial evaluation.
-func (n *Network) ShareClone() (*Network, bool) {
-	c := &Network{
-		Name:     n.Name,
-		Layers:   make([]Layer, 0, len(n.Layers)),
-		fwdSpans: n.fwdSpans, // spans are concurrency-safe; replicas share them
-		bwdSpans: n.bwdSpans,
-	}
-	for _, l := range n.Layers {
-		sc, ok := l.(ShareCloner)
-		if !ok {
-			return nil, false
-		}
-		c.Layers = append(c.Layers, sc.ShareClone())
-	}
-	return c, true
-}
-
 // Freeze makes the network inference-only, for serving. Each
 // fully-connected layer packs its weights into the output-lane panels
 // of tensor.PackFC and from then on runs tensor.FCForward in Forward
@@ -101,18 +60,17 @@ func (n *Network) ShareClone() (*Network, bool) {
 // made afresh, since an AfterStep projector may have changed W after
 // the last batch's pack. Every parameter is marked frozen and drops
 // any gradient and momentum a past training run left behind, and every
-// FC layer its batch rows, so the net holds its weights and one packed
-// copy of its FC weights.
+// FC layer its backward operands, so the net holds its weights and one
+// packed copy of its FC weights.
 //
 // A frozen net cannot train: Backward and an SGD step panic, naming the
 // parameter, and Load returns an error. This holds whether or not the
 // net ever trained. Its weights must not change after Freeze, or the
-// packed copies go stale. ShareClone replicas of a frozen net are
-// frozen. Freeze is idempotent.
+// packed copies go stale. Freeze is idempotent.
 func (n *Network) Freeze() {
 	for _, l := range n.Layers {
 		if fc, ok := l.(*FullyConnected); ok {
-			*fc.batch = fcBatch{wp: fc.batch.wp}
+			fc.xp, fc.gp = nil, nil
 			fc.pack()
 		}
 		for _, p := range l.Params() {
@@ -151,96 +109,31 @@ func (n *Network) ParamCount() int {
 	return c
 }
 
-// Forward runs inference and returns the class logits.
+// Forward runs one example through the network as a group of one row
+// and returns its class logits. The returned tensor is owned by the
+// network and overwritten by the next call.
 func (n *Network) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	x := in
-	if n.fwdSpans == nil {
-		for _, l := range n.Layers {
-			x = l.Forward(x, train)
-		}
-		return x
-	}
-	for i, l := range n.Layers {
-		tm := n.fwdSpans[i].Start()
-		x = l.Forward(x, train)
-		tm.Stop()
-	}
-	return x
+	return dropRow(&n.one.out, n.forwardRows(addRow(&n.one.in, in), train, 1))
 }
 
-// Backward propagates dLoss/dLogits through the network, accumulating
-// parameter gradients. No one reads the input gradient of the net, so
-// the pass stops at the first layer that holds params, which adds its
-// param gradients and computes no input gradient.
+// Backward propagates dLoss/dLogits of the last Forward(train) through
+// the network, accumulating parameter gradients. No one reads the
+// input gradient of the net, so the pass stops at the first layer that
+// holds params, which adds its param gradients and computes no input
+// gradient.
 func (n *Network) Backward(gradLogits *tensor.Tensor) {
-	n.backward(gradLogits, -1)
-}
-
-// gradLayer is a layer whose backward pass the network drives itself:
-// for example e of the open trainer batch (e < 0: outside one), and
-// with no input gradient when wantIn is false. Conv2D and
-// FullyConnected implement it.
-type gradLayer interface {
-	backward(gradOut *tensor.Tensor, e int, wantIn bool) *tensor.Tensor
-}
-
-// backward is Backward for example e of the open trainer batch, or
-// outside one for e < 0.
-func (n *Network) backward(g *tensor.Tensor, e int) {
-	first := n.firstParamLayer()
-	for i := len(n.Layers) - 1; i >= first; i-- {
-		var tm obs.Timing
-		if n.bwdSpans != nil {
-			tm = n.bwdSpans[i].Start()
-		}
-		if gl, ok := n.Layers[i].(gradLayer); ok {
-			g = gl.backward(g, e, i > first)
-		} else {
-			g = n.Layers[i].Backward(g)
-		}
-		tm.Stop()
-	}
-	// The layers below have no gradient to propagate. Their spans
-	// still count the pass, so a record's span counts do not depend
-	// on where the pass stops.
-	for i := first - 1; i >= 0 && n.bwdSpans != nil; i-- {
-		n.bwdSpans[i].Start().Stop()
-	}
+	n.backwardRows(addRow(&n.one.gradOut, gradLogits))
 }
 
 // firstParamLayer returns the index of the first layer that holds
 // params, or len(n.Layers) when none does.
 func (n *Network) firstParamLayer() int {
 	for i, l := range n.Layers {
-		if _, ok := l.(gradLayer); ok || len(l.Params()) > 0 {
+		if len(l.Params()) > 0 {
 			return i
 		}
 	}
 	return len(n.Layers)
-}
-
-// beginBatch opens a trainer batch of k examples in every FC layer
-// and packs its W for the batch's forwards; the net's ShareClone
-// replicas record into the same batch and read the same pack.
-func (n *Network) beginBatch(k int) {
-	for _, l := range n.Layers {
-		if fc, ok := l.(*FullyConnected); ok {
-			fc.beginBatch(k)
-			fc.pack()
-		}
-	}
-}
-
-// flushBatch adds the open batch's FC weight and bias gradients into
-// G and closes the batch, its pack with it: the SGD step that follows
-// changes W.
-func (n *Network) flushBatch() {
-	for _, l := range n.Layers {
-		if fc, ok := l.(*FullyConnected); ok {
-			fc.flushBatch()
-			fc.batch.packed = false
-		}
-	}
 }
 
 // Predict returns the argmax class for one example.
@@ -290,34 +183,23 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, label int, grad *tensor.Tensor) 
 	return loss
 }
 
-// Accuracy evaluates classification accuracy over a labelled set. W
-// is fixed for the whole pass, so each trainable FC layer packs it once
-// at the start and runs every forward on the pack; a frozen layer's
-// pack is current already. A net built only from row layers classifies
-// groups of accuracyRows inputs as K rows, each row's logits those of
-// Predict's forward.
+// Accuracy evaluates classification accuracy over a labelled set,
+// classifying groups of accuracyRows inputs as K rows, each row's
+// logits those of Predict's forward. W is fixed for the whole pass, so
+// each trainable FC layer packs it once at the start and runs every
+// forward on the pack; a frozen layer's pack is current already.
 func (n *Network) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
 	n.packTrainableFC(true)
 	defer n.packTrainableFC(false)
-	if !n.rowNet() {
-		return accuracy(func(i int) int { return n.Predict(inputs[i]) }, inputs, labels)
-	}
-	var logits []float32
-	var classes int
-	return accuracy(func(i int) int {
-		if i%accuracyRows == 0 {
-			x := n.forwardRows(inputs[i:min(i+accuracyRows, len(inputs))], false)
-			logits, classes = x.Data, x.Len()/x.Shape[0]
-		}
-		r := i % accuracyRows
-		return argmax(logits[r*classes : (r+1)*classes])
+	return accuracy(func(ins []*tensor.Tensor) *tensor.Tensor {
+		return n.forwardRows(gather(&n.rows, ins), false, int64(len(ins)))
 	}, inputs, labels)
 }
 
-// accuracyRows is the group size of a row net's Accuracy pass: the
-// trainer's default batch, so the pass grows no row buffer past the
-// size training gives it. At 64 rows, serve set-up's peak RSS rose
-// about 9%.
+// accuracyRows is the group size of an Accuracy pass: the trainer's
+// default batch, so the pass grows no row buffer past the size
+// training gives it. At 64 rows, serve set-up's peak RSS rose about
+// 9%.
 const accuracyRows = 16
 
 // packTrainableFC packs the W of every FC layer that can still train
@@ -329,7 +211,7 @@ func (n *Network) packTrainableFC(on bool) {
 			if on {
 				fc.pack()
 			} else {
-				fc.batch.packed = false
+				fc.packed = false
 			}
 		}
 	}
@@ -337,9 +219,10 @@ func (n *Network) packTrainableFC(on bool) {
 
 // accuracy is the top-1 loop shared by the float and quantized
 // networks: the fraction of inputs whose predicted class matches its
-// label, 0 on an empty set. predict(i) classifies inputs[i]; it is
-// called for each i in ascending order.
-func accuracy(predict func(i int) int, inputs []*tensor.Tensor, labels []int) float64 {
+// label, 0 on an empty set. forward returns the logits of a group of
+// inputs as rows; it is called on groups of accuracyRows in input
+// order.
+func accuracy(forward func(ins []*tensor.Tensor) *tensor.Tensor, inputs []*tensor.Tensor, labels []int) float64 {
 	if len(inputs) != len(labels) {
 		panic("nn: Accuracy input/label count mismatch")
 	}
@@ -347,9 +230,14 @@ func accuracy(predict func(i int) int, inputs []*tensor.Tensor, labels []int) fl
 		return 0
 	}
 	correct := 0
-	for i := range inputs {
-		if predict(i) == labels[i] {
-			correct++
+	for lo := 0; lo < len(inputs); lo += accuracyRows {
+		hi := min(lo+accuracyRows, len(inputs))
+		logits := forward(inputs[lo:hi])
+		c := len(logits.Data) / (hi - lo)
+		for i := lo; i < hi; i++ {
+			if argmax(logits.Data[(i-lo)*c:(i-lo+1)*c]) == labels[i] {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(inputs))

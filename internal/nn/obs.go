@@ -9,9 +9,7 @@ import (
 // SetObs attaches one forward and one backward timing span per layer
 // to the network (or detaches them with nil). Layer compute times are
 // wall clock, so the spans are volatile: they land in a flight
-// record's profile section, never the deterministic one. Replicas
-// made by ShareClone share the parent's spans, so data-parallel
-// training accumulates into the same per-layer totals.
+// record's profile section, never the deterministic one.
 func (n *Network) SetObs(r *obs.Registry) {
 	if r == nil {
 		n.fwdSpans, n.bwdSpans = nil, nil

@@ -237,7 +237,6 @@ func TestDeepConvStackTrainsFinite(t *testing.T) {
 	cfg.Epochs = 2
 	cfg.LearningRate = 0.005
 	cfg.BatchSize = 4
-	cfg.Workers = 1
 	tr := &Trainer{Net: net, Config: cfg}
 	ep := tr.Fit(inputs, labels)
 	if math.IsNaN(ep.Loss) || math.IsInf(ep.Loss, 0) || ep.Loss > 50 {

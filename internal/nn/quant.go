@@ -13,7 +13,10 @@ import (
 // QuantizeNetwork turns a trained float network into a QuantNetwork:
 // conv and FC layers run on the packed int16 GEMM fast path (int16
 // patches packed from the input → VPMADDWD-style kernels → int32
-// accumulators), every other layer falls back to its float Forward.
+// accumulators), every other layer falls back to its float forward.
+// Like the float network it runs a group of K inputs as the rows of
+// one [K, ...] tensor, one call per layer, and a lone input as a group
+// of one.
 // Between the two worlds the activations requantize: each quantized
 // layer owns one per-tensor input scale from a calibration pass over a
 // held-out batch, and per-output-channel weight scales, so its int32
@@ -33,10 +36,12 @@ type CalibConfig struct {
 	Percentile float64 // used by CalibPercentile, e.g. 99.9
 }
 
-// quantLayer is one stage of a quantized network.
+// quantLayer is one stage of a quantized network: forwardRows maps a
+// group of K input rows to K output rows, each row's result
+// independent of K.
 type quantLayer interface {
 	Name() string
-	Forward(in *tensor.Tensor) *tensor.Tensor
+	forwardRows(x *tensor.Tensor) *tensor.Tensor
 }
 
 // QuantNetwork is the int16 inference twin of a Network.
@@ -44,25 +49,27 @@ type QuantNetwork struct {
 	Name   string
 	layers []quantLayer
 
-	// batch is ForwardBatch's staging.
-	batch batchPass
+	// rows holds the gathered inputs of a ForwardBatch; one holds
+	// Forward's one-row headers.
+	rows tensor.Tensor
+	one  oneRow
 }
 
 // floatFallback wraps a layer with no quantized implementation; it
-// runs the float Forward in inference mode.
+// runs the float forward in inference mode.
 type floatFallback struct{ l Layer }
 
 func (f floatFallback) Name() string { return f.l.Name() }
-func (f floatFallback) Forward(in *tensor.Tensor) *tensor.Tensor {
-	return f.l.Forward(in, false)
+func (f floatFallback) forwardRows(x *tensor.Tensor) *tensor.Tensor {
+	return f.l.forwardRows(x, false)
 }
 
-// quantConv runs a Conv2D layer on the int16 GEMM path: quantize the
-// input once, gather each group's int16 patch matrix straight into the
-// packed B panels, packed integer GEMM, then dequantize per output
-// channel and add the float bias. Mirrors Conv2D's scratch-owning,
-// prebuilt-parallel-body structure so the steady state allocates
-// nothing.
+// quantConv runs a Conv2D layer on the int16 GEMM path, one sample of
+// a group after another: quantize the sample once, gather each channel
+// group's int16 patch matrix straight into the packed B panels, packed
+// integer GEMM, then dequantize per output channel and add the float
+// bias. Mirrors Conv2D's scratch-owning, prebuilt-parallel-body
+// structure so the steady state allocates nothing.
 type quantConv struct {
 	name   string
 	geom   tensor.ConvGeom
@@ -72,6 +79,7 @@ type quantConv struct {
 	rows, cols int
 	chanSize   int
 	inShape    []int
+	outShape   []int
 
 	qmax    int32 // accumulator-safe clamp: AccQMax(rows)
 	inScale float32
@@ -79,10 +87,10 @@ type quantConv struct {
 	wPacked [][]int16 // per group: packed A, OutCg × rows
 	bias    []float32
 
-	qin     []int16 // quantized input, len InC·InH·InW
+	qin     []int16 // one quantized input sample, len InC·InH·InW
 	bPacked []int16 // packed B: the current group's patch matrix
 	out32   []int32 // one group's int32 accumulators, OutCg × cols
-	out     *tensor.Tensor
+	out     tensor.Tensor
 
 	curInF  []float32
 	curQIn  []int16
@@ -104,6 +112,7 @@ func newQuantConv(l *Conv2D, inRange float64) *quantConv {
 		cols:     l.cols,
 		chanSize: l.chanSize,
 		inShape:  l.inShape,
+		outShape: l.outShape,
 	}
 	// The GEMM reduces over rows = InCg·KH·KW products; clamp both
 	// operands to ±AccQMax(rows) so int32 accumulation cannot wrap.
@@ -134,7 +143,6 @@ func newQuantConv(l *Conv2D, inRange float64) *quantConv {
 	q.qin = make([]int16, g.InC*g.InH*g.InW)
 	q.bPacked = make([]int16, tensor.PackBSizeInt16(q.rows, q.cols))
 	q.out32 = make([]int32, q.gg.OutC*q.cols)
-	q.out = tensor.New(g.OutC, g.OutH, g.OutW)
 
 	q.fnQuant = func(lo, hi int) {
 		fixed.QuantizeScaledQ(q.qin[lo:hi], q.curInF[lo:hi], q.inScale, q.qmax)
@@ -159,20 +167,25 @@ func newQuantConv(l *Conv2D, inRange float64) *quantConv {
 
 func (q *quantConv) Name() string { return q.name }
 
-func (q *quantConv) Forward(in *tensor.Tensor) *tensor.Tensor {
-	mustShape(q.name, "input", in.Shape, q.inShape)
-	q.curInF = in.Data
-	parallel.ForChunks(len(q.qin), 4096, q.fnQuant)
-	gg := q.gg
-	for grp := 0; grp < q.groups; grp++ {
-		q.curQIn = q.qin[grp*gg.InC*q.chanSize : (grp+1)*gg.InC*q.chanSize]
-		parallel.ForChunks(tensor.PackPanels(q.cols), 1, q.fnPackIn)
-		q.curW = q.wPacked[grp]
-		q.curOut = q.out.Data[grp*gg.OutC*q.cols : (grp+1)*gg.OutC*q.cols]
-		q.curBias = grp * gg.OutC
-		parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, q.fnFwd)
+func (q *quantConv) forwardRows(x *tensor.Tensor) *tensor.Tensor {
+	k := checkRows(q.name, "input", x, q.inShape)
+	setRows(&q.out, k, q.outShape)
+	n, gg := len(q.qin), q.gg
+	outLen := len(q.out.Data) / k
+	for e := 0; e < k; e++ {
+		q.curInF = x.Data[e*n : (e+1)*n]
+		parallel.ForChunks(n, 4096, q.fnQuant)
+		y := q.out.Data[e*outLen : (e+1)*outLen]
+		for grp := 0; grp < q.groups; grp++ {
+			q.curQIn = q.qin[grp*gg.InC*q.chanSize : (grp+1)*gg.InC*q.chanSize]
+			parallel.ForChunks(tensor.PackPanels(q.cols), 1, q.fnPackIn)
+			q.curW = q.wPacked[grp]
+			q.curOut = y[grp*gg.OutC*q.cols : (grp+1)*gg.OutC*q.cols]
+			q.curBias = grp * gg.OutC
+			parallel.ForChunks(gg.OutC, tensor.GEMMRowGrain, q.fnFwd)
+		}
 	}
-	return q.out
+	return &q.out
 }
 
 // quantFC runs a FullyConnected layer on the int16 fast path. Its
@@ -191,10 +204,9 @@ type quantFC struct {
 	wPacked []int16 // int16 weights in output-lane panels, out × in
 	bias    []float32
 
-	qx       []int16 // quantized input rows, K × in
-	y32      []int32 // int32 accumulators, K × out
-	outBuf   *tensor.Tensor
-	batchOut tensor.Tensor
+	qx  []int16 // quantized input rows, K × in
+	y32 []int32 // int32 accumulators, K × out
+	y   tensor.Tensor
 
 	curK  int
 	curY  []float32 // this pass's K × out outputs
@@ -224,7 +236,6 @@ func newQuantFC(l *FullyConnected, inRange float64) *quantFC {
 			}
 		}
 	})
-	q.outBuf = tensor.New(l.out)
 	q.fnFwd = func(lo, hi int) {
 		k := q.curK
 		tensor.FCForwardInt16(q.y32, q.qx, q.wPacked, k, q.in, q.out, lo, hi)
@@ -239,37 +250,21 @@ func newQuantFC(l *FullyConnected, inRange float64) *quantFC {
 
 func (q *quantFC) Name() string { return q.name }
 
-func (q *quantFC) Forward(in *tensor.Tensor) *tensor.Tensor {
-	if in.Len() != q.in {
-		panic(fmt.Sprintf("nn: %s: input length %d, want %d", q.name, in.Len(), q.in))
-	}
-	q.forward(in.Data, 1, q.outBuf.Data)
-	return q.outBuf
-}
-
-// ForwardBatch runs a group of input rows (shape [K, ...]) and returns
-// the K output rows, row i bit-identical to Forward of input row i.
-// The returned tensor is owned by the layer and overwritten by the
-// next ForwardBatch call.
-func (q *quantFC) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
+// forwardRows quantizes the K input rows of x and runs the packed
+// int16 product, split over workers by output panels, into the K
+// output rows.
+func (q *quantFC) forwardRows(x *tensor.Tensor) *tensor.Tensor {
 	k := x.Shape[0]
 	if len(x.Data) != k*q.in {
 		panic(fmt.Sprintf("nn: %s: batch of %d rows has %d inputs, want %d per row", q.name, k, len(x.Data), q.in))
 	}
-	setRows(&q.batchOut, k, q.outBuf.Shape)
-	q.forward(x.Data, k, q.batchOut.Data)
-	return &q.batchOut
-}
-
-// forward quantizes the k input rows of x and runs the packed int16
-// product, split over workers by output panels, into the k output
-// rows of y.
-func (q *quantFC) forward(x []float32, k int, y []float32) {
+	setRows(&q.y, k, []int{q.out})
 	q.qx = grow(q.qx, k*q.in)
-	fixed.QuantizeScaledQ(q.qx, x, q.inScale, q.qmax)
+	fixed.QuantizeScaledQ(q.qx, x.Data, q.inScale, q.qmax)
 	q.y32 = grow(q.y32, k*q.out)
-	q.curK, q.curY = k, y
+	q.curK, q.curY = k, q.y.Data
 	parallel.ForChunks(tensor.FCPanels(q.out), 1, q.fnFwd)
+	return &q.y
 }
 
 // QuantizeNetwork builds the int16 inference twin of a trained
@@ -278,9 +273,9 @@ func (q *quantFC) forward(x []float32, k int, y []float32) {
 // quantized layer gets a per-tensor input scale from its calibrator
 // and per-output-channel weight scales from the weights themselves.
 // Layers with no quantized implementation fall back to their float
-// Forward on a ShareClone replica with its own activation buffers, so
-// the twin and net may run concurrently. Dropout, a pass-through at
-// inference, has no replica and is shared.
+// forward on a copy with buffers of its own (clone), so the twin and
+// net may run concurrently. Dropout, a pass-through at inference that
+// touches no buffer, is shared.
 func QuantizeNetwork(net *Network, calib []*tensor.Tensor, cfg CalibConfig) *QuantNetwork {
 	calibs := make([]*fixed.Calibrator, len(net.Layers))
 	for i, l := range net.Layers {
@@ -307,8 +302,8 @@ func QuantizeNetwork(net *Network, calib []*tensor.Tensor, cfg CalibConfig) *Qua
 		case *FullyConnected:
 			qn.layers = append(qn.layers, newQuantFC(t, calibs[i].Range()))
 		default:
-			if sc, ok := l.(ShareCloner); ok {
-				l = sc.ShareClone()
+			if c, ok := l.(interface{ clone() Layer }); ok {
+				l = c.clone()
 			}
 			qn.layers = append(qn.layers, floatFallback{l})
 		}
@@ -316,13 +311,24 @@ func QuantizeNetwork(net *Network, calib []*tensor.Tensor, cfg CalibConfig) *Qua
 	return qn
 }
 
-// Forward runs quantized inference and returns the class logits. The
-// returned tensor is owned by the last layer and overwritten by the
-// next call.
+// Forward runs quantized inference on one input, as a group of one
+// row, and returns the class logits. The returned tensor is owned by
+// the network and overwritten by the next call.
 func (qn *QuantNetwork) Forward(in *tensor.Tensor) *tensor.Tensor {
-	x := in
+	return dropRow(&qn.one.out, qn.forwardRows(addRow(&qn.one.in, in)))
+}
+
+// ForwardBatch runs quantized inference on a group of inputs and
+// returns their logits as the rows of one [len(ins), classes] tensor,
+// row i bit-identical to Forward(ins[i]). The returned tensor is owned
+// by the network and overwritten by the next call.
+func (qn *QuantNetwork) ForwardBatch(ins []*tensor.Tensor) *tensor.Tensor {
+	return qn.forwardRows(gather(&qn.rows, ins))
+}
+
+func (qn *QuantNetwork) forwardRows(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range qn.layers {
-		x = l.Forward(x)
+		x = l.forwardRows(x)
 	}
 	return x
 }
@@ -332,9 +338,10 @@ func (qn *QuantNetwork) Predict(in *tensor.Tensor) int {
 	return argmax(qn.Forward(in).Data)
 }
 
-// Accuracy evaluates quantized classification accuracy.
+// Accuracy evaluates quantized classification accuracy, classifying
+// groups of accuracyRows inputs as K rows.
 func (qn *QuantNetwork) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
-	return accuracy(func(i int) int { return qn.Predict(inputs[i]) }, inputs, labels)
+	return accuracy(qn.ForwardBatch, inputs, labels)
 }
 
 // Scales returns, for diagnostics, each quantized layer's name and

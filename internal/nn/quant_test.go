@@ -85,7 +85,7 @@ func TestQuantNetworkDeterministic(t *testing.T) {
 // TestQuantAndFloatForwardConcurrently runs the float network and its
 // int16 twin on separate goroutines over the same inputs and checks
 // each against its serial logits. The twin's ReLU, pooling, LRN and
-// Flatten run on private replicas, so under -race this also proves the
+// Flatten run on private copies, so under -race this also proves the
 // two paths share no activation buffer; Dropout is an inference
 // pass-through and stays shared.
 func TestQuantAndFloatForwardConcurrently(t *testing.T) {
@@ -166,7 +166,7 @@ func TestQuantConvMatchesDequantReference(t *testing.T) {
 	in.RandN(rng, 1)
 
 	q := newQuantConv(l, fixed.MaxAbs(in.Data))
-	got := q.Forward(in)
+	got := q.forwardRows(addRow(new(tensor.Tensor), in))
 
 	// Dequantized operands.
 	g := l.geom
@@ -204,7 +204,7 @@ func TestQuantFCMatchesDequantReference(t *testing.T) {
 	in.RandN(rng, 1)
 
 	q := newQuantFC(l, fixed.MaxAbs(in.Data))
-	got := q.Forward(in)
+	got := q.forwardRows(addRow(new(tensor.Tensor), in))
 
 	qx := make([]int16, l.in)
 	fixed.QuantizeScaledQ(qx, in.Data, q.inScale, q.qmax)
@@ -261,5 +261,60 @@ func TestQuantForwardNoAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("quantized forward allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestQuantAccuracyRowsMatchesPredict holds the int16 twin of a net
+// with grouped conv, LRN, max and average pooling to its per-input
+// path: every row of ForwardBatch equals Forward bit for bit at group
+// sizes 1, 3 and accuracyRows, and Accuracy, which classifies groups
+// of accuracyRows as K rows, equals the Predict loop over three whole
+// groups and a ragged one.
+func TestQuantAccuracyRowsMatchesPredict(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	net := NewNetwork("quant-rows").Add(
+		NewConv2D("conv1", 2, 9, 9, 6, 3, 1, 1, 2),
+		NewLRN("norm1", 6, 9, 9, 5, 0, 0, 0),
+		NewReLU("relu1"),
+		NewMaxPool2D("pool1", 6, 9, 9, 3, 2),
+		NewConv2D("conv2", 6, 4, 4, 8, 3, 1, 1, 1),
+		NewReLU("relu2"),
+		NewAvgPool2D("pool2", 8, 4, 4, 2, 2),
+		NewFlatten("flat"),
+		NewFullyConnected("fc", 8*2*2, 7),
+	)
+	net.Init(rng)
+	ins := make([]*tensor.Tensor, 3*accuracyRows+5)
+	for i := range ins {
+		ins[i] = tensor.New(2, 9, 9)
+		if i%11 != 3 {
+			ins[i].RandN(rng, 1)
+		}
+	}
+	qn := QuantizeNetwork(net, ins[:4], CalibConfig{Method: fixed.CalibMaxAbs})
+	want := make([][]float32, len(ins))
+	labels := make([]int, len(ins))
+	for i, in := range ins {
+		want[i] = append([]float32(nil), qn.Forward(in).Data...)
+		labels[i] = qn.Predict(in)
+	}
+	for _, k := range []int{1, 3, accuracyRows} {
+		off := 5 % (len(ins) - k + 1)
+		checkBatchRows(t, fmt.Sprintf("int16 K=%d", k), qn.ForwardBatch(ins[off:off+k]), want[off:off+k])
+	}
+	if got := qn.Accuracy(ins, labels); got != 1 {
+		t.Fatalf("Accuracy with Predict's labels = %v, want 1", got)
+	}
+	right := 0
+	for i := range labels {
+		if i%3 == 0 {
+			labels[i] = (labels[i] + 1) % 7
+		}
+		if labels[i] == qn.Predict(ins[i]) {
+			right++
+		}
+	}
+	if got, w := qn.Accuracy(ins, labels), float64(right)/float64(len(ins)); got != w {
+		t.Fatalf("Accuracy = %v, the Predict loop %v", got, w)
 	}
 }

@@ -12,78 +12,95 @@ import (
 )
 
 // TestBatchRowsMatchesPerExample holds the K-row batch (batchRows) to
-// the per-example batch routine (batchSerial), each called directly on
-// its own copy of batchTestMLP, whose weights hold zero rows and whose
-// inputs hold all-zero examples. The 16 examples run in a shuffled
-// order in batches of 1, 5 and 16, the batches of 5 ending on a ragged
-// one, one after another, so every batch sees the weights the last
-// step left. For each batch, the gradient evaluation alone (open,
-// evaluate, flush) must give the same loss, correct count and G, bit
-// for bit; then the whole update must give the same loss, W and V, and
-// leave G cleared on both.
+// K one-example passes through the public Forward, SoftmaxCrossEntropy
+// and Backward, each on its own copy of a net: batchTestMLP, whose
+// weights hold zero rows and whose inputs hold all-zero examples, and
+// the LeNet-shaped stateNet with grouped conv. The examples run in a
+// shuffled order in batches of 1, 5 and all, the batches of 5 ending on
+// a ragged one, one after another, so every batch sees the weights the
+// last step left. For each batch, the gradient evaluation alone must
+// give the same loss, correct count and G, bit for bit; then the whole
+// update must give the same loss, W and V, and leave G cleared on both.
 func TestBatchRowsMatchesPerExample(t *testing.T) {
 	t.Setenv(parallel.EnvWorkers, "2")
-	rowsNet, ins := batchTestMLP()
-	serialNet, _ := batchTestMLP()
-	labels := make([]int, len(ins))
-	for i := range labels {
-		labels[i] = (3 * i) % 7
-	}
-	cfg := DefaultSGD()
-	rows := &Trainer{Net: rowsNet, Config: cfg}
-	serial := &Trainer{Net: serialNet, Config: cfg}
-	pr, ps := rowsNet.Params(), serialNet.Params()
-	startTraining(pr)
-	startTraining(ps)
-
-	sameBits := func(what string, a, b []float32) {
-		t.Helper()
-		for i := range a {
-			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-				t.Fatalf("%s[%d]: K rows %08x, per example %08x", what, i, math.Float32bits(a[i]), math.Float32bits(b[i]))
-			}
+	mlp := func() (*Network, []*tensor.Tensor, []int) {
+		net, ins := batchTestMLP()
+		labels := make([]int, len(ins))
+		for i := range labels {
+			labels[i] = (3 * i) % 7
 		}
+		return net, ins, labels
 	}
-	order := rand.New(rand.NewSource(9)).Perm(len(ins))
-	for _, size := range []int{1, 5, 16} {
-		for start := 0; start < len(order); start += size {
-			batch := order[start:min(start+size, len(order))]
-
-			rowsNet.beginBatch(len(batch))
-			lossR, okR := rows.batchRows(batch, ins, labels)
-			rowsNet.flushBatch()
-			serialNet.beginBatch(len(batch))
-			lossS, okS := serial.batchSerial(batch, ins, labels)
-			serialNet.flushBatch()
-			if math.Float64bits(lossR) != math.Float64bits(lossS) || okR != okS {
-				t.Fatalf("batch of %d at %d: K rows loss %v, %d correct; per example %v, %d", len(batch), start, lossR, okR, lossS, okS)
+	for name, build := range map[string]func() (*Network, []*tensor.Tensor, []int){"mlp": mlp, "conv": stateNet} {
+		t.Run(name, func(t *testing.T) {
+			rowsNet, ins, labels := build()
+			exNet, _, _ := build()
+			cfg := DefaultSGD()
+			rows := &Trainer{Net: rowsNet, Config: cfg}
+			ex := &Trainer{Net: exNet, Config: cfg}
+			pr, pe := rowsNet.Params(), exNet.Params()
+			startTraining(pr)
+			startTraining(pe)
+			// perExample is batchRows as K one-example passes.
+			perExample := func(batch []int) (float64, int) {
+				loss, correct := 0.0, 0
+				for _, idx := range batch {
+					logits := exNet.Forward(ins[idx], true)
+					grad := tensor.New(logits.Shape...)
+					loss += SoftmaxCrossEntropy(logits, labels[idx], grad)
+					if argmax(logits.Data) == labels[idx] {
+						correct++
+					}
+					exNet.Backward(grad)
+				}
+				return loss, correct
 			}
-			for i := range pr {
-				sameBits(pr[i].Name+" G", pr[i].G.Data, ps[i].G.Data)
-			}
-			clearGrads(pr)
-			clearGrads(ps)
-
-			lossR, _ = rows.runBatch(batch, ins, labels, pr, cfg.LearningRate, rows.batchRows)
-			lossS, _ = serial.runBatch(batch, ins, labels, ps, cfg.LearningRate, serial.batchSerial)
-			if math.Float64bits(lossR) != math.Float64bits(lossS) {
-				t.Fatalf("update of %d at %d: K rows loss %v, per example %v", len(batch), start, lossR, lossS)
-			}
-			for i := range pr {
-				sameBits(pr[i].Name+" W", pr[i].W.Data, ps[i].W.Data)
-				sameBits(pr[i].Name+" V", pr[i].V.Data, ps[i].V.Data)
-				sameBits(pr[i].Name+" G", pr[i].G.Data, ps[i].G.Data)
-				for j, v := range pr[i].G.Data {
-					if v != 0 {
-						t.Fatalf("%s G[%d] = %v after the step, want 0", pr[i].Name, j, v)
+			sameBits := func(what string, a, b []float32) {
+				t.Helper()
+				for i := range a {
+					if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+						t.Fatalf("%s[%d]: K rows %08x, per example %08x", what, i, math.Float32bits(a[i]), math.Float32bits(b[i]))
 					}
 				}
 			}
-		}
+			order := rand.New(rand.NewSource(9)).Perm(len(ins))
+			for _, size := range []int{1, 5, len(ins)} {
+				for start := 0; start < len(order); start += size {
+					batch := order[start:min(start+size, len(order))]
+
+					lossR, okR := rows.batchRows(batch, ins, labels)
+					lossE, okE := perExample(batch)
+					if math.Float64bits(lossR) != math.Float64bits(lossE) || okR != okE {
+						t.Fatalf("batch of %d at %d: K rows loss %v, %d correct; per example %v, %d", len(batch), start, lossR, okR, lossE, okE)
+					}
+					for i := range pr {
+						sameBits(pr[i].Name+" G", pr[i].G.Data, pe[i].G.Data)
+					}
+					clearGrads(pr)
+					clearGrads(pe)
+
+					lossR, _ = rows.runBatch(batch, ins, labels, pr, cfg.LearningRate)
+					lossE, _ = perExample(batch)
+					ex.update(pe, len(batch), cfg.LearningRate)
+					if math.Float64bits(lossR) != math.Float64bits(lossE) {
+						t.Fatalf("update of %d at %d: K rows loss %v, per example %v", len(batch), start, lossR, lossE)
+					}
+					for i := range pr {
+						sameBits(pr[i].Name+" W", pr[i].W.Data, pe[i].W.Data)
+						sameBits(pr[i].Name+" V", pr[i].V.Data, pe[i].V.Data)
+						for j, v := range pr[i].G.Data {
+							if v != 0 || pe[i].G.Data[j] != 0 {
+								t.Fatalf("%s G[%d] = %v, %v after the step, want 0", pr[i].Name, j, v, pe[i].G.Data[j])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestAccuracyRowsMatchesPredict holds a row net's Accuracy, which
+// TestAccuracyRowsMatchesPredict holds a net's Accuracy, which
 // classifies groups of accuracyRows inputs as K rows, to Predict input
 // by input: over three whole groups and a ragged one, with all-zero
 // inputs among them, labels equal to Predict's classes read 1 exactly,

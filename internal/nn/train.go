@@ -34,17 +34,6 @@ type SGDConfig struct {
 	Log io.Writer
 	// Seed drives example shuffling.
 	Seed int64
-	// Workers bounds the weight-sharing replicas that evaluate the
-	// per-example gradients of a mini-batch concurrently, on a net
-	// with conv, pooling, LRN or Dropout layers (see Trainer). <= 0
-	// uses parallel.Workers() (the L2S_WORKERS environment variable,
-	// else GOMAXPROCS). A net built only from row layers (FC, ReLU,
-	// Flatten) runs no replicas and ignores it: its batch is one K-row
-	// pass, split inside each layer over the process-wide pool.
-	// Results are bit-identical at every worker count: per-example
-	// losses and gradients fold in example order regardless of
-	// scheduling.
-	Workers int
 	// Obs, when non-nil, receives per-epoch metrics under ObsScope
 	// (default "train"): stable gauges <scope>.epoch.NN.{loss,acc,
 	// penalty,lr} — losses are deterministic at every worker count —
@@ -80,13 +69,12 @@ type EpochStats struct {
 // lives on each Param, not in the Trainer, so Trainers run one after
 // another on one net (pre-train, sparsify, fine-tune) carry it over.
 //
-// How a mini-batch's gradients are evaluated depends on the layers. A
-// net built only from row layers (FullyConnected, ReLU, Flatten), such
-// as the MLP, runs the batch as K rows: one forward and one backward
-// per layer, each split over workers inside the layer (batchRows).
-// Any other net runs example by example (batchSerial), concurrently on
-// weight-sharing replicas when Workers allows (batchParallel). Every
-// path gives every loss, gradient and weight the same bits.
+// A mini-batch of K examples runs as K rows (batchRows): one forward
+// and one backward per layer, each split over the host workers
+// (parallel.Workers: the L2S_WORKERS environment variable, else
+// GOMAXPROCS) inside the layer. Every loss, gradient and weight has
+// the same bits at every worker count, and the same as K one-example
+// Forward and Backward calls give.
 type Trainer struct {
 	Net    *Network
 	Config SGDConfig
@@ -105,7 +93,6 @@ type Trainer struct {
 	// nothing.
 	stepIdx    []int
 	stepParams []*Param
-	stepGrads  gradsFunc
 	// rowIns holds the inputs of the batch batchRows runs.
 	rowIns []*tensor.Tensor
 	// sgd is the parallel update pass, bound to the current param list.
@@ -113,11 +100,10 @@ type Trainer struct {
 }
 
 // Fit trains the network on (inputs, labels) and returns the stats of
-// the final epoch. It allocates any gradient and momentum the net does
-// not hold yet; momentum left by an earlier Trainer carries over, and a
-// gradient left by a direct Backward is cleared. A row net trains each
-// batch as K rows and builds no replicas; any other net trains on a
-// replica pool of Workers (see Trainer).
+// the final epoch, each batch as K rows (see Trainer). It allocates
+// any gradient and momentum the net does not hold yet; momentum left
+// by an earlier Trainer carries over, and a gradient left by a direct
+// Backward is cleared.
 func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	if len(inputs) != len(labels) {
 		panic("nn: Fit input/label count mismatch")
@@ -140,7 +126,6 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	params := t.Net.Params()
 	startTraining(params)
 	clearGrads(params)
-	grads := t.batchGrads(params, cfg.Workers)
 
 	scope := cfg.ObsScope
 	if scope == "" {
@@ -161,7 +146,7 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 				end = len(order)
 			}
 			batch := order[start:end]
-			loss, ok := t.runBatch(batch, inputs, labels, params, lr, grads)
+			loss, ok := t.runBatch(batch, inputs, labels, params, lr)
 			totalLoss += loss
 			correct += ok
 		}
@@ -199,52 +184,22 @@ func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	return last
 }
 
-// gradsFunc evaluates one mini-batch: it adds the examples' gradients
-// into G and the open FC batch, and returns the batch's total data loss
-// and correct count.
-type gradsFunc func(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int)
-
-// batchGrads picks how Fit evaluates its batches: as K rows on a row
-// net, else on a replica pool when workers (<= 0: parallel.Workers())
-// exceeds one and every layer replicates, else example by example.
-// The pool holds MapReduce's fold window of replicas, so acquisition
-// in mapf can never deadlock; replicas share W with t.Net, and conv
-// replicas own a private G.
-func (t *Trainer) batchGrads(params []*Param, workers int) gradsFunc {
-	if t.Net.rowNet() {
-		return t.batchRows
-	}
-	if workers <= 0 {
-		workers = parallel.Workers()
-	}
-	if workers > 1 {
-		if first, ok := t.Net.ShareClone(); ok {
-			replicas := make(chan *replica, workers+2)
-			replicas <- newReplica(first)
-			for i := 1; i < cap(replicas); i++ {
-				r, _ := t.Net.ShareClone()
-				replicas <- newReplica(r)
-			}
-			return func(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int) {
-				return t.batchParallel(batch, inputs, labels, params, replicas, workers)
-			}
-		}
-	}
-	return t.batchSerial
-}
-
-// runBatch performs one mini-batch SGD update: open the batch in every
-// FC layer, evaluate the examples' gradients (grads), add each FC
-// layer's batch GEMM, average, add decay and regularizer terms, and
+// runBatch performs one mini-batch SGD update: evaluate the batch's
+// gradients as K rows, average, add decay and regularizer terms, and
 // apply the momentum step, which leaves every G zero for the next
 // batch. Returns the batch's total data loss and correct count. Every
 // param's G and V must be allocated (startTraining), and G zero.
-func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, lr float64, grads gradsFunc) (float64, int) {
-	t.Net.beginBatch(len(batch))
-	totalLoss, correct := grads(batch, inputs, labels)
-	t.Net.flushBatch()
+func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, lr float64) (float64, int) {
+	totalLoss, correct := t.batchRows(batch, inputs, labels)
+	t.update(params, len(batch), lr)
+	return totalLoss, correct
+}
+
+// update turns the summed gradients of a batch of k examples into one
+// SGD-with-momentum step.
+func (t *Trainer) update(params []*Param, k int, lr float64) {
 	t.sgd.bind(params)
-	t.sgd.scale = float32(1.0 / float64(len(batch)))
+	t.sgd.scale = float32(1.0 / float64(k))
 	t.sgd.decay, t.sgd.decayOn = float32(t.Config.WeightDecay), t.Config.WeightDecay > 0
 	t.sgd.run(t.sgd.fnGrad)
 	if t.Reg != nil {
@@ -256,40 +211,22 @@ func (t *Trainer) runBatch(batch []int, inputs []*tensor.Tensor, labels []int, p
 	if t.AfterStep != nil {
 		t.AfterStep()
 	}
-	return totalLoss, correct
 }
 
-// batchSerial evaluates the batch example by example on the net. It
-// accumulates the batch loss locally and returns it to be added once,
-// matching batchParallel's fold association, so the epoch loss is
-// bit-identical on every path.
-func (t *Trainer) batchSerial(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int) {
-	batchLoss, correct := 0.0, 0
-	for e, idx := range batch {
-		logits := t.Net.Forward(inputs[idx], true)
-		grad := t.Net.lossGradBuf(logits.Shape)
-		batchLoss += SoftmaxCrossEntropy(logits, labels[idx], grad)
-		if argmax(logits.Data) == labels[idx] {
-			correct++
-		}
-		t.Net.backward(grad, e)
-	}
-	return batchLoss, correct
-}
-
-// batchRows evaluates the batch on a row net as K rows: one forward
-// per layer over the gathered inputs, then each row's loss, gradient
-// and argmax in example order, then one backward per layer, in which
-// each FC layer records all K rows of its batch at once. Per row, every
-// operation is batchSerial's, so the two give the same bits.
+// batchRows evaluates the batch as K rows: one forward per layer over
+// the gathered inputs, on FC weights packed for the batch, then each
+// row's loss, gradient and argmax in example order, then one backward
+// per layer, which adds the K examples' gradients into G. The batch
+// loss adds up in example order from zero.
 func (t *Trainer) batchRows(batch []int, inputs []*tensor.Tensor, labels []int) (float64, int) {
 	n := t.Net
 	t.rowIns = t.rowIns[:0]
 	for _, idx := range batch {
 		t.rowIns = append(t.rowIns, inputs[idx])
 	}
-	logits := n.forwardRows(t.rowIns, true)
 	k := len(batch)
+	n.packTrainableFC(true)
+	logits := n.forwardRows(gather(&n.rows, t.rowIns), true, int64(k))
 	c := len(logits.Data) / k
 	setRows(&n.lossRows, k, logits.Shape[1:])
 	lv, gv := &n.rowView[0], &n.rowView[1]
@@ -303,6 +240,7 @@ func (t *Trainer) batchRows(batch []int, inputs []*tensor.Tensor, labels []int) 
 		}
 	}
 	n.backwardRows(&n.lossRows)
+	n.packTrainableFC(false)
 	return batchLoss, correct
 }
 
@@ -390,12 +328,11 @@ func (s *sgdPass) stepRange(lo, hi int) {
 	}
 }
 
-// Step applies one mini-batch update over the whole provided slice
-// (with no replicas, at the configured learning rate, with no
-// shuffling or epoch bookkeeping) and returns the total data loss and
-// correct count. A row net runs the batch as K rows, any other net
-// example by example. The first call allocates the net's gradients
-// and momentum; each call clears any gradient a direct Backward left.
+// Step applies one mini-batch update over the whole provided slice, as
+// K rows (at the configured learning rate, with no shuffling or epoch
+// bookkeeping) and returns the total data loss and correct count. The
+// first call allocates the net's gradients and momentum; each call
+// clears any gradient a direct Backward left.
 // After a warm-up call, steady-state Steps perform zero heap
 // allocations — the property the benchmark suite pins.
 func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
@@ -407,7 +344,6 @@ func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 	}
 	if t.stepParams == nil {
 		t.stepParams = t.Net.Params()
-		t.stepGrads = t.batchGrads(t.stepParams, 1)
 	}
 	startTraining(t.stepParams)
 	clearGrads(t.stepParams)
@@ -417,13 +353,12 @@ func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
 			t.stepIdx[i] = i
 		}
 	}
-	return t.runBatch(t.stepIdx, inputs, labels, t.stepParams, t.Config.LearningRate, t.stepGrads)
+	return t.runBatch(t.stepIdx, inputs, labels, t.stepParams, t.Config.LearningRate)
 }
 
 // startTraining allocates every param's gradient and momentum, so
-// runBatch and the replica fold only ever see allocated buffers. Fit
-// calls it before cloning its replica pool. On a frozen net it panics,
-// naming the first param.
+// runBatch only ever sees allocated buffers. On a frozen net it
+// panics, naming the first param.
 func startTraining(params []*Param) {
 	for _, p := range params {
 		p.Grad()
@@ -439,79 +374,4 @@ func clearGrads(params []*Param) {
 	for _, p := range params {
 		p.G.Zero()
 	}
-}
-
-// replica is a ShareClone of the trained net in Fit's pool, with its
-// param list, built once with it.
-type replica struct {
-	net    *Network
-	params []*Param
-}
-
-func newReplica(net *Network) *replica { return &replica{net: net, params: net.Params()} }
-
-// exampleResult carries one example's gradients (inside the replica's
-// private G buffers) back to the fold.
-type exampleResult struct {
-	rep     *replica
-	loss    float64
-	correct int
-}
-
-type batchTotals struct {
-	loss    float64
-	correct int
-}
-
-// batchParallel evaluates the batch's per-example gradients on replica
-// networks. FC layers record each example in their shared batch rows,
-// at the example's position in the batch. Conv gradients are each
-// example's partial sums in the replica's private G, folded into
-// params' G in example order, making the result bit-identical to the
-// serial loop at every worker count: each gradient element receives
-// exactly one addition per example, in the same sequence the serial
-// path performs it. Params whose replicas hold no G (FC params) are not
-// folded.
-func (t *Trainer) batchParallel(batch []int, inputs []*tensor.Tensor, labels []int, params []*Param, replicas chan *replica, workers int) (float64, int) {
-	totals := parallel.MapReduce(len(batch), 1, batchTotals{},
-		func(lo, hi int) exampleResult {
-			rep := <-replicas
-			for _, p := range rep.params {
-				if p.G != nil {
-					p.G.Zero()
-				}
-			}
-			r := exampleResult{rep: rep}
-			net := rep.net
-			for j, idx := range batch[lo:hi] {
-				logits := net.Forward(inputs[idx], true)
-				grad := net.lossGradBuf(logits.Shape)
-				r.loss += SoftmaxCrossEntropy(logits, labels[idx], grad)
-				if argmax(logits.Data) == labels[idx] {
-					r.correct++
-				}
-				net.backward(grad, lo+j)
-			}
-			return r
-		},
-		func(acc batchTotals, r exampleResult) batchTotals {
-			rp := r.rep.params
-			for pi, p := range params {
-				if rp[pi].G == nil {
-					continue
-				}
-				dst, src := p.G.Data, rp[pi].G.Data
-				for i, v := range src {
-					if v != 0 {
-						dst[i] += v
-					}
-				}
-			}
-			replicas <- r.rep
-			acc.loss += r.loss
-			acc.correct += r.correct
-			return acc
-		},
-		parallel.WithWorkers(workers))
-	return totals.loss, totals.correct
 }

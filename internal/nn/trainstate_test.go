@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"learn2scale/internal/parallel"
 	"learn2scale/internal/tensor"
 )
 
@@ -47,7 +48,7 @@ func trainingState(n *Network) map[string]bool {
 		pfx := l.Name() + "."
 		switch l := l.(type) {
 		case *Conv2D:
-			st[pfx+"gradIn"] = l.gradIn != nil
+			st[pfx+"gradIn"] = l.gradIn.Data != nil
 			st[pfx+"goPackedA"] = l.goPackedA != nil
 			st[pfx+"colTPacked"] = l.colTPacked != nil
 			st[pfx+"wPackedAT"] = l.wPackedAT != nil
@@ -56,10 +57,11 @@ func trainingState(n *Network) map[string]bool {
 			st[pfx+"gradCol"] = l.gradCol != nil
 		case *MaxPool2D:
 			st[pfx+"arg"] = l.arg != nil
-			st[pfx+"gradIn"] = l.gradIn != nil
+			st[pfx+"gradIn"] = l.gradIn.Data != nil
 		case *FullyConnected:
-			st[pfx+"gradIn"] = l.gradIn != nil
-			st[pfx+"batch"] = l.batch.x != nil
+			st[pfx+"gradIn"] = l.gradIn.Data != nil
+			st[pfx+"xp"] = l.xp != nil
+			st[pfx+"gp"] = l.gp != nil
 		}
 	}
 	return st
@@ -98,7 +100,6 @@ func TestMomentumCarriesAcrossTrainers(t *testing.T) {
 	one, ins, labels := stateNet()
 	two, _, _ := stateNet()
 	cfg := DefaultSGD()
-	cfg.Workers = 1
 	b1, b2 := ins[:6], ins[6:]
 	l1, l2 := labels[:6], labels[6:]
 
@@ -121,17 +122,18 @@ func TestMomentumCarriesAcrossTrainers(t *testing.T) {
 	}
 }
 
-// TestFitTwoWorkersNeverTrained: Fit with a two-replica pool on a net
-// that has never trained allocates its state before cloning the pool
-// and matches the one-worker run bit for bit. Meant to run under
-// -race, so it stays small and is not skipped by -short.
+// TestFitTwoWorkersNeverTrained: Fit at two workers on a net that has
+// never trained allocates its state and matches the one-worker run bit
+// for bit. Meant to run under -race, so it stays small and is not
+// skipped by -short.
 func TestFitTwoWorkersNeverTrained(t *testing.T) {
 	var nets [2]*Network
 	var stats [2]EpochStats
-	for i, workers := range []int{1, 2} {
+	for i, workers := range []string{"1", "2"} {
+		t.Setenv(parallel.EnvWorkers, workers)
 		net, ins, labels := stateNet()
 		cfg := DefaultSGD()
-		cfg.Epochs, cfg.BatchSize, cfg.Workers = 2, 4, workers
+		cfg.Epochs, cfg.BatchSize = 2, 4
 		stats[i] = (&Trainer{Net: net, Config: cfg}).Fit(ins, labels)
 		nets[i] = net
 	}

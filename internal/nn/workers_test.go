@@ -39,10 +39,10 @@ func workersNet() (*Network, []*tensor.Tensor, []int) {
 	return net, ins, labels
 }
 
-// TestTrainingRecordsAcrossWorkers trains the same net at 1, 2 and 7
-// workers, through Fit (examples split over replicas) and Step (one
-// replica, each layer split over workers), and requires every epoch
-// record, every step's loss and every weight to be bit-identical.
+// TestTrainingRecordsAcrossWorkers trains the same conv net at 1, 2 and
+// 7 workers, through Fit and Step, each batch as K rows split over the
+// workers inside every layer, and requires every epoch record, every
+// step's loss and every weight to be bit-identical.
 func TestTrainingRecordsAcrossWorkers(t *testing.T) {
 	checkTrainingAcrossWorkers(t, workersNet, 4)
 }
@@ -77,7 +77,7 @@ func checkTrainingAcrossWorkers(t *testing.T, build func() (*Network, []*tensor.
 		t.Setenv(parallel.EnvWorkers, strconv.Itoa(workers))
 		net, ins, labels := build()
 		cfg := DefaultSGD()
-		cfg.Epochs, cfg.BatchSize, cfg.Workers = 2, batch, workers
+		cfg.Epochs, cfg.BatchSize = 2, batch
 		var rec record
 		tr := &Trainer{Net: net, Config: cfg, AfterEpoch: func(s EpochStats) bool {
 			rec.epochs = append(rec.epochs, s)

@@ -21,7 +21,6 @@ type poolMetrics struct {
 	calls  *obs.Counter // parallel primitive invocations
 	chunks *obs.Counter // chunks executed
 	items  *obs.Counter // index-space elements covered
-	fold   *obs.Counter // ns the caller spent folding
 
 	mu      sync.Mutex
 	busy    []*obs.Counter // volatile: per-slot busy ns
@@ -46,14 +45,13 @@ func SetObs(r *obs.Registry) {
 		calls:   r.Counter("parallel.calls", obs.Volatile),
 		chunks:  r.Counter("parallel.chunks", obs.Volatile),
 		items:   r.Counter("parallel.items", obs.Volatile),
-		fold:    r.Counter("parallel.fold.busy_ns", obs.Volatile),
 		maxSlot: r.Gauge("parallel.workers.high_water", obs.Volatile),
 	})
 }
 
 // slot returns the busy/tasks counters of one worker slot, growing
 // the cache on demand. Slot 0 is the calling goroutine; helpers take
-// 1..w-1 (ForChunks) or 0..helpers-1 (MapReduce map side).
+// 1..w-1.
 func (p *poolMetrics) slot(i int) (busy, tasks *obs.Counter) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

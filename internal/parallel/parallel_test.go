@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,13 +29,14 @@ func TestWorkersEnvOverride(t *testing.T) {
 }
 
 func TestForCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, workers := range []string{"1", "2", "3", "8"} {
+		t.Setenv(EnvWorkers, workers)
 		const n = 1000
 		hits := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) }, WithWorkers(workers))
+		For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
+				t.Fatalf("workers=%s: index %d visited %d times", workers, i, h)
 			}
 		}
 	}
@@ -44,16 +44,17 @@ func TestForCoversAllIndices(t *testing.T) {
 
 func TestForChunksBoundaries(t *testing.T) {
 	// Chunk boundaries must be a pure function of (n, grain).
-	for _, workers := range []int{1, 4} {
+	for _, workers := range []string{"1", "4"} {
+		t.Setenv(EnvWorkers, workers)
 		var mu sync.Mutex
 		var got [][2]int
 		ForChunks(10, 4, func(lo, hi int) {
 			mu.Lock()
 			got = append(got, [2]int{lo, hi})
 			mu.Unlock()
-		}, WithWorkers(workers))
+		})
 		if len(got) != 3 {
-			t.Fatalf("workers=%d: %d chunks, want 3", workers, len(got))
+			t.Fatalf("workers=%s: %d chunks, want 3", workers, len(got))
 		}
 		seen := map[[2]int]bool{}
 		for _, c := range got {
@@ -61,7 +62,7 @@ func TestForChunksBoundaries(t *testing.T) {
 		}
 		for _, want := range [][2]int{{0, 4}, {4, 8}, {8, 10}} {
 			if !seen[want] {
-				t.Fatalf("workers=%d: missing chunk %v (got %v)", workers, want, got)
+				t.Fatalf("workers=%s: missing chunk %v (got %v)", workers, want, got)
 			}
 		}
 	}
@@ -74,84 +75,6 @@ func TestForEmptyAndNegative(t *testing.T) {
 	ForChunks(0, 8, func(_, _ int) { called = true })
 	if called {
 		t.Fatal("body called for empty range")
-	}
-}
-
-// sumSerialChunked is the reference reduction: fixed chunks folded in
-// ascending order, exactly what MapReduce promises at any worker count.
-func sumSerialChunked(vals []float32, grain int) float32 {
-	var acc float32
-	for lo := 0; lo < len(vals); lo += grain {
-		hi := lo + grain
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		var s float32
-		for _, v := range vals[lo:hi] {
-			s += v
-		}
-		acc += s
-	}
-	return acc
-}
-
-func TestMapReduceBitIdenticalAcrossWorkers(t *testing.T) {
-	// A float32 sum whose value depends on association order: mixing
-	// tiny and huge magnitudes makes any reordering visible in the bits.
-	vals := make([]float32, 10007)
-	for i := range vals {
-		x := float64(i%311) - 155.0
-		vals[i] = float32(math.Ldexp(x, (i%40)-20))
-	}
-	const grain = 64
-	want := sumSerialChunked(vals, grain)
-	for _, workers := range []int{1, 2, 3, 7, 16} {
-		got := MapReduce(len(vals), grain, float32(0),
-			func(lo, hi int) float32 {
-				var s float32
-				for _, v := range vals[lo:hi] {
-					s += v
-				}
-				return s
-			},
-			func(acc, v float32) float32 { return acc + v },
-			WithWorkers(workers))
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("workers=%d: sum %x, want %x (not bit-identical)", workers, math.Float32bits(got), math.Float32bits(want))
-		}
-	}
-}
-
-func TestMapReduceNonCommutativeFoldOrder(t *testing.T) {
-	// String concatenation detects any fold-order deviation directly.
-	letters := "abcdefghijklmnopqrstuvwxyz"
-	want := letters
-	for _, workers := range []int{1, 2, 5, 32} {
-		got := MapReduce(len(letters), 3, "",
-			func(lo, hi int) string { return letters[lo:hi] },
-			func(acc, v string) string { return acc + v },
-			WithWorkers(workers))
-		if got != want {
-			t.Fatalf("workers=%d: fold order broken: %q", workers, got)
-		}
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(0, 8, 42, func(_, _ int) int { return 1 }, func(a, v int) int { return a + v })
-	if got != 42 {
-		t.Fatalf("empty MapReduce = %d, want zero value 42", got)
-	}
-}
-
-func TestMapReduceEnvWorkers(t *testing.T) {
-	t.Setenv(EnvWorkers, "3")
-	n := 0
-	got := MapReduce(100, 10, 0,
-		func(lo, hi int) int { return hi - lo },
-		func(a, v int) int { n++; return a + v })
-	if got != 100 || n != 10 {
-		t.Fatalf("got sum=%d folds=%d, want 100/10", got, n)
 	}
 }
 
@@ -168,16 +91,15 @@ func TestNestedCallsBounded(t *testing.T) {
 			}
 		}
 	}
-	total := MapReduce(8, 1, int64(0),
-		func(lo, hi int) int64 {
+	t.Setenv(EnvWorkers, "4")
+	var total int64
+	ForChunks(8, 1, func(lo, hi int) {
+		track()
+		ForChunks(100, 7, func(l, h int) {
 			track()
-			return MapReduce(100, 7, int64(0),
-				func(l, h int) int64 { track(); return int64(h - l) },
-				func(a, v int64) int64 { return a + v },
-				WithWorkers(4))
-		},
-		func(a, v int64) int64 { return a + v },
-		WithWorkers(4))
+			atomic.AddInt64(&total, int64(h-l))
+		})
+	})
 	if total != 800 {
 		t.Fatalf("nested total = %d, want 800", total)
 	}
@@ -186,28 +108,9 @@ func TestNestedCallsBounded(t *testing.T) {
 	}
 }
 
-func TestMapReduceWindowBoundsRunahead(t *testing.T) {
-	// A pool with exactly window resources must never deadlock: mappers
-	// acquire, the fold releases. This is the trainer-replica pattern.
-	const workers = 4
-	pool := make(chan int, workers+2)
-	for i := 0; i < cap(pool); i++ {
-		pool <- i
-	}
-	type res struct{ id, sum int }
-	total := MapReduce(500, 1, 0,
-		func(lo, hi int) res { return res{id: <-pool, sum: hi - lo} }, // acquire
-		func(acc int, v res) int { pool <- v.id; return acc + v.sum }, // release
-		WithWorkers(workers))
-	_ = total
-	if total != 500 {
-		t.Fatalf("pooled MapReduce = %d, want 500", total)
-	}
-}
-
 // TestForChunksZeroAlloc: a ForChunks call that starts helpers
-// allocates nothing in steady state, with the worker count from an
-// option and from L2S_WORKERS, which is read on every call.
+// allocates nothing in steady state, at two and at three workers from
+// L2S_WORKERS, which is read on every call.
 func TestForChunksZeroAlloc(t *testing.T) {
 	out := make([]int64, 64)
 	body := func(lo, hi int) {
@@ -215,17 +118,13 @@ func TestForChunksZeroAlloc(t *testing.T) {
 			out[i]++
 		}
 	}
-	two := WithWorkers(2)
-	call := func() { ForChunks(len(out), 4, body, two) }
-	call()
-	if n := testing.AllocsPerRun(100, call); n != 0 {
-		t.Errorf("ForChunks under WithWorkers(2) allocates %.1f objects per call, want 0", n)
-	}
-	t.Setenv(EnvWorkers, "3")
-	env := func() { ForChunks(len(out), 4, body) }
-	env()
-	if n := testing.AllocsPerRun(100, env); n != 0 {
-		t.Errorf("ForChunks under %s=3 allocates %.1f objects per call, want 0", EnvWorkers, n)
+	call := func() { ForChunks(len(out), 4, body) }
+	for _, w := range []string{"2", "3"} {
+		t.Setenv(EnvWorkers, w)
+		call()
+		if n := testing.AllocsPerRun(100, call); n != 0 {
+			t.Errorf("ForChunks under %s=%s allocates %.1f objects per call, want 0", EnvWorkers, w, n)
+		}
 	}
 	for i, v := range out {
 		if v != 204 {

@@ -178,34 +178,43 @@ func NewGroupLasso(layers []LayerGroups, strength [][]float64, lambda float64) *
 	return &GroupLasso{Layers: layers, Strength: strength, Lambda: lambda, normEps: 1e-8}
 }
 
-// Penalty implements nn.Regularizer. Block norms are computed in
-// parallel; per-layer partial sums fold one block row at a time in
-// fixed (i-ascending) order, so the result is identical at every
-// worker count.
+// Penalty implements nn.Regularizer. The block rows of each layer
+// sum in parallel and their partials add in ascending row order
+// (rowSums), so the result is identical at every worker count.
 func (g *GroupLasso) Penalty() float64 {
 	total := 0.0
 	for _, lg := range g.Layers {
 		n := lg.Cores()
-		total += parallel.MapReduce(n*n, n, 0.0,
-			func(lo, hi int) float64 {
-				s := 0.0
-				for b := lo; b < hi; b++ {
-					i, j := b/n, b%n
-					st := g.Strength[i][j]
-					if st == 0 {
-						continue
-					}
-					sz := lg.BlockSize(i, j)
-					if sz == 0 {
-						continue
-					}
-					s += g.Lambda * st * math.Sqrt(float64(sz)) * lg.BlockNorm(i, j)
+		total += rowSums(n, func(i int) float64 {
+			s := 0.0
+			for j := 0; j < n; j++ {
+				st := g.Strength[i][j]
+				if st == 0 {
+					continue
 				}
-				return s
-			},
-			func(acc, v float64) float64 { return acc + v })
+				sz := lg.BlockSize(i, j)
+				if sz == 0 {
+					continue
+				}
+				s += g.Lambda * st * math.Sqrt(float64(sz)) * lg.BlockNorm(i, j)
+			}
+			return s
+		})
 	}
 	return total
+}
+
+// rowSums returns Σᵢ row(i) over the n block rows of a layer: the rows
+// run in parallel, each into its own partial, and the partials add in
+// ascending i from zero.
+func rowSums[T int | float64](n int, row func(i int) T) T {
+	part := make([]T, n)
+	parallel.For(n, func(i int) { part[i] = row(i) })
+	var s T
+	for _, v := range part {
+		s += v
+	}
+	return s
 }
 
 // AddGrad implements nn.Regularizer: the (sub)gradient of the group
@@ -313,31 +322,26 @@ func (g *GroupLasso) Threshold(rel float64) []partition.BlockMask {
 // overall RMS — the blocks Threshold(rel) would zero, before its
 // keep-strongest-per-column safety rule. Tracked per epoch, it shows
 // group-Lasso pressure progressively collapsing block norms during
-// sparsified training. Deterministic at every worker count (same fold
-// discipline as Penalty).
+// sparsified training. Deterministic at every worker count.
 func (g *GroupLasso) PrunableGroups(rel float64) int {
 	total := 0
 	for _, lg := range g.Layers {
-		lg := lg
 		n := lg.Cores()
 		layerRMS := rmsOf(lg.Param.W.Data)
-		total += parallel.MapReduce(n*n, n, 0,
-			func(lo, hi int) int {
-				c := 0
-				for b := lo; b < hi; b++ {
-					i, j := b/n, b%n
-					sz := lg.BlockSize(i, j)
-					if sz == 0 {
-						continue
-					}
-					rms := lg.BlockNorm(i, j) / math.Sqrt(float64(sz))
-					if rms < rel*layerRMS {
-						c++
-					}
+		total += rowSums(n, func(i int) int {
+			c := 0
+			for j := 0; j < n; j++ {
+				sz := lg.BlockSize(i, j)
+				if sz == 0 {
+					continue
 				}
-				return c
-			},
-			func(acc, v int) int { return acc + v })
+				rms := lg.BlockNorm(i, j) / math.Sqrt(float64(sz))
+				if rms < rel*layerRMS {
+					c++
+				}
+			}
+			return c
+		})
 	}
 	return total
 }

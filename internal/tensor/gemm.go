@@ -256,24 +256,6 @@ func PackATRange(dst, at []float32, m, k, lo, hi int) {
 	}
 }
 
-// PackBRow writes row p of a k×n B operand into its PackB layout in
-// dst, zero-padding the ragged panel: a B operand can be packed one row
-// at a time, in any order, as its rows arrive.
-func PackBRow(dst, row []float32, k, p int) {
-	n := len(row)
-	if len(dst) < PackBSize(k, n) || p < 0 || p >= k {
-		panic("tensor: PackBRow size mismatch")
-	}
-	full := n / gemmPanelW
-	for jp := 0; jp < full; jp++ {
-		copyPanelRow((*[gemmPanelW]float32)(dst[(jp*k+p)*gemmPanelW:]), (*[gemmPanelW]float32)(row[jp*gemmPanelW:]))
-	}
-	if j0 := full * gemmPanelW; j0 < n {
-		d := dst[(full*k+p)*gemmPanelW : (full*k+p+1)*gemmPanelW]
-		clear(d[copy(d, row[j0:]):])
-	}
-}
-
 // kernelQuadPanel multiplies one packed A quad (4×k) into one packed B
 // panel (k×16), accumulating into the four C rows starting at c with a
 // row stride of n elements. The Go body and the AVX body in

@@ -317,18 +317,6 @@ func TestPackRangesMatchFull(t *testing.T) {
 		if i, ok := bitsEqual(split, full); !ok {
 			t.Fatalf("PackBRange k=%d n=%d: element %d differs", k, n, i)
 		}
-		// Row by row, in any order, over stale contents.
-		rows := make([]float32, PackBSize(k, n))
-		for i := range rows {
-			rows[i] = float32(math.NaN())
-		}
-		for _, p := range rng.Perm(k) {
-			PackBRow(rows, b[p*n:(p+1)*n], k, p)
-		}
-		if i, ok := bitsEqual(rows, full); !ok {
-			t.Fatalf("PackBRow k=%d n=%d: element %d differs", k, n, i)
-		}
-
 		// Transposed packs must produce the same layout from the
 		// transposed source.
 		bt := make([]float32, n*k)

@@ -110,9 +110,9 @@ func TestFacadeTable4Nets(t *testing.T) {
 
 // TestConcurrentSessions runs several independent Train+Simulate
 // sessions from concurrent goroutines. Under -race this stresses the
-// worker pool's shared state (the global helper budget, replica
-// channels, token windows); functionally it checks that sessions
-// don't perturb each other's results.
+// worker pool's shared state (the global helper budget, pooled
+// chunk jobs); functionally it checks that sessions don't perturb
+// each other's results.
 func TestConcurrentSessions(t *testing.T) {
 	const sessions = 4
 	accs := make([]float64, sessions)
