@@ -102,11 +102,10 @@ func TestStepMatchesFit(t *testing.T) {
 // runs as K rows in buffers the first epoch sized, and a parallel call
 // that starts helpers allocates nothing, so on the MLP and on a conv
 // net nothing is left. The race detector drops pooled chunk jobs at
-// random, so the count holds only in a normal build.
+// random, so a race build bounds the MLP, whose few parallel calls per
+// batch share the examples, at half an allocation per example and
+// skips the conv net, which makes dozens of such calls per batch.
 func TestFitParallelAllocsPerExample(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled chunk jobs at random")
-	}
 	t.Setenv(parallel.EnvWorkers, "2")
 	mlp := func() (*Network, []*tensor.Tensor, []int) {
 		net, ins := batchTestMLP()
@@ -117,13 +116,21 @@ func TestFitParallelAllocsPerExample(t *testing.T) {
 		return net, ins, labels
 	}
 	for _, tc := range []struct {
-		name  string
-		build func() (*Network, []*tensor.Tensor, []int)
+		name      string
+		build     func() (*Network, []*tensor.Tensor, []int)
+		raceBound float64 // the bound in a race build; < 0 skips it there
 	}{
-		{"mlp", mlp},
-		{"conv", stateNet},
+		{"mlp", mlp, 0.5},
+		{"conv", stateNet, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			bound := 0.0
+			if raceEnabled {
+				if tc.raceBound < 0 {
+					t.Skip("the race detector drops pooled chunk jobs at random")
+				}
+				bound = tc.raceBound
+			}
 			net, ins, labels := tc.build()
 			fit := func(epochs int) float64 {
 				cfg := DefaultSGD()
@@ -134,8 +141,8 @@ func TestFitParallelAllocsPerExample(t *testing.T) {
 			one, three := fit(1), fit(3)
 			per := (three - one) / float64(2*len(ins))
 			t.Logf("workers=2 Fit: %.0f allocs at 1 epoch, %.0f at 3: %.2f per example", one, three, per)
-			if per > 0 {
-				t.Fatalf("workers=2 Fit allocates %.2f objects per example, want 0", per)
+			if per > bound {
+				t.Fatalf("workers=2 Fit allocates %.2f objects per example, want <= %v", per, bound)
 			}
 		})
 	}

@@ -19,11 +19,11 @@ import (
 //
 // A group of K samples runs as K convolutions that share one pack of
 // each weight group, made once per call. The samples run in tiles of
-// a few samples per host worker (tileSamples), so the scratch holds
-// one tile, not K samples. A tile with at least two samples per worker
-// splits over samples: each parallel chunk takes one sample through
-// im2col and GEMM, whose packed patches are still in its worker's
-// cache. A smaller tile (a lone Forward, say) splits its im2col over
+// a few samples per host worker (tileSamples; one sample at one
+// worker), so the scratch holds one tile, not K samples. A tile with
+// at least two samples per worker splits over samples: each parallel
+// chunk takes one sample through im2col and GEMM, whose packed patches
+// are still in its worker's cache. A smaller tile (a lone Forward, say) splits its im2col over
 // (sample × column panel) and its GEMM over (sample × output quad).
 // The backward gathers and packs a tile's operands the same way, then
 // takes each sample's weight gradient with its own GEMM inside a chunk
@@ -332,8 +332,15 @@ func packRows(n int) int {
 const tileSamples = 4
 
 // tile returns the sample count of the tiles a group of k samples runs
-// in.
-func tile(k int) int { return min(k, tileSamples*parallel.Workers()) }
+// in. One worker splits no call, so it runs one sample at a time and
+// its scratch holds one sample's operands.
+func tile(k int) int {
+	w := parallel.Workers()
+	if w == 1 {
+		return 1
+	}
+	return min(k, tileSamples*w)
+}
 
 // Init fills the weights with He-normal initialization.
 func (l *Conv2D) Init(rng *rand.Rand) {

@@ -29,6 +29,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // EnvWorkers is the environment variable overriding the host worker
@@ -93,7 +94,11 @@ func For(n int, body func(i int)) {
 // unspecified order; bodies must write disjoint outputs. With one
 // worker the chunks run inline, ascending. A call that starts helpers
 // allocates nothing in steady state: its shared state is a pooled
-// chunkJob, handed to each helper over helperQ.
+// chunkJob, handed to each helper over a queue. A helper that finishes
+// polls for the next call's task for spinFor before it exits, and a
+// caller that runs out of chunks polls for its helpers to finish for as
+// long before it parks, so calls made back to back (a layer's steps, a
+// batch's layers) neither start nor wake a thread.
 func ForChunks(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -123,10 +128,20 @@ func ForChunks(n, grain int, body func(lo, hi int)) {
 	j.next.Store(0)
 	for i := 1; i < w && tryAcquire(int64(budget)); i++ {
 		j.wg.Add(1)
-		helperQ <- helperTask{j: j, slot: i}
-		go helper()
+		j.busy.Add(1)
+		if claimIdle() {
+			idleQ <- helperTask{j: j, slot: i}
+		} else {
+			newQ <- helperTask{j: j, slot: i}
+			go helper()
+		}
 	}
 	j.run(0) // the caller always participates, so progress never depends on the budget
+	// Poll for the helpers' last chunks before parking in Wait, so that
+	// a helper finishing within spinFor does not have to wake the caller.
+	for start := time.Now(); j.busy.Load() > 0 && time.Since(start) < spinFor; {
+		runtime.Gosched()
+	}
 	j.wg.Wait()
 	j.body, j.p = nil, nil
 	jobPool.Put(j)
@@ -135,6 +150,7 @@ func ForChunks(n, grain int, body func(lo, hi int)) {
 // chunkJob is the state one ForChunks call shares with its helpers.
 type chunkJob struct {
 	next             atomic.Int64
+	busy             atomic.Int64 // helpers yet to finish
 	wg               sync.WaitGroup
 	body             func(lo, hi int)
 	p                *poolMetrics
@@ -164,19 +180,84 @@ type helperTask struct {
 	slot int
 }
 
-// helperQ hands tasks to helper goroutines. Passing the task over a
-// channel, rather than as an argument of the go statement, keeps the
-// goroutine's start from allocating a closure. Every send is followed
-// by starting one helper, which takes one task (any call's), so every
-// queued task has a helper on its way. The buffer lets a call hand out
-// its tasks without waiting for each helper to be scheduled; 64 covers
-// the helpers of any worker count this repository runs, and a fuller
-// queue only makes the sender wait for a started helper to take one.
-var helperQ = make(chan helperTask, 64)
+// newQ and idleQ hand tasks to helper goroutines. Passing a task over
+// a channel, rather than as an argument of the go statement, keeps the
+// goroutine's start from allocating a closure. Every send to newQ is
+// followed by starting one helper, which takes one task from it; every
+// send to idleQ follows a claim on one waiting helper (claimIdle), so
+// every queued task has a helper that takes it. The buffers let a call
+// hand out its tasks without waiting for each helper to be scheduled;
+// 64 covers the helpers of any worker count this repository runs, and
+// a fuller queue only makes the sender wait for a helper to take one.
+var (
+	newQ  = make(chan helperTask, 64)
+	idleQ = make(chan helperTask, 64)
+)
+
+// idle counts the helpers waiting on idleQ that no call has claimed.
+// Waiting helpers always number idle plus the claimed tasks no helper
+// has taken yet, so a helper may exit only by taking one off idle; when
+// it finds idle at zero, a task is on its way to it.
+var idle atomic.Int64
+
+// spinFor is how long a helper that has finished a task polls idleQ
+// before it exits, and how long a caller polls for its helpers before
+// it parks: long enough to span the serial work between the parallel
+// calls of a training step, short enough that an idle process stops
+// spinning at once.
+const spinFor = 50 * time.Microsecond
+
+// claimIdle takes one waiting helper for a task about to be queued on
+// idleQ, if there is one.
+func claimIdle() bool {
+	for {
+		n := idle.Load()
+		if n == 0 {
+			return false
+		}
+		if idle.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
 
 func helper() {
-	t := <-helperQ
-	defer t.j.wg.Done()
-	defer release()
-	t.j.run(t.slot)
+	t := <-newQ
+	for {
+		t.j.run(t.slot)
+		// Wait as idle before the call can return, so that the
+		// caller's next call finds this helper.
+		idle.Add(1)
+		release()
+		t.j.busy.Add(-1)
+		t.j.wg.Done()
+		var ok bool
+		if t, ok = wait(); !ok {
+			return
+		}
+	}
+}
+
+// wait waits for an idle helper's next task: it polls idleQ for
+// spinFor, yielding its thread between polls, then exits unless a call
+// has claimed it, in which case the claimed task is on its way.
+func wait() (helperTask, bool) {
+	start := time.Now()
+	for time.Since(start) < spinFor {
+		select {
+		case t := <-idleQ:
+			return t, true
+		default:
+			runtime.Gosched()
+		}
+	}
+	for {
+		n := idle.Load()
+		if n == 0 {
+			return <-idleQ, true
+		}
+		if idle.CompareAndSwap(n, n-1) {
+			return helperTask{}, false
+		}
+	}
 }

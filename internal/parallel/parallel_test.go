@@ -1,9 +1,11 @@
 package parallel
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersDefault(t *testing.T) {
@@ -130,5 +132,49 @@ func TestForChunksZeroAlloc(t *testing.T) {
 		if v != 204 {
 			t.Fatalf("element %d visited %d times, want 204", i, v)
 		}
+	}
+}
+
+// TestHelpersExitWhenIdle drives the helper hand-off from several
+// callers at once, some calling back to back and some pausing past
+// spinFor so that helpers exit between calls: every call covers each
+// index once, and once the calls stop every helper exits.
+func TestHelpersExitWhenIdle(t *testing.T) {
+	t.Setenv(EnvWorkers, "3")
+	before := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			out := make([]int, 50)
+			body := func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					out[i]++
+				}
+			}
+			const calls = 200
+			for i := 0; i < calls; i++ {
+				ForChunks(len(out), 3, body)
+				if i%(c+2) == 0 {
+					time.Sleep(2 * spinFor)
+				}
+			}
+			for i, v := range out {
+				if v != calls {
+					t.Errorf("caller %d: element %d visited %d times, want %d", c, i, v, calls)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the calls stopped, want at most %d", runtime.NumGoroutine(), before)
+		}
+	}
+	if n := idle.Load(); n != 0 {
+		t.Fatalf("%d helpers counted idle after every helper exited", n)
 	}
 }
