@@ -234,7 +234,17 @@ func runSession(label string, scheme learn2scale.Scheme, observed bool) (*rowRun
 	if err != nil {
 		return nil, err
 	}
-	pipeRep, err := m.SimulatePipeline(sessionPipeline, ptl)
+	// The pipelined pass runs on the chip SimulateTimeline builds: the
+	// model's core count and precision, recording into its registry.
+	sysCfg := learn2scale.DefaultSystemConfig(m.Plan.Cores)
+	sysCfg.Obs = m.Obs
+	sysCfg.Timeline = ptl
+	sysCfg.Core.Precision = m.Precision
+	sys, err := learn2scale.NewSystem(sysCfg)
+	if err != nil {
+		return nil, err
+	}
+	pipeRep, err := sys.RunPipeline(m.Plan, sessionPipeline)
 	if err != nil {
 		return nil, err
 	}

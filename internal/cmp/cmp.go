@@ -281,49 +281,6 @@ func sortLost(l []noc.LostTransfer) {
 	})
 }
 
-// Throughput summarizes the steady-state pipelined execution of many
-// independent inputs — the datacenter-style operating point the paper
-// contrasts its single-pass latency focus against (TPU/DaDianNao-class
-// usage). With inputs streamed through the layer pipeline, each layer
-// stage processes input b while its successor processes input b−1;
-// the slowest stage bounds throughput.
-type Throughput struct {
-	// BottleneckCycles is the slowest stage (compute + its sync burst).
-	BottleneckCycles int64
-	BottleneckLayer  string
-	// InputsPerMCycle is the steady-state throughput in inferences per
-	// million cycles.
-	InputsPerMCycle float64
-	// PipelineLatency is the fill latency of one input (equals the
-	// single-pass TotalCycles).
-	PipelineLatency int64
-}
-
-// PipelinedThroughput derives the steady-state throughput of the
-// report's layer pipeline. It is an optimistic analytic bound: it
-// assumes a per-layer pipeline (every layer its own stage, keeping
-// its full core count) with perfect compute/transfer overlap, so the
-// slowest layer alone bounds the rate. RunPipeline measures the real
-// thing — stages share the fixed core budget and cross-stage
-// transfers serialize on the one NoC — and its ThroughputPerMCycle
-// lands at or below this bound
-// (TestPipelinedThroughputEstimateVsSimulation pins the relationship:
-// simulated ≤ bound, and within a documented envelope of it).
-func (r Report) PipelinedThroughput() Throughput {
-	var t Throughput
-	t.PipelineLatency = r.TotalCycles()
-	for _, l := range r.Layers {
-		if c := l.ComputeCycles + l.CommCycles; c > t.BottleneckCycles {
-			t.BottleneckCycles = c
-			t.BottleneckLayer = l.Name
-		}
-	}
-	if t.BottleneckCycles > 0 {
-		t.InputsPerMCycle = 1e6 / float64(t.BottleneckCycles)
-	}
-	return t
-}
-
 // Compare holds the paper's headline ratios of a proposal vs a
 // baseline run of the same network.
 type Compare struct {

@@ -41,8 +41,7 @@ type StageStat struct {
 // PipelineReport is the outcome of a pipelined run: the measured
 // steady-state throughput of the simulated schedule — transfers and
 // compute of different in-flight inferences genuinely contending on one
-// clock — rather than the analytic bottleneck estimate of
-// Report.PipelinedThroughput.
+// clock — rather than an analytic bottleneck estimate.
 type PipelineReport struct {
 	Depth   int
 	Batches int

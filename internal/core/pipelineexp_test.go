@@ -68,15 +68,20 @@ func TestPipelineSweepMiniGrid(t *testing.T) {
 	}
 }
 
-// SimulatePipeline at depth 1 with one batch is the plain barrier
-// simulation: identical per-layer results and total cycles.
+// The model's plan pipelined at depth 1 with one batch, on the system
+// Simulate builds, is the plain barrier simulation: identical
+// per-layer results and total cycles.
 func TestSimulatePipelineDepthOneMatchesSimulate(t *testing.T) {
 	m := trainedTiny(t)
 	barrier, err := m.Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.SimulatePipeline(cmp.PipelineOptions{Depth: 1, Batches: 1}, nil)
+	sys, err := m.system(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.RunPipeline(m.Plan, cmp.PipelineOptions{Depth: 1, Batches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

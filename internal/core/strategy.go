@@ -360,22 +360,6 @@ func (m *TrainedModel) SimulateTimeline(tl *timeline.Sink) (cmp.Report, error) {
 	return sys.RunPlan(m.Plan)
 }
 
-// SimulatePipeline runs the model's plan through the pipelined stage
-// scheduler: layers grouped into opt.Depth stages pinned to disjoint
-// core blocks, opt.Batches inferences in flight on one simulated
-// clock. When tl is non-nil the run records one timeline section per
-// (batch, layer), tagged with its stage so the Perfetto export grows a
-// "pipeline stages" track whose gaps are the pipeline bubbles. At
-// depth 1 with one batch the report, observations and timeline are
-// bit-identical to SimulateTimeline.
-func (m *TrainedModel) SimulatePipeline(opt cmp.PipelineOptions, tl *timeline.Sink) (cmp.PipelineReport, error) {
-	sys, err := m.system(tl)
-	if err != nil {
-		return cmp.PipelineReport{}, err
-	}
-	return sys.RunPipeline(m.Plan, opt)
-}
-
 // system builds the CMP the model simulates on: the default chip for
 // its core count at its datapath precision, recording into the
 // model's obs registry and into tl.

@@ -95,13 +95,3 @@ func (ch *Channel) StreamCycles(n int64) int64 {
 	exposed := ((rows - 1) + int64(c.Banks) - 1) / int64(c.Banks) * actEach
 	return first + transfer + exposed
 }
-
-// Bandwidth returns the effective bytes per cycle achieved for an
-// n-byte streaming transfer (peak minus activation overheads).
-func (ch *Channel) Bandwidth(n int64) float64 {
-	cy := ch.StreamCycles(n)
-	if cy == 0 {
-		return 0
-	}
-	return float64(n) / float64(cy)
-}

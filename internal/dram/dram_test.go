@@ -32,7 +32,7 @@ func TestLargeStreamApproachesPeakBandwidth(t *testing.T) {
 	cfg := DefaultConfig()
 	ch := MustNew(cfg)
 	const n = 8 << 20 // 8 MB
-	bw := ch.Bandwidth(n)
+	bw := float64(n) / float64(ch.StreamCycles(n))
 	if bw > cfg.BytesPerCycle {
 		t.Errorf("effective bandwidth %v exceeds peak %v", bw, cfg.BytesPerCycle)
 	}

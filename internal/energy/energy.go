@@ -74,11 +74,3 @@ func (m Model) Energy(r noc.Result) Breakdown {
 		Leakage: float64(r.Cycles) * float64(m.Routers) * m.RouterLeakPJPerCycle,
 	}
 }
-
-// DynamicEnergy returns only the traffic-proportional part (no
-// leakage) — the quantity whose reduction tracks the paper's
-// "communication energy reduction" most directly.
-func (m Model) DynamicEnergy(r noc.Result) float64 {
-	b := m.Energy(r)
-	return b.Buffer + b.Switch + b.Link
-}

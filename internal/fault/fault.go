@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"learn2scale/internal/topology"
 )
@@ -302,17 +301,5 @@ func MeshLinks(m topology.Mesh) []Link {
 			links = append(links, LinkBetween(id, id+m.W))
 		}
 	}
-	return links
-}
-
-// SortLinks orders links by (A, B) in place and returns them —
-// convenience for deterministic serialization of generated scenarios.
-func SortLinks(links []Link) []Link {
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].A != links[j].A {
-			return links[i].A < links[j].A
-		}
-		return links[i].B < links[j].B
-	})
 	return links
 }

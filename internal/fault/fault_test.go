@@ -214,15 +214,6 @@ func TestMeshLinks(t *testing.T) {
 	}
 }
 
-func TestSortLinks(t *testing.T) {
-	links := []Link{{A: 5, B: 6}, {A: 0, B: 4}, {A: 0, B: 1}, {A: 5, B: 9}}
-	SortLinks(links)
-	want := []Link{{A: 0, B: 1}, {A: 0, B: 4}, {A: 5, B: 6}, {A: 5, B: 9}}
-	if !reflect.DeepEqual(links, want) {
-		t.Errorf("sorted = %v, want %v", links, want)
-	}
-}
-
 func TestConfigJSONRoundTrip(t *testing.T) {
 	orig := &Config{
 		Seed:            17,

@@ -135,15 +135,6 @@ func NewRoutes(m topology.Mesh, cfg *Config) (*Routes, error) {
 	return r, nil
 }
 
-// MustRoutes is NewRoutes that panics on invalid config.
-func MustRoutes(m topology.Mesh, cfg *Config) *Routes {
-	r, err := NewRoutes(m, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // assignLevels runs BFS over the live undirected graph, one spanning
 // tree per connected component, rooted at the component's lowest id.
 func (r *Routes) assignLevels() {
@@ -283,13 +274,6 @@ func (r *Routes) buildTables() {
 		}
 	}
 }
-
-// Alive reports whether node's router is alive.
-func (r *Routes) Alive(node int) bool { return r.alive[node] }
-
-// LinkLive reports whether the link leaving node in direction d is
-// live (exists and is not dead, with both end routers alive).
-func (r *Routes) LinkLive(node int, d Dir) bool { return r.live[node][d] }
 
 // Reachable reports whether a packet injected at src can legally
 // reach dst over the surviving network.

@@ -17,10 +17,10 @@ func checkRoutes(t testing.TB, m topology.Mesh, r *Routes) {
 	comp := components(m, r)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			connected := r.Alive(src) && r.Alive(dst) && comp[src] == comp[dst]
+			connected := r.alive[src] && r.alive[dst] && comp[src] == comp[dst]
 			if src == dst {
-				if got := r.Reachable(src, dst); got != r.Alive(src) {
-					t.Fatalf("Reachable(%d, %d) = %v with alive=%v", src, dst, got, r.Alive(src))
+				if got := r.Reachable(src, dst); got != r.alive[src] {
+					t.Fatalf("Reachable(%d, %d) = %v with alive=%v", src, dst, got, r.alive[src])
 				}
 				continue
 			}
@@ -59,11 +59,11 @@ func walkPath(t testing.TB, m topology.Mesh, r *Routes, src, dst int) {
 		if !ok {
 			t.Fatalf("path %d→%d stuck at node %d phase %d", src, dst, cur, b2i(down))
 		}
-		if !r.LinkLive(cur, d) {
+		if !r.live[cur][d] {
 			t.Fatalf("path %d→%d crosses dead link at node %d dir %v", src, dst, cur, d)
 		}
 		next := Neighbor(m, cur, d)
-		if next < 0 || !r.Alive(next) {
+		if next < 0 || !r.alive[next] {
 			t.Fatalf("path %d→%d enters dead router from node %d dir %v", src, dst, cur, d)
 		}
 		up := r.Up(cur, next)
@@ -99,7 +99,7 @@ func components(m topology.Mesh, r *Routes) []int {
 	}
 	next := 0
 	for s := 0; s < n; s++ {
-		if !r.Alive(s) || comp[s] >= 0 {
+		if !r.alive[s] || comp[s] >= 0 {
 			continue
 		}
 		comp[s] = next
@@ -108,7 +108,7 @@ func components(m topology.Mesh, r *Routes) []int {
 			u := queue[0]
 			queue = queue[1:]
 			for d := Dir(0); d < numDirs; d++ {
-				if !r.LinkLive(u, d) {
+				if !r.live[u][d] {
 					continue
 				}
 				if v := Neighbor(m, u, d); comp[v] < 0 {
@@ -122,9 +122,20 @@ func components(m topology.Mesh, r *Routes) []int {
 	return comp
 }
 
+// mustRoutes builds the routing tables for cfg on m and fails the test
+// on an invalid config.
+func mustRoutes(t testing.TB, m topology.Mesh, cfg *Config) *Routes {
+	t.Helper()
+	r, err := NewRoutes(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRoutesFaultFreeMesh(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	r := MustRoutes(m, nil)
+	r := mustRoutes(t, m, nil)
 	checkRoutes(t, m, r)
 	// Fault-free shortest paths: up*/down* distance equals hop distance
 	// on a mesh rooted at node 0? Not in general — but the path length
@@ -170,7 +181,7 @@ func TestRoutesDeadLink(t *testing.T) {
 
 func TestRoutesDeadRouter(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	r := MustRoutes(m, &Config{DeadRouters: []int{5}})
+	r := mustRoutes(t, m, &Config{DeadRouters: []int{5}})
 	checkRoutes(t, m, r)
 	for other := 0; other < m.Nodes(); other++ {
 		if other == 5 {
@@ -187,7 +198,7 @@ func TestRoutesDisconnection(t *testing.T) {
 	// mesh: the two columns become separate components.
 	m := topology.NewMesh(2, 3)
 	cfg := &Config{DeadLinks: []Link{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 5}}}
-	r := MustRoutes(m, cfg)
+	r := mustRoutes(t, m, cfg)
 	checkRoutes(t, m, r)
 	if r.Reachable(0, 1) {
 		t.Error("severed columns still reachable")
@@ -200,8 +211,8 @@ func TestRoutesDisconnection(t *testing.T) {
 func TestRoutesDeterministic(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	cfg := StructuralScenario(m, 0.5, 3)
-	a := MustRoutes(m, cfg)
-	b := MustRoutes(m, cfg)
+	a := mustRoutes(t, m, cfg)
+	b := mustRoutes(t, m, cfg)
 	for src := 0; src < m.Nodes(); src++ {
 		for dst := 0; dst < m.Nodes(); dst++ {
 			pa, oka := a.Path(src, dst)

@@ -55,7 +55,7 @@ func ParsePrecision(s string) (Precision, error) {
 // per tensor (activations) or per output channel (conv/FC weights) by a
 // calibration pass.
 //
-// Rounding convention: QuantizeScaled rounds half to even
+// Rounding convention: QuantizeValueQ rounds half to even
 // (math.RoundToEven), the IEEE default, so the quantizer is unbiased
 // over symmetric inputs; it is the only rounding step on the 16-bit
 // datapath (DESIGN.md §10). The negative extreme -32768 is excluded
@@ -90,17 +90,6 @@ func (m CalibMethod) String() string {
 	return "unknown"
 }
 
-// ScaleFor returns the symmetric quantization scale mapping [-maxAbs,
-// maxAbs] onto [-QMax, QMax]. A degenerate (zero, negative, NaN or Inf)
-// range yields scale 1 so that all-zero tensors quantize to all zeros
-// rather than dividing by zero.
-func ScaleFor(maxAbs float64) float32 {
-	if !(maxAbs > 0) || math.IsInf(maxAbs, 0) {
-		return 1
-	}
-	return float32(maxAbs / QMax)
-}
-
 // AccQMax returns the largest symmetric quantized magnitude whose
 // worst-case k-term dot product still fits an int32 accumulator:
 // the biggest q ≤ QMax with k·q² ≤ 2³¹−1. Layers quantize operands to
@@ -127,18 +116,14 @@ func AccQMax(k int) int32 {
 }
 
 // ScaleForQ returns the symmetric quantization scale mapping
-// [-maxAbs, maxAbs] onto [-qmax, qmax]; see ScaleFor.
+// [-maxAbs, maxAbs] onto [-qmax, qmax]. A degenerate (zero, negative,
+// NaN or Inf) range yields scale 1 so that all-zero tensors quantize
+// to all zeros rather than dividing by zero.
 func ScaleForQ(maxAbs float64, qmax int32) float32 {
 	if !(maxAbs > 0) || math.IsInf(maxAbs, 0) {
 		return 1
 	}
 	return float32(maxAbs / float64(qmax))
-}
-
-// QuantizeValue quantizes one value: round-half-to-even of x/scale,
-// clamped to ±QMax.
-func QuantizeValue(x float32, scale float32) int16 {
-	return QuantizeValueQ(x, scale, QMax)
 }
 
 // QuantizeValueQ quantizes one value with an explicit clamp bound
@@ -156,30 +141,13 @@ func QuantizeValueQ(x float32, scale float32, qmax int32) int16 {
 	return int16(q)
 }
 
-// QuantizeScaled quantizes src into dst with a single per-tensor scale.
-// dst and src must have the same length.
-func QuantizeScaled(dst []int16, src []float32, scale float32) {
-	QuantizeScaledQ(dst, src, scale, QMax)
-}
-
 // QuantizeScaledQ quantizes src into dst with an explicit clamp bound.
 func QuantizeScaledQ(dst []int16, src []float32, scale float32, qmax int32) {
 	if len(dst) != len(src) {
-		panic("fixed: QuantizeScaled length mismatch")
+		panic("fixed: QuantizeScaledQ length mismatch")
 	}
 	for i, x := range src {
 		dst[i] = QuantizeValueQ(x, scale, qmax)
-	}
-}
-
-// DequantizeScaled converts quantized values back to float32:
-// dst[i] = scale · src[i].
-func DequantizeScaled(dst []float32, src []int16, scale float32) {
-	if len(dst) != len(src) {
-		panic("fixed: DequantizeScaled length mismatch")
-	}
-	for i, q := range src {
-		dst[i] = scale * float32(q)
 	}
 }
 
@@ -194,23 +162,6 @@ func MaxAbs(src []float32) float64 {
 		}
 	}
 	return m
-}
-
-// ChannelScales computes one scale per output channel for a row-major
-// weight matrix (channels × per-channel length): scales[c] maps channel
-// c's max-|w| onto the int16 range. Per-channel scales never lose to a
-// single per-tensor scale — each channel's scale is ≤ the per-tensor
-// scale, so per-channel round-trip error is bounded by the per-tensor
-// bound everywhere (the monotonicity property pinned in quant_test.go).
-func ChannelScales(w []float32, channels, perChan int) []float32 {
-	if len(w) != channels*perChan {
-		panic("fixed: ChannelScales size mismatch")
-	}
-	scales := make([]float32, channels)
-	for c := 0; c < channels; c++ {
-		scales[c] = ScaleFor(MaxAbs(w[c*perChan : (c+1)*perChan]))
-	}
-	return scales
 }
 
 // Calibrator accumulates the absolute values of activations observed
@@ -272,6 +223,3 @@ func (c *Calibrator) Range() float64 {
 	}
 	return sorted[rank-1]
 }
-
-// Scale returns the per-tensor scale for the calibrated range.
-func (c *Calibrator) Scale() float32 { return ScaleFor(c.Range()) }

@@ -7,13 +7,21 @@ import (
 	"testing/quick"
 )
 
+// dequantize is the inverse the round-trip tests measure the quantizer
+// against: dst[i] = scale · src[i].
+func dequantize(dst []float32, src []int16, scale float32) {
+	for i, q := range src {
+		dst[i] = scale * float32(q)
+	}
+}
+
 // TestQuantRoundTripBound pins the core quantizer property: for any x
 // inside the calibrated range, |x − deq(q(x))| ≤ scale/2.
 func TestQuantRoundTripBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		maxAbs := math.Exp(rng.Float64()*12 - 6) // ranges from ~2.5e-3 to ~400
-		scale := ScaleFor(maxAbs)
+		scale := ScaleForQ(maxAbs, QMax)
 		xs := make([]float32, 257)
 		for i := range xs {
 			xs[i] = float32((rng.Float64()*2 - 1) * maxAbs)
@@ -21,8 +29,8 @@ func TestQuantRoundTripBound(t *testing.T) {
 		xs[0], xs[1], xs[2] = 0, float32(maxAbs), float32(-maxAbs)
 		qs := make([]int16, len(xs))
 		back := make([]float32, len(xs))
-		QuantizeScaled(qs, xs, scale)
-		DequantizeScaled(back, qs, scale)
+		QuantizeScaledQ(qs, xs, scale, QMax)
+		dequantize(back, qs, scale)
 		for i, x := range xs {
 			err := math.Abs(float64(x) - float64(back[i]))
 			// Half a quantization step, plus float32 slack on the
@@ -40,7 +48,7 @@ func TestQuantRoundTripBound(t *testing.T) {
 // the calibrated range quantize to exactly ±QMax, and the asymmetric
 // extreme -32768 is never produced.
 func TestQuantSaturation(t *testing.T) {
-	scale := ScaleFor(4.0)
+	scale := ScaleForQ(4.0, QMax)
 	cases := []struct {
 		x    float32
 		want int16
@@ -54,8 +62,8 @@ func TestQuantSaturation(t *testing.T) {
 		{float32(math.NaN()), 0},
 	}
 	for _, c := range cases {
-		if got := QuantizeValue(c.x, scale); got != c.want {
-			t.Errorf("QuantizeValue(%g, %g) = %d, want %d", c.x, scale, got, c.want)
+		if got := QuantizeValueQ(c.x, scale, QMax); got != c.want {
+			t.Errorf("QuantizeValueQ(%g, %g, QMax) = %d, want %d", c.x, scale, got, c.want)
 		}
 	}
 	qs := make([]int16, 4096)
@@ -64,7 +72,7 @@ func TestQuantSaturation(t *testing.T) {
 	for i := range xs {
 		xs[i] = float32((rng.Float64()*2 - 1) * 1e6)
 	}
-	QuantizeScaled(qs, xs, scale)
+	QuantizeScaledQ(qs, xs, scale, QMax)
 	for i, q := range qs {
 		if q == math.MinInt16 {
 			t.Fatalf("element %d quantized to -32768; range must be symmetric", i)
@@ -83,8 +91,8 @@ func TestQuantRoundHalfEven(t *testing.T) {
 		{-0.5, 0}, {-1.5, -2}, {-2.5, -2},
 	}
 	for _, c := range cases {
-		if got := QuantizeValue(c.x, 1); got != c.want {
-			t.Errorf("QuantizeValue(%g, 1) = %d, want %d (round half to even)", c.x, got, c.want)
+		if got := QuantizeValueQ(c.x, 1, QMax); got != c.want {
+			t.Errorf("QuantizeValueQ(%g, 1, QMax) = %d, want %d (round half to even)", c.x, got, c.want)
 		}
 	}
 }
@@ -104,14 +112,17 @@ func TestChannelScalesMonotone(t *testing.T) {
 			w[c*perChan+i] = float32((rng.Float64()*2 - 1) * chanRange)
 		}
 	}
-	tensorScale := ScaleFor(MaxAbs(w))
-	chanScales := ChannelScales(w, channels, perChan)
+	tensorScale := ScaleForQ(MaxAbs(w), QMax)
+	chanScales := make([]float32, channels)
+	for c := range chanScales {
+		chanScales[c] = ScaleForQ(MaxAbs(w[c*perChan:(c+1)*perChan]), QMax)
+	}
 
 	maxErr := func(src []float32, scale float32) float64 {
 		qs := make([]int16, len(src))
 		back := make([]float32, len(src))
-		QuantizeScaled(qs, src, scale)
-		DequantizeScaled(back, qs, scale)
+		QuantizeScaledQ(qs, src, scale, QMax)
+		dequantize(back, qs, scale)
 		m := 0.0
 		for i := range src {
 			if e := math.Abs(float64(src[i]) - float64(back[i])); e > m {
@@ -169,9 +180,9 @@ func TestCalibrators(t *testing.T) {
 		t.Errorf("percentile-99.9 range = %g, want the gaussian tail (2..10), not the outlier", got)
 	}
 	// Max-abs calibration never saturates the calibration set.
-	scale := ma.Scale()
+	scale := ScaleForQ(ma.Range(), QMax)
 	for _, x := range xs {
-		q := QuantizeValue(x, scale)
+		q := QuantizeValueQ(x, scale, QMax)
 		if q == QMax || q == -QMax {
 			if math.Abs(float64(x)) < ma.Range() {
 				t.Fatalf("x=%g saturated under maxabs scale", x)
@@ -179,21 +190,21 @@ func TestCalibrators(t *testing.T) {
 		}
 	}
 	// Percentile calibration clips the outlier.
-	if q := QuantizeValue(100, p999.Scale()); q != QMax {
+	if q := QuantizeValueQ(100, ScaleForQ(p999.Range(), QMax), QMax); q != QMax {
 		t.Errorf("outlier quantized to %d under percentile scale, want saturation at %d", q, QMax)
 	}
 }
 
 func TestScaleForDegenerate(t *testing.T) {
 	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		if got := ScaleFor(v); got != 1 {
-			t.Errorf("ScaleFor(%g) = %g, want 1", v, got)
+		if got := ScaleForQ(v, QMax); got != 1 {
+			t.Errorf("ScaleForQ(%g, QMax) = %g, want 1", v, got)
 		}
 	}
 	// All-zero tensors round-trip exactly.
 	zs := make([]float32, 8)
 	qs := make([]int16, 8)
-	QuantizeScaled(qs, zs, ScaleFor(MaxAbs(zs)))
+	QuantizeScaledQ(qs, zs, ScaleForQ(MaxAbs(zs), QMax), QMax)
 	for _, q := range qs {
 		if q != 0 {
 			t.Fatal("zero tensor did not quantize to zeros")
@@ -278,8 +289,7 @@ func TestQuantizeLengthMismatchPanics(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("QuantizeScaled", func() { QuantizeScaled(make([]int16, 2), make([]float32, 3), 1) })
-	expectPanic("DequantizeScaled", func() { DequantizeScaled(make([]float32, 3), make([]int16, 2), 1) })
+	expectPanic("QuantizeScaledQ", func() { QuantizeScaledQ(make([]int16, 2), make([]float32, 3), 1, QMax) })
 }
 
 // q78 is the power-of-two scale 2⁻⁸: with it the scaled quantizer is a
@@ -301,13 +311,13 @@ func TestFromFloatExactValues(t *testing.T) {
 		{1.0 / 256, 1}, // the resolution
 	}
 	for _, c := range cases {
-		if got := QuantizeValue(c.x, q78); got != c.want {
-			t.Errorf("QuantizeValue(%v, 2^-8) = %d, want %d", c.x, got, c.want)
+		if got := QuantizeValueQ(c.x, q78, QMax); got != c.want {
+			t.Errorf("QuantizeValueQ(%v, 2^-8, QMax) = %d, want %d", c.x, got, c.want)
 		}
 		back := make([]float32, 1)
-		DequantizeScaled(back, []int16{c.want}, q78)
+		dequantize(back, []int16{c.want}, q78)
 		if back[0] != c.x {
-			t.Errorf("DequantizeScaled(%d, 2^-8) = %v, want %v exactly", c.want, back[0], c.x)
+			t.Errorf("dequantize(%d, 2^-8) = %v, want %v exactly", c.want, back[0], c.x)
 		}
 	}
 }
@@ -341,8 +351,8 @@ func TestRoundTripResolution(t *testing.T) {
 	xs := []float32{0.1, -0.1, 3.14159, -2.71828, 100.125}
 	qs := make([]int16, len(xs))
 	back := make([]float32, len(xs))
-	QuantizeScaled(qs, xs, q78)
-	DequantizeScaled(back, qs, q78)
+	QuantizeScaledQ(qs, xs, q78, QMax)
+	dequantize(back, qs, q78)
 	for i, x := range xs {
 		if err := math.Abs(float64(back[i]) - float64(x)); err > 1.0/512+1e-6 {
 			t.Errorf("round trip of %v gave %v (err %v)", x, back[i], err)
@@ -355,9 +365,9 @@ func TestRoundTripResolution(t *testing.T) {
 func TestQuantizeDequantize(t *testing.T) {
 	src := []float32{0.1, -0.2, 1.5, -127, 200}
 	q := make([]int16, len(src))
-	QuantizeScaled(q, src, q78)
+	QuantizeScaledQ(q, src, q78, QMax)
 	back := make([]float32, len(src))
-	DequantizeScaled(back, q, q78)
+	dequantize(back, q, q78)
 	// 200 saturates to QMax·2⁻⁸ ≈ 127.996.
 	if want := float32(QMax) / 256; back[4] != want {
 		t.Errorf("saturated dequantize = %v, want %v", back[4], want)
@@ -376,7 +386,7 @@ func TestQuickConversionError(t *testing.T) {
 		x := float32(raw%12500) / 100
 		scale := float32(math.Ldexp(1, -int(k%9)))
 		back := make([]float32, 1)
-		DequantizeScaled(back, []int16{QuantizeValue(x, scale)}, scale)
+		dequantize(back, []int16{QuantizeValueQ(x, scale, QMax)}, scale)
 		return math.Abs(float64(back[0])-float64(x)) <= float64(scale)/2+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {

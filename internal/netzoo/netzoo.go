@@ -101,16 +101,6 @@ func (l LayerShape) KernelVolume() int {
 	return 0
 }
 
-// Weights returns the parameter count of the layer (no biases).
-// Convolution weights are shared spatially, so both conv and FC layers
-// hold OutC·KernelVolume scalars.
-func (l LayerShape) Weights() int {
-	if !l.Synaptic {
-		return 0
-	}
-	return l.OutC * l.KernelVolume()
-}
-
 // MACs returns the multiply-accumulate count of the layer.
 func (l LayerShape) MACs() int64 {
 	if !l.Synaptic {

@@ -94,7 +94,7 @@ func TestCaffeNetParameterScale(t *testing.T) {
 	// CaffeNet has ~60M parameters, dominated by ip1 (37.7M).
 	var total int
 	for _, l := range CaffeNet().SynapticShapes() {
-		total += l.Weights()
+		total += l.OutC * l.KernelVolume()
 	}
 	if total < 55e6 || total > 65e6 {
 		t.Errorf("CaffeNet weights = %d, want ~60M", total)
@@ -145,7 +145,7 @@ func TestConvAfterFlattenPanics(t *testing.T) {
 
 func TestBuildRunsForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, spec := range []NetSpec{MLP(), LeNet(), ConvNet(), ConvNetI10Reduced([3]int{16, 32, 64}, 1)} {
+	for _, spec := range []NetSpec{MLP(), LeNet(), ConvNet(), ConvNetI10([3]int{16, 32, 64}, 1, 32)} {
 		net := spec.Build(rng)
 		in := tensor.New(spec.InC, spec.InH, spec.InW)
 		in.RandN(rng, 1)
@@ -158,7 +158,7 @@ func TestBuildRunsForward(t *testing.T) {
 
 func TestBuildGroupedForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	spec := ConvNetI10Reduced([3]int{16, 32, 64}, 4)
+	spec := ConvNetI10([3]int{16, 32, 64}, 4, 32)
 	net := spec.Build(rng)
 	in := tensor.New(3, 32, 32)
 	in.RandN(rng, 1)
@@ -180,7 +180,9 @@ func TestBuildBackwardTrainStep(t *testing.T) {
 	_ = nn.SoftmaxCrossEntropy(logits, 3, grad)
 	net.Backward(grad)
 	for _, p := range net.Params() {
-		p.W.AXPY(-0.01, p.G)
+		for i, g := range p.G.Data {
+			p.W.Data[i] -= 0.01 * g
+		}
 	}
 	changed := false
 	for i := range before.Data {

@@ -155,15 +155,6 @@ func ConvNetI10(kernels [3]int, groups, size int) NetSpec {
 	}
 }
 
-// ConvNetI10Reduced returns the Table III variant at 3×32×32 input —
-// small enough to train in tests while keeping the kernel-count ratios
-// that drive the structure-level parallelization comparison.
-func ConvNetI10Reduced(kernels [3]int, groups int) NetSpec {
-	s := ConvNetI10(kernels, groups, 32)
-	s.Name += "-reduced"
-	return s
-}
-
 // ResNet18 returns a ResNet-18-like architecture on 3×224×224 input —
 // the "Resnet-incept"-class deep network the paper's §III.B names as
 // the case where partitioning traffic rockets. Identity skip

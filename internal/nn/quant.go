@@ -343,18 +343,3 @@ func (qn *QuantNetwork) Predict(in *tensor.Tensor) int {
 func (qn *QuantNetwork) Accuracy(inputs []*tensor.Tensor, labels []int) float64 {
 	return accuracy(qn.ForwardBatch, inputs, labels)
 }
-
-// Scales returns, for diagnostics, each quantized layer's name and
-// input scale in layer order.
-func (qn *QuantNetwork) Scales() map[string]float32 {
-	m := make(map[string]float32)
-	for _, l := range qn.layers {
-		switch t := l.(type) {
-		case *quantConv:
-			m[t.name] = t.inScale
-		case *quantFC:
-			m[t.name] = t.inScale
-		}
-	}
-	return m
-}

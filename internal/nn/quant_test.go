@@ -155,9 +155,9 @@ func TestQuantAndFloatForwardConcurrently(t *testing.T) {
 }
 
 // TestQuantConvMatchesDequantReference checks one quantized conv layer
-// against an explicit float conv over the *dequantized* operands: the
-// int16 GEMM plus per-channel dequant must equal (to float32 rounding)
-// a reference convolution computed on deq(q(w)) and deq(q(x)).
+// against a float conv over the *dequantized* operands: the int16 GEMM
+// plus per-channel dequant must equal (to float32 rounding) the
+// convolution of deq(q(w)) and deq(q(x)).
 func TestQuantConvMatchesDequantReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	l := NewConv2D("conv", 3, 6, 6, 4, 3, 1, 1, 1)
@@ -168,22 +168,26 @@ func TestQuantConvMatchesDequantReference(t *testing.T) {
 	q := newQuantConv(l, fixed.MaxAbs(in.Data))
 	got := q.forwardRows(addRow(new(tensor.Tensor), in))
 
-	// Dequantized operands.
+	// Dequantized operands, run through a float conv of the same
+	// geometry (the im2col path tensor's tests pin to a direct conv).
 	g := l.geom
 	rows := g.InC * g.KH * g.KW
+	ref := NewConv2D("ref", 3, 6, 6, 4, 3, 1, 1, 1)
+	copy(ref.bias.W.Data, l.bias.W.Data)
 	qw := make([]int16, rows)
-	deqW := make([]float32, g.OutC*rows)
 	for oc := 0; oc < g.OutC; oc++ {
 		fixed.QuantizeScaledQ(qw, l.weight.W.Data[oc*rows:(oc+1)*rows], q.wScales[oc], q.qmax)
-		fixed.DequantizeScaled(deqW[oc*rows:(oc+1)*rows], qw, q.wScales[oc])
+		for i, v := range qw {
+			ref.weight.W.Data[oc*rows+i] = q.wScales[oc] * float32(v)
+		}
 	}
 	qx := make([]int16, in.Len())
-	deqX := make([]float32, in.Len())
+	deqX := tensor.New(in.Shape...)
 	fixed.QuantizeScaledQ(qx, in.Data, q.inScale, q.qmax)
-	fixed.DequantizeScaled(deqX, qx, q.inScale)
-
-	want := make([]float32, g.OutC*g.OutH*g.OutW)
-	tensor.ConvRef(want, deqX, deqW, l.bias.W.Data, g)
+	for i, v := range qx {
+		deqX.Data[i] = q.inScale * float32(v)
+	}
+	want := ref.Forward(deqX, false).Data
 
 	for i := range want {
 		// The quantized path computes scale·(int32 dot) + bias in one
@@ -223,17 +227,26 @@ func TestQuantFCMatchesDequantReference(t *testing.T) {
 }
 
 // TestQuantizeNetworkFallback checks non-conv/FC layers are wrapped,
-// not dropped, and that Scales reports one entry per quantized layer.
+// not dropped, and that each conv/FC layer is quantized with a
+// positive input scale.
 func TestQuantizeNetworkFallback(t *testing.T) {
 	net, ins := quantTestNet(t)
 	qn := QuantizeNetwork(net, ins[:2], CalibConfig{Method: fixed.CalibMaxAbs})
 	if len(qn.layers) != len(net.Layers) {
 		t.Fatalf("quant network has %d layers, want %d", len(qn.layers), len(net.Layers))
 	}
-	scales := qn.Scales()
+	scales := map[string]float32{}
+	for _, l := range qn.layers {
+		switch q := l.(type) {
+		case *quantConv:
+			scales[q.name] = q.inScale
+		case *quantFC:
+			scales[q.name] = q.inScale
+		}
+	}
 	want := []string{"conv1", "conv2", "fc"}
 	if len(scales) != len(want) {
-		t.Fatalf("Scales() has %d entries, want %d: %v", len(scales), len(want), scales)
+		t.Fatalf("%d quantized layers, want %d: %v", len(scales), len(want), scales)
 	}
 	for _, name := range want {
 		if scales[name] <= 0 {

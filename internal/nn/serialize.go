@@ -82,13 +82,3 @@ func (n *Network) SaveFile(path string) error {
 	}
 	return f.Close()
 }
-
-// LoadFile reads parameters from path into the network.
-func (n *Network) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return n.Load(f)
-}

@@ -125,7 +125,7 @@ func TestLRNZeroAlloc(t *testing.T) {
 	in := tensor.New(6, 5, 5)
 	in.RandN(rand.New(rand.NewSource(3)), 1)
 	g := tensor.New(6, 5, 5)
-	g.Fill(0.5)
+	fill(g, 0.5)
 	l.Forward(in, true)
 	l.Backward(g)
 	if n := testing.AllocsPerRun(20, func() { l.Forward(in, true) }); n != 0 {

@@ -476,3 +476,51 @@ func TestObsOccupancyDrains(t *testing.T) {
 		}
 	}
 }
+
+// LowerBoundDrain returns an analytic lower bound on the burst drain
+// time: the max of the per-node injection/ejection serialization
+// bounds and the bisection bound, plus the minimum head latency. The
+// simulator can never beat this; the tests use it as a sanity envelope.
+func LowerBoundDrain(cfg Config, msgs []Message) int64 {
+	inFlits := make([]int64, cfg.Mesh.Nodes())
+	outFlits := make([]int64, cfg.Mesh.Nodes())
+	var cross int64
+	maxHop := 0
+	for _, m := range msgs {
+		if m.Src == m.Dst || m.Bytes <= 0 {
+			continue
+		}
+		f := int64(flitsForBytes(cfg, m.Bytes))
+		outFlits[m.Src] += f
+		inFlits[m.Dst] += f
+		if h := cfg.Mesh.HopDist(m.Src, m.Dst); h > maxHop {
+			maxHop = h
+		}
+		// Bisection crossing along the wider dimension.
+		half := cfg.Mesh.W / 2
+		sx := cfg.Mesh.Coord(m.Src).X
+		dx := cfg.Mesh.Coord(m.Dst).X
+		if cfg.Mesh.W >= cfg.Mesh.H && cfg.Mesh.W > 1 {
+			if (sx < half) != (dx < half) {
+				cross += f
+			}
+		}
+	}
+	planes := int64(cfg.Planes)
+	var lb int64
+	for i := range inFlits {
+		if b := inFlits[i] / planes; b > lb {
+			lb = b
+		}
+		if b := outFlits[i] / planes; b > lb {
+			lb = b
+		}
+	}
+	if cfg.Mesh.W >= cfg.Mesh.H && cfg.Mesh.W > 1 {
+		links := int64(cfg.Mesh.H) * planes
+		if b := cross / links; b > lb {
+			lb = b
+		}
+	}
+	return lb + int64(maxHop*(cfg.Stages+1))
+}

@@ -89,10 +89,6 @@ func New(cfg Config) *Plane {
 	}
 }
 
-// Deterministic reports whether the plane runs in deterministic
-// (boundary-driven) mode.
-func (p *Plane) Deterministic() bool { return p != nil && p.cfg.Clock == 0 }
-
 // Start launches the wall-clock ticker when the plane is in clock
 // mode; no-op otherwise.
 func (p *Plane) Start() {
@@ -197,8 +193,7 @@ func (p *Plane) TapGauge(name string, class obs.Class, v float64, isMax bool) {
 
 // TapHistogram folds one observation into the window's log-bucketed
 // histogram: bucket i (i >= 1) covers [2^(i-1), 2^i), bucket 0 covers
-// v <= 0. Power-of-two buckets make window snapshots mergeable across
-// planes and windows (counts add; see MergeHist).
+// v <= 0.
 func (p *Plane) TapHistogram(name string, class obs.Class, v int64) {
 	if p.skip(class) {
 		return

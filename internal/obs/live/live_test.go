@@ -246,74 +246,9 @@ func TestReadStreamRejectsViolations(t *testing.T) {
 	}
 }
 
-// TestMergeHistProperties: merge is associative and commutative and
-// preserves the digest sums — checked over random window histograms.
-func TestMergeHistProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	randHist := func() HistWin {
-		h := HistWin{Name: "h", Min: math.MaxInt64, Max: math.MinInt64}
-		n := 1 + rng.Intn(50)
-		counts := map[int]int64{}
-		for i := 0; i < n; i++ {
-			v := int64(rng.Intn(1 << 16))
-			idx := 0
-			if v > 0 {
-				idx = 64 - leadingZeros(uint64(v))
-			}
-			counts[idx]++
-			h.Count++
-			h.Sum += v
-			if v > h.Max {
-				h.Max = v
-			}
-			if v < h.Min {
-				h.Min = v
-			}
-		}
-		for i := 0; i < histBuckets; i++ {
-			if counts[i] > 0 {
-				h.Buckets = append(h.Buckets, Bucket{Idx: i, N: counts[i]})
-			}
-		}
-		h.P50, h.P90, h.P99 = bucketQuantile(h, 0.5), bucketQuantile(h, 0.9), bucketQuantile(h, 0.99)
-		return h
-	}
-
-	for trial := 0; trial < 200; trial++ {
-		a, b, c := randHist(), randHist(), randHist()
-		ab := MergeHist(a, b)
-		ba := MergeHist(b, a)
-		if !reflect.DeepEqual(ab, ba) {
-			t.Fatalf("merge not commutative:\n%+v\nvs\n%+v", ab, ba)
-		}
-		left := MergeHist(MergeHist(a, b), c)
-		right := MergeHist(a, MergeHist(b, c))
-		if !reflect.DeepEqual(left, right) {
-			t.Fatalf("merge not associative:\n%+v\nvs\n%+v", left, right)
-		}
-		if left.Count != a.Count+b.Count+c.Count || left.Sum != a.Sum+b.Sum+c.Sum {
-			t.Fatalf("merge lost mass: %+v", left)
-		}
-		if zero := MergeHist(a, HistWin{Name: "h"}); !reflect.DeepEqual(zero, a) {
-			t.Fatalf("empty merge not identity: %+v vs %+v", zero, a)
-		}
-	}
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if v&(1<<uint(i)) != 0 {
-			break
-		}
-		n++
-	}
-	return n
-}
-
 func TestNilPlaneAndSession(t *testing.T) {
 	var p *Plane
-	if p.Last() != nil || p.Violations() != nil || p.Deterministic() {
+	if p.Last() != nil || p.Violations() != nil {
 		t.Error("nil plane not inert")
 	}
 	p.Start()

@@ -54,7 +54,7 @@ func populated(t *testing.T) (*obs.Registry, *Plane) {
 	h.Observe(3)
 	h.Observe(20)
 	h.Observe(999)
-	r.Span("train/step").Hit()
+	r.Span("train/step").Start().Stop()
 	r.Boundary("epoch", 1)
 	return r, p
 }

@@ -55,9 +55,7 @@ type Bucket struct {
 }
 
 // HistWin is one histogram's window view: a sparse log-bucketed
-// snapshot plus estimated quantiles. Snapshots merge exactly (counts
-// add per bucket; see MergeHist), so downstream collectors can
-// combine windows or planes without re-observing.
+// snapshot plus estimated quantiles.
 type HistWin struct {
 	Name    string   `json:"name"`
 	Count   int64    `json:"count"`
@@ -109,49 +107,6 @@ func bucketQuantile(h HistWin, q float64) float64 {
 		}
 	}
 	return float64(h.Max)
-}
-
-// MergeHist combines two window histograms of the same metric into
-// one covering both windows: bucket counts, counts and sums add;
-// min/max combine; quantiles are re-estimated from the merged
-// buckets. The operation is associative and commutative, so any
-// merge tree over a stream's windows yields the same result.
-func MergeHist(a, b HistWin) HistWin {
-	if a.Count == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	m := HistWin{
-		Name:  a.Name,
-		Count: a.Count + b.Count,
-		Sum:   a.Sum + b.Sum,
-		Min:   a.Min,
-		Max:   a.Max,
-	}
-	if b.Min < m.Min {
-		m.Min = b.Min
-	}
-	if b.Max > m.Max {
-		m.Max = b.Max
-	}
-	var counts [histBuckets]int64
-	for _, bk := range a.Buckets {
-		counts[bk.Idx] += bk.N
-	}
-	for _, bk := range b.Buckets {
-		counts[bk.Idx] += bk.N
-	}
-	for i, n := range counts {
-		if n != 0 {
-			m.Buckets = append(m.Buckets, Bucket{Idx: i, N: n})
-		}
-	}
-	m.P50 = bucketQuantile(m, 0.50)
-	m.P90 = bucketQuantile(m, 0.90)
-	m.P99 = bucketQuantile(m, 0.99)
-	return m
 }
 
 // ReadStream parses a JSONL snapshot stream and validates its

@@ -388,16 +388,6 @@ func (t Timing) StopN(n int64) {
 	}
 }
 
-// Hit records one un-timed occurrence of the span (count only). Used
-// where the event matters but its duration is meaningless. No-op on
-// nil.
-func (s *Span) Hit() {
-	if s == nil {
-		return
-	}
-	s.count.Add(1)
-}
-
 // CounterSnap is one counter in a snapshot.
 type CounterSnap struct {
 	Name  string `json:"name"`

@@ -57,7 +57,7 @@ func TestSpanAccumulation(t *testing.T) {
 	tm := sp.Start()
 	time.Sleep(time.Millisecond)
 	tm.Stop()
-	sp.Hit()
+	sp.Start().Stop()
 	v := r.SnapshotClass(Volatile)
 	if len(v.Spans) != 1 || v.Spans[0].Count != 2 {
 		t.Fatalf("span snapshot = %+v", v.Spans)
@@ -80,7 +80,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		r.Counter("c."+n, Stable).Add(1)
 		r.Gauge("g."+n, Stable).Set(1)
 		r.Histogram("h."+n, Stable, []int64{1}).Observe(0)
-		r.Span("s/" + n).Hit()
+		r.Span("s/" + n).Start().Stop()
 	}
 	s := r.SnapshotClass(Stable)
 	for i := 1; i < len(s.Counters); i++ {
@@ -128,7 +128,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Histogram("x", Stable, []int64{1}).Observe(1)
 	tm := r.Span("x").Start()
 	tm.Stop()
-	r.Span("x").Hit()
 	if !r.SnapshotClass(Stable).Empty() {
 		t.Error("nil registry produced metrics")
 	}
@@ -181,7 +180,7 @@ func TestFlightRecordRoundTrip(t *testing.T) {
 	r.Counter("parallel.worker.00.busy_ns", Volatile).Add(12345)
 	r.Gauge("train.epoch.00.loss", Stable).Set(1.25)
 	r.Histogram("noc.packet_latency", Stable, []int64{16, 32, 64, 128}).Observe(40)
-	r.Span("sim/runplan").Hit()
+	r.Span("sim/runplan").Start().Stop()
 
 	rec := r.Record("test", map[string]string{"net": "mlp"}, true)
 	var buf bytes.Buffer

@@ -54,18 +54,6 @@ func Split(count, n int) []Range {
 // depend on core i's inputs, so i must send j its activations.
 type BlockMask [][]bool
 
-// FullMask returns an all-true n×n mask (dense layer).
-func FullMask(n int) BlockMask {
-	m := make(BlockMask, n)
-	for i := range m {
-		m[i] = make([]bool, n)
-		for j := range m[i] {
-			m[i][j] = true
-		}
-	}
-	return m
-}
-
 // DiagonalMask returns a mask with only i==j blocks set (perfectly
 // grouped layer: no inter-core traffic).
 func DiagonalMask(n int) BlockMask {
@@ -75,36 +63,6 @@ func DiagonalMask(n int) BlockMask {
 		m[i][i] = true
 	}
 	return m
-}
-
-// OffDiagonalCount returns the number of nonzero blocks with i != j —
-// the blocks that cost traffic.
-func (m BlockMask) OffDiagonalCount() int {
-	c := 0
-	for i := range m {
-		for j := range m[i] {
-			if i != j && m[i][j] {
-				c++
-			}
-		}
-	}
-	return c
-}
-
-// NonzeroFrac returns the fraction of all blocks that are nonzero.
-func (m BlockMask) NonzeroFrac() float64 {
-	if len(m) == 0 {
-		return 0
-	}
-	c := 0
-	for i := range m {
-		for j := range m[i] {
-			if m[i][j] {
-				c++
-			}
-		}
-	}
-	return float64(c) / float64(len(m)*len(m[0]))
 }
 
 // LayerPartition is one synaptic layer mapped onto a block of cores:

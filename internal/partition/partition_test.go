@@ -48,14 +48,29 @@ func TestSplitUnevenAndTiny(t *testing.T) {
 	}
 }
 
-func TestMaskHelpers(t *testing.T) {
-	f := FullMask(4)
-	if f.OffDiagonalCount() != 12 || f.NonzeroFrac() != 1 {
-		t.Errorf("full mask: %d, %v", f.OffDiagonalCount(), f.NonzeroFrac())
+// offDiagonal returns the number of nonzero blocks with i != j: the
+// blocks that cost traffic.
+func offDiagonal(m BlockMask) int {
+	c := 0
+	for i := range m {
+		for j := range m[i] {
+			if i != j && m[i][j] {
+				c++
+			}
+		}
 	}
+	return c
+}
+
+func TestMaskHelpers(t *testing.T) {
 	d := DiagonalMask(4)
-	if d.OffDiagonalCount() != 0 || d.NonzeroFrac() != 0.25 {
-		t.Errorf("diag mask: %d, %v", d.OffDiagonalCount(), d.NonzeroFrac())
+	if len(d) != 4 || offDiagonal(d) != 0 {
+		t.Fatalf("diag mask: %v", d)
+	}
+	for i := range d {
+		if len(d[i]) != 4 || !d[i][i] {
+			t.Errorf("diag mask row %d: %v", i, d[i])
+		}
 	}
 }
 
@@ -142,8 +157,8 @@ func TestGroupedConvFewerGroupsThanCores(t *testing.T) {
 	if m == nil {
 		t.Fatal("grouped layer must have a mask")
 	}
-	if m.OffDiagonalCount() != 16*3 { // 4 groups × 4 cores × 3 peers
-		t.Errorf("off-diagonal active blocks = %d, want 48", m.OffDiagonalCount())
+	if got := offDiagonal(m); got != 16*3 { // 4 groups × 4 cores × 3 peers
+		t.Errorf("off-diagonal active blocks = %d, want 48", got)
 	}
 	// Each core now talks to the 3 peers of its group instead of all
 	// 15 cores: traffic drops 5× (15/3), not 4×.
@@ -266,8 +281,8 @@ func TestQuickDenseTrafficFormula(t *testing.T) {
 func TestQuickMaskMonotone(t *testing.T) {
 	p := NewPlan(netzoo.LeNet(), 8)
 	f := func(bits uint64) bool {
-		m1 := FullMask(8)
-		m2 := FullMask(8)
+		m1 := DiagonalMask(8)
+		m2 := DiagonalMask(8)
 		for i := 0; i < 8; i++ {
 			for j := 0; j < 8; j++ {
 				on := bits&(1<<uint((i*8+j)%64)) != 0

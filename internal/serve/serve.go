@@ -128,9 +128,10 @@ func (m *Model) InputLen() int { return m.inLen }
 // InferBatch runs one batched forward pass over ins on the model's
 // datapath and appends the logits of every input, row after row, to
 // dst (copied out of the network's reused scratch). Row i is
-// bit-identical to Infer(ins[i]): fully-connected layers run the group
-// through the packed output-lane kernel, every other layer per sample
-// (nn.Network.ForwardBatch, nn.QuantNetwork.ForwardBatch).
+// bit-identical to Infer(ins[i]): every layer runs the whole group as
+// K rows in one step (nn.Network.ForwardBatch,
+// nn.QuantNetwork.ForwardBatch), fully-connected layers through the
+// packed output-lane kernel.
 func (m *Model) InferBatch(ins []*tensor.Tensor, dst []float32) []float32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -145,9 +146,9 @@ func (m *Model) InferBatch(ins []*tensor.Tensor, dst []float32) []float32 {
 
 // Infer runs one single-input forward pass on the model's datapath
 // and appends the logits to dst (copied out of the network's reused
-// scratch). It runs the same FC kernels as InferBatch, on a group of
-// one; the independent reference for both is the unfrozen network's
-// MatVecAcc forward (nn's TestForwardBatchMatchesSequential).
+// scratch). It runs the same layer code as InferBatch, on a group of
+// one row; the independent reference for both is the unfrozen
+// network's MatVecAcc forward (nn's TestForwardBatchMatchesSequential).
 func (m *Model) Infer(in *tensor.Tensor, dst []float32) []float32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -123,7 +123,9 @@ func TestPenaltyAndGradDirection(t *testing.T) {
 	// A small step along −grad must reduce the penalty.
 	p.Grad().Zero()
 	gl.AddGrad()
-	p.W.AXPY(-0.1, p.G)
+	for i, g := range p.G.Data {
+		p.W.Data[i] -= 0.1 * g
+	}
 	if after := gl.Penalty(); after >= pen {
 		t.Errorf("penalty after gradient step %v >= before %v", after, pen)
 	}
@@ -221,7 +223,7 @@ func TestForPlanMLP(t *testing.T) {
 
 func TestForPlanRejectsGroupedConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	spec := netzoo.ConvNetI10Reduced([3]int{16, 32, 64}, 4)
+	spec := netzoo.ConvNetI10([3]int{16, 32, 64}, 4, 32)
 	net := spec.Build(rng)
 	plan := partition.NewPlan(spec, 4)
 	if _, err := ForPlan(net, plan, UniformStrength(4), 0.01); err == nil {

@@ -27,8 +27,8 @@ func Im2ColPacked(dst, input []float32, g ConvGeom, loPanel, hiPanel int) {
 // Im2ColPackedInt16 is Im2ColPacked over int16 data in
 // PackBRangeInt16's pair-interleaved panel layout, the zero-padded pair
 // step of an odd patch depth included: dst ends up holding, byte for
-// byte, what Im2ColInt16 followed by PackBRangeInt16 writes. dst must
-// hold PackBSizeInt16(g.InC·g.KH·g.KW, g.OutH·g.OutW) elements.
+// byte, what im2col over int16 followed by PackBRangeInt16 writes. dst
+// must hold PackBSizeInt16(g.InC·g.KH·g.KW, g.OutH·g.OutW) elements.
 func Im2ColPackedInt16(dst, input []int16, g ConvGeom, loPanel, hiPanel int) {
 	im2colPacked(dst, input, g, loPanel, hiPanel, 1)
 }

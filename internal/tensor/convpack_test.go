@@ -34,7 +34,7 @@ func (cc convCase) geom() ConvGeom {
 }
 
 // checkIm2ColPacked compares Im2ColPacked and Im2ColPackedInt16 with
-// Im2Col+PackBRange and Im2ColInt16+PackBRangeInt16 byte for byte,
+// Im2Col+PackBRange and im2col+PackBRangeInt16 byte for byte,
 // packing the panels as two ranges over scratch full of garbage, so a
 // panel element the fused routine fails to write shows up.
 func checkIm2ColPacked(t *testing.T, rng *rand.Rand, g ConvGeom) {
@@ -63,7 +63,7 @@ func checkIm2ColPacked(t *testing.T, rng *rand.Rand, g ConvGeom) {
 	qin := make([]int16, len(in))
 	fillInt16(rng, qin)
 	qcol := make([]int16, k*n)
-	Im2ColInt16(qcol, qin, g)
+	im2col(qcol, qin, g)
 	qwant := make([]int16, PackBSizeInt16(k, n))
 	PackBRangeInt16(qwant, qcol, k, n, 0, np)
 	qgot := make([]int16, len(qwant))
@@ -169,7 +169,7 @@ func TestMaxPoolChannelsMatchesMaxPool(t *testing.T) {
 			}
 			out := make([]float32, g.InC*g.OutH*g.OutW)
 			arg := make([]int32, len(out))
-			MaxPool(out, arg, in, g)
+			refMaxPool(out, arg, in, g)
 			gotOut := make([]float32, len(out))
 			gotArg := make([]int32, len(out))
 			mid := rng.Intn(g.InC + 1)
@@ -291,7 +291,7 @@ func BenchmarkMaxPoolPool1(b *testing.B) {
 	})
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MaxPool(out, nil, in, g)
+			refMaxPool(out, nil, in, g)
 		}
 	})
 }
@@ -332,7 +332,7 @@ func BenchmarkIm2ColPackedInt16Conv2(b *testing.B) {
 	b.Run("im2col+pack", func(b *testing.B) {
 		col := make([]int16, k*n)
 		for i := 0; i < b.N; i++ {
-			Im2ColInt16(col, in, g)
+			im2col(col, in, g)
 			PackBRangeInt16(dst, col, k, n, 0, PackPanels(n))
 		}
 	})

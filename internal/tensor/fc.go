@@ -44,21 +44,20 @@ const FCPanelW = fcPanelW
 // the unit FCForward and FCForwardInt16 split over workers.
 func FCPanels(n int) int { return (n + fcPanelW - 1) / fcPanelW }
 
-// PackFCSize returns the length PackFC needs for an n×k weight matrix.
+// PackFCSize returns the length PackFCRange needs for an n×k weight
+// matrix.
 func PackFCSize(n, k int) int { return FCPanels(n) * fcPanelW * k }
-
-// PackFC packs row-major W (n outputs × k inputs) into the output-lane
-// panels FCForward reads: dst[jp·32k + p·32 + c] = W[32·jp+c][p], with
-// the outputs past n zero.
-func PackFC(dst, w []float32, n, k int) { PackFCRange(dst, w, n, k, 0, FCPanels(n)) }
 
 // fcPackStep is the input count of one PackFCRange block: a block of
 // fcPackStep inputs × 32 outputs is 1 KB of the panel, so its strided
 // writes stay in L1 while each weight row is read in order.
 const fcPackStep = 8
 
-// PackFCRange is PackFC over panels [lo, hi): it writes only those
-// panels, so disjoint panel ranges are safe to split across workers.
+// PackFCRange packs panels [lo, hi) of row-major W (n outputs × k
+// inputs) into the output-lane panels FCForward reads:
+// dst[jp·32k + p·32 + c] = W[32·jp+c][p], with the outputs past n
+// zero. It writes only those panels, so disjoint panel ranges are safe
+// to split across workers.
 // Each panel is transposed in blocks of 8 inputs, two weight rows per
 // step; only a ragged last panel is cleared first, for its padding.
 func PackFCRange(dst, w []float32, n, k, lo, hi int) {
@@ -108,7 +107,7 @@ func PackFCRange(dst, w []float32, n, k, lo, hi int) {
 
 // FCForward computes output panels [lo, hi) of the m request rows
 // Y = b + X·Wᵀ: y (m×n) row i gets bias plus W times x row i (m×k),
-// for W packed by PackFC (wp). Outputs outside the panels are
+// for W packed by PackFCRange (wp). Outputs outside the panels are
 // untouched, so disjoint panel ranges are safe to split across
 // workers. Row i of y is bit-identical to MatVecAcc of x row i into a
 // copy of the bias.
@@ -175,9 +174,12 @@ func fcRows4(y []float32, ldy int, w, x []float32, k int) {
 }
 
 // fcRowsGo is the portable body of both kernels: per lane, ascending-p
-// `s += w·x` on a running sum held in a local, as in MatVecAcc, so the
-// compiled add keeps the sum as its first operand — which decides the
-// payload when two NaNs meet — exactly as the AVX bodies do.
+// `s += w·x` on a running sum held in a local, as in MatVecAcc. The
+// compiler picks the operand order of that add, which decides the
+// payload when two NaNs meet: a plain build keeps the running sum's,
+// as the AVX bodies do, but a fuzz-instrumented build keeps the
+// product's, so only there can a result differ from the AVX bodies,
+// and only in a NaN's payload.
 func fcRowsGo(y []float32, ldy, rows int, w []float32, width int, x []float32, k int) {
 	for r := 0; r < rows; r++ {
 		xr := x[r*k : (r+1)*k]

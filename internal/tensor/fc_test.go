@@ -46,7 +46,7 @@ func checkFCForward(t *testing.T, rng *rand.Rand, m, k, n int) {
 		MatVecAcc(want[i*n:(i+1)*n], w, x[i*k:(i+1)*k], n, k)
 	}
 	wp := make([]float32, PackFCSize(n, k))
-	PackFC(wp, w, n, k)
+	PackFCRange(wp, w, n, k, 0, FCPanels(n))
 	got := make([]float32, m*n)
 	for i := range got {
 		got[i] = float32(math.NaN())
@@ -262,9 +262,9 @@ func BenchmarkPackFC(b *testing.B) {
 			refPackFC(dst, w, n, k)
 		}
 	})
-	b.Run("PackFC", func(b *testing.B) {
+	b.Run("PackFCRange", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			PackFC(dst, w, n, k)
+			PackFCRange(dst, w, n, k, 0, FCPanels(n))
 		}
 	})
 }
@@ -278,7 +278,7 @@ func BenchmarkFCForward(b *testing.B) {
 	w := make([]float32, n*k)
 	fillDense(rng, w)
 	wp := make([]float32, PackFCSize(n, k))
-	PackFC(wp, w, n, k)
+	PackFCRange(wp, w, n, k, 0, FCPanels(n))
 	wq := make([]int16, n*k)
 	fillInt16(rng, wq)
 	wpq := packFCInt16(wq, n, k)

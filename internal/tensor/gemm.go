@@ -1,11 +1,9 @@
 package tensor
 
-import "sync"
-
 // Cache-blocked, panel-packed GEMM kernels.
 //
-// The kernels here replace the naive triple loops (retained in
-// gemm_ref.go) on the training/inference hot path. All three product
+// The kernels here replace the naive triple loops (kept as test oracles
+// in ref_test.go) on the training/inference hot path. All three product
 // shapes used by the layers — A·B (conv forward), A·Bᵀ (conv dW) and
 // Aᵀ·B (conv dIn) — funnel into one microkernel that multiplies a
 // packed 4-row A quad by a packed 16-column B panel: a 4×16 register
@@ -65,12 +63,12 @@ func PackPanels(n int) int { return (n + gemmPanelW - 1) / gemmPanelW }
 // m-row A operand.
 func PackQuads(m int) int { return (m + gemmQuadH - 1) / gemmQuadH }
 
-// PackBSize returns the scratch length PackB/PackBT need for a k×n
-// B operand.
+// PackBSize returns the scratch length PackB/PackBTRange need for a
+// k×n B operand.
 func PackBSize(k, n int) int { return PackPanels(n) * k * gemmPanelW }
 
-// PackASize returns the scratch length PackA/PackAT need for an m×k
-// A operand.
+// PackASize returns the scratch length PackA/PackATRange need for an
+// m×k A operand.
 func PackASize(m, k int) int { return PackQuads(m) * k * gemmQuadH }
 
 // PackB repacks row-major B (k×n) into panel-major form: 16-column
@@ -125,16 +123,6 @@ func copyPanelRow(d, s *[gemmPanelW]float32) {
 	for i := 0; i < gemmPanelW; i += 4 {
 		*(*[4]float32)(d[i:]) = *(*[4]float32)(s[i:])
 	}
-}
-
-// PackBT packs a transposed B operand: bt is the n×k row-major matrix
-// whose transpose is the logical k×n B. Same destination layout as
-// PackB. Used by the A·Bᵀ form.
-func PackBT(dst, bt []float32, k, n int) {
-	if len(bt) != n*k {
-		panic("tensor: PackBT size mismatch")
-	}
-	PackBTRange(dst, bt, k, n, 0, PackPanels(n))
 }
 
 // PackBTRange packs column panels [loPanel, hiPanel) from the
@@ -214,17 +202,6 @@ func PackARange(dst, a []float32, m, k, lo, hi int) {
 			}
 		}
 	}
-}
-
-// PackAT packs a transposed A operand: at is the k×m row-major matrix
-// whose transpose is the logical m×k A. Same destination layout as
-// PackA. Used by the Aᵀ·B form; for fixed p the four lanes of a quad
-// are contiguous in the source, so this pack is a strided copy.
-func PackAT(dst, at []float32, m, k int) {
-	if len(at) != k*m {
-		panic("tensor: PackAT size mismatch")
-	}
-	PackATRange(dst, at, m, k, 0, m)
 }
 
 // PackATRange packs the quads covering rows [lo, hi) from the
@@ -314,9 +291,9 @@ func scalarRowPacked(c []float32, ap, bp []float32, i, k, n int) {
 }
 
 // MatMulPacked computes rows [lo, hi) of C = A·B from operands packed
-// by PackA/PackAT (ap) and PackB/PackBT (bp), leaving other rows of C
-// untouched. lo must be quad-aligned (use GEMMRowGrain as the
-// parallel.ForChunks grain); hi may be ragged. Row ranges tile
+// by PackA/PackATRange (ap) and PackB/PackBTRange (bp), leaving other
+// rows of C untouched. lo must be quad-aligned (use GEMMRowGrain as
+// the parallel.ForChunks grain); hi may be ragged. Row ranges tile
 // bit-identically: callers pack once and fan row chunks across
 // workers. It is MatMulPackedAcc into cleared rows.
 func MatMulPacked(c, ap, bp []float32, m, k, n int, lo, hi int) {
@@ -377,82 +354,6 @@ func MatMulPackedAcc(c, ap, bp []float32, m, k, n int, lo, hi int) {
 	for i := quadHi; i < hi; i++ {
 		scalarRowPacked(c, ap, bp, i, k, n)
 	}
-}
-
-// packPair recycles packed-operand scratch for the one-shot public
-// wrappers so generic callers get the blocked kernels without per-call
-// allocations in steady state. Layers that run every step keep their
-// own packed scratch and call MatMulPacked directly.
-type packPair struct {
-	a, b []float32
-}
-
-var packScratch = sync.Pool{New: func() any { return new(packPair) }}
-
-func getPackPair(asz, bsz int) *packPair {
-	pp := packScratch.Get().(*packPair)
-	if cap(pp.a) < asz {
-		pp.a = make([]float32, asz)
-	}
-	if cap(pp.b) < bsz {
-		pp.b = make([]float32, bsz)
-	}
-	pp.a = pp.a[:asz]
-	pp.b = pp.b[:bsz]
-	return pp
-}
-
-// blockedWorthIt reports whether a shape is big enough to amortize
-// packing both operands. Both paths are bit-identical; this is purely
-// a cost heuristic.
-func blockedWorthIt(m, n int) bool {
-	return m >= gemmQuadH && n >= gemmPanelW
-}
-
-// MatMul computes C = A·B for row-major matrices A (m×k), B (k×n),
-// C (m×n). C must be preallocated; it is overwritten.
-func MatMul(c, a, b []float32, m, k, n int) {
-	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
-		panic("tensor: MatMul dimension mismatch")
-	}
-	if !blockedWorthIt(m, n) {
-		refMatMul(c, a, b, m, k, n)
-		return
-	}
-	pp := getPackPair(PackASize(m, k), PackBSize(k, n))
-	PackA(pp.a, a, m, k)
-	PackB(pp.b, b, k, n)
-	MatMulPacked(c, pp.a, pp.b, m, k, n, 0, m)
-	packScratch.Put(pp)
-}
-
-// MatMulATB computes C = Aᵀ·B for A (k×m), B (k×n), C (m×n).
-func MatMulATB(c, a, b []float32, m, k, n int) {
-	MatMulATBRows(c, a, b, m, k, n, 0, m)
-}
-
-// MatMulATBRows computes rows [lo, hi) of C = Aᵀ·B for A (k×m),
-// B (k×n), C (m×n), leaving the other rows of C untouched. Each
-// written element is accumulated in the same p-ascending order as
-// MatMulATB, so tiling a full product over disjoint row ranges is
-// bit-identical to one MatMulATB call. Used to spread the im2col
-// backward GEMM across workers.
-func MatMulATBRows(c, a, b []float32, m, k, n, lo, hi int) {
-	if len(a) != k*m || len(b) != k*n || len(c) != m*n {
-		panic("tensor: MatMulATBRows dimension mismatch")
-	}
-	if lo < 0 || hi > m || lo > hi {
-		panic("tensor: MatMulATBRows row range out of bounds")
-	}
-	if !blockedWorthIt(hi-lo, n) || lo%gemmQuadH != 0 {
-		refMatMulATBRows(c, a, b, m, k, n, lo, hi)
-		return
-	}
-	pp := getPackPair(PackASize(m, k), PackBSize(k, n))
-	PackATRange(pp.a, a, m, k, lo, hi)
-	PackB(pp.b, b, k, n)
-	MatMulPacked(c, pp.a, pp.b, m, k, n, lo, hi)
-	packScratch.Put(pp)
 }
 
 // MatVecAcc accumulates y[o] += A[o,:]·x for row-major A (m×k) into

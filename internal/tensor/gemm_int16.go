@@ -1,7 +1,5 @@
 package tensor
 
-import "sync"
-
 // Packed int16 GEMM kernels for the quantized inference fast path.
 //
 // Same architecture as the float path in gemm.go — 4-row A quads,
@@ -292,43 +290,4 @@ func MatMulPackedInt16(c []int32, ap, bp []int16, m, k, n int, lo, hi int) {
 	for i := quadHi; i < hi; i++ {
 		scalarRowPackedInt16(c, ap, bp, i, k, n)
 	}
-}
-
-// packPairInt16 recycles packed int16 operand scratch for the one-shot
-// MatMulInt16 wrapper, mirroring packScratch on the float path.
-type packPairInt16 struct {
-	a, b []int16
-}
-
-var packScratchInt16 = sync.Pool{New: func() any { return new(packPairInt16) }}
-
-func getPackPairInt16(asz, bsz int) *packPairInt16 {
-	pp := packScratchInt16.Get().(*packPairInt16)
-	if cap(pp.a) < asz {
-		pp.a = make([]int16, asz)
-	}
-	if cap(pp.b) < bsz {
-		pp.b = make([]int16, bsz)
-	}
-	pp.a = pp.a[:asz]
-	pp.b = pp.b[:bsz]
-	return pp
-}
-
-// MatMulInt16 computes the int32 product C = A·B for row-major int16
-// matrices A (m×k), B (k×n), C (m×n). C must be preallocated; it is
-// overwritten. Small shapes fall back to the reference loops.
-func MatMulInt16(c []int32, a, b []int16, m, k, n int) {
-	if len(a) != m*k || len(b) != k*n || len(c) != m*n {
-		panic("tensor: MatMulInt16 dimension mismatch")
-	}
-	if !blockedWorthIt(m, n) {
-		refMatMulInt16(c, a, b, m, k, n)
-		return
-	}
-	pp := getPackPairInt16(PackASizeInt16(m, k), PackBSizeInt16(k, n))
-	PackAInt16(pp.a, a, m, k)
-	PackBInt16(pp.b, b, k, n)
-	MatMulPackedInt16(c, pp.a, pp.b, m, k, n, 0, m)
-	packScratchInt16.Put(pp)
 }

@@ -39,6 +39,20 @@ func int32Equal(a, b []int32) (int, bool) {
 	return 0, true
 }
 
+// gemmInt16 packs int16 A (m×k) and B (k×n) into ap and bp, which hold
+// PackASizeInt16(m, k) and PackBSizeInt16(k, n) elements, and computes
+// the int32 product C = A·B from them, packing included.
+func gemmInt16(c []int32, ap, bp, a, b []int16, m, k, n int) {
+	PackAInt16(ap, a, m, k)
+	PackBInt16(bp, b, k, n)
+	MatMulPackedInt16(c, ap, bp, m, k, n, 0, m)
+}
+
+// matMulInt16 is gemmInt16 into fresh packing scratch.
+func matMulInt16(c []int32, a, b []int16, m, k, n int) {
+	gemmInt16(c, make([]int16, PackASizeInt16(m, k)), make([]int16, PackBSizeInt16(k, n)), a, b, m, k, n)
+}
+
 // checkShapeInt16 runs the packed int16 path against the reference
 // loops for one (m, k, n) shape and fails on the first difference —
 // exact int32 agreement, no tolerance.
@@ -51,17 +65,10 @@ func checkShapeInt16(t *testing.T, rng *rand.Rand, m, k, n int) {
 
 	got := make([]int32, m*n)
 	want := make([]int32, m*n)
-
-	MatMulInt16(got, a, b, m, k, n)
 	refMatMulInt16(want, a, b, m, k, n)
-	if i, ok := int32Equal(got, want); !ok {
-		t.Fatalf("MatMulInt16 m=%d k=%d n=%d: element %d differs: %d vs %d",
-			m, k, n, i, got[i], want[i])
-	}
 
-	// Packed path explicitly (MatMulInt16 may take the small-shape
-	// fallback), over a quad-aligned row split like a worker fan-out
-	// would produce.
+	// The whole product over a quad-aligned row split, like a worker
+	// fan-out would produce.
 	ap := make([]int16, PackASizeInt16(m, k))
 	bp := make([]int16, PackBSizeInt16(k, n))
 	PackAInt16(ap, a, m, k)
@@ -138,7 +145,7 @@ func TestInt16AccumulatorExtremes(t *testing.T) {
 		b[0] = -32767 // break the alternation so sums drift and wrap
 		got := make([]int32, m*n)
 		want := make([]int32, m*n)
-		MatMulInt16(got, a, b, m, k, n)
+		matMulInt16(got, a, b, m, k, n)
 		refMatMulInt16(want, a, b, m, k, n)
 		if i, ok := int32Equal(got, want); !ok {
 			t.Fatalf("wraparound element %d differs: %d vs %d", i, got[i], want[i])
@@ -290,7 +297,7 @@ func TestMatVecAccInt32Exact(t *testing.T) {
 }
 
 // TestIm2ColInt16MatchesFloat pins the generic im2col instantiations
-// to each other: quantized input expanded with Im2ColInt16 must place
+// to each other: quantized input expanded by im2col over int16 must place
 // exactly the values the float expansion places.
 func TestIm2ColInt16MatchesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -305,7 +312,7 @@ func TestIm2ColInt16MatchesFloat(t *testing.T) {
 	cols := g.OutH * g.OutW
 	col16 := make([]int16, rows*cols)
 	colF := make([]float32, rows*cols)
-	Im2ColInt16(col16, in16, g)
+	im2col(col16, in16, g)
 	Im2Col(colF, inF, g)
 	for i := range col16 {
 		if float32(col16[i]) != colF[i] {
@@ -351,20 +358,22 @@ func BenchmarkGEMMInt16Blocked(b *testing.B) {
 		a := make([]int16, n*n)
 		bb := make([]int16, n*n)
 		c := make([]int32, n*n)
+		ap := make([]int16, PackASizeInt16(n, n))
+		bp := make([]int16, PackBSizeInt16(n, n))
 		fillInt16(rng, a)
 		fillInt16(rng, bb)
 		b.SetBytes(int64(2 * n * n * n))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			MatMulInt16(c, a, bb, n, n, n)
+			gemmInt16(c, ap, bp, a, bb, n, n, n)
 		}
 	})
 }
 
 // BenchmarkGEMMInt16VsFloat32 measures both sides of benchjson's
 // int16 ≥ 2x float32 predicate together: every iteration runs one
-// float32 MatMul and one MatMulInt16 of the same shape, packing
+// float32 and one int16 packed product of the same shape, packing
 // included, and the f32-ns/op and i16-ns/op metrics are each side's
 // median call.
 func BenchmarkGEMMInt16VsFloat32(b *testing.B) {
@@ -381,9 +390,13 @@ func BenchmarkGEMMInt16VsFloat32(b *testing.B) {
 			ci := make([]int32, s.m*s.n)
 			fillInt16(rng, ai)
 			fillInt16(rng, bi)
+			apf := make([]float32, PackASize(s.m, s.k))
+			bpf := make([]float32, PackBSize(s.k, s.n))
+			api := make([]int16, PackASizeInt16(s.m, s.k))
+			bpi := make([]int16, PackBSizeInt16(s.k, s.n))
 			benchpair.Alternate(b, [2]string{"f32-ns/op", "i16-ns/op"}, [2]func(){
-				func() { MatMul(cf, af, bf, s.m, s.k, s.n) },
-				func() { MatMulInt16(ci, ai, bi, s.m, s.k, s.n) },
+				func() { gemm(cf, apf, bpf, af, bf, s.m, s.k, s.n) },
+				func() { gemmInt16(ci, api, bpi, ai, bi, s.m, s.k, s.n) },
 			})
 		})
 	}

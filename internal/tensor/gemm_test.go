@@ -66,9 +66,9 @@ func bitsEqual(a, b []float32) (int, bool) {
 // zeros of both signs, infinities and NaNs (addSpecials).
 func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 	t.Helper()
-	a := make([]float32, m*k)  // A for MatMul
-	at := make([]float32, k*m) // A for ATB forms (k×m)
-	b := make([]float32, k*n)  // B for MatMul/ATB
+	a := make([]float32, m*k)  // A for A·B
+	at := make([]float32, k*m) // A for Aᵀ·B (k×m)
+	b := make([]float32, k*n)  // B for both
 	fillGEMM(rng, a)
 	fillGEMM(rng, at)
 	fillGEMM(rng, b)
@@ -78,16 +78,10 @@ func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 
 	got := make([]float32, m*n)
 	want := make([]float32, m*n)
-
-	MatMul(got, a, b, m, k, n)
 	refMatMul(want, a, b, m, k, n)
-	if i, ok := bitsEqual(got, want); !ok {
-		t.Fatalf("MatMul m=%d k=%d n=%d: element %d differs: %x vs %x",
-			m, k, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-	}
 
-	// Packed path explicitly (MatMul may take the small-shape fallback),
-	// over a quad-aligned row split like a worker fan-out would produce.
+	// The whole product over a quad-aligned row split, like a worker
+	// fan-out would produce.
 	ap := make([]float32, PackASize(m, k))
 	bp := make([]float32, PackBSize(k, n))
 	PackA(ap, a, m, k)
@@ -118,27 +112,47 @@ func checkShape(t *testing.T, rng *rand.Rand, m, k, n int) {
 			m, k, n, mid, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 	}
 
-	MatMulATB(got, at, b, m, k, n)
+	// Aᵀ·B with A packed from its transpose: the whole product, then
+	// a random quad-aligned row range packed and multiplied alone, as
+	// a worker's chunk is.
 	refMatMulATBRows(want, at, b, m, k, n, 0, m)
+	atp := make([]float32, PackASize(m, k))
+	PackATRange(atp, at, m, k, 0, m)
+	MatMulPacked(got, atp, bp, m, k, n, 0, m)
 	if i, ok := bitsEqual(got, want); !ok {
-		t.Fatalf("MatMulATB m=%d k=%d n=%d: element %d differs: %x vs %x",
+		t.Fatalf("Aᵀ·B m=%d k=%d n=%d: element %d differs: %x vs %x",
 			m, k, n, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 	}
-
-	// Row-range form on a random quad-aligned split, against the same
-	// full product.
 	lo := rng.Intn(m/GEMMRowGrain+1) * GEMMRowGrain
 	hi := lo + rng.Intn(m-lo+1)
 	for i := range got {
 		got[i] = float32(math.NaN())
 	}
-	MatMulATBRows(got, at, b, m, k, n, lo, hi)
+	for i := range atp {
+		atp[i] = float32(math.NaN())
+	}
+	PackATRange(atp, at, m, k, lo, hi)
+	MatMulPacked(got, atp, bp, m, k, n, lo, hi)
 	for i := lo * n; i < hi*n; i++ {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("MatMulATBRows m=%d k=%d n=%d [%d,%d): element %d differs", m, k, n, lo, hi, i)
+			t.Fatalf("Aᵀ·B m=%d k=%d n=%d rows [%d,%d): element %d differs", m, k, n, lo, hi, i)
 		}
 	}
+}
 
+// gemm packs A (m×k) and B (k×n) into ap and bp, which hold
+// PackASize(m, k) and PackBSize(k, n) elements, and computes C = A·B
+// from them: the whole product through the packed kernels, packing
+// included.
+func gemm(c, ap, bp, a, b []float32, m, k, n int) {
+	PackA(ap, a, m, k)
+	PackB(bp, b, k, n)
+	MatMulPacked(c, ap, bp, m, k, n, 0, m)
+}
+
+// matMul is gemm into fresh packing scratch.
+func matMul(c, a, b []float32, m, k, n int) {
+	gemm(c, make([]float32, PackASize(m, k)), make([]float32, PackBSize(k, n)), a, b, m, k, n)
 }
 
 // refMatMulAcc adds A·B into C with refMatMul's loop: per element, the
@@ -222,7 +236,7 @@ func TestKernelNaNSemantics(t *testing.T) {
 		a[2*k] = nan
 		got := make([]float32, m*n)
 		want := make([]float32, m*n)
-		MatMul(got, a, b, m, k, n)
+		matMul(got, a, b, m, k, n)
 		refMatMul(want, a, b, m, k, n)
 		for i := range got {
 			gn, wn := math.IsNaN(float64(got[i])), math.IsNaN(float64(want[i]))
@@ -326,9 +340,9 @@ func TestPackRangesMatchFull(t *testing.T) {
 			}
 		}
 		btp := make([]float32, PackBSize(k, n))
-		PackBT(btp, bt, k, n)
+		PackBTRange(btp, bt, k, n, 0, np)
 		if i, ok := bitsEqual(btp, full); !ok {
-			t.Fatalf("PackBT k=%d n=%d: element %d differs", k, n, i)
+			t.Fatalf("PackBTRange k=%d n=%d: element %d differs", k, n, i)
 		}
 
 		m := n // reuse the shape as an m×k A operand
@@ -350,9 +364,9 @@ func TestPackRangesMatchFull(t *testing.T) {
 			}
 		}
 		atp := make([]float32, PackASize(m, k))
-		PackAT(atp, atr, m, k)
+		PackATRange(atp, atr, m, k, 0, m)
 		if i, ok := bitsEqual(atp, fullA); !ok {
-			t.Fatalf("PackAT m=%d k=%d: element %d differs", m, k, i)
+			t.Fatalf("PackATRange m=%d k=%d: element %d differs", m, k, i)
 		}
 	}
 }
@@ -425,8 +439,10 @@ func benchGEMM(b *testing.B, m, k, n int, fn func(c, a, bb []float32)) {
 func BenchmarkGEMMBlocked(b *testing.B) {
 	for _, s := range benchShapes {
 		b.Run(s.name, func(b *testing.B) {
+			ap := make([]float32, PackASize(s.m, s.k))
+			bp := make([]float32, PackBSize(s.k, s.n))
 			benchGEMM(b, s.m, s.k, s.n, func(c, a, bb []float32) {
-				MatMul(c, a, bb, s.m, s.k, s.n)
+				gemm(c, ap, bp, a, bb, s.m, s.k, s.n)
 			})
 		})
 	}
@@ -448,13 +464,17 @@ func BenchmarkGEMMATBBlocked(b *testing.B) {
 	a := make([]float32, k*m)
 	bb := make([]float32, k*n)
 	c := make([]float32, m*n)
+	ap := make([]float32, PackASize(m, k))
+	bp := make([]float32, PackBSize(k, n))
 	fillDense(rng, a)
 	fillDense(rng, bb)
 	b.SetBytes(int64(4 * m * k * n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulATB(c, a, bb, m, k, n)
+		PackATRange(ap, a, m, k, 0, m)
+		PackB(bp, bb, k, n)
+		MatMulPacked(c, ap, bp, m, k, n, 0, m)
 	}
 }
 

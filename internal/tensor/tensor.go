@@ -61,99 +61,12 @@ func (t *Tensor) Zero() {
 	clear(t.Data)
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	if v == 0 {
-		clear(t.Data)
-		return
-	}
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// Reshape returns a view of the same data with a new shape. It panics
-// if the element count changes.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.Shape, shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
-}
-
-// At returns the element at the given multi-index (bounds-checked via
-// the underlying slice). Only used in tests and reference kernels.
-func (t *Tensor) At(idx ...int) float32 {
-	return t.Data[t.offset(idx)]
-}
-
-// Set assigns the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) {
-	t.Data[t.offset(idx)] = v
-}
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.Shape) {
-		panic(fmt.Sprintf("tensor: index rank %d vs shape rank %d", len(idx), len(t.Shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.Shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.Shape))
-		}
-		off = off*t.Shape[i] + x
-	}
-	return off
-}
-
 // RandN fills the tensor with Gaussian noise of the given standard
 // deviation drawn from rng.
 func (t *Tensor) RandN(rng *rand.Rand, stddev float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(rng.NormFloat64() * stddev)
 	}
-}
-
-// AXPY computes t += alpha * x elementwise. Panics on length mismatch.
-func (t *Tensor) AXPY(alpha float32, x *Tensor) {
-	if len(t.Data) != len(x.Data) {
-		panic("tensor: AXPY length mismatch")
-	}
-	for i, v := range x.Data {
-		t.Data[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element by alpha.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
-// Dot returns the flat dot product of two tensors of equal length.
-func Dot(a, b *Tensor) float64 {
-	if len(a.Data) != len(b.Data) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i := range a.Data {
-		s += float64(a.Data[i]) * float64(b.Data[i])
-	}
-	return s
-}
-
-// Norm2 returns the L2 norm of the tensor.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // ConvGeom describes the geometry of a 2D convolution or pooling.
@@ -181,13 +94,10 @@ func (g ConvGeom) Infer() ConvGeom {
 // col must have length (InC·KH·KW)·(OutH·OutW).
 func Im2Col(col, input []float32, g ConvGeom) { im2col(col, input, g) }
 
-// Im2ColInt16 is Im2Col over int16 data: the same patch expansion for
-// the quantized convolution path, where the input has already been
-// quantized to int16 and feeds the integer GEMM. Padding becomes
-// quantized zero (symmetric quantization maps 0.0 to 0 exactly).
-func Im2ColInt16(col, input []int16, g ConvGeom) { im2col(col, input, g) }
-
-// im2col is the shared element-type-generic patch expansion.
+// im2col is the element-type-generic patch expansion behind Im2Col.
+// The tests run it over int16 as the reference for Im2ColPackedInt16;
+// padding becomes quantized zero there, since symmetric quantization
+// maps 0.0 to 0 exactly.
 func im2col[T float32 | int16](col, input []T, g ConvGeom) {
 	rows := g.InC * g.KH * g.KW
 	cols := g.OutH * g.OutW
@@ -266,57 +176,10 @@ func Col2Im(input, col []float32, g ConvGeom) {
 	}
 }
 
-// ConvRef is a direct (non-im2col) reference convolution used to verify
-// the fast path in tests. input is CHW, weights OIHW, bias length OutC,
-// output CHW (OutC×OutH×OutW), overwritten.
-func ConvRef(output, input, weights, bias []float32, g ConvGeom) {
-	for oc := 0; oc < g.OutC; oc++ {
-		for oh := 0; oh < g.OutH; oh++ {
-			for ow := 0; ow < g.OutW; ow++ {
-				s := bias[oc]
-				for ic := 0; ic < g.InC; ic++ {
-					for kh := 0; kh < g.KH; kh++ {
-						ih := oh*g.Stride - g.Pad + kh
-						if ih < 0 || ih >= g.InH {
-							continue
-						}
-						for kw := 0; kw < g.KW; kw++ {
-							iw := ow*g.Stride - g.Pad + kw
-							if iw < 0 || iw >= g.InW {
-								continue
-							}
-							w := weights[((oc*g.InC+ic)*g.KH+kh)*g.KW+kw]
-							s += w * input[(ic*g.InH+ih)*g.InW+iw]
-						}
-					}
-				}
-				output[(oc*g.OutH+oh)*g.OutW+ow] = s
-			}
-		}
-	}
-}
-
-// MaxPool computes channelwise max pooling. input is CHW with C
-// channels, output is C×OutH×OutW. argmax (same length as output, may
-// be nil) records the flat input index of each selected maximum for use
-// in the backward pass.
-//
-// Each window keeps its first strict maximum in row-major tap order: a
+// maxPoolWindow pools one window with bounds checks on every tap. It
+// keeps the window's first strict maximum in row-major tap order: a
 // NaN never wins, a tie keeps the earlier tap (so −0 before +0 gives
 // −0), and a window with no value above −Inf gives −Inf with argmax −1.
-// This is the scalar reference loop; MaxPoolChannels computes the same
-// bytes faster.
-func MaxPool(output []float32, argmax []int32, input []float32, g ConvGeom) {
-	for c := 0; c < g.InC; c++ {
-		for oh := 0; oh < g.OutH; oh++ {
-			for ow := 0; ow < g.OutW; ow++ {
-				maxPoolWindow(output, argmax, input, g, c, oh, ow)
-			}
-		}
-	}
-}
-
-// maxPoolWindow pools one window with bounds checks on every tap.
 func maxPoolWindow(output []float32, argmax []int32, input []float32, g ConvGeom, c, oh, ow int) {
 	best := float32(math.Inf(-1))
 	bestIdx := int32(-1)
@@ -344,15 +207,19 @@ func maxPoolWindow(output []float32, argmax []int32, input []float32, g ConvGeom
 	}
 }
 
-// MaxPoolChannels pools channels [lo, hi) of input, writing exactly
-// the output (and argmax, when non-nil) bytes MaxPool writes for them.
-// Channels are disjoint in output and argmax, so a channel range is
-// safe to split across workers.
+// MaxPoolChannels computes channelwise max pooling over channels
+// [lo, hi) of input. input is CHW with C channels, output is
+// C×OutH×OutW. argmax (same length as output, may be nil) records the
+// flat input index of each selected maximum for use in the backward
+// pass. Every window selects what maxPoolWindow selects. Channels are
+// disjoint in output and argmax, so a channel range is safe to split
+// across workers.
 //
 // Windows that lie wholly inside the input compare integer order keys
 // (poolKey) instead of floats, so the running maximum and its index
 // update without a branch and with no bounds test per tap; windows
-// that touch the border or the padding take MaxPool's scalar loop.
+// that touch the border or the padding take maxPoolWindow's scalar
+// loop.
 func MaxPoolChannels(output []float32, argmax []int32, input []float32, g ConvGeom, lo, hi int) {
 	if len(input) != g.InC*g.InH*g.InW || len(output) != g.InC*g.OutH*g.OutW ||
 		(argmax != nil && len(argmax) != len(output)) {
@@ -412,13 +279,13 @@ func maxPoolInterior(output []float32, argmax []int32, input []float32, g ConvGe
 }
 
 // windowKeyMax returns the offset in win of the tap of its kh×kw
-// window (row stride inW) that MaxPool selects, or −1 when no tap's
+// window (row stride inW) that maxPoolWindow selects, or −1 when no tap's
 // key exceeds poolKey(−Inf).
 //
 // Each tap folds into one running max of the int64
 // poolKey(v)<<31 | (span−off), span = kh·inW: the larger key wins, and
 // among equal keys the smaller offset, which in row-major tap order is
-// MaxPool's first strict maximum. The running value starts at
+// maxPoolWindow's first strict maximum. The running value starts at
 // poolKey(−Inf) with a low word above every tap's, so a window with no
 // key above −Inf's keeps it. The max is taken with a sign mask, not a
 // branch: the compiler emits no conditional move for a loop-carried

@@ -12,12 +12,13 @@ func TestNewAndShape(t *testing.T) {
 	if x.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", x.Len())
 	}
-	x.Set(5, 1, 2, 3)
-	if x.At(1, 2, 3) != 5 {
-		t.Error("Set/At round trip failed")
+	if len(x.Shape) != 3 || x.Shape[0] != 2 || x.Shape[1] != 3 || x.Shape[2] != 4 {
+		t.Errorf("Shape = %v, want [2 3 4]", x.Shape)
 	}
-	if x.Data[23] != 5 {
-		t.Error("last-index element should be at flat offset 23")
+	x.Data[23] = 5
+	x.Zero()
+	if x.Data[23] != 0 {
+		t.Error("Zero left an element set")
 	}
 }
 
@@ -31,14 +32,14 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 }
 
 func TestFromSliceAndReshape(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
-	if y.At(2, 1) != 6 {
-		t.Error("reshape view broken")
+	data := []float32{1, 2, 3, 4, 5, 6}
+	x := FromSlice(data, 2, 3)
+	if len(x.Shape) != 2 || x.Shape[0] != 2 || x.Shape[1] != 3 {
+		t.Errorf("Shape = %v, want [2 3]", x.Shape)
 	}
-	y.Set(99, 0, 0)
-	if x.At(0, 0) != 99 {
-		t.Error("Reshape must share data")
+	data[0] = 99
+	if x.Data[0] != 99 {
+		t.Error("FromSlice must share data")
 	}
 }
 
@@ -51,46 +52,15 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestAXPYScaleZeroFill(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3}, 3)
-	y := FromSlice([]float32{10, 20, 30}, 3)
-	x.AXPY(2, y)
-	if x.Data[2] != 63 {
-		t.Errorf("AXPY got %v", x.Data)
-	}
-	x.Scale(0.5)
-	if x.Data[0] != 10.5 {
-		t.Errorf("Scale got %v", x.Data)
-	}
-	x.Fill(3)
-	x.Zero()
-	for _, v := range x.Data {
-		if v != 0 {
-			t.Error("Zero failed")
-		}
-	}
-}
-
-func TestNorm2AndDot(t *testing.T) {
-	x := FromSlice([]float32{3, 4}, 2)
-	if math.Abs(x.Norm2()-5) > 1e-6 {
-		t.Errorf("Norm2 = %v, want 5", x.Norm2())
-	}
-	y := FromSlice([]float32{1, 2}, 2)
-	if got := Dot(x, y); math.Abs(got-11) > 1e-6 {
-		t.Errorf("Dot = %v, want 11", got)
-	}
-}
-
 func TestMatMulSmall(t *testing.T) {
 	a := []float32{1, 2, 3, 4, 5, 6}    // 2x3
 	b := []float32{7, 8, 9, 10, 11, 12} // 3x2
 	c := make([]float32, 4)
-	MatMul(c, a, b, 2, 3, 2)
+	matMul(c, a, b, 2, 3, 2)
 	want := []float32{58, 64, 139, 154}
 	for i := range want {
 		if c[i] != want[i] {
-			t.Fatalf("MatMul = %v, want %v", c, want)
+			t.Fatalf("A·B = %v, want %v", c, want)
 		}
 	}
 }
@@ -115,18 +85,20 @@ func TestMatMulATBAgainstMatMul(t *testing.T) {
 	}
 	c1 := make([]float32, m*n)
 	c2 := make([]float32, m*n)
-	MatMul(c1, a, b, m, k, n)
-	MatMulATB(c2, at, b, m, k, n)
-	for i := range c1 {
-		if math.Abs(float64(c1[i]-c2[i])) > 1e-4 {
-			t.Fatalf("ATB mismatch at %d: %v vs %v", i, c1[i], c2[i])
-		}
+	matMul(c1, a, b, m, k, n)
+	atp := make([]float32, PackASize(m, k))
+	bp := make([]float32, PackBSize(k, n))
+	PackATRange(atp, at, m, k, 0, m)
+	PackB(bp, b, k, n)
+	MatMulPacked(c2, atp, bp, m, k, n, 0, m)
+	if i, ok := bitsEqual(c2, c1); !ok {
+		t.Fatalf("ATB mismatch at %d: %v vs %v", i, c2[i], c1[i])
 	}
 }
 
 // TestMatMulABTAgainstMatMul checks the A·Bᵀ product of the packed FC
-// kernel (FCForward with a zero bias, B packed by PackFC) against
-// MatMul with B transposed explicitly.
+// kernel (FCForward with a zero bias, B packed by PackFCRange) against
+// refMatMul with B transposed explicitly.
 func TestMatMulABTAgainstMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m, k, n := 3, 4, 5
@@ -146,9 +118,9 @@ func TestMatMulABTAgainstMatMul(t *testing.T) {
 	}
 	c1 := make([]float32, m*n)
 	c2 := make([]float32, m*n)
-	MatMul(c1, a, b, m, k, n)
+	refMatMul(c1, a, b, m, k, n)
 	bp := make([]float32, PackFCSize(n, k))
-	PackFC(bp, bt, n, k)
+	PackFCRange(bp, bt, n, k, 0, FCPanels(n))
 	FCForward(c2, a, bp, make([]float32, n), m, k, n, 0, FCPanels(n))
 	for i := range c1 {
 		if math.Abs(float64(c1[i]-c2[i])) > 1e-4 {
@@ -198,14 +170,14 @@ func TestIm2ColConvMatchesRef(t *testing.T) {
 		col := make([]float32, rows*cols)
 		Im2Col(col, input, g)
 		out1 := make([]float32, g.OutC*cols)
-		MatMul(out1, weights, col, g.OutC, rows, cols)
+		matMul(out1, weights, col, g.OutC, rows, cols)
 		for oc := 0; oc < g.OutC; oc++ {
 			for i := 0; i < cols; i++ {
 				out1[oc*cols+i] += bias[oc]
 			}
 		}
 		out2 := make([]float32, g.OutC*cols)
-		ConvRef(out2, input, weights, bias, g)
+		refConv(out2, input, weights, bias, g)
 		for i := range out1 {
 			if math.Abs(float64(out1[i]-out2[i])) > 1e-3 {
 				t.Fatalf("geom %+v: mismatch at %d: %v vs %v", cfg, i, out1[i], out2[i])
@@ -255,11 +227,11 @@ func TestMaxPoolSmall(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 4, InW: 4, KH: 2, KW: 2, Stride: 2}.Infer()
 	out := make([]float32, 4)
 	arg := make([]int32, 4)
-	MaxPool(out, arg, input, g)
+	MaxPoolChannels(out, arg, input, g, 0, g.InC)
 	want := []float32{4, 8, 12, 16}
 	for i := range want {
 		if out[i] != want[i] {
-			t.Fatalf("MaxPool = %v, want %v", out, want)
+			t.Fatalf("MaxPoolChannels = %v, want %v", out, want)
 		}
 	}
 	if input[arg[3]] != 16 {
@@ -267,8 +239,7 @@ func TestMaxPoolSmall(t *testing.T) {
 	}
 }
 
-// Property: MaxPool output is always >= every element of a uniform
-// input and equals input max for a global pool.
+// Property: a global pool's output equals the input's maximum.
 func TestQuickMaxPoolGlobal(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -282,7 +253,7 @@ func TestQuickMaxPoolGlobal(t *testing.T) {
 			}
 		}
 		out := make([]float32, 1)
-		MaxPool(out, nil, input, g)
+		MaxPoolChannels(out, nil, input, g, 0, g.InC)
 		return out[0] == maxv
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -290,7 +261,7 @@ func TestQuickMaxPoolGlobal(t *testing.T) {
 	}
 }
 
-// Property: MatMul distributes over addition in its first argument.
+// Property: A·B distributes over addition in its first argument.
 func TestQuickMatMulLinear(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -312,9 +283,9 @@ func TestQuickMatMulLinear(t *testing.T) {
 		c1 := make([]float32, m*n)
 		c2 := make([]float32, m*n)
 		cs := make([]float32, m*n)
-		MatMul(c1, a1, b, m, k, n)
-		MatMul(c2, a2, b, m, k, n)
-		MatMul(cs, sum, b, m, k, n)
+		matMul(c1, a1, b, m, k, n)
+		matMul(c2, a2, b, m, k, n)
+		matMul(cs, sum, b, m, k, n)
 		for i := range cs {
 			if math.Abs(float64(cs[i]-(c1[i]+c2[i]))) > 1e-3 {
 				return false
@@ -324,21 +295,6 @@ func TestQuickMatMulLinear(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkMatMul64(b *testing.B) {
-	n := 64
-	a := make([]float32, n*n)
-	bb := make([]float32, n*n)
-	c := make([]float32, n*n)
-	for i := range a {
-		a[i] = float32(i % 7)
-		bb[i] = float32(i % 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(c, a, bb, n, n, n)
 	}
 }
 
@@ -352,25 +308,6 @@ func BenchmarkIm2Col(b *testing.B) {
 	}
 }
 
-func TestIndexPanics(t *testing.T) {
-	x := New(2, 3)
-	cases := []func(){
-		func() { x.At(5, 0) },        // out of range
-		func() { x.At(0) },           // rank mismatch
-		func() { x.Set(1, 0, 0, 0) }, // rank mismatch
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestFromSlicePanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -378,15 +315,6 @@ func TestFromSlicePanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	FromSlice([]float32{1, 2, 3}, 2, 2)
-}
-
-func TestReshapePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New(2, 3).Reshape(7)
 }
 
 func TestRandNDeterministic(t *testing.T) {

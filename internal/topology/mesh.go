@@ -119,50 +119,3 @@ func (m Mesh) DistanceMatrix() [][]int {
 
 // Diameter returns the longest shortest-path hop count in the mesh.
 func (m Mesh) Diameter() int { return m.W - 1 + m.H - 1 }
-
-// AvgDistance returns the mean hop distance over all ordered pairs of
-// distinct nodes.
-func (m Mesh) AvgDistance() float64 {
-	n := m.Nodes()
-	if n < 2 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				total += m.HopDist(i, j)
-			}
-		}
-	}
-	return float64(total) / float64(n*(n-1))
-}
-
-// BisectionLinks returns the number of unidirectional links crossing
-// the mesh's wider-dimension bisection — the resource that bounds
-// all-to-all throughput.
-func (m Mesh) BisectionLinks() int {
-	if m.W >= m.H {
-		return 2 * m.H // cut across X midline: H links each way
-	}
-	return 2 * m.W
-}
-
-// Neighbors returns the ids of nodes one hop from id.
-func (m Mesh) Neighbors(id int) []int {
-	c := m.Coord(id)
-	var out []int
-	if c.X > 0 {
-		out = append(out, m.ID(Coord{c.X - 1, c.Y}))
-	}
-	if c.X < m.W-1 {
-		out = append(out, m.ID(Coord{c.X + 1, c.Y}))
-	}
-	if c.Y > 0 {
-		out = append(out, m.ID(Coord{c.X, c.Y - 1}))
-	}
-	if c.Y < m.H-1 {
-		out = append(out, m.ID(Coord{c.X, c.Y + 1}))
-	}
-	return out
-}

@@ -98,38 +98,6 @@ func TestDiameterAndBisection(t *testing.T) {
 	if d := NewMesh(4, 4).Diameter(); d != 6 {
 		t.Errorf("4x4 diameter = %d, want 6", d)
 	}
-	if b := NewMesh(4, 4).BisectionLinks(); b != 8 {
-		t.Errorf("4x4 bisection = %d, want 8", b)
-	}
-	if b := NewMesh(8, 4).BisectionLinks(); b != 8 {
-		t.Errorf("8x4 bisection = %d, want 8", b)
-	}
-}
-
-func TestAvgDistanceGrowsWithMesh(t *testing.T) {
-	a := ForCores(4).AvgDistance()
-	b := ForCores(16).AvgDistance()
-	c := ForCores(32).AvgDistance()
-	if !(a < b && b < c) {
-		t.Errorf("avg distance should grow: %v %v %v", a, b, c)
-	}
-	// 2x2 mesh: distances from any node: 1,1,2 → avg 4/3.
-	if diff := a - 4.0/3.0; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("2x2 avg distance = %v, want 4/3", a)
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	m := NewMesh(4, 4)
-	if got := len(m.Neighbors(0)); got != 2 {
-		t.Errorf("corner neighbors = %d, want 2", got)
-	}
-	if got := len(m.Neighbors(5)); got != 4 {
-		t.Errorf("interior neighbors = %d, want 4", got)
-	}
-	if got := len(m.Neighbors(1)); got != 3 {
-		t.Errorf("edge neighbors = %d, want 3", got)
-	}
 }
 
 // Property: route length equals hop distance + 1, every step is to a

@@ -54,20 +54,6 @@ func (t Trace) TotalBytes() int64 {
 	return s
 }
 
-// AllMessages flattens the trace into one burst schedule, offsetting
-// each transition's messages by its index (one logical time step per
-// layer) so replay preserves the phase structure.
-func (t Trace) AllMessages() []noc.Message {
-	var msgs []noc.Message
-	for _, r := range t.Records {
-		for _, m := range r.Messages {
-			m.Time = int64(r.Index)
-			msgs = append(msgs, m)
-		}
-	}
-	return msgs
-}
-
 // Write serializes the trace as indented JSON.
 func (t Trace) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -85,7 +71,7 @@ func Read(r io.Reader) (Trace, error) {
 		return Trace{}, fmt.Errorf("trace: invalid core count %d", t.Cores)
 	}
 	for i, rec := range t.Records {
-		// Indices drive AllMessages' replay timeline, so they must be
+		// Indices order a replay's transitions, so they must be
 		// non-negative and strictly increasing: a duplicated or
 		// out-of-order index would silently merge two transitions into
 		// one injection step.

@@ -69,25 +69,6 @@ func TestReadRejectsCorruptTraces(t *testing.T) {
 	}
 }
 
-func TestAllMessagesPreservesPhases(t *testing.T) {
-	p := partition.NewPlan(netzoo.MLP(), 4)
-	tr := FromPlan(p)
-	msgs := tr.AllMessages()
-	if len(msgs) == 0 {
-		t.Fatal("no messages")
-	}
-	var total int64
-	for _, m := range msgs {
-		total += int64(m.Bytes)
-		if m.Time < 0 || m.Time >= int64(len(tr.Records)) {
-			t.Errorf("message time %d out of phase range", m.Time)
-		}
-	}
-	if total != tr.TotalBytes() {
-		t.Errorf("flattened bytes %d != %d", total, tr.TotalBytes())
-	}
-}
-
 func TestMaskedPlanTraceShrinks(t *testing.T) {
 	dense := FromPlan(partition.NewPlan(netzoo.LeNet(), 16))
 	masked := partition.NewPlan(netzoo.LeNet(), 16)
@@ -100,7 +81,7 @@ func TestMaskedPlanTraceShrinks(t *testing.T) {
 
 // TestReadRejectsBadIndices is the regression test for index
 // validation: duplicated, decreasing, or negative record indices
-// would corrupt AllMessages' replay timeline and must not parse.
+// would corrupt a replay's timeline and must not parse.
 func TestReadRejectsBadIndices(t *testing.T) {
 	rec := func(idx int) string {
 		return `{"layer":"l` + strconv.Itoa(idx) + `","index":` + strconv.Itoa(idx) +

@@ -190,10 +190,9 @@ type Compare = cmp.Compare
 // NewCompare computes the ratios of proposal vs baseline.
 func NewCompare(baseline, proposal Report) Compare { return cmp.NewCompare(baseline, proposal) }
 
-// PipelineOptions configures System.RunPipeline / SimulatePipeline:
-// the stage count (Depth; the stages are MAC-balanced by
-// NewPipelinePlan), the number of in-flight inferences (Batches), and
-// an optional core placement.
+// PipelineOptions configures System.RunPipeline: the stage count
+// (Depth; the stages are MAC-balanced by NewPipelinePlan), the number
+// of in-flight inferences (Batches), and an optional core placement.
 type PipelineOptions = cmp.PipelineOptions
 
 // PipelineReport is the outcome of a pipelined run: the depth-1
