@@ -6,6 +6,12 @@
 // on the host worker pool (internal/parallel) and their outputs print
 // in declaration order; every number is bit-identical to a serial run.
 //
+// The observability flags -obs, -obs-timing, -pprof, -timeline, -live,
+// -live-clock, -health and -workers are shared by every l2s command
+// (internal/obs/live.Run). Concurrent experiments cannot share one
+// timeline, so -timeline traces a dedicated run instead: the dense
+// AlexNet single-pass inference at -cores.
+//
 // Usage:
 //
 //	l2s-bench -exp all                 # everything, quick profile
@@ -26,7 +32,6 @@ import (
 	"learn2scale/internal/cmp"
 	"learn2scale/internal/core"
 	"learn2scale/internal/netzoo"
-	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
 	"learn2scale/internal/parallel"
 	"learn2scale/internal/partition"
@@ -41,19 +46,12 @@ func main() {
 	profile := flag.String("profile", "quick", "training scale: quick|default")
 	cores := flag.Int("cores", 16, "core count for single-configuration experiments")
 	verbose := flag.Bool("v", false, "log training progress (disables concurrent experiments)")
-	workers := flag.Int("workers", 0, "host worker threads for training/simulation (sets "+parallel.EnvWorkers+"; 0 = GOMAXPROCS)")
-	cli := obs.RegisterFlags()
+	run := live.NewRun(flag.CommandLine)
 	flag.Parse()
-
-	reg := cli.Registry(false)
-	parallel.SetObs(reg)
-	sess, err := live.Attach(cli, reg)
-	if err != nil {
+	if err := run.Start(false); err != nil {
 		log.Fatal(err)
 	}
-	if err := cli.Start(reg, live.MetricsEndpoint(reg, sess.Plane())); err != nil {
-		log.Fatal(err)
-	}
+	reg := run.Registry()
 
 	var p core.Profile
 	switch *profile {
@@ -63,9 +61,6 @@ func main() {
 		p = core.Default
 	default:
 		log.Fatalf("unknown profile %q", *profile)
-	}
-	if *workers > 0 {
-		os.Setenv(parallel.EnvWorkers, strconv.Itoa(*workers))
 	}
 	var logw io.Writer
 	if *verbose {
@@ -254,7 +249,7 @@ func main() {
 	// streaming training logs, printing outputs in declaration order.
 	// Each experiment runs under a wall-time span (exp/<name>), so the
 	// -obs-timing profile shows where a sweep spends its time.
-	run := func(i int) (string, error) {
+	runExp := func(i int) (string, error) {
 		tm := reg.Span("exp/" + exps[i].name).Start()
 		defer tm.Stop()
 		return exps[i].fn()
@@ -262,10 +257,10 @@ func main() {
 	outs := make([]string, len(exps))
 	errs := make([]error, len(exps))
 	if logw == nil {
-		parallel.For(len(exps), func(i int) { outs[i], errs[i] = run(i) })
+		parallel.For(len(exps), func(i int) { outs[i], errs[i] = runExp(i) })
 	} else {
 		for i := range exps {
-			outs[i], errs[i] = run(i)
+			outs[i], errs[i] = runExp(i)
 		}
 	}
 	for i := range exps {
@@ -274,19 +269,11 @@ func main() {
 		}
 		fmt.Print(outs[i])
 	}
-	if err := cli.Finish(reg, "l2s-bench", map[string]string{"exp": *exp, "profile": *profile}, nil); err != nil {
-		log.Fatal(err)
-	}
-	// Note: experiments may run concurrently, so -live streams from
-	// l2s-bench are only deterministic for single-experiment runs.
-	if err := sess.Finish(); err != nil {
-		log.Fatal(err) // health violations exit non-zero
-	}
 	// Experiments run concurrently, so they cannot share one timeline
 	// deterministically; -timeline instead traces a dedicated reference
 	// run — the dense AlexNet single-pass inference at -cores — which is
 	// the burst the motivation experiment's numbers come from.
-	if tl := cli.TimelineSink(); tl != nil {
+	if tl := run.Timeline(); tl != nil {
 		cfg := cmp.DefaultConfig(*cores)
 		cfg.Timeline = tl
 		sys, err := cmp.New(cfg)
@@ -296,10 +283,12 @@ func main() {
 		if _, err := sys.RunPlan(partition.NewPlan(netzoo.AlexNet(), *cores)); err != nil {
 			log.Fatal(err)
 		}
-		meta := map[string]string{"net": "alexnet", "cores": strconv.Itoa(*cores)}
-		if err := cli.FinishTimeline(tl, "l2s-bench", meta); err != nil {
-			log.Fatal(err)
-		}
+		run.TimelineMeta = map[string]string{"net": "alexnet", "cores": strconv.Itoa(*cores)}
+	}
+	// Experiments may run concurrently, so -live streams from l2s-bench
+	// are only deterministic for single-experiment runs.
+	if err := run.Finish("l2s-bench", map[string]string{"exp": *exp, "profile": *profile}, nil); err != nil {
+		log.Fatal(err) // health violations exit non-zero
 	}
 }
 

@@ -3,6 +3,11 @@
 // BookSim-style curves) and per-link utilization, or replays a traffic
 // trace produced by l2s-sim -dump-trace.
 //
+// The observability flags -obs, -obs-timing, -pprof, -timeline, -live,
+// -live-clock, -health and -workers are shared by every l2s command
+// (internal/obs/live.Run); -timeline traces every burst, and -live
+// closes one window per replayed layer with -replay.
+//
 // Usage:
 //
 //	l2s-noc -cores 16 -pattern uniform            # latency-load curve
@@ -21,7 +26,6 @@ import (
 	"learn2scale/internal/noc"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
-	"learn2scale/internal/parallel"
 	"learn2scale/internal/timeline"
 	"learn2scale/internal/topology"
 	"learn2scale/internal/trace"
@@ -37,36 +41,19 @@ func main() {
 	seed := flag.Int64("seed", 1, "traffic seed")
 	links := flag.Bool("links", false, "print per-link utilization of the heaviest run")
 	replay := flag.String("replay", "", "replay a JSON trace (from l2s-sim -dump-trace) instead")
-	workers := flag.Int("workers", 0, "host worker threads (sets "+parallel.EnvWorkers+"; 0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print the observability summary")
-	cli := obs.RegisterFlags()
+	run := live.NewRun(flag.CommandLine)
 	flag.Parse()
-
-	if *workers > 0 {
-		os.Setenv(parallel.EnvWorkers, strconv.Itoa(*workers))
-	}
-	reg := cli.Registry(*verbose)
-	tl := cli.TimelineSink()
-	parallel.SetObs(reg)
-	sess, err := live.Attach(cli, reg)
-	if err != nil {
+	if err := run.Start(*verbose); err != nil {
 		log.Fatal(err)
 	}
-	if err := cli.Start(reg, live.MetricsEndpoint(reg, sess.Plane())); err != nil {
-		log.Fatal(err)
-	}
+	reg, tl := run.Registry(), run.Timeline()
 	finish := func(meta map[string]string) {
 		var summaryW *os.File
 		if *verbose {
 			summaryW = os.Stdout
 		}
-		if err := cli.Finish(reg, "l2s-noc", meta, summaryW); err != nil {
-			log.Fatal(err)
-		}
-		if err := cli.FinishTimeline(tl, "l2s-noc", meta); err != nil {
-			log.Fatal(err)
-		}
-		if err := sess.Finish(); err != nil {
+		if err := run.Finish("l2s-noc", meta, summaryW); err != nil {
 			log.Fatal(err) // health violations exit non-zero
 		}
 	}

@@ -9,7 +9,7 @@
 //	POST /v1/infer   {"model":"ssmask","precision":"int16","sample":3}
 //	GET  /v1/models  servable models
 //	GET  /healthz    liveness + request counters
-//	GET  /metrics    Prometheus exposition (with -live/-health)
+//	GET  /metrics    Prometheus exposition (with -obs, -pprof, -live, -health or -v)
 //
 // Admission is a bounded queue: when it overflows, requests are
 // answered 429 with a Retry-After hint. SIGTERM/SIGINT drain
@@ -32,6 +32,11 @@
 // fields stripped, byte-identical across -workers) unless -trace-wall;
 // -serve-perfetto renders the combined wall-clock serve plane next to
 // the simulated-cycle batch timelines.
+//
+// The observability flags -obs, -obs-timing, -pprof, -timeline, -live,
+// -live-clock, -health and -workers are shared by every l2s command
+// (internal/obs/live.Run); the serve trace and the combined Perfetto
+// trace are written before the shared outputs.
 //
 // Usage:
 //
@@ -58,9 +63,7 @@ import (
 
 	"learn2scale/internal/core"
 	"learn2scale/internal/fixed"
-	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
-	"learn2scale/internal/parallel"
 	"learn2scale/internal/serve"
 )
 
@@ -84,24 +87,13 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "record every Nth answered request (?trace=1 requests always record)")
 	traceWall := flag.Bool("trace-wall", false, "keep volatile wall-clock phase fields in -script mode (breaks byte-compare; live serving always keeps them)")
 	servePerfetto := flag.String("serve-perfetto", "", "write the combined serve-plane + sim-cycle Perfetto trace here (needs wall-clock traces)")
-	workers := flag.Int("workers", 0, "host worker threads (sets "+parallel.EnvWorkers+"; 0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print training progress and the observability summary")
-	cli := obs.RegisterFlags()
+	run := live.NewRun(flag.CommandLine)
 	flag.Parse()
-
-	if *workers > 0 {
-		os.Setenv(parallel.EnvWorkers, strconv.Itoa(*workers))
-	}
-	reg := cli.Registry(*verbose)
-	parallel.SetObs(reg)
-	sess, err := live.Attach(cli, reg)
-	if err != nil {
+	if err := run.Start(*verbose); err != nil {
 		log.Fatal(err)
 	}
-	if err := cli.Start(reg, live.MetricsEndpoint(reg, sess.Plane())); err != nil {
-		log.Fatal(err)
-	}
-	tl := cli.TimelineSink()
+	tl := run.Timeline()
 
 	spec, ok := core.NetByName(core.Table4Nets(core.Quick), *netName)
 	if !ok {
@@ -152,7 +144,7 @@ func main() {
 		Window:   *window,
 		MaxBatch: *maxBatch,
 		Depth:    *depth,
-		Obs:      reg,
+		Obs:      run.Registry(),
 		Timeline: tl,
 		Trace:    sink,
 	}
@@ -176,7 +168,7 @@ func main() {
 	if *script != "" {
 		runScript(srv, *script)
 	} else {
-		listen(srv, *addr, reg, sess)
+		listen(srv, *addr, run.Metrics())
 	}
 	srv.Close()
 
@@ -189,16 +181,6 @@ func main() {
 		"depth":      strconv.Itoa(*depth),
 		"requests":   strconv.FormatInt(st.Admitted, 10),
 		"batches":    strconv.FormatInt(st.Batches, 10),
-	}
-	var summaryW *os.File
-	if *verbose {
-		summaryW = os.Stderr
-	}
-	if err := cli.Finish(reg, "l2s-serve", meta, summaryW); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.FinishTimeline(tl, "l2s-serve", meta); err != nil {
-		log.Fatal(err)
 	}
 	if sink != nil {
 		if err := sink.Close(); err != nil {
@@ -224,7 +206,11 @@ func main() {
 		}
 		log.Printf("combined serve+sim Perfetto written to %s", *servePerfetto)
 	}
-	if err := sess.Finish(); err != nil {
+	var summaryW *os.File
+	if *verbose {
+		summaryW = os.Stderr
+	}
+	if err := run.Finish("l2s-serve", meta, summaryW); err != nil {
 		log.Fatal(err) // health violations exit non-zero
 	}
 }
@@ -257,11 +243,11 @@ func runScript(srv *serve.Server, path string) {
 }
 
 // listen serves HTTP until SIGTERM/SIGINT, then drains gracefully.
-func listen(srv *serve.Server, addr string, reg *obs.Registry, sess *live.Session) {
+// A non-nil metrics handler is mounted at /metrics.
+func listen(srv *serve.Server, addr string, metrics http.Handler) {
 	extra := map[string]http.Handler{}
-	if reg != nil {
-		ep := live.MetricsEndpoint(reg, sess.Plane())
-		extra[ep.Pattern] = ep.Handler
+	if metrics != nil {
+		extra["/metrics"] = metrics
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

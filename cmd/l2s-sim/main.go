@@ -18,7 +18,9 @@
 // per-core compute spans): Perfetto/chrome://tracing trace-event JSON
 // when the path ends in .json, otherwise the compact record consumed
 // by l2s-trace. Timelines, like flight records, are byte-identical at
-// every -workers count.
+// every -workers count. These flags, with -pprof, -live, -live-clock,
+// -health and -workers, are shared by every l2s command
+// (internal/obs/live.Run).
 //
 // Usage:
 //
@@ -55,7 +57,6 @@ import (
 	"learn2scale/internal/nn"
 	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
-	"learn2scale/internal/parallel"
 	"learn2scale/internal/partition"
 	"learn2scale/internal/trace"
 )
@@ -79,27 +80,18 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "per-flit transient fault probability on every link (0 disables)")
 	faultSeed := flag.Int64("fault-seed", 5, "seed for fault decisions when -fault-rate is set")
 	faultConfig := flag.String("fault-config", "", "JSON fault scenario file (see internal/fault); overrides -fault-rate")
-	workers := flag.Int("workers", 0, "host worker threads (sets "+parallel.EnvWorkers+"; 0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print the observability summary (and training progress)")
-	cli := obs.RegisterFlags()
+	run := live.NewRun(flag.CommandLine)
 	flag.Parse()
 
 	precision, err := fixed.ParsePrecision(*precName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *workers > 0 {
-		os.Setenv(parallel.EnvWorkers, strconv.Itoa(*workers))
-	}
-	reg := cli.Registry(*verbose)
-	parallel.SetObs(reg)
-	sess, err := live.Attach(cli, reg)
-	if err != nil {
+	if err := run.Start(*verbose); err != nil {
 		log.Fatal(err)
 	}
-	if err := cli.Start(reg, live.MetricsEndpoint(reg, sess.Plane())); err != nil {
-		log.Fatal(err)
-	}
+	reg := run.Registry()
 
 	spec, ok := netzoo.ByName(*netName)
 	if !ok {
@@ -130,12 +122,11 @@ func main() {
 		}
 	}
 
-	tl := cli.TimelineSink()
 	cfg := cmp.DefaultConfig(*cores)
 	cfg.StreamWeights = *stream
 	cfg.Obs = reg
 	cfg.Fault = fcfg
-	cfg.Timeline = tl
+	cfg.Timeline = run.Timeline()
 	cfg.Core.Precision = precision
 	sys, err := cmp.New(cfg)
 	if err != nil {
@@ -244,13 +235,7 @@ func main() {
 	if *pipeDepth > 0 {
 		meta["pipeline-depth"] = strconv.Itoa(*pipeDepth)
 	}
-	if err := cli.Finish(reg, "l2s-sim", meta, summaryW); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.FinishTimeline(tl, "l2s-sim", meta); err != nil {
-		log.Fatal(err)
-	}
-	if err := sess.Finish(); err != nil {
+	if err := run.Finish("l2s-sim", meta, summaryW); err != nil {
 		log.Fatal(err) // health violations exit non-zero
 	}
 }

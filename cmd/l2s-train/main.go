@@ -2,6 +2,11 @@
 // parallelization scheme, reports accuracy and communication metrics,
 // and can display the learned group-occupancy matrix (Fig. 6(b)).
 //
+// The observability flags -obs, -obs-timing, -pprof, -timeline, -live,
+// -live-clock, -health and -workers are shared by every l2s command
+// (internal/obs/live.Run); -timeline traces the trained model's
+// single-pass inference.
+//
 // Usage:
 //
 //	l2s-train -net mlp -scheme ssmask -cores 16 -show-groups
@@ -18,9 +23,7 @@ import (
 	"learn2scale/internal/core"
 	"learn2scale/internal/fixed"
 	"learn2scale/internal/nn"
-	"learn2scale/internal/obs"
 	"learn2scale/internal/obs/live"
-	"learn2scale/internal/parallel"
 )
 
 func main() {
@@ -39,23 +42,13 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress per-epoch logging")
 	savePath := flag.String("save", "", "write the trained weights to this file")
 	quant := flag.Bool("quant", false, "also evaluate 16-bit fixed-point inference accuracy")
-	workers := flag.Int("workers", 0, "host worker threads (sets "+parallel.EnvWorkers+"; 0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print the observability summary")
-	cli := obs.RegisterFlags()
+	run := live.NewRun(flag.CommandLine)
 	flag.Parse()
-
-	if *workers > 0 {
-		os.Setenv(parallel.EnvWorkers, strconv.Itoa(*workers))
-	}
-	reg := cli.Registry(*verbose)
-	parallel.SetObs(reg)
-	sess, err := live.Attach(cli, reg)
-	if err != nil {
+	if err := run.Start(*verbose); err != nil {
 		log.Fatal(err)
 	}
-	if err := cli.Start(reg, live.MetricsEndpoint(reg, sess.Plane())); err != nil {
-		log.Fatal(err)
-	}
+	reg := run.Registry()
 
 	// The struct scheme is served but not offered here.
 	scheme, ok := core.ParseScheme(*schemeName)
@@ -88,8 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tl := cli.TimelineSink()
-	rep, err := m.SimulateTimeline(tl)
+	rep, err := m.SimulateTimeline(run.Timeline())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,13 +115,7 @@ func main() {
 		"cores":  strconv.Itoa(*cores),
 		"scheme": *schemeName,
 	}
-	if err := cli.Finish(reg, "l2s-train", meta, summaryW); err != nil {
-		log.Fatal(err)
-	}
-	if err := cli.FinishTimeline(tl, "l2s-train", meta); err != nil {
-		log.Fatal(err)
-	}
-	if err := sess.Finish(); err != nil {
+	if err := run.Finish("l2s-train", meta, summaryW); err != nil {
 		log.Fatal(err) // health violations exit non-zero
 	}
 }

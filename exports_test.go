@@ -24,10 +24,11 @@ var testOnlyExportKeeps = map[string]string{
 // TestNoTestOnlyExports fails when an exported top-level function or
 // method declared in a non-test file under internal/ is named by no
 // non-test Go file of the repo (cmd/, examples/, tools/ and the
-// perfbench module included) other than as its own declaration; a
-// call from its own file counts, since the program runs it. Such a
-// name is a feature nothing runs (delete it) or an oracle only tests
-// compare against (move it into a _test.go file). The match is by
+// perfbench module included) other than as its own declaration or as
+// a method of an interface type, which declares the name but calls
+// nothing; a call from its own file counts, since the program runs
+// it. Such a name is a feature nothing runs (delete it) or an oracle
+// only tests compare against (move it into a _test.go file). The match is by
 // identifier, so comments and string literals never count as callers;
 // a method shares its name with every other method of that name. The
 // benchpair package is test support by design and is not checked.
@@ -70,8 +71,17 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				named[id.Name] = true
+			switch n := n.(type) {
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						declared[id] = true
+					}
+				}
+			case *ast.Ident:
+				if !declared[n] {
+					named[n.Name] = true
+				}
 			}
 			return true
 		})

@@ -175,15 +175,7 @@ func TestBuildBackwardTrainStep(t *testing.T) {
 	in := tensor.New(1, 28, 28)
 	in.RandN(rng, 1)
 	before := net.Params()[0].W.Clone()
-	logits := net.Forward(in, true)
-	grad := tensor.New(logits.Shape...)
-	_ = nn.SoftmaxCrossEntropy(logits, 3, grad)
-	net.Backward(grad)
-	for _, p := range net.Params() {
-		for i, g := range p.G.Data {
-			p.W.Data[i] -= 0.01 * g
-		}
-	}
+	(&nn.Trainer{Net: net, Config: nn.DefaultSGD()}).Step([]*tensor.Tensor{in}, []int{3})
 	changed := false
 	for i := range before.Data {
 		if before.Data[i] != net.Params()[0].W.Data[i] {

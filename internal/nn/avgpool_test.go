@@ -24,8 +24,8 @@ func TestAvgPoolForward(t *testing.T) {
 			t.Fatalf("avg pool = %v, want %v", out.Data, want)
 		}
 	}
-	if s := p.OutShape([]int{1, 4, 4}); s[1] != 2 || s[2] != 2 {
-		t.Errorf("OutShape = %v", s)
+	if s := out.Shape; len(s) != 3 || s[1] != 2 || s[2] != 2 {
+		t.Errorf("output shape = %v", s)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestAvgPoolGradientConservation(t *testing.T) {
 	for i := range gradOut.Data {
 		gradOut.Data[i] = float32(i + 1)
 	}
-	gradIn := p.Backward(gradOut)
+	gradIn := backward(p, gradOut)
 	var inSum, outSum float64
 	for _, v := range gradOut.Data {
 		outSum += float64(v)

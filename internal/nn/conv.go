@@ -364,18 +364,10 @@ func (l *Conv2D) Groups() int { return l.groups }
 // Weight exposes the weight parameter (used by the sparsity machinery).
 func (l *Conv2D) Weight() *Param { return l.weight }
 
-// OutShape implements Layer.
-func (l *Conv2D) OutShape(in []int) []int {
-	return []int{l.geom.OutC, l.geom.OutH, l.geom.OutW}
-}
-
 // Forward implements Layer.
 func (l *Conv2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
 }
-
-// Backward implements Layer.
-func (l *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
 
 func (l *Conv2D) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
 	k := checkRows(l.name, "input", x, l.inShape)
@@ -579,17 +571,9 @@ func (l *FullyConnected) Weight() *Param { return l.weight }
 // InOut returns the (in, out) feature counts.
 func (l *FullyConnected) InOut() (int, int) { return l.in, l.out }
 
-// OutShape implements Layer.
-func (l *FullyConnected) OutShape(in []int) []int { return []int{l.out} }
-
 // Forward implements Layer.
 func (l *FullyConnected) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
-}
-
-// Backward implements Layer.
-func (l *FullyConnected) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return l.one.backward(l, gradOut)
 }
 
 // forwardRows writes the K output rows y = b + W·x of the K input rows

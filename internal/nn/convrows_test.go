@@ -68,7 +68,7 @@ func checkConvRows(t *testing.T, rng *rand.Rand, k int, s convShape) {
 		xe := &tensor.Tensor{Shape: x.Shape[1:], Data: x.Data[e*in : (e+1)*in]}
 		ge := &tensor.Tensor{Shape: gOut.Shape[1:], Data: gOut.Data[e*out : (e+1)*out]}
 		sameConvBits(t, what+" forward row "+strconv.Itoa(e), one.Forward(xe, true).Data, y[e*out:(e+1)*out])
-		sameConvBits(t, what+" dIn row "+strconv.Itoa(e), one.Backward(ge).Data, dIn[e*in:(e+1)*in])
+		sameConvBits(t, what+" dIn row "+strconv.Itoa(e), backward(one, ge).Data, dIn[e*in:(e+1)*in])
 	}
 	for i, p := range rows.Params() {
 		sameConvBits(t, what+" "+p.Name+" G", one.Params()[i].G.Data, p.G.Data)
@@ -81,7 +81,7 @@ func checkConvRows(t *testing.T, rng *rand.Rand, k int, s convShape) {
 	}
 	for e := 0; e < k; e++ {
 		one.Forward(&tensor.Tensor{Shape: x.Shape[1:], Data: x.Data[e*in : (e+1)*in]}, true)
-		one.Backward(&tensor.Tensor{Shape: gOut.Shape[1:], Data: gOut.Data[e*out : (e+1)*out]})
+		backward(one, &tensor.Tensor{Shape: gOut.Shape[1:], Data: gOut.Data[e*out : (e+1)*out]})
 	}
 	for i, p := range rows.Params() {
 		sameConvBits(t, what+" "+p.Name+" G without dIn", one.Params()[i].G.Data, p.G.Data)

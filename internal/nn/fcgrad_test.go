@@ -92,8 +92,8 @@ func checkFCWeightGrad(t *testing.T, rng *rand.Rand, k, in, out int) {
 	e := rng.Intn(k)
 	perExampleFCGrad(wantW, wantB, x[e*in:(e+1)*in], g[e*out:(e+1)*out])
 	l.lastIn = &tensor.Tensor{Shape: []int{1, in}, Data: x[e*in : (e+1)*in]}
-	l.Backward(&tensor.Tensor{Shape: []int{out}, Data: g[e*out : (e+1)*out]})
-	compareFCGrad(t, "Backward", k, in, out, gw, gb, wantW, wantB)
+	backward(l, &tensor.Tensor{Shape: []int{out}, Data: g[e*out : (e+1)*out]})
+	compareFCGrad(t, "one row", k, in, out, gw, gb, wantW, wantB)
 }
 
 func compareFCGrad(t *testing.T, what string, k, in, out int, gw, gb, wantW, wantB []float32) {

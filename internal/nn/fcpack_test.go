@@ -22,8 +22,6 @@ type scopeProbe struct {
 
 func (p *scopeProbe) Name() string                                         { return "probe" }
 func (p *scopeProbe) Params() []*Param                                     { return nil }
-func (p *scopeProbe) OutShape(in []int) []int                              { return in }
-func (p *scopeProbe) Backward(g *tensor.Tensor) *tensor.Tensor             { return g }
 func (p *scopeProbe) backwardRows(g *tensor.Tensor, _ bool) *tensor.Tensor { return g }
 func (p *scopeProbe) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return p.forwardRows(in, train)

@@ -42,7 +42,7 @@ func TestFreezeRefusesTraining(t *testing.T) {
 		net.Freeze()
 		logits := net.Forward(ins[0], true)
 		grad := tensor.New(logits.Shape...)
-		mustPanic(t, "Network.Backward", "ip3", func() { net.Backward(grad) })
+		mustPanic(t, "network backward", "ip3", func() { netBackward(net, grad) })
 		tr := &Trainer{Net: net, Config: DefaultSGD()}
 		mustPanic(t, "Trainer.Step", "ip1", func() { tr.Step(ins[:2], []int{0, 1}) })
 		mustPanic(t, "Trainer.Fit", "ip1", func() { tr.Fit(ins[:2], []int{0, 1}) })
@@ -55,7 +55,7 @@ func TestFreezeRefusesTraining(t *testing.T) {
 	conv.Freeze()
 	c1 := conv.Layers[0]
 	out := c1.Forward(convIns[0], true)
-	mustPanic(t, "Conv2D.Backward", "conv1", func() { c1.Backward(out) })
+	mustPanic(t, "Conv2D backward", "conv1", func() { backward(c1, out) })
 }
 
 // TestFreezeIdempotent: a second Freeze repacks into the same buffer

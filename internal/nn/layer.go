@@ -14,9 +14,9 @@
 // normalization, by element in ReLU, by output panel in a
 // fully-connected layer. A trainer batch, an Accuracy group and a
 // ForwardBatch are each one forward per layer; a trainer batch is also
-// one backward per layer. A layer's Forward and Backward, and the
-// network's, run one example as a group of one, so there is a single
-// implementation of every layer.
+// one backward per layer. A layer's Forward, and the network's, runs
+// one example as a group of one, so there is a single implementation
+// of every layer.
 //
 // A layer with weights adds the gradients of a group's examples into
 // G in example order: a convolution takes each example's weight
@@ -37,8 +37,8 @@
 // Training state exists only where training happens. A parameter's
 // gradient and momentum, and the backward-only scratch of conv, pooling
 // and fully-connected layers, are allocated when a net first trains
-// (Trainer.Fit or Trainer.Step, or a layer's first Backward), so a net
-// that only runs inference holds its weights and its forward buffers.
+// (Trainer.Fit or Trainer.Step), so a net that only runs inference
+// holds its weights and its forward buffers.
 package nn
 
 import (
@@ -49,7 +49,7 @@ import (
 
 // Param is a trainable parameter tensor together with its training
 // state. A net built for inference holds only W: the gradient G is
-// allocated by Grad on first use (a layer's first Backward, or a
+// allocated by Grad on first use (a layer's first backward pass, or a
 // regularizer's gradient), and the momentum V by the Trainer when
 // training starts. Both stay nil on a net that never trains.
 type Param struct {
@@ -88,34 +88,26 @@ func (p *Param) Grad() *tensor.Tensor {
 // forwardRows(train), adds the K examples' parameter gradients into
 // Params()[i].Grad() in example order, and returns the K rows of
 // dLoss/dInput, or nil when wantIn is false and the layer holds
-// params. Forward and Backward are the same pass over a single
-// example with no batch dimension (oneRow). The returned tensors are
-// owned by the layer and overwritten by its next call.
+// params. Forward is the same pass over a single example with no
+// batch dimension (oneRow). The returned tensors are owned by the
+// layer and overwritten by its next call.
 type Layer interface {
 	Name() string
 	Forward(in *tensor.Tensor, train bool) *tensor.Tensor
-	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
-	// OutShape maps an input shape to the layer's output shape.
-	OutShape(in []int) []int
 
 	forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor
 	backwardRows(gradOut *tensor.Tensor, wantIn bool) *tensor.Tensor
 }
 
-// oneRow holds the headers through which a layer's Forward and
-// Backward run one example as a group of one: the operand with a
-// leading dimension of 1, and the result without it. Both share their
-// data with the tensors they view, so a lone example is copied
-// nowhere.
-type oneRow struct{ in, out, gradOut, gradIn tensor.Tensor }
+// oneRow holds the headers through which a layer's Forward runs one
+// example as a group of one: the operand with a leading dimension of
+// 1, and the result without it. Both share their data with the tensors
+// they view, so a lone example is copied nowhere.
+type oneRow struct{ in, out tensor.Tensor }
 
 func (v *oneRow) forward(l Layer, in *tensor.Tensor, train bool) *tensor.Tensor {
 	return dropRow(&v.out, l.forwardRows(addRow(&v.in, in), train))
-}
-
-func (v *oneRow) backward(l Layer, gradOut *tensor.Tensor) *tensor.Tensor {
-	return dropRow(&v.gradIn, l.backwardRows(addRow(&v.gradOut, gradOut), true))
 }
 
 // addRow points v at t's data as a group of one row.

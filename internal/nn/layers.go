@@ -59,16 +59,10 @@ func (l *ReLU) Name() string { return l.name }
 // Params implements Layer.
 func (l *ReLU) Params() []*Param { return nil }
 
-// OutShape implements Layer.
-func (l *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
-
 // Forward implements Layer.
 func (l *ReLU) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
 }
-
-// Backward implements Layer.
-func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
 
 func (l *ReLU) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
@@ -91,7 +85,7 @@ func (l *ReLU) backwardRows(gradOut *tensor.Tensor, _ bool) *tensor.Tensor {
 // samples pools as K·C channels, split over workers by whole channels
 // (tensor.MaxPoolChannels forward, the argmax scatter backward). The
 // argmax record is allocated on the first Forward(train) and the input
-// gradient on the first Backward, so inference never holds them.
+// gradient on the first backward pass, so inference never holds them.
 type MaxPool2D struct {
 	name     string
 	geom     tensor.ConvGeom
@@ -153,19 +147,9 @@ func (l *MaxPool2D) Params() []*Param { return nil }
 // Geom returns the pooling geometry.
 func (l *MaxPool2D) Geom() tensor.ConvGeom { return l.geom }
 
-// OutShape implements Layer.
-func (l *MaxPool2D) OutShape(in []int) []int {
-	return []int{l.geom.InC, l.geom.OutH, l.geom.OutW}
-}
-
 // Forward implements Layer.
 func (l *MaxPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
-}
-
-// Backward implements Layer.
-func (l *MaxPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return l.one.backward(l, gradOut)
 }
 
 func (l *MaxPool2D) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -240,19 +224,9 @@ func (l *AvgPool2D) Params() []*Param { return nil }
 // Geom returns the pooling geometry.
 func (l *AvgPool2D) Geom() tensor.ConvGeom { return l.geom }
 
-// OutShape implements Layer.
-func (l *AvgPool2D) OutShape(in []int) []int {
-	return []int{l.geom.InC, l.geom.OutH, l.geom.OutW}
-}
-
 // Forward implements Layer.
 func (l *AvgPool2D) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
-}
-
-// Backward implements Layer.
-func (l *AvgPool2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	return l.one.backward(l, gradOut)
 }
 
 func (l *AvgPool2D) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -367,22 +341,10 @@ func (l *Flatten) Name() string { return l.name }
 // Params implements Layer.
 func (l *Flatten) Params() []*Param { return nil }
 
-// OutShape implements Layer.
-func (l *Flatten) OutShape(in []int) []int {
-	n := 1
-	for _, d := range in {
-		n *= d
-	}
-	return []int{n}
-}
-
 // Forward implements Layer.
 func (l *Flatten) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
 }
-
-// Backward implements Layer.
-func (l *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
 
 func (l *Flatten) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
@@ -431,16 +393,10 @@ func (l *Dropout) Name() string { return l.name }
 // Params implements Layer.
 func (l *Dropout) Params() []*Param { return nil }
 
-// OutShape implements Layer.
-func (l *Dropout) OutShape(in []int) []int { return append([]int(nil), in...) }
-
 // Forward implements Layer.
 func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
 }
-
-// Backward implements Layer.
-func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
 
 // forwardRows returns x itself unless training; a training pass's
 // output is owned by the layer and overwritten by the next one.

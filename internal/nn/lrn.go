@@ -86,18 +86,10 @@ func (l *LRN) Name() string { return l.name }
 // Params implements Layer.
 func (l *LRN) Params() []*Param { return nil }
 
-// OutShape implements Layer.
-func (l *LRN) OutShape(in []int) []int { return append([]int(nil), in...) }
-
 // Forward implements Layer.
 func (l *LRN) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return l.one.forward(l, in, train)
 }
-
-// Backward implements Layer. It reads the denominators the last
-// Forward(train) recorded, so that must be the forward being
-// differentiated.
-func (l *LRN) Backward(gradOut *tensor.Tensor) *tensor.Tensor { return l.one.backward(l, gradOut) }
 
 func (l *LRN) forwardRows(x *tensor.Tensor, train bool) *tensor.Tensor {
 	k := checkRows(l.name, "input", x, l.inShape)

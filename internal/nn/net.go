@@ -15,7 +15,7 @@ type Network struct {
 	Name   string
 	Layers []Layer
 
-	// fwdSpans/bwdSpans time each layer's Forward/Backward when an
+	// fwdSpans/bwdSpans time each layer's forward/backward when an
 	// obs registry is attached via SetObs; nil (the default) keeps the
 	// hot loops span-free.
 	fwdSpans, bwdSpans []*obs.Span
@@ -63,10 +63,10 @@ func (n *Network) Init(rng *rand.Rand) {
 // FC layer its backward operands, so the net holds its weights and one
 // packed copy of its FC weights.
 //
-// A frozen net cannot train: Backward and an SGD step panic, naming the
-// parameter, and Load returns an error. This holds whether or not the
-// net ever trained. Its weights must not change after Freeze, or the
-// packed copies go stale. Freeze is idempotent.
+// A frozen net cannot train: a backward pass and an SGD step panic,
+// naming the parameter, and Load returns an error. This holds whether
+// or not the net ever trained. Its weights must not change after
+// Freeze, or the packed copies go stale. Freeze is idempotent.
 func (n *Network) Freeze() {
 	for _, l := range n.Layers {
 		if fc, ok := l.(*FullyConnected); ok {
@@ -105,15 +105,6 @@ func (n *Network) WeightParams() []*Param {
 // network and overwritten by the next call.
 func (n *Network) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	return dropRow(&n.one.out, n.forwardRows(addRow(&n.one.in, in), train, 1))
-}
-
-// Backward propagates dLoss/dLogits of the last Forward(train) through
-// the network, accumulating parameter gradients. No one reads the
-// input gradient of the net, so the pass stops at the first layer that
-// holds params, which adds its param gradients and computes no input
-// gradient.
-func (n *Network) Backward(gradLogits *tensor.Tensor) {
-	n.backwardRows(addRow(&n.one.gradOut, gradLogits))
 }
 
 // firstParamLayer returns the index of the first layer that holds

@@ -22,6 +22,23 @@ func numericalGrad(net *Network, in *tensor.Tensor, label int, w []float32, i in
 	return (lp - lm) / (2 * eps)
 }
 
+// backRow runs a layer's backward pass on one example as a group of
+// one row, through headers it keeps between calls, so a steady loop of
+// it allocates nothing: the per-example pass that a trainer batch of K
+// rows must match.
+type backRow struct{ gradOut, gradIn tensor.Tensor }
+
+func (v *backRow) layer(l Layer, g *tensor.Tensor) *tensor.Tensor {
+	return dropRow(&v.gradIn, l.backwardRows(addRow(&v.gradOut, g), true))
+}
+
+// backward is l's backward pass on one example's output gradient.
+func backward(l Layer, g *tensor.Tensor) *tensor.Tensor { return new(backRow).layer(l, g) }
+
+// netBackward propagates one example's logit gradient through n,
+// adding its parameter gradients.
+func netBackward(n *Network, g *tensor.Tensor) { n.backwardRows(addRow(new(tensor.Tensor), g)) }
+
 // checkGradients verifies analytic gradients against central
 // differences for every parameter of the network on one example.
 func checkGradients(t *testing.T, net *Network, in *tensor.Tensor, label int, tol float64) {
@@ -32,7 +49,7 @@ func checkGradients(t *testing.T, net *Network, in *tensor.Tensor, label int, to
 	logits := net.Forward(in, true)
 	grad := tensor.New(logits.Shape...)
 	SoftmaxCrossEntropy(logits, label, grad)
-	net.Backward(grad)
+	netBackward(net, grad)
 
 	rng := rand.New(rand.NewSource(7))
 	for _, p := range net.Params() {
@@ -296,12 +313,12 @@ func TestNetworkOutShapePlumbing(t *testing.T) {
 		NewFlatten("f"),
 		NewFullyConnected("fc", 8*12*12, 10),
 	)
-	shape := []int{1, 28, 28}
+	x := tensor.New(1, 28, 28)
 	for _, l := range net.Layers {
-		shape = l.OutShape(shape)
+		x = l.Forward(x, false)
 	}
-	if len(shape) != 1 || shape[0] != 10 {
-		t.Errorf("final shape = %v, want [10]", shape)
+	if len(x.Shape) != 1 || x.Shape[0] != 10 {
+		t.Errorf("final shape = %v, want [10]", x.Shape)
 	}
 }
 

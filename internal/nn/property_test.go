@@ -182,7 +182,7 @@ func TestBackwardRepeatIdentical(t *testing.T) {
 	gradOut.RandN(rng, 1)
 
 	conv.Forward(in, true)
-	first := conv.Backward(gradOut).Clone()
+	first := backward(conv, gradOut).Clone()
 	firstGW := conv.Weight().G.Clone()
 	// Same inputs again: every reused buffer must be re-initialized.
 	// Parameter gradients accumulate by contract (the trainer zeroes
@@ -191,10 +191,10 @@ func TestBackwardRepeatIdentical(t *testing.T) {
 		p.G.Zero()
 	}
 	conv.Forward(in, true)
-	second := conv.Backward(gradOut)
+	second := backward(conv, gradOut)
 	for i := range first.Data {
 		if first.Data[i] != second.Data[i] {
-			t.Fatalf("gradIn[%d] changed across identical Backward calls: %g then %g",
+			t.Fatalf("gradIn[%d] changed across identical backward passes: %g then %g",
 				i, first.Data[i], second.Data[i])
 		}
 	}

@@ -51,7 +51,7 @@ func TestBatchRowsMatchesPerExample(t *testing.T) {
 					if argmax(logits.Data) == labels[idx] {
 						correct++
 					}
-					exNet.Backward(grad)
+					netBackward(exNet, grad)
 				}
 				return loss, correct
 			}

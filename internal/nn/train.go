@@ -73,8 +73,8 @@ type EpochStats struct {
 // and one backward per layer, each split over the host workers
 // (parallel.Workers: the L2S_WORKERS environment variable, else
 // GOMAXPROCS) inside the layer. Every loss, gradient and weight has
-// the same bits at every worker count, and the same as K one-example
-// Forward and Backward calls give.
+// the same bits at every worker count, and the same as K one-row
+// passes give.
 type Trainer struct {
 	Net    *Network
 	Config SGDConfig
@@ -102,8 +102,8 @@ type Trainer struct {
 // Fit trains the network on (inputs, labels) and returns the stats of
 // the final epoch, each batch as K rows (see Trainer). It allocates
 // any gradient and momentum the net does not hold yet; momentum left
-// by an earlier Trainer carries over, and a gradient left by a direct
-// Backward is cleared.
+// by an earlier Trainer carries over, and a gradient left in G is
+// cleared.
 func (t *Trainer) Fit(inputs []*tensor.Tensor, labels []int) EpochStats {
 	if len(inputs) != len(labels) {
 		panic("nn: Fit input/label count mismatch")
@@ -332,7 +332,7 @@ func (s *sgdPass) stepRange(lo, hi int) {
 // K rows (at the configured learning rate, with no shuffling or epoch
 // bookkeeping) and returns the total data loss and correct count. The
 // first call allocates the net's gradients and momentum; each call
-// clears any gradient a direct Backward left.
+// clears any gradient left in G.
 // After a warm-up call, steady-state Steps perform zero heap
 // allocations — the property the benchmark suite pins.
 func (t *Trainer) Step(inputs []*tensor.Tensor, labels []int) (float64, int) {
@@ -369,7 +369,7 @@ func startTraining(params []*Param) {
 }
 
 // clearGrads zeroes every param's G, so the first batch does not add a
-// gradient a direct Backward left; each SGD step clears G after it.
+// gradient left there; each SGD step clears G after it.
 func clearGrads(params []*Param) {
 	for _, p := range params {
 		p.G.Zero()

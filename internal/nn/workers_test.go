@@ -118,20 +118,21 @@ func checkTrainingAcrossWorkers(t *testing.T, build func() (*Network, []*tensor.
 	}
 }
 
-// TestLRNZeroAlloc: after a warm-up pass, LRN's Forward and Backward
-// allocate nothing.
+// TestLRNZeroAlloc: after a warm-up pass, LRN's forward and backward
+// passes allocate nothing.
 func TestLRNZeroAlloc(t *testing.T) {
 	l := NewLRN("norm", 6, 5, 5, 5, 0, 0, 0)
 	in := tensor.New(6, 5, 5)
 	in.RandN(rand.New(rand.NewSource(3)), 1)
 	g := tensor.New(6, 5, 5)
 	fill(g, 0.5)
+	var b backRow
 	l.Forward(in, true)
-	l.Backward(g)
+	b.layer(l, g)
 	if n := testing.AllocsPerRun(20, func() { l.Forward(in, true) }); n != 0 {
 		t.Errorf("steady-state LRN Forward allocates %.1f objects, want 0", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { l.Backward(g) }); n != 0 {
-		t.Errorf("steady-state LRN Backward allocates %.1f objects, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { b.layer(l, g) }); n != 0 {
+		t.Errorf("steady-state LRN backward allocates %.1f objects, want 0", n)
 	}
 }

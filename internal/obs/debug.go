@@ -5,56 +5,22 @@ import (
 	"context"
 	"expvar"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// published backs the process-wide "l2s" expvar: the flight record of
-// whichever registry was most recently handed to ServeDebug.
-var (
-	published   atomic.Pointer[Registry]
-	publishOnce sync.Once
-)
-
-// Endpoint is an extra handler mounted on the ServeDebug mux — the
-// hook the live telemetry plane uses to expose /metrics without obs
-// importing it (live imports obs, so the dependency must point this
-// way).
-type Endpoint struct {
-	Pattern string
-	Handler http.Handler
-}
-
 // ServeDebug starts an HTTP server on addr exposing net/http/pprof
-// profiles (/debug/pprof/), expvar (/debug/vars), the registry's live
-// flight record (/debug/obs) and any extra endpoints (the live plane
-// mounts /metrics here), so long experiment sweeps can be watched
-// while they run. It returns the bound address (useful with ":0") and
-// a shutdown func. Shutdown drains gracefully: an in-flight /metrics
-// or /debug/obs scrape completes before the listener closes, and the
-// shutdown error (if any) is returned to the caller instead of being
-// dropped.
-//
-// /debug/obs serves the full record (including the volatile profile)
-// by default. Pollers that only need part of it can cheap-poll:
-// ?section=stable|counters|gauges|histograms|spans selects a stable
-// subset that is serialized once per distinct registry state and
-// carries a strong ETag, so an If-None-Match revalidation costs a 304
-// with no body instead of a full re-snapshot serialization.
-func ServeDebug(addr string, r *Registry, extras ...Endpoint) (string, func() error, error) {
-	publishOnce.Do(func() {
-		expvar.Publish("l2s", expvar.Func(func() any {
-			return published.Load().Record("debug", nil, true)
-		}))
-	})
-	published.Store(r)
-
+// profiles (/debug/pprof/), the stdlib expvar variables (/debug/vars),
+// the registry's full flight record, profile included (/debug/obs),
+// and, when metrics is non-nil, the live plane's exposition at
+// /metrics, so long experiment sweeps can be watched while they run.
+// It returns the bound address (useful with ":0") and a shutdown func.
+// Shutdown drains gracefully: an in-flight /metrics or /debug/obs
+// scrape completes before the listener closes, and the shutdown error
+// (if any) is returned to the caller instead of being dropped.
+func ServeDebug(addr string, r *Registry, metrics http.Handler) (string, func() error, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -63,10 +29,10 @@ func ServeDebug(addr string, r *Registry, extras ...Endpoint) (string, func() er
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/obs", func(w http.ResponseWriter, req *http.Request) {
-		serveObs(w, req, r)
+		serveObs(w, r)
 	})
-	for _, e := range extras {
-		mux.Handle(e.Pattern, e.Handler)
+	if metrics != nil {
+		mux.Handle("/metrics", metrics)
 	}
 
 	ln, err := net.Listen("tcp", addr)
@@ -89,101 +55,19 @@ func ServeDebug(addr string, r *Registry, extras ...Endpoint) (string, func() er
 	return ln.Addr().String(), stop, nil
 }
 
-// serveObs renders the registry's record for /debug/obs. With no
-// query the full record (profile included) streams as before; with
-// ?section= a stable subset is served from a per-state cache with an
-// ETag so pollers like l2s-top can revalidate for free.
-func serveObs(w http.ResponseWriter, req *http.Request, r *Registry) {
-	section := req.URL.Query().Get("section")
-	if section == "" {
-		// Serialize to a buffer before touching the ResponseWriter:
-		// streaming straight into w and calling http.Error on failure
-		// would WriteHeader a second time when a client disconnects
-		// mid-write (every write after the first flush fails), spamming
-		// "superfluous response.WriteHeader" and, worse, appending an
-		// error line to a half-sent 200 body.
-		rec := r.Record("debug", nil, true)
-		var buf bytes.Buffer
-		if err := rec.WriteJSON(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf.Bytes()) //nolint:errcheck // client went away
-		return
-	}
-
-	rec := r.Record("debug", nil, section == "profile")
-	sub := FlightRecord{Version: rec.Version, Tool: rec.Tool, Meta: rec.Meta}
-	switch section {
-	case "stable":
-		sub.Snapshot = rec.Snapshot
-	case "counters":
-		sub.Counters = rec.Counters
-	case "gauges":
-		sub.Gauges = rec.Gauges
-	case "histograms":
-		sub.Histograms = rec.Histograms
-	case "spans":
-		sub.Spans = rec.Spans
-	case "profile":
-		sub.Profile = rec.Profile
-	default:
-		http.Error(w, fmt.Sprintf("unknown section %q (want stable|counters|gauges|histograms|spans|profile)", section),
-			http.StatusBadRequest)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/json")
-	if section != "profile" { // the profile is volatile by definition: never cacheable
-		// Strong ETag from a direct hash of the snapshot, so a
-		// revalidating poller pays one snapshot copy and no JSON
-		// serialization when nothing changed.
-		etag := fmt.Sprintf(`"%016x"`, hashSnapshot(sub.Snapshot))
-		w.Header().Set("ETag", etag)
-		if match := req.Header.Get("If-None-Match"); match == etag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
+// serveObs renders the registry's full record for /debug/obs. It
+// serializes to a buffer before touching the ResponseWriter: streaming
+// straight into w and calling http.Error on failure would WriteHeader
+// a second time when a client disconnects mid-write (every write after
+// the first flush fails), spamming "superfluous response.WriteHeader"
+// and, worse, appending an error line to a half-sent 200 body.
+func serveObs(w http.ResponseWriter, r *Registry) {
+	rec := r.Record("debug", nil, true)
 	var buf bytes.Buffer
-	if err := sub.WriteJSON(&buf); err != nil {
+	if err := rec.WriteJSON(&buf); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes()) //nolint:errcheck // client went away
-}
-
-// hashSnapshot digests every name and value of the snapshot. Sections
-// are pre-sorted by name, so equal content always hashes equally.
-func hashSnapshot(s Snapshot) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 8)
-	w64 := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf)
-	}
-	for _, c := range s.Counters {
-		h.Write([]byte(c.Name))
-		w64(uint64(c.Value))
-	}
-	for _, g := range s.Gauges {
-		h.Write([]byte(g.Name))
-		w64(math.Float64bits(g.Value))
-	}
-	for _, hs := range s.Histograms {
-		h.Write([]byte(hs.Name))
-		for _, n := range hs.Counts {
-			w64(uint64(n))
-		}
-		w64(uint64(hs.Sum))
-		w64(uint64(hs.Max))
-	}
-	for _, sp := range s.Spans {
-		h.Write([]byte(sp.Path))
-		w64(uint64(sp.Count))
-	}
-	return h.Sum64()
 }

@@ -50,18 +50,16 @@ func TestServeObsClientDisconnect(t *testing.T) {
 	r.Counter("x", Stable).Add(1)
 	r.Gauge("y", Volatile).Set(2)
 
-	for _, target := range []string{"/debug/obs", "/debug/obs?section=counters"} {
-		t.Run(target, func(t *testing.T) {
-			w := &brokenWriter{}
-			serveObs(w, httptest.NewRequest("GET", target, nil), r)
-			if w.attempts == 0 {
-				t.Fatal("no write attempted; the test exercised nothing")
-			}
-			if len(w.headerCalls) != 1 || w.headerCalls[0] != http.StatusOK {
-				t.Fatalf("WriteHeader calls %v, want exactly the implicit 200", w.headerCalls)
-			}
-		})
-	}
+	t.Run("/debug/obs", func(t *testing.T) {
+		w := &brokenWriter{}
+		serveObs(w, r)
+		if w.attempts == 0 {
+			t.Fatal("no write attempted; the test exercised nothing")
+		}
+		if len(w.headerCalls) != 1 || w.headerCalls[0] != http.StatusOK {
+			t.Fatalf("WriteHeader calls %v, want exactly the implicit 200", w.headerCalls)
+		}
+	})
 }
 
 // TestServeObsFullRecordIntact: buffering must not change what a
@@ -70,7 +68,7 @@ func TestServeObsFullRecordIntact(t *testing.T) {
 	r := New()
 	r.Counter("hits", Stable).Add(7)
 	rec := httptest.NewRecorder()
-	serveObs(rec, httptest.NewRequest("GET", "/debug/obs", nil), r)
+	serveObs(rec, r)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}

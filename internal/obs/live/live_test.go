@@ -255,11 +255,11 @@ func TestNilPlaneAndSession(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Error(err)
 	}
-	var s *Session
-	if s.Plane() != nil {
-		t.Error("nil session has a plane")
+	var run Run
+	if run.Metrics() != nil {
+		t.Error("a run without a registry serves metrics")
 	}
-	if err := s.Finish(); err != nil {
+	if err := run.Finish("t", nil, nil); err != nil {
 		t.Error(err)
 	}
 }

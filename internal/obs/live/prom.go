@@ -3,7 +3,6 @@ package live
 import (
 	"fmt"
 	"io"
-	"net/http"
 	"regexp"
 	"sort"
 	"strconv"
@@ -244,20 +243,6 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 // name's exotic characters.
 func familyHelp(obsName string) string {
 	return strings.ReplaceAll(obsName, "\n", " ")
-}
-
-// MetricsEndpoint wraps the exposition as an obs debug-server
-// endpoint, the hook ServeDebug mounts at /metrics.
-func MetricsEndpoint(r *obs.Registry, p *Plane) obs.Endpoint {
-	return obs.Endpoint{
-		Pattern: "/metrics",
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := WriteMetrics(w, r, p); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		}),
-	}
 }
 
 // --- promlint-style validation ---

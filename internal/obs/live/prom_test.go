@@ -110,12 +110,9 @@ func TestWriteMetricsNilPlane(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	r, p := populated(t)
-	ep := MetricsEndpoint(r, p)
-	if ep.Pattern != "/metrics" {
-		t.Fatalf("pattern = %q", ep.Pattern)
-	}
+	run := &Run{reg: r, plane: p}
 	rec := httptest.NewRecorder()
-	ep.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	run.Metrics().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}

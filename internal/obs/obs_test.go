@@ -264,7 +264,7 @@ func TestReadRecordRejectsCorrupt(t *testing.T) {
 func TestServeDebug(t *testing.T) {
 	r := New()
 	r.Counter("x", Stable).Add(1)
-	addr, stop, err := ServeDebug("127.0.0.1:0", r)
+	addr, stop, err := ServeDebug("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

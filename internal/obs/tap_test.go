@@ -2,8 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -160,78 +158,4 @@ func BenchmarkTapOverheadHistogram(b *testing.B) {
 			h.Observe(int64(i & 1023))
 		}
 	})
-}
-
-func TestServeDebugSectionsAndETag(t *testing.T) {
-	r := New()
-	r.Counter("x.count", Stable).Add(1)
-	r.Gauge("x.gauge", Stable).Set(2)
-	addr, stop, err := ServeDebug("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := stop(); err != nil {
-			t.Errorf("stop: %v", err)
-		}
-	}()
-	base := "http://" + addr + "/debug/obs"
-
-	get := func(url, etag string) *http.Response {
-		req, err := http.NewRequest("GET", url, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if etag != "" {
-			req.Header.Set("If-None-Match", etag)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	// Sections filter the record.
-	resp := get(base+"?section=counters", "")
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("?section=counters: status %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "x.count") || strings.Contains(string(body), "x.gauge") {
-		t.Errorf("counters section wrong: %s", body)
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("no ETag on stable section")
-	}
-
-	// Revalidation: unchanged state → 304, no body.
-	resp = get(base+"?section=counters", etag)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Errorf("If-None-Match revalidation: status %d, want 304", resp.StatusCode)
-	}
-
-	// A state change invalidates the tag.
-	r.Counter("x.count", Stable).Add(1)
-	resp = get(base+"?section=counters", etag)
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("post-update revalidation: status %d, want 200", resp.StatusCode)
-	}
-	if resp.Header.Get("ETag") == etag {
-		t.Error("ETag did not change with registry state")
-	}
-
-	// Unknown sections are rejected.
-	resp = get(base+"?section=nope", "")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown section: status %d, want 400", resp.StatusCode)
-	}
 }

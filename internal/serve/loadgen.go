@@ -199,7 +199,6 @@ func (r *LoadReport) foldTraces(traces []ReqTrace) {
 		totals[i] = traces[i].TotalNS
 	}
 	sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
-	p99 := quantileNS(totals, 0.99)
 	for ph := 0; ph < int(NumPhases); ph++ {
 		for i := range traces {
 			col[i] = time.Duration(traces[i].Phases()[ph])
@@ -208,30 +207,11 @@ func (r *LoadReport) foldTraces(traces []ReqTrace) {
 		r.PhaseP50[ph] = quantile(col, 0.50)
 		r.PhaseP99[ph] = quantile(col, 0.99)
 	}
-	var tailSum [NumPhases]float64
-	tailN := 0
-	for i := range traces {
-		t := &traces[i]
-		if t.TotalNS < p99 || t.TotalNS <= 0 {
-			continue
-		}
-		tailN++
-		for ph, d := range t.Phases() {
-			tailSum[ph] += float64(d) / float64(t.TotalNS)
-		}
-	}
-	if tailN > 0 {
-		for ph := range tailSum {
-			if tailSum[ph] > tailSum[r.TailBlame] {
-				r.TailBlame = Phase(ph)
-			}
-		}
-	}
+	_, r.TailBlame = tailShares(traces, quantile(totals, 0.99))
 }
 
-// quantile reads the q-quantile from an ascending latency slice using
-// the nearest-rank method.
-func quantile(sorted []time.Duration, q float64) time.Duration {
+// quantile is the nearest-rank q-quantile of an ascending slice.
+func quantile[T ~int64](sorted []T, q float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}

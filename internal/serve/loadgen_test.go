@@ -53,7 +53,7 @@ func TestRunLoadDefaults(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	if q := quantile(nil, 0.5); q != 0 {
+	if q := quantile[time.Duration](nil, 0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
 	lat := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}

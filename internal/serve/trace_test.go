@@ -388,6 +388,35 @@ func TestAnalyzeTrace(t *testing.T) {
 // serve plane structurally: process metadata, one batch-window slice
 // per batch, five tiling phase slices per request, and a queue-depth
 // counter track.
+// TestTailBlameOneRule: the load generator's report and the trace
+// analyzer blame the tail by the same rule. 98 queue-bound requests
+// and 2 slow sim-bound ones put the p99 total on the slow pair, so
+// both must blame the simulation, and the analyzer's tail shares are
+// the slow pair's mean phase shares.
+func TestTailBlameOneRule(t *testing.T) {
+	var reqs []ReqTrace
+	for i := 0; i < 100; i++ {
+		r := ReqTrace{Model: "ssmask", Precision: "float32", QueueNS: 8, SimNS: 2, TotalNS: 10}
+		if i%50 == 7 {
+			r.QueueNS, r.SimNS, r.TotalNS = 100, 900, 1000
+		}
+		reqs = append(reqs, r)
+	}
+	var rep LoadReport
+	rep.foldTraces(reqs)
+	an, err := AnalyzeTrace(&TraceLog{Wall: true, Reqs: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := an.Models[0]
+	if rep.TailBlame != PhaseSim || st.TailBlame != PhaseSim {
+		t.Fatalf("tail blame: load report %s, analyzer %s; want %s", rep.TailBlame, st.TailBlame, PhaseSim)
+	}
+	if st.TotalP99NS != 1000 || st.Phases[PhaseSim].TailShare != 0.9 || st.Phases[PhaseQueue].TailShare != 0.1 {
+		t.Errorf("p99 %d, tail shares %+v", st.TotalP99NS, st.Phases)
+	}
+}
+
 func TestWriteServePerfetto(t *testing.T) {
 	tl := timeline.NewSink()
 	raw, _ := runTraceScript(t, TraceOptions{}, tl)

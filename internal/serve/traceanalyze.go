@@ -103,53 +103,50 @@ func AnalyzeTrace(log *TraceLog) (*TraceAnalysis, error) {
 		}
 		sort.Slice(totals, func(i, j int) bool { return totals[i] < totals[j] })
 		st.MeanBatch = float64(sumBatch) / float64(len(a.reqs))
-		st.TotalP50NS = quantileNS(totals, 0.50)
-		st.TotalP99NS = quantileNS(totals, 0.99)
+		st.TotalP50NS = quantile(totals, 0.50)
+		st.TotalP99NS = quantile(totals, 0.99)
 		for ph := range st.Phases {
 			st.Phases[ph].MeanNS = sumPhase[ph] / int64(len(a.reqs))
 			if sumTotal > 0 {
 				st.Phases[ph].Share = float64(sumPhase[ph]) / float64(sumTotal)
 			}
 		}
-		// Tail blame: mean phase shares over the requests at or above
-		// the p99 total, then pick the dominant phase.
-		var tailSum [NumPhases]float64
-		tailN := 0
-		for _, r := range a.reqs {
-			if r.TotalNS < st.TotalP99NS || r.TotalNS <= 0 {
-				continue
-			}
-			tailN++
-			for ph, d := range r.Phases() {
-				tailSum[ph] += float64(d) / float64(r.TotalNS)
-			}
-		}
-		if tailN > 0 {
-			for ph := range st.Phases {
-				st.Phases[ph].TailShare = tailSum[ph] / float64(tailN)
-				if st.Phases[ph].TailShare > st.Phases[st.TailBlame].TailShare {
-					st.TailBlame = Phase(ph)
-				}
-			}
+		var tail [NumPhases]float64
+		tail, st.TailBlame = tailShares(a.reqs, st.TotalP99NS)
+		for ph := range st.Phases {
+			st.Phases[ph].TailShare = tail[ph]
 		}
 		out.Models = append(out.Models, st)
 	}
 	return out, nil
 }
 
-// quantileNS is the nearest-rank quantile of an ascending-sorted slice.
-func quantileNS(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
+// tailShares is the tail-blame rule: each phase's mean share of the
+// total latency over the requests whose total is at or above p99, and
+// the phase with the largest share. With no such request every share
+// is zero and the blame is the first phase.
+func tailShares(reqs []ReqTrace, p99 int64) (shares [NumPhases]float64, blame Phase) {
+	n := 0
+	for i := range reqs {
+		r := &reqs[i]
+		if r.TotalNS < p99 || r.TotalNS <= 0 {
+			continue
+		}
+		n++
+		for ph, d := range r.Phases() {
+			shares[ph] += float64(d) / float64(r.TotalNS)
+		}
 	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
+	if n == 0 {
+		return shares, blame
 	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
+	for ph := range shares {
+		shares[ph] /= float64(n)
+		if shares[ph] > shares[blame] {
+			blame = Phase(ph)
+		}
 	}
-	return sorted[i]
+	return shares, blame
 }
 
 // WriteTable renders the attribution as an aligned text table: one row
