@@ -85,7 +85,7 @@ serve-gate:
 	go test -race ./internal/serve/
 	go test -run 'TestServeRecordDeterministicAcrossWorkers$$' .
 	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -obs serve.json
-	go run ./tools/obscheck -serve serve.json
+	go run ./cmd/l2s-trace -record serve.json -require-serve
 
 # The request-tracing gate CI enforces: tracing is pure observation and
 # stable serve-trace records are byte-identical across worker counts
@@ -94,12 +94,11 @@ serve-gate:
 serve-trace-gate:
 	go test -run 'TestServeTraceIsPureObservation$$' .
 	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -serve-trace st.jsonl
-	go run ./tools/obscheck -serve-trace st.jsonl
+	go run ./cmd/l2s-trace -serve st.jsonl
 	go run ./cmd/l2s-serve -precisions float32,int16 -epochs 2 -script serve_script.jsonl -trace-wall \
 	  -serve-trace st.wall.jsonl -timeline serve.tl -serve-perfetto serve_combined.json
-	go run ./tools/obscheck -serve-trace st.wall.jsonl
-	go run ./tools/obscheck -timeline serve.tl
-	go run ./tools/obscheck -timeline serve_combined.json
+	go run ./cmd/l2s-trace serve.tl
+	go run ./cmd/l2s-trace serve_combined.json
 	go run ./cmd/l2s-trace -serve st.wall.jsonl
 
 # Pipelined-inference sweep: throughput vs depth for all four schemes.
@@ -131,7 +130,7 @@ live-demo:
 live-gate:
 	go test -run 'TestLiveStreamDeterministicAcrossWorkers$$' .
 	go run ./cmd/l2s-train -net mlp -epochs 3 -q -live live.jsonl
-	go run ./tools/obscheck -live -min-windows 4 live.jsonl
+	go run ./cmd/l2s-trace -live live.jsonl -min-windows 4
 
 experiments:
 	go run ./cmd/l2s-bench -exp all

@@ -6,7 +6,8 @@
 // The observability flags -obs, -obs-timing, -pprof, -timeline, -live,
 // -live-clock, -health and -workers are shared by every l2s command
 // (internal/obs/live.Run); -timeline traces every burst, and -live
-// closes one window per replayed layer with -replay.
+// closes one window per offered load of the sweep, or per replayed
+// layer with -replay.
 //
 // Usage:
 //

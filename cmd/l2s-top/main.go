@@ -18,16 +18,13 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -62,32 +59,17 @@ func main() {
 // followStream tails the stream file, re-rendering on every window
 // that appears. It tolerates the file not existing yet (the workload
 // may not have started) and never gives up: the stream is append-only
-// and the "final" window marks the end.
+// and the "final" window marks the end. Each refresh validates the
+// complete lines written so far with live.ReadStream; a trailing line
+// with no newline is still being written and waits for the next one.
 func followStream(path string, interval time.Duration, once bool) {
-	var (
-		snaps  []live.WindowSnap
-		offset int64
-	)
 	for {
-		f, err := os.Open(path)
-		if err == nil {
-			if _, err := f.Seek(offset, io.SeekStart); err == nil {
-				sc := bufio.NewScanner(f)
-				sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-				for sc.Scan() {
-					line := sc.Bytes()
-					offset += int64(len(line)) + 1
-					if len(line) == 0 {
-						continue
-					}
-					var s live.WindowSnap
-					if err := json.Unmarshal(line, &s); err != nil {
-						log.Fatalf("%s: %v", path, err)
-					}
-					snaps = append(snaps, s)
-				}
+		var snaps []live.WindowSnap
+		if data, err := os.ReadFile(path); err == nil {
+			complete := data[:bytes.LastIndexByte(data, '\n')+1]
+			if snaps, err = live.ReadStream(bytes.NewReader(complete)); err != nil {
+				log.Fatalf("%s: %v", path, err)
 			}
-			f.Close()
 		}
 		if len(snaps) > 0 {
 			render(snaps, once)
@@ -252,8 +234,6 @@ func bar(v float64, width int) string {
 
 // --- /metrics poll mode ---
 
-var promSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
-
 // pollMetrics scrapes the exposition every interval and renders the
 // l2s families it knows about.
 func pollMetrics(addr string, interval time.Duration, once bool) {
@@ -280,13 +260,10 @@ func pollMetrics(addr string, interval time.Duration, once bool) {
 	}
 }
 
-type promSample struct {
-	name   string
-	labels string
-	value  float64
-}
-
-func scrape(client *http.Client, url string) ([]promSample, error) {
+// scrape fetches the exposition and parses its sample lines with
+// live.ParseSample, the parser live.Lint uses. The monitor shows what
+// parses and skips a malformed line; l2s-trace -prom rejects it.
+func scrape(client *http.Client, url string) ([]live.Sample, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
@@ -295,7 +272,7 @@ func scrape(client *http.Client, url string) ([]promSample, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: %s", url, resp.Status)
 	}
-	var out []promSample
+	var out []live.Sample
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	for sc.Scan() {
@@ -303,20 +280,14 @@ func scrape(client *http.Client, url string) ([]promSample, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		m := promSampleRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if s, err := live.ParseSample(line); err == nil {
+			out = append(out, s)
 		}
-		v, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, promSample{name: m[1], labels: m[2], value: v})
 	}
 	return out, sc.Err()
 }
 
-func renderSamples(samples []promSample, url string, once bool) {
+func renderSamples(samples []live.Sample, url string, once bool) {
 	var b strings.Builder
 	if !once {
 		b.WriteString("\x1b[H\x1b[2J")
@@ -338,8 +309,8 @@ func renderSamples(samples []promSample, url string, once bool) {
 		var lines []string
 		for i, s := range samples {
 			for _, p := range g.prefix {
-				if strings.HasPrefix(s.name, p) {
-					lines = append(lines, fmt.Sprintf("  %-52s %.6g", s.name+s.labels, s.value))
+				if strings.HasPrefix(s.Name, p) {
+					lines = append(lines, fmt.Sprintf("  %-52s %.6g", s.Name+s.Labels, s.Value))
 					shown[i] = true
 					break
 				}

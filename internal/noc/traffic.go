@@ -130,6 +130,8 @@ func (s *Simulator) RunOpenLoop(pattern Pattern, rate float64, cycles int, seed 
 }
 
 // LatencyLoadCurve sweeps offered load and returns one point per rate.
+// Each rate's run is one deterministic telemetry window, announced on
+// cfg.Obs and spanning that run's drain cycles.
 func (s *Simulator) LatencyLoadCurve(pattern Pattern, rates []float64, cycles int, seed int64) ([]OpenLoopResult, error) {
 	var out []OpenLoopResult
 	for _, r := range rates {
@@ -137,6 +139,7 @@ func (s *Simulator) LatencyLoadCurve(pattern Pattern, rates []float64, cycles in
 		if err != nil {
 			return nil, err
 		}
+		s.cfg.Obs.Boundary(fmt.Sprintf("load %.2f", r), float64(p.Drained))
 		out = append(out, p)
 	}
 	return out, nil

@@ -1,8 +1,12 @@
 package noc
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
+	"learn2scale/internal/obs"
+	"learn2scale/internal/obs/live"
 	"learn2scale/internal/topology"
 )
 
@@ -93,6 +97,37 @@ func TestOpenLoopLatencyGrowsWithLoad(t *testing.T) {
 	// after the injection window.
 	if curve[0].Drained > 900 {
 		t.Errorf("low-load drain took %d cycles", curve[0].Drained)
+	}
+}
+
+// TestLatencyLoadCurveWindows holds a traced sweep to one live
+// telemetry window per offered load, spanning that load's drain, plus
+// the plane's final window.
+func TestLatencyLoadCurveWindows(t *testing.T) {
+	var stream bytes.Buffer
+	plane := live.New(live.Config{Out: &stream})
+	cfg := DefaultConfig(topology.NewMesh(2, 2))
+	cfg.Obs = obs.New()
+	cfg.Obs.SetTap(plane)
+	rates := []float64{0.05, 0.3}
+	curve, err := MustNew(cfg).LatencyLoadCurve(Uniform, rates, 100, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plane.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := live.ReadStream(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != len(rates)+1 {
+		t.Fatalf("%d windows, want %d", len(snaps), len(rates)+1)
+	}
+	for i, p := range curve {
+		if want := fmt.Sprintf("load %.2f", rates[i]); snaps[i].Label != want || snaps[i].Span != float64(p.Drained) {
+			t.Errorf("window %d: label %q span %v, want %q span %d", i, snaps[i].Label, snaps[i].Span, want, p.Drained)
+		}
 	}
 }
 

@@ -110,17 +110,18 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-type sample struct {
-	name   string // full sample name (family, or family_bucket etc.)
-	labels string // rendered label set, "" or "{...}"
-	value  float64
+// Sample is one sample line of a text exposition.
+type Sample struct {
+	Name   string // full sample name (family, or family_bucket etc.)
+	Labels string // rendered label set, "" or "{...}"
+	Value  float64
 }
 
 type family struct {
 	name    string
 	typ     string // "counter", "gauge", "histogram"
 	help    string
-	samples []sample
+	samples []Sample
 }
 
 // expo accumulates families keyed by name.
@@ -147,12 +148,12 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 		for _, c := range snap.Counters {
 			m := mangle(c.Name)
 			f := e.fam(m.family+"_total", "counter", "obs counter "+familyHelp(c.Name))
-			f.samples = append(f.samples, sample{name: f.name, labels: renderLabels(m.labels), value: float64(c.Value)})
+			f.samples = append(f.samples, Sample{Name: f.name, Labels: renderLabels(m.labels), Value: float64(c.Value)})
 		}
 		for _, g := range snap.Gauges {
 			m := mangle(g.Name)
 			f := e.fam(m.family, "gauge", "obs gauge "+familyHelp(g.Name))
-			f.samples = append(f.samples, sample{name: f.name, labels: renderLabels(m.labels), value: g.Value})
+			f.samples = append(f.samples, Sample{Name: f.name, Labels: renderLabels(m.labels), Value: g.Value})
 		}
 		for _, h := range snap.Histograms {
 			m := mangle(h.Name)
@@ -161,18 +162,18 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 			for i, bound := range h.Bounds {
 				cum += h.Counts[i]
 				lbls := append(append([]labelPair(nil), m.labels...), labelPair{k: "le", v: formatValue(float64(bound))})
-				f.samples = append(f.samples, sample{name: f.name + "_bucket", labels: renderLabels(lbls), value: float64(cum)})
+				f.samples = append(f.samples, Sample{Name: f.name + "_bucket", Labels: renderLabels(lbls), Value: float64(cum)})
 			}
 			lbls := append(append([]labelPair(nil), m.labels...), labelPair{k: "le", v: "+Inf"})
-			f.samples = append(f.samples, sample{name: f.name + "_bucket", labels: renderLabels(lbls), value: float64(h.Count)})
-			f.samples = append(f.samples, sample{name: f.name + "_sum", labels: renderLabels(m.labels), value: float64(h.Sum)})
-			f.samples = append(f.samples, sample{name: f.name + "_count", labels: renderLabels(m.labels), value: float64(h.Count)})
+			f.samples = append(f.samples, Sample{Name: f.name + "_bucket", Labels: renderLabels(lbls), Value: float64(h.Count)})
+			f.samples = append(f.samples, Sample{Name: f.name + "_sum", Labels: renderLabels(m.labels), Value: float64(h.Sum)})
+			f.samples = append(f.samples, Sample{Name: f.name + "_count", Labels: renderLabels(m.labels), Value: float64(h.Count)})
 		}
 		if class == obs.Stable {
 			for _, sp := range snap.Spans {
 				f := e.fam("l2s_span_hits_total", "counter", "obs span hit counts by path")
-				f.samples = append(f.samples, sample{
-					name: f.name, labels: renderLabels([]labelPair{{k: "path", v: sp.Path}}), value: float64(sp.Count),
+				f.samples = append(f.samples, Sample{
+					Name: f.name, Labels: renderLabels([]labelPair{{k: "path", v: sp.Path}}), Value: float64(sp.Count),
 				})
 			}
 		} else {
@@ -181,8 +182,8 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 					continue
 				}
 				f := e.fam("l2s_span_seconds_total", "counter", "obs span accumulated wall time by path")
-				f.samples = append(f.samples, sample{
-					name: f.name, labels: renderLabels([]labelPair{{k: "path", v: sp.Path}}), value: float64(sp.TotalNS) / 1e9,
+				f.samples = append(f.samples, Sample{
+					Name: f.name, Labels: renderLabels([]labelPair{{k: "path", v: sp.Path}}), Value: float64(sp.TotalNS) / 1e9,
 				})
 			}
 		}
@@ -190,11 +191,11 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 
 	if last := p.Last(); last != nil {
 		f := e.fam("l2s_live_window", "gauge", "index of the last closed telemetry window")
-		f.samples = append(f.samples, sample{name: f.name, value: float64(last.Window)})
+		f.samples = append(f.samples, Sample{Name: f.name, Value: float64(last.Window)})
 		for _, c := range last.Counters {
 			m := mangle(c.Name)
 			f := e.fam(m.family+"_rate", "gauge", "per-window rate of obs counter "+familyHelp(c.Name))
-			f.samples = append(f.samples, sample{name: f.name, labels: renderLabels(m.labels), value: c.Rate})
+			f.samples = append(f.samples, Sample{Name: f.name, Labels: renderLabels(m.labels), Value: c.Rate})
 		}
 		for _, h := range last.Hists {
 			m := mangle(h.Name)
@@ -203,7 +204,7 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 				v      float64
 			}{{"_p50", h.P50}, {"_p90", h.P90}, {"_p99", h.P99}} {
 				f := e.fam(m.family+q.suffix, "gauge", "windowed quantile of obs histogram "+familyHelp(h.Name))
-				f.samples = append(f.samples, sample{name: f.name, labels: renderLabels(m.labels), value: q.v})
+				f.samples = append(f.samples, Sample{Name: f.name, Labels: renderLabels(m.labels), Value: q.v})
 			}
 		}
 	}
@@ -221,17 +222,17 @@ func WriteMetrics(w io.Writer, r *obs.Registry, p *Plane) error {
 		// put le="+Inf" before le="16".
 		if f.typ != "histogram" {
 			sort.Slice(f.samples, func(i, j int) bool {
-				if f.samples[i].name != f.samples[j].name {
-					return f.samples[i].name < f.samples[j].name
+				if f.samples[i].Name != f.samples[j].Name {
+					return f.samples[i].Name < f.samples[j].Name
 				}
-				return f.samples[i].labels < f.samples[j].labels
+				return f.samples[i].Labels < f.samples[j].Labels
 			})
 		}
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
 			return err
 		}
 		for _, s := range f.samples {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.name, s.labels, formatValue(s.value)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", s.Name, s.Labels, formatValue(s.Value)); err != nil {
 				return err
 			}
 		}
@@ -252,6 +253,21 @@ var (
 	sampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
 	labelRe  = regexp.MustCompile(`^([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"$`)
 )
+
+// ParseSample parses one sample line of a text exposition:
+// `name{labels} value`. The label set is kept as written; Lint checks
+// its pairs.
+func ParseSample(line string) (Sample, error) {
+	m := sampleRe.FindStringSubmatch(line)
+	if m == nil {
+		return Sample{}, fmt.Errorf("malformed sample: %q", line)
+	}
+	v, err := strconv.ParseFloat(m[3], 64)
+	if err != nil {
+		return Sample{}, fmt.Errorf("sample %s: value %q is not a float", m[1], m[3])
+	}
+	return Sample{Name: m[1], Labels: m[2], Value: v}, nil
+}
 
 // Lint validates a Prometheus text exposition the way promlint does:
 // well-formed HELP/TYPE/sample lines, legal metric and label names,
@@ -311,17 +327,12 @@ func Lint(r io.Reader) []error {
 		case strings.HasPrefix(line, "#"):
 			continue // other comments are legal
 		default:
-			m := sampleRe.FindStringSubmatch(line)
-			if m == nil {
-				fail("line %d: malformed sample: %q", n, line)
-				continue
-			}
-			name, labels, valStr := m[1], m[2], m[3]
-			val, err := strconv.ParseFloat(valStr, 64)
+			smp, err := ParseSample(line)
 			if err != nil {
-				fail("line %d: sample %s: value %q is not a float", n, name, valStr)
+				fail("line %d: %v", n, err)
 				continue
 			}
+			name, labels, val := smp.Name, smp.Labels, smp.Value
 			fam, sub := sampleFamily(name, typ)
 			if fam == "" {
 				fail("line %d: sample %s has no TYPE declaration", n, name)

@@ -337,7 +337,7 @@ func (s *Server) executeGroup(m *Model, group []*pending) {
 		// server's single global timeline: prefix the labels with the
 		// batch ordinal and shift every start by the cumulative
 		// sim-cycle cursor, so consecutive batches stack end to end and
-		// the record passes obscheck -timeline. Deterministic: the
+		// the record passes timeline.ReadRecord. Deterministic: the
 		// cursor advances by the pass's TotalCycles, a pure function of
 		// the request stream.
 		if tl := s.cfg.Timeline; tl != nil {

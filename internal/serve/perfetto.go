@@ -175,8 +175,8 @@ func WriteServePerfetto(w io.Writer, log *TraceLog, tl *timeline.Sink, tool stri
 			}
 			// The slice must precede its outgoing flow at the same
 			// stamp: the stable timestamp sort keeps append order for
-			// ties, and both Perfetto and obscheck bind a flow to an
-			// already-seen slice on its track.
+			// ties, and both Perfetto and timeline.ReadPerfetto bind a
+			// flow to an already-seen slice on its track.
 			extra = append(extra, ev)
 			if Phase(ph) == PhaseSim {
 				if wts, ok := batchTS[r.Batch]; ok {

@@ -217,7 +217,7 @@ type Config struct {
 	// of every simulated batch. Served batches are stitched into one
 	// global timeline: each pass's sections are relabeled
 	// "serve.gNNN.<layer>" and shifted by the cumulative sim-cycle
-	// cursor, so the record passes obscheck -timeline and renders as
+	// cursor, so the record passes timeline.ReadRecord and renders as
 	// consecutive batch windows in Perfetto.
 	Timeline *timeline.Sink
 	// Trace, when non-nil, receives request-scoped lifecycle traces:

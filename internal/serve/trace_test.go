@@ -428,6 +428,9 @@ func TestWriteServePerfetto(t *testing.T) {
 	if err := WriteServePerfetto(&out, log, tl, "test", map[string]string{"net": "mlp"}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := timeline.ReadPerfetto(bytes.NewReader(out.Bytes())); err != nil {
+		t.Fatalf("combined serve+sim export: %v", err)
+	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string         `json:"name"`

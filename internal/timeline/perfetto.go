@@ -73,7 +73,7 @@ func (t *Sink) WritePerfetto(w io.Writer, tool string, meta map[string]string) e
 // merged in: extra metadata events (Ph "M") join the header block,
 // extra data events join the stable timestamp sort. Safe on a nil sink
 // when extra is the only content (the sim-track processes are still
-// declared so the export stays obscheck-valid).
+// declared so the export still passes ReadPerfetto).
 func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]string, extra []TraceEvent) error {
 	t.resolveStarts()
 	secs := t.Sections()
@@ -258,4 +258,116 @@ func (t *Sink) WritePerfettoExtra(w io.Writer, tool string, meta map[string]stri
 		return err
 	}
 	return bw.Flush()
+}
+
+// PerfettoStats describes a trace-event document ReadPerfetto accepted.
+type PerfettoStats struct {
+	OtherData map[string]any // the document's otherData header
+	Events    int            // trace events, metadata included
+	Slices    int            // "X" complete slices
+	SpanPairs int            // balanced "B"/"E" pairs
+	Flows     int            // "s"/"t"/"f" flow events
+	Instants  int            // "i" instant events
+}
+
+// ReadPerfetto parses trace-event JSON written by WritePerfetto or
+// WritePerfettoExtra and validates the invariants Perfetto relies on:
+// metadata first, then events sorted by timestamp; process_name
+// metadata for the router, link and core processes; balanced B/E pairs
+// per (pid, tid) track; non-negative X durations; and every s/t/f flow
+// event carrying an id and binding to an X slice that starts at its
+// timestamp on its track. It returns the first violation.
+func ReadPerfetto(r io.Reader) (PerfettoStats, error) {
+	// The fields the checks read; Args stay undecoded, so a large
+	// trace costs one small struct per event.
+	var doc struct {
+		OtherData   map[string]any `json:"otherData"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			TS   int64  `json:"ts"`
+			Dur  int64  `json:"dur"`
+			Pid  int    `json:"pid"`
+			Tid  int    `json:"tid"`
+			ID   string `json:"id"`
+		} `json:"traceEvents"`
+	}
+	fail := func(format string, args ...any) (PerfettoStats, error) {
+		return PerfettoStats{}, fmt.Errorf("timeline: "+format, args...)
+	}
+	if err := json.NewDecoder(r).Decode(&doc); err != nil {
+		return fail("not trace-event JSON: %w", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		return fail("no trace events")
+	}
+
+	st := PerfettoStats{OtherData: doc.OtherData, Events: len(doc.TraceEvents)}
+	type track struct{ pid, tid int }
+	depth := map[track]int{}
+	slices := map[track]map[int64]bool{} // X slice start stamps per track
+	procs := map[int]bool{}
+	var prevTS int64
+	var sawData bool
+	for i, e := range doc.TraceEvents {
+		tk := track{e.Pid, e.Tid}
+		switch e.Ph {
+		case "M":
+			if sawData {
+				return fail("event %d: metadata after data events", i)
+			}
+			if e.Name == "process_name" {
+				procs[e.Pid] = true
+			}
+			continue
+		case "B":
+			depth[tk]++
+			st.SpanPairs++
+		case "E":
+			if depth[tk]--; depth[tk] < 0 {
+				return fail("event %d: E without matching B on pid=%d tid=%d", i, e.Pid, e.Tid)
+			}
+		case "X":
+			if e.Dur < 0 {
+				return fail("event %d: negative slice duration %d", i, e.Dur)
+			}
+			if slices[tk] == nil {
+				slices[tk] = map[int64]bool{}
+			}
+			slices[tk][e.TS] = true
+			st.Slices++
+		case "s", "t", "f":
+			if e.ID == "" {
+				return fail("event %d: flow event without id", i)
+			}
+			if !slices[tk][e.TS] {
+				return fail("event %d: flow %s at ts=%d binds to no slice on pid=%d tid=%d",
+					i, e.ID, e.TS, e.Pid, e.Tid)
+			}
+			st.Flows++
+		case "C":
+			// counter track (serve-plane queue depth): no structural
+			// invariant beyond the global timestamp ordering.
+		case "i":
+			st.Instants++
+		default:
+			return fail("event %d: unknown phase %q", i, e.Ph)
+		}
+		sawData = true
+		if e.TS < prevTS {
+			return fail("event %d: ts %d after %d (not sorted)", i, e.TS, prevTS)
+		}
+		prevTS = e.TS
+	}
+	for _, pid := range []int{PidRouters, PidLinks, PidCores} {
+		if !procs[pid] {
+			return fail("no process_name metadata for pid %d", pid)
+		}
+	}
+	for tk, d := range depth {
+		if d != 0 {
+			return fail("pid=%d tid=%d left %d spans open", tk.pid, tk.tid, d)
+		}
+	}
+	return st, nil
 }

@@ -2,16 +2,10 @@ package timeline
 
 import (
 	"bytes"
-	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 )
-
-// pfTrace mirrors the trace-event container for test-side parsing.
-type pfTrace struct {
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData"`
-	TraceEvents     []TraceEvent   `json:"traceEvents"`
-}
 
 func TestWritePerfettoStructure(t *testing.T) {
 	sink := synthetic()
@@ -27,87 +21,61 @@ func TestWritePerfettoStructure(t *testing.T) {
 		t.Fatalf("repeated WritePerfetto not byte-identical")
 	}
 
-	var tr pfTrace
-	if err := json.Unmarshal(buf1.Bytes(), &tr); err != nil {
-		t.Fatalf("perfetto output is not valid JSON: %v", err)
+	st, err := ReadPerfetto(&buf1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tr.OtherData["tool"] != "unit" || tr.OtherData["scheme"] != "ssmask" {
-		t.Fatalf("otherData = %v", tr.OtherData)
-	}
-
-	type track struct{ pid, tid int }
-	depth := map[track]int{}      // open B/E nesting per track
-	slices := map[track][]int64{} // X slice start stamps per track
-	var prevTS int64
-	var sawMeta, sawData bool
-	procs := map[int]bool{}
-	for i, e := range tr.TraceEvents {
-		tk := track{e.Pid, e.Tid}
-		switch e.Ph {
-		case "M":
-			if sawData {
-				t.Fatalf("event %d: metadata after data events", i)
-			}
-			sawMeta = true
-			if e.Name == "process_name" {
-				procs[e.Pid] = true
-			}
-			continue
-		case "B":
-			depth[tk]++
-		case "E":
-			depth[tk]--
-			if depth[tk] < 0 {
-				t.Fatalf("event %d: E without B on pid=%d tid=%d", i, e.Pid, e.Tid)
-			}
-		case "X":
-			if e.Dur < 0 {
-				t.Fatalf("event %d: negative duration %d", i, e.Dur)
-			}
-			slices[tk] = append(slices[tk], e.TS)
-		case "s", "t", "f":
-			if e.ID == "" {
-				t.Fatalf("event %d: flow without id", i)
-			}
-			// Flow must bind to an X slice starting at the same stamp on
-			// the same track.
-			found := false
-			for _, ts := range slices[tk] {
-				if ts == e.TS {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("event %d: flow %s at ts=%d pid=%d tid=%d resolves to no slice", i, e.ID, e.TS, e.Pid, e.Tid)
-			}
-		case "i":
-		default:
-			t.Fatalf("event %d: unknown phase %q", i, e.Ph)
-		}
-		sawData = true
-		if e.TS < prevTS {
-			t.Fatalf("event %d: ts %d after %d", i, e.TS, prevTS)
-		}
-		prevTS = e.TS
-	}
-	if !sawMeta || !procs[PidRouters] || !procs[PidLinks] || !procs[PidCores] {
-		t.Fatalf("missing process metadata: %v", procs)
-	}
-	for tk, d := range depth {
-		if d != 0 {
-			t.Errorf("track pid=%d tid=%d left %d spans open", tk.pid, tk.tid, d)
-		}
+	if st.OtherData["tool"] != "unit" || st.OtherData["scheme"] != "ssmask" {
+		t.Fatalf("otherData = %v", st.OtherData)
 	}
 	// synthetic's packet crosses 2 routers → one s + one f flow.
-	var flows int
-	for _, e := range tr.TraceEvents {
-		if e.Ph == "s" || e.Ph == "t" || e.Ph == "f" {
-			flows++
-		}
+	if st.Flows != 2 {
+		t.Fatalf("%d flow events, want 2", st.Flows)
 	}
-	if flows != 2 {
-		t.Fatalf("%d flow events, want 2", flows)
+}
+
+// TestReadPerfettoRejects corrupts one line of a minimal valid trace
+// per case; ReadPerfetto must reject each.
+func TestReadPerfettoRejects(t *testing.T) {
+	const valid = `{"otherData":{"tool":"unit"},"traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0},
+{"name":"process_name","ph":"M","pid":2,"tid":0},
+{"name":"process_name","ph":"M","pid":3,"tid":0},
+{"name":"pkt 0","ph":"X","ts":1,"dur":2,"pid":1,"tid":0},
+{"name":"pkt 0","ph":"s","ts":1,"pid":1,"tid":0,"id":"0.0.0"},
+{"name":"busy","ph":"B","ts":2,"pid":2,"tid":4},
+{"name":"retx","ph":"i","ts":2,"pid":1,"tid":0},
+{"name":"busy","ph":"E","ts":3,"pid":2,"tid":4}
+]}`
+	st, err := ReadPerfetto(strings.NewReader(valid))
+	if err != nil {
+		t.Fatalf("valid trace rejected: %v", err)
+	}
+	if want := (PerfettoStats{OtherData: st.OtherData, Events: 8, Slices: 1, SpanPairs: 1, Flows: 1, Instants: 1}); !reflect.DeepEqual(st, want) {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+
+	for _, c := range []struct{ name, old, new string }{
+		{"metadata after data", `"ph":"E","ts":3,"pid":2,"tid":4}`,
+			`"ph":"E","ts":3,"pid":2,"tid":4},{"name":"thread_name","ph":"M","pid":2,"tid":4}`},
+		{"unsorted timestamps", `"ph":"E","ts":3`, `"ph":"E","ts":0`},
+		{"E without B", `"ph":"B"`, `"ph":"i"`},
+		{"spans left open", `"ph":"E"`, `"ph":"B"`},
+		{"flow without id", `,"id":"0.0.0"`, ``},
+		{"flow bound to no slice", `"ph":"s","ts":1`, `"ph":"s","ts":2`},
+		{"negative duration", `"dur":2`, `"dur":-2`},
+		{"unknown phase", `"ph":"i"`, `"ph":"?"`},
+		{"missing process_name", `{"name":"process_name","ph":"M","pid":3`, `{"name":"thread_name","ph":"M","pid":3`},
+		{"no events", valid[strings.Index(valid, "[")+1 : strings.LastIndex(valid, "]")], ``},
+		{"not JSON", `]}`, `]`},
+	} {
+		doc := strings.Replace(valid, c.old, c.new, 1)
+		if doc == valid {
+			t.Fatalf("%s: corruption %q matched nothing", c.name, c.old)
+		}
+		if _, err := ReadPerfetto(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
