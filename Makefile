@@ -9,6 +9,7 @@ build:
 
 vet:
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 	test -z "$$(gofmt -l .)"
 
 test:

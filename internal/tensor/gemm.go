@@ -28,7 +28,10 @@ package tensor
 // into multiply-add. The AVX path relies on packed single-precision
 // mul/add being IEEE-exact per lane, i.e. bitwise equal to the scalar
 // ops; it tests the skip once per block of two k steps and takes a
-// per-step path only for a block with a zero A lane. gemm_test.go pins
+// per-step path only for a block with a zero A lane. On an AVX-512
+// host the pairs of full panels run a 4×32 zmm tile whose lanes run
+// the same instruction sequence as the ymm kernel's, so it is
+// bitwise equal to it (gemmQuadPanelPairAVX512). gemm_test.go pins
 // bit-identity against the reference kernels across randomized shapes
 // including ragged tails, zeros of both signs, infinities and NaNs, on
 // every kernel path the host can run.
@@ -233,6 +236,22 @@ func PackATRange(dst, at []float32, m, k, lo, hi int) {
 	}
 }
 
+// GEMMKernels names the packed GEMM microkernel tier this process
+// runs: "avx512-vnni" (zmm panel pairs at both precisions, ymm for a
+// lone panel), "avx2" (ymm float32 and int16 tiles), "avx" (ymm
+// float32, portable int16) or "go". Every tier computes the same bits.
+func GEMMKernels() string {
+	switch {
+	case useAVX512 && useAVX && useAVX2:
+		return "avx512-vnni"
+	case useAVX && useAVX2:
+		return "avx2"
+	case useAVX:
+		return "avx"
+	}
+	return "go"
+}
+
 // kernelQuadPanel multiplies one packed A quad (4×k) into one packed B
 // panel (k×16), accumulating into the four C rows starting at c with a
 // row stride of n elements. The Go body and the AVX body in
@@ -328,7 +347,16 @@ func MatMulPackedAcc(c, ap, bp []float32, m, k, n int, lo, hi int) {
 		kcb := min(gemmKC, k-pc)
 		for i := lo; i < quadHi; i += gemmQuadH {
 			quad := ap[(i/gemmQuadH)*gemmQuadH*k+pc*gemmQuadH:]
-			for jp := 0; jp < npFull; jp++ {
+			jp := 0
+			if useAVX512 && useAVX {
+				// Pairs of full panels as one 4×32 zmm tile; a lone
+				// last full panel takes the ymm kernel below.
+				for ; jp+2 <= npFull; jp += 2 {
+					gemmQuadPanelPairAVX512(&c[i*n+jp*gemmPanelW], n, &quad[0],
+						&bp[jp*k*gemmPanelW+pc*gemmPanelW], k*gemmPanelW, kcb)
+				}
+			}
+			for ; jp < npFull; jp++ {
 				kernelQuadPanel(c[i*n+jp*gemmPanelW:], n, quad, bp[jp*k*gemmPanelW+pc*gemmPanelW:], kcb)
 			}
 		}

@@ -1,7 +1,8 @@
-// AVX microkernels for the packed GEMM path and, below it, the K-row
-// FC input gradient (matVecT4x16AVX). See gemm.go for the layout and
-// the determinism contract; the GEMM body must stay
-// bit-identical to kernelQuadPanelGo: per output lane one running sum,
+// AVX microkernels for the packed GEMM path, its AVX-512 panel-pair
+// twin, and, below them, the K-row FC input gradient
+// (matVecT4x16AVX). See gemm.go for the layout and the determinism
+// contract; the GEMM bodies must stay bit-identical to
+// kernelQuadPanelGo: per output lane one running sum,
 // products added in ascending p order, A rows skipped on `av != 0`
 // (NEQ_UQ, so NaN lanes are never skipped). Packed-single VMULPS /
 // VADDPS are IEEE-exact per lane, so lane placement does not change
@@ -126,6 +127,125 @@ done:
 	VZEROUPPER
 	RET
 
+// ZROW multiplies the broadcast A lane at off(R8) by the two B vectors
+// Z8 (panel 0) and Z9 (panel 1) of one k step and adds the products
+// into row accumulators lo, hi: ROW at twice the width.
+#define ZROW(off, lo, hi) \
+	VBROADCASTSS off(R8), Z10; \
+	VMULPS       Z8, Z10, Z11; \
+	VMULPS       Z9, Z10, Z10; \
+	VADDPS       Z11, lo, lo;  \
+	VADDPS       Z10, hi, hi
+
+// func gemmQuadPanelPairAVX512(c *float32, n int, ap, bp *float32, ps, k int)
+//
+// gemmQuadPanelAVX over two adjacent panels at once: accumulates the
+// 4×32 tile at rows c, c+n, c+2n, c+3n with the product of the packed
+// A quad ap and the packed B panels bp and bp+ps (ps floats apart).
+// Z0..Z7 hold the tile, one 16-lane vector per row and panel, so each
+// k step of a panel is one load and each A lane feeds 32 columns. The
+// skip test, the block structure and the operand order are
+// gemmQuadPanelAVX's, so every lane runs the same VMULPS/VADDPS
+// sequence and the result is bit-identical to it. Needs AVX-512F.
+TEXT ·gemmQuadPanelPairAVX512(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ n+8(FP), SI
+	MOVQ ap+16(FP), R8
+	MOVQ bp+24(FP), R9
+	MOVQ ps+32(FP), R11
+	MOVQ k+40(FP), CX
+	SHLQ $2, SI        // row stride in bytes
+	LEAQ (DI)(SI*2), R10
+	LEAQ (R9)(R11*4), R11 // panel 1
+
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS (DI)(SI*1), Z2
+	VMOVUPS 64(DI)(SI*1), Z3
+	VMOVUPS (R10), Z4
+	VMOVUPS 64(R10), Z5
+	VMOVUPS (R10)(SI*1), Z6
+	VMOVUPS 64(R10)(SI*1), Z7
+
+	VXORPS Y15, Y15, Y15 // zero, for the skip test
+
+zblock:
+	CMPQ CX, $2
+	JLT  ztail
+	VMOVUPS   (R8), Y12         // A lanes of two k steps
+	VCMPPS    $4, Y15, Y12, Y12 // NEQ_UQ: lane != 0, true for NaN
+	VMOVMSKPS Y12, AX
+	CMPL      AX, $0xff
+	JNE       zstep
+
+	// dense block: both steps, every row contributes
+	VMOVUPS (R9), Z8
+	VMOVUPS (R11), Z9
+	ZROW(0, Z0, Z1)
+	ZROW(4, Z2, Z3)
+	ZROW(8, Z4, Z5)
+	ZROW(12, Z6, Z7)
+	VMOVUPS 64(R9), Z8
+	VMOVUPS 64(R11), Z9
+	ZROW(16, Z0, Z1)
+	ZROW(20, Z2, Z3)
+	ZROW(24, Z4, Z5)
+	ZROW(28, Z6, Z7)
+	ADDQ $32, R8
+	ADDQ $128, R9
+	ADDQ $128, R11
+	SUBQ $2, CX
+	JMP  zblock
+
+ztail:
+	TESTQ CX, CX
+	JZ    zdone
+
+zstep:
+	// one k step: only rows whose A lane is nonzero contribute
+	VMOVUPS   (R8), X12
+	VCMPPS    $4, X15, X12, X12
+	VMOVMSKPS X12, AX
+	VMOVUPS   (R9), Z8
+	VMOVUPS   (R11), Z9
+	TESTL     $1, AX
+	JZ        zs1
+	ZROW(0, Z0, Z1)
+
+zs1:
+	TESTL $2, AX
+	JZ    zs2
+	ZROW(4, Z2, Z3)
+
+zs2:
+	TESTL $4, AX
+	JZ    zs3
+	ZROW(8, Z4, Z5)
+
+zs3:
+	TESTL $8, AX
+	JZ    zs4
+	ZROW(12, Z6, Z7)
+
+zs4:
+	ADDQ $16, R8
+	ADDQ $64, R9
+	ADDQ $64, R11
+	DECQ CX
+	JMP  zblock
+
+zdone:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, (DI)(SI*1)
+	VMOVUPS Z3, 64(DI)(SI*1)
+	VMOVUPS Z4, (R10)
+	VMOVUPS Z5, 64(R10)
+	VMOVUPS Z6, (R10)(SI*1)
+	VMOVUPS Z7, 64(R10)(SI*1)
+	VZEROUPPER
+	RET
+
 // TROW adds the broadcast coefficient at src times the two A vectors
 // Y8, Y9 of one o step into row accumulators lo, hi, unless the
 // coefficient is zero (NEQ_UQ, so NaN is added): the sum is formed
@@ -221,5 +341,41 @@ TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
 	MOVB $1, ret+0(FP)
 	RET
 no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512() bool
+//
+// Reports AVX-512F and AVX512_VNNI (CPUID leaf 7, EBX bit 16 and ECX
+// bit 11) with the opmask, upper-ZMM and ZMM16-31 state enabled in
+// XCR0 alongside XMM and YMM (bits 1, 2, 5, 6 and 7: 0xE6).
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVL $0, AX
+	CPUID
+	CMPL AX, $7 // leaf 7 must exist
+	JLT  no512
+	MOVL $1, AX
+	CPUID
+	// need OSXSAVE (ECX bit 27) for XGETBV
+	ANDL $0x08000000, CX
+	CMPL CX, $0x08000000
+	JNE  no512
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	ANDL $0x10000, BX
+	CMPL BX, $0x10000
+	JNE  no512
+	ANDL $0x800, CX
+	CMPL CX, $0x800
+	JNE  no512
+	MOVL   $0, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+no512:
 	MOVB $0, ret+0(FP)
 	RET

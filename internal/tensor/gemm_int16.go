@@ -9,7 +9,9 @@ package tensor
 // steps so the AVX2 kernel can use VPMADDWD: one instruction
 // multiplies 16 int16 values and sums adjacent product pairs into 8
 // int32 lanes, twice the multiply-accumulate density of the float32
-// VMULPS/VADDPS pair.
+// VMULPS/VADDPS pair. On an AVX-512 VNNI host, pairs of full panels run
+// a 4×32 tile in which one VPDPWSSD does VPMADDWD and VPADDD at once
+// (gemmQuadPanelPairInt16AVX512).
 //
 // Layouts (kp2 = ceil(k/2) pair steps, odd k zero-padded):
 //
@@ -268,7 +270,16 @@ func MatMulPackedInt16(c []int32, ap, bp []int16, m, k, n int, lo, hi int) {
 		kcb := min(kcPairs, kp2-pc)
 		for i := lo; i < quadHi; i += gemmQuadH {
 			quad := ap[(i/gemmQuadH)*kp2*aStep+pc*aStep:]
-			for jp := 0; jp < npFull; jp++ {
+			jp := 0
+			if useAVX512 && useAVX2 {
+				// Pairs of full panels as one 4×32 VPDPWSSD tile; a
+				// lone last full panel takes the ymm kernel below.
+				for ; jp+2 <= npFull; jp += 2 {
+					gemmQuadPanelPairInt16AVX512(&c[i*n+jp*gemmPanelW], n, &quad[0],
+						&bp[jp*kp2*bStep+pc*bStep], kp2*bStep, kcb)
+				}
+			}
+			for ; jp < npFull; jp++ {
 				kernelQuadPanelInt16(c[i*n+jp*gemmPanelW:], n, quad, bp[jp*kp2*bStep+pc*bStep:], kcb)
 			}
 		}

@@ -5,6 +5,11 @@ package tensor
 //go:noescape
 func gemmQuadPanelInt16AVX2(c *int32, n int, ap, bp *int16, kp2 int)
 
+// gemmQuadPanelPairInt16AVX512 is implemented in gemm_int16_amd64.s.
+//
+//go:noescape
+func gemmQuadPanelPairInt16AVX512(c *int32, n int, ap, bp *int16, ps, kp2 int)
+
 // packPairStepsSSE2 is implemented in gemm_int16_amd64.s.
 //
 //go:noescape

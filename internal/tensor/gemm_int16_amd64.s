@@ -1,10 +1,11 @@
-// AVX2 microkernel and SSE2 packs for the packed int16 GEMM path. See
-// gemm_int16.go for the pair-interleaved layout. VPMADDWD multiplies 16 int16 lanes
-// and sums adjacent product pairs into 8 int32 lanes — one instruction
-// covers two k steps of half a 16-column panel row. Integer
-// arithmetic is exact, so this body agrees with kernelQuadPanelInt16Go
-// bit-for-bit with no ordering caveats, and no skip-zero test is needed
-// (a zero product adds exact zero).
+// AVX2 microkernel, its AVX-512 VNNI panel-pair twin, and SSE2 packs
+// for the packed int16 GEMM path. See gemm_int16.go for the
+// pair-interleaved layout. VPMADDWD multiplies 16 int16 lanes and sums
+// adjacent product pairs into 8 int32 lanes — one instruction covers
+// two k steps of half a 16-column panel row. Integer arithmetic is
+// exact, so both bodies agree with kernelQuadPanelInt16Go bit-for-bit
+// with no ordering caveats, and no skip-zero test is needed (a zero
+// product adds exact zero).
 
 #include "textflag.h"
 
@@ -66,6 +67,107 @@ done:
 	VMOVDQU Y5, 32(R10)
 	VMOVDQU Y6, (R10)(SI*1)
 	VMOVDQU Y7, 32(R10)(SI*1)
+	VZEROUPPER
+	RET
+
+// ZROW16 multiplies the broadcast k pair of one A row at off(R8) by the
+// B vectors b0 (panel 0) and b1 (panel 1) of one pair step and adds
+// the pairwise sums into row accumulators lo, hi with VPDPWSSD, which
+// computes lo + (a0·b0 + a1·b1) mod 2³² per lane: VPMADDWD then VPADDD
+// in one instruction, equal to them because both wrap exactly. tmp
+// takes the broadcast.
+#define ZROW16(off, b0, b1, tmp, lo, hi) \
+	VPBROADCASTD off(R8), tmp; \
+	VPDPWSSD     b0, tmp, lo;  \
+	VPDPWSSD     b1, tmp, hi
+
+// func gemmQuadPanelPairInt16AVX512(c *int32, n int, ap, bp *int16, ps, kp2 int)
+//
+// gemmQuadPanelInt16AVX2 over two adjacent panels at once: accumulates
+// the 4×32 int32 tile at rows c, c+n, c+2n, c+3n with the product of
+// the packed A quad ap and the packed B panels bp and bp+ps (ps int16s
+// apart). One pair step of one panel is exactly one 64-byte vector.
+// Z0..Z7 hold the tile, one vector per row and panel, and take the
+// even pair steps; Z16..Z23 start at zero and take the odd ones, so
+// sixteen independent VPDPWSSD chains cover its latency. The two halves
+// are added at the end: integer sums are exact in any order. Needs
+// AVX-512F and AVX512_VNNI.
+TEXT ·gemmQuadPanelPairInt16AVX512(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ n+8(FP), SI
+	MOVQ ap+16(FP), R8
+	MOVQ bp+24(FP), R9
+	MOVQ ps+32(FP), R11
+	MOVQ kp2+40(FP), CX
+	SHLQ $2, SI        // row stride in bytes
+	LEAQ (DI)(SI*2), R10
+	LEAQ (R9)(R11*2), R11 // panel 1
+
+	VMOVDQU32 (DI), Z0
+	VMOVDQU32 64(DI), Z1
+	VMOVDQU32 (DI)(SI*1), Z2
+	VMOVDQU32 64(DI)(SI*1), Z3
+	VMOVDQU32 (R10), Z4
+	VMOVDQU32 64(R10), Z5
+	VMOVDQU32 (R10)(SI*1), Z6
+	VMOVDQU32 64(R10)(SI*1), Z7
+	VPXORD    Z16, Z16, Z16
+	VPXORD    Z17, Z17, Z17
+	VPXORD    Z18, Z18, Z18
+	VPXORD    Z19, Z19, Z19
+	VPXORD    Z20, Z20, Z20
+	VPXORD    Z21, Z21, Z21
+	VPXORD    Z22, Z22, Z22
+	VPXORD    Z23, Z23, Z23
+
+zpairs:
+	CMPQ CX, $2
+	JLT  ztail
+	VMOVDQU32 (R9), Z8    // even step, panel 0: 16 columns × 2 k values
+	VMOVDQU32 (R11), Z9   // even step, panel 1
+	VMOVDQU32 64(R9), Z24 // odd step
+	VMOVDQU32 64(R11), Z25
+	ZROW16(0, Z8, Z9, Z10, Z0, Z1)
+	ZROW16(4, Z8, Z9, Z10, Z2, Z3)
+	ZROW16(8, Z8, Z9, Z10, Z4, Z5)
+	ZROW16(12, Z8, Z9, Z10, Z6, Z7)
+	ZROW16(16, Z24, Z25, Z26, Z16, Z17)
+	ZROW16(20, Z24, Z25, Z26, Z18, Z19)
+	ZROW16(24, Z24, Z25, Z26, Z20, Z21)
+	ZROW16(28, Z24, Z25, Z26, Z22, Z23)
+	ADDQ $32, R8          // 2 steps × 4 rows × 2 int16
+	ADDQ $128, R9         // 2 steps × 16 cols × 2 int16
+	ADDQ $128, R11
+	SUBQ $2, CX
+	JMP  zpairs
+
+ztail:
+	TESTQ CX, CX
+	JZ    zdone
+	VMOVDQU32 (R9), Z8
+	VMOVDQU32 (R11), Z9
+	ZROW16(0, Z8, Z9, Z10, Z0, Z1)
+	ZROW16(4, Z8, Z9, Z10, Z2, Z3)
+	ZROW16(8, Z8, Z9, Z10, Z4, Z5)
+	ZROW16(12, Z8, Z9, Z10, Z6, Z7)
+
+zdone:
+	VPADDD    Z16, Z0, Z0
+	VPADDD    Z17, Z1, Z1
+	VPADDD    Z18, Z2, Z2
+	VPADDD    Z19, Z3, Z3
+	VPADDD    Z20, Z4, Z4
+	VPADDD    Z21, Z5, Z5
+	VPADDD    Z22, Z6, Z6
+	VPADDD    Z23, Z7, Z7
+	VMOVDQU32 Z0, (DI)
+	VMOVDQU32 Z1, 64(DI)
+	VMOVDQU32 Z2, (DI)(SI*1)
+	VMOVDQU32 Z3, 64(DI)(SI*1)
+	VMOVDQU32 Z4, (R10)
+	VMOVDQU32 Z5, 64(R10)
+	VMOVDQU32 Z6, (R10)(SI*1)
+	VMOVDQU32 Z7, 64(R10)(SI*1)
 	VZEROUPPER
 	RET
 

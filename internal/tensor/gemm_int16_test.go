@@ -85,16 +85,24 @@ func checkShapeInt16(t *testing.T, rng *rand.Rand, m, k, n int) {
 	}
 }
 
-// eachKernelPathInt16 runs fn once per int16 microkernel implementation
-// available on this host (portable Go, and AVX2 when present).
+// eachKernelPathInt16 runs fn once per int16 microkernel tier
+// available on this host (portable Go, AVX2, and AVX-512 VNNI when
+// present). Each subtest forces the tiers above it off: "go" and
+// "avx2" never reach the zmm kernel.
 func eachKernelPathInt16(t *testing.T, fn func(t *testing.T)) {
-	avx2 := useAVX2
-	defer func() { useAVX2 = avx2 }()
-	useAVX2 = false
+	avx2, avx512 := useAVX2, useAVX512
+	defer func() { useAVX2, useAVX512 = avx2, avx512 }()
+	useAVX2, useAVX512 = false, false
 	t.Run("go", fn)
 	if avx2 {
 		useAVX2 = true
 		t.Run("avx2", fn)
+	}
+	if avx2 && avx512 {
+		useAVX512 = true
+		t.Run("avx512", fn)
+	} else {
+		t.Log("no avx512 subtest: the host lacks AVX-512F+VNNI")
 	}
 }
 
@@ -110,6 +118,10 @@ func TestInt16KernelsExact(t *testing.T) {
 			{5, 9, 6}, {3, 5, 2}, {4, 1, 9}, {7, 13, 11},
 			{16, 25, 196}, {9, 25, 196}, {12, 75, 64}, {1, 400, 10},
 			{8, 600, 24}, {4, 1030, 16}, {5, 1025, 9},
+			// Full-panel counts 2, 5, 2 and 6: one panel pair alone,
+			// two pairs and a lone panel, a pair and the ragged
+			// tile, and three pairs across two K blocks.
+			{4, 3, 32}, {8, 7, 80}, {6, 9, 41}, {5, 1025, 96},
 		}
 		for _, s := range shapes {
 			checkShapeInt16(t, rng, s[0], s[1], s[2])

@@ -172,17 +172,24 @@ func refMatMulAcc(c, a, b []float32, m, k, n int) {
 	}
 }
 
-// eachKernelPath runs fn once per microkernel implementation available
-// on this host (portable Go, and AVX when present), so the bit-identity
-// properties pin both bodies.
+// eachKernelPath runs fn once per microkernel tier available on this
+// host (portable Go, AVX, and AVX-512 when present), so the
+// bit-identity properties pin every body. Each subtest forces the
+// tiers above it off: "go" and "avx" never reach the zmm kernel.
 func eachKernelPath(t *testing.T, fn func(t *testing.T)) {
-	avx := useAVX
-	defer func() { useAVX = avx }()
-	useAVX = false
+	avx, avx512 := useAVX, useAVX512
+	defer func() { useAVX, useAVX512 = avx, avx512 }()
+	useAVX, useAVX512 = false, false
 	t.Run("go", fn)
 	if avx {
 		useAVX = true
 		t.Run("avx", fn)
+	}
+	if avx && avx512 {
+		useAVX512 = true
+		t.Run("avx512", fn)
+	} else {
+		t.Log("no avx512 subtest: the host lacks AVX-512F+VNNI")
 	}
 }
 
@@ -204,6 +211,10 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 			{8, 600, 24}, {4, 1030, 16},
 			{8, 513, 48}, {9, 513, 49}, {8, 513, 57},
 			{9, 1030, 48}, {8, 1030, 49}, {9, 1030, 57},
+			// Full-panel counts 2, 5, 2 and 6: one panel pair alone,
+			// two pairs and a lone panel, a pair and the ragged
+			// tile, and three pairs across two K blocks.
+			{4, 3, 32}, {8, 7, 80}, {6, 9, 41}, {5, 1030, 96},
 		}
 		for _, s := range shapes {
 			checkShape(t, rng, s[0], s[1], s[2])
@@ -215,6 +226,90 @@ func TestBlockedKernelsBitIdentical(t *testing.T) {
 			checkShape(t, rng, m, k, n)
 		}
 	})
+}
+
+// nanPayloads are quiet NaNs of both signs with distinct payloads,
+// and a signalling one, which the float unit quiets.
+var nanPayloads = []uint32{0x7fc00001, 0xffc12345, 0x7fd5a5a5, 0xff800001, 0x7f800f00}
+
+// TestAVX512MatchesAVXNaNPayloads compares the zmm panel-pair kernel
+// with the ymm kernel on operands whose NaNs carry distinct payloads in
+// A, B and C. A sum that meets two NaNs keeps the one its operand order
+// selects; both assembly bodies put the A value first in VMULPS and the
+// running sum first in VADDPS, so they must agree bit for bit even
+// here, where the Go body, whose operand order the compiler picks, is
+// not compared.
+func TestAVX512MatchesAVXNaNPayloads(t *testing.T) {
+	if !useAVX || !useAVX512 {
+		t.Skip("host lacks AVX-512F+VNNI")
+	}
+	defer func() { useAVX512 = true }()
+	rng := rand.New(rand.NewSource(41))
+	poison := func(s []float32) {
+		for i := range s {
+			switch rng.Intn(6) {
+			case 0:
+				s[i] = math.Float32frombits(nanPayloads[rng.Intn(len(nanPayloads))])
+			case 1:
+				s[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			}
+		}
+	}
+	for _, s := range [][3]int{{4, 5, 32}, {8, 33, 80}, {7, 9, 41}, {12, 600, 64}} {
+		m, k, n := s[0], s[1], s[2]
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		seed := make([]float32, m*n)
+		fillGEMM(rng, a)
+		fillGEMM(rng, b)
+		fillGEMM(rng, seed)
+		poison(a)
+		poison(b)
+		poison(seed)
+		ap := make([]float32, PackASize(m, k))
+		bp := make([]float32, PackBSize(k, n))
+		PackA(ap, a, m, k)
+		PackB(bp, b, k, n)
+		var got [2][]float32
+		for i, zmm := range []bool{false, true} {
+			useAVX512 = zmm
+			got[i] = append([]float32(nil), seed...)
+			MatMulPackedAcc(got[i], ap, bp, m, k, n, 0, m)
+		}
+		if i, ok := bitsEqual(got[1], got[0]); !ok {
+			t.Fatalf("m=%d k=%d n=%d: element %d: avx512 %x, avx %x",
+				m, k, n, i, math.Float32bits(got[1][i]), math.Float32bits(got[0][i]))
+		}
+	}
+}
+
+// TestKernelTierNames logs the tier this host runs, the line CI prints,
+// and names each tier a host can have, plus the forced portable path,
+// which the zmm kernels never reach because they also need the ymm
+// gates.
+func TestKernelTierNames(t *testing.T) {
+	t.Logf("GEMM kernels: %s", GEMMKernels())
+	avx, avx2, avx512 := useAVX, useAVX2, useAVX512
+	defer func() { useAVX, useAVX2, useAVX512 = avx, avx2, avx512 }()
+	for _, c := range []struct {
+		avx, avx2, avx512 bool
+		want              string
+	}{
+		{true, true, true, "avx512-vnni"},
+		{true, true, false, "avx2"},
+		{true, false, false, "avx"},
+		{false, false, false, "go"},
+		{false, false, true, "go"},
+	} {
+		useAVX, useAVX2, useAVX512 = c.avx, c.avx2, c.avx512
+		if got := GEMMKernels(); got != c.want {
+			t.Errorf("gates avx=%v avx2=%v avx512=%v: GEMMKernels() = %q, want %q",
+				c.avx, c.avx2, c.avx512, got, c.want)
+		}
+	}
+	if avx512 && (!avx || !avx2) {
+		t.Errorf("CPUID reports AVX-512F+VNNI without AVX (%v) or AVX2 (%v)", avx, avx2)
+	}
 }
 
 // TestKernelNaNSemantics pins the `av != 0` skip on NaN/Inf A

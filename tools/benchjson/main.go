@@ -36,6 +36,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"learn2scale/internal/tensor"
 )
 
 const (
@@ -56,11 +58,21 @@ type Benchmark struct {
 
 // File is the schema of the emitted JSON document.
 type File struct {
-	Bench      string      `json:"bench"`     // regex the run selected
-	Benchtime  string      `json:"benchtime"` // per-benchmark budget per round
-	Rounds     int         `json:"rounds"`
-	GoVersion  string      `json:"go_version"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	Bench     string `json:"bench"`     // regex the run selected
+	Benchtime string `json:"benchtime"` // per-benchmark budget per round
+	Rounds    int    `json:"rounds"`
+	GoVersion string `json:"go_version"`
+	// GEMMKernels is the packed GEMM microkernel tier the run measured
+	// (tensor.GEMMKernels): the int16 ≥ 2× float32 predicates compare
+	// two kernels whose speed ratio depends on it.
+	GEMMKernels string      `json:"gemm_kernels"`
+	Benchmarks  []Benchmark `json:"benchmarks"`
+}
+
+// newFile folds the rounds' samples into the document a run writes.
+func newFile(benchtime string, samples [][]Benchmark) File {
+	return File{Bench: benchSet, Benchtime: benchtime, Rounds: rounds,
+		GoVersion: runtime.Version(), GEMMKernels: tensor.GEMMKernels(), Benchmarks: merge(samples)}
 }
 
 func main() {
@@ -87,8 +99,7 @@ func main() {
 
 	// A run that parsed nothing fails every predicate, naming each
 	// missing benchmark.
-	f := File{Bench: benchSet, Benchtime: *benchtime, Rounds: rounds,
-		GoVersion: runtime.Version(), Benchmarks: merge(samples)}
+	f := newFile(*benchtime, samples)
 	buf, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -96,7 +107,7 @@ func main() {
 	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote %d benchmarks to %s", len(f.Benchmarks), *out)
+	log.Printf("wrote %d benchmarks to %s (GEMM kernels: %s)", len(f.Benchmarks), *out, f.GEMMKernels)
 
 	fmt.Printf("\npredicates over the medians of %d rounds:\n", rounds)
 	med := medians(f.Benchmarks)

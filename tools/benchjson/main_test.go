@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"learn2scale/internal/tensor"
 )
 
 // gatedBenchmarks returns one zero-alloc result per top-level
@@ -177,4 +181,27 @@ func TestParseBenchStripsProcSuffix(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseBench = %+v, want %+v", got, want)
 	}
+}
+
+// The file names the GEMM kernel tier the run measured, the one this
+// process's CPUID check selects, under the gemm_kernels key.
+func TestFileRecordsGEMMKernels(t *testing.T) {
+	f := newFile("0.2s", [][]Benchmark{{{Package: "p", Name: "BenchmarkX",
+		Samples: map[string][]float64{"ns/op": {1}}}}})
+	want := tensor.GEMMKernels()
+	if !slices.Contains([]string{"avx512-vnni", "avx2", "avx", "go"}, want) {
+		t.Fatalf("tensor.GEMMKernels() = %q, not a known tier", want)
+	}
+	buf, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc["gemm_kernels"]; got != want {
+		t.Fatalf("gemm_kernels = %v, want %q", got, want)
+	}
+	t.Logf("GEMM kernels: %s", want)
 }
